@@ -343,11 +343,15 @@ def _run_endpoint(spec, cfg, threads):
     rep["n"] = n
     rows = [tuple(row) for row in endpoints]
     header = tuple(f"y{i + 1}" for i in range(cfg.k))
-    target_mean = math.sqrt(math.pi)
-    mean_ok = all(
-        abs(m - target_mean) <= 3 * se
-        for m, se in zip(rep["gap_mean"], rep["gap_mean_stderr"])
-    ) if cfg.k == 2 else True
+    mean_ok = True
+    if cfg.k == 2:
+        target_mean = math.sqrt(math.pi)
+        if cfg.dist.is_lattice:
+            # the exact finite-n mean of the conditioned gap, not its limit
+            gaps, probs = lattice_exact.gap_chain_alive_distribution(
+                cfg.dist, int(cfg.start[1] - cfg.start[0]), n)
+            target_mean = float(gaps @ probs) / (math.sqrt(n) * sigma)
+        mean_ok = abs(rep["gap_mean"][0] - target_mean) <= 3 * rep["gap_mean_stderr"][0]
     return (rep, {"endpoints": (header, rows)}, {"gap_mean_3sigma": mean_ok})
 
 
@@ -390,9 +394,13 @@ def _run_hermite(spec, cfg, threads):
                                          master_seed=cfg.master_seed)
     rep = transform.hermite_distance(y / math.sqrt(n), 2)
     rep["n"] = n
-    rep["exact_gap_tv"] = transform.hermite_gap_tv_exact(
-        cfg.start[1] - cfg.start[0], n)
-    m2_ok = abs(rep["gap_sq_mean"][0] - 6.0) <= 3 * rep["gap_sq_stderr"][0]
+    gaps, probs = transform.transformed_gap_distribution(
+        int(cfg.start[1] - cfg.start[0]), n)
+    x = gaps / math.sqrt(n)
+    rep["exact_gap_tv"] = transform.gap_law_tv(x, probs)
+    # the exact finite-n E[g^2]/n of the transformed chain, not its limit 6
+    target_m2 = float(x ** 2 @ probs)
+    m2_ok = abs(rep["gap_sq_mean"][0] - target_m2) <= 3 * rep["gap_sq_stderr"][0]
     return (rep, {}, {"gap_sq_mean_3sigma": m2_ok})
 
 

@@ -33,9 +33,6 @@ class LatticeInfo:
     span: int
     offset: int  # representative of support modulo span
 
-    def common_denominator(self, masses):
-        return math.lcm(*(m.denominator for m in masses.values()))
-
 
 @dataclass(frozen=True)
 class StepDistribution:
@@ -153,7 +150,6 @@ class RandomStream:
 
     master_seed: int
     path_index: int = 0
-    counter: int = 0
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def generator(self) -> np.random.Generator:
@@ -168,18 +164,10 @@ class RandomStream:
             self._gen = np.random.Generator(bitgen)
         return self._gen
 
-    def fork(self, path_index: int) -> "RandomStream":
-        return RandomStream(master_seed=self.master_seed, path_index=path_index)
-
-    def reset(self) -> "RandomStream":
-        return RandomStream(master_seed=self.master_seed, path_index=self.path_index)
-
 
 def sample_step(dist: StepDistribution, stream: RandomStream) -> float:
-    """One step from the law; advances the stream counter deterministically."""
-    value = dist.sample_array(stream.generator(), ())
-    stream.counter += 1
-    return float(value)
+    """One step from the law, drawn from the stream's generator."""
+    return float(dist.sample_array(stream.generator(), ()))
 
 
 def step_pmf(dist: StepDistribution, site) -> Fraction:

@@ -90,7 +90,6 @@ def run_path(cfg: WalkConfig, horizon: int, stream: RandomStream) -> StoppedOutc
     pos = np.asarray(cfg.start, dtype=float)
     for n in range(1, horizon + 1):
         pos = pos + cfg.dist.sample_array(rng, cfg.k)
-        stream.counter += 1
         if np.any(np.diff(pos) <= 0):
             term = tuple(pos.tolist())
             return StoppedOutcome(n, True, term, float(vandermonde(term)))

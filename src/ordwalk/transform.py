@@ -10,7 +10,7 @@ transition density of ordered Brownian motions.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 from scipy import integrate, stats
@@ -27,6 +27,7 @@ __all__ = [
     "transform_step_exact",
     "transformed_gap_paths",
     "transformed_gap_distribution",
+    "gap_law_tv",
     "transform_paths_rejection",
     "hermite_distance",
     "sample_hermite_limit",
@@ -133,10 +134,7 @@ def transform_step_exact(table: TransformTable, x, dist: StepDistribution,
         if not in_weyl(y):
             continue
         mass = math.prod(dist.masses[s] for s in steps)
-        try:
-            vy = table.v(y)
-        except KeyError:
-            raise
+        vy = table.v(y)
         weights.append(Fraction(mass) * Fraction(vy) / Fraction(vx)
                        if table.exact else float(mass) * vy / vx)
         targets.append(y)
@@ -150,7 +148,6 @@ def transform_step_exact(table: TransformTable, x, dist: StepDistribution,
             f"transformed one-step mass {float(total)} off by more than the "
             f"table budget {table.stderr_budget}")
     u = stream.generator().random()
-    stream.counter += 1
     acc = 0.0
     for y, w in zip(targets, weights):
         acc += float(w) / float(total)
@@ -338,53 +335,6 @@ def _marginal_tv(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Hermite ensemble comparison
 
-def _z2_constant(k: int) -> float:
-    """Normalization of exp(-|y|^2/2) Delta(y)^2 on W, by gap quadrature."""
-    pairs = list(combinations(range(k), 2))
-
-    def f(*gaps):
-        c = np.concatenate([[0.0], np.cumsum(gaps)])
-        delta = 1.0
-        for i, j in pairs:
-            delta *= c[j] - c[i]
-        s = c.sum()
-        q = (c ** 2).sum() - s ** 2 / k
-        return delta ** 2 * math.exp(-q / 2.0)
-
-    val, _ = integrate.nquad(f, [(0.0, np.inf)] * (k - 1),
-                             opts={"epsabs": 1e-10, "epsrel": 1e-10})
-    return math.sqrt(2.0 * math.pi / k) * val
-
-
-def _hermite_gap_cdf(k: int, i: int):
-    if k == 2:
-        grid = np.linspace(0.0, 30.0, 4001)
-        dens = grid ** 2 * np.exp(-grid ** 2 / 4.0)
-    elif k == 3:
-        grid = np.linspace(0.0, 30.0, 2001)
-        pairs = list(combinations(range(3), 2))
-
-        def f(u, g):
-            args = [0.0, 0.0]
-            args[i] = g
-            args[1 - i] = u
-            c = np.concatenate([[0.0], np.cumsum(args)])
-            delta = 1.0
-            for a, b in pairs:
-                delta *= c[b] - c[a]
-            s = c.sum()
-            q = (c ** 2).sum() - s ** 2 / 3.0
-            return delta ** 2 * math.exp(-q / 2.0)
-
-        dens = np.array([integrate.quad(f, 0.0, np.inf, args=(g,))[0]
-                         for g in grid])
-    else:
-        raise UnsupportedOperationError("Hermite gap marginals support k <= 3")
-    cum = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
-    cum /= cum[-1]
-    return lambda g: np.interp(g, grid, cum)
-
-
 def hermite_distance(samples, k: int, sigma: float = 1.0) -> dict:
     """Goodness of fit of rescaled transformed endpoints to the squared law.
 
@@ -392,77 +342,29 @@ def hermite_distance(samples, k: int, sigma: float = 1.0) -> dict:
     proportional to exp(-|y|^2/2) Delta(y)^2. Also reports the second gap
     moment (limit value 6 for k=2).
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0 or samples.shape[1] != k:
-        raise ValueError("samples must be a nonempty (m, k) array")
-    if not np.all(np.diff(samples, axis=1) > 0):
-        raise ValueError("all samples must lie in the Weyl chamber")
-    y = samples / sigma
-    gaps = np.diff(y, axis=1)
-    m = len(y)
-    ks = []
-    for i in range(k - 1):
-        cdf = _hermite_gap_cdf(k, i)
-        ks.append(float(stats.kstest(gaps[:, i], cdf).statistic))
-    sq = gaps ** 2
-    return {
-        "n_samples": m,
-        "ks_per_gap": ks,
-        "gap_sq_mean": sq.mean(axis=0).tolist(),
-        "gap_sq_stderr": (sq.std(axis=0, ddof=1) / math.sqrt(m)).tolist()
-        if m > 1 else [math.inf] * (k - 1),
-        "tv": _hermite_tv(y, k),
-        "tv_underpowered": m < 1000,
-    }
+    report, gaps = asymptotics._limit_law_report(samples, k, 2, sigma)
+    report["gap_sq_mean"], report["gap_sq_stderr"] = asymptotics._mean_stderr(gaps ** 2)
+    return report
 
 
-def _hermite_tv(y: np.ndarray, k: int) -> float:
-    z2 = _z2_constant(k)
-    width = 0.25
-    edges = np.arange(-4.0, 4.0 + width / 2, width)
-    nbins = len(edges) - 1
-    idx = np.clip(((y - edges[0]) / width).astype(int), -1, nbins)
-    inside = np.all((idx >= 0) & (idx < nbins), axis=1)
-    counts = {}
-    for row in idx[inside]:
-        key = tuple(row.tolist())
-        counts[key] = counts.get(key, 0) + 1
-    n = len(y)
-    emp_out = float((~inside).sum()) / n
-    centers = edges[:-1] + width / 2
-    mesh = np.meshgrid(*([centers] * k), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    ordered = np.all(np.diff(pts, axis=1) > 0, axis=1)
-    dens = np.zeros(len(pts))
-    yy = pts[ordered]
-    delta = np.ones(len(yy))
-    for i, j in combinations(range(k), 2):
-        delta *= yy[:, j] - yy[:, i]
-    dens[ordered] = np.exp(-0.5 * (yy ** 2).sum(axis=1)) * delta ** 2 / z2
-    model = dens * width ** k
-    model_out = max(0.0, 1.0 - model.sum())
-    tv = 0.5 * abs(emp_out - model_out)
-    grid = model.reshape([nbins] * k)
-    seen = set(counts)
-    for key, c in counts.items():
-        tv += 0.5 * abs(c / n - grid[key])
-    for key in map(tuple, np.argwhere(grid > 0)):
-        if key not in seen:
-            tv += 0.5 * grid[key]
-    return float(tv)
-
-
-def hermite_gap_tv_exact(start_gap: int, n: int, bin_width: float = 0.25,
-                         upper: float = 8.0) -> float:
+def hermite_gap_tv_exact(start_gap: int, n: int) -> float:
     """Noise-free TV between the exact transformed gap law and its limit.
 
-    Bins the exact DP distribution of gap/sqrt(n) and the limit density
-    g^2 exp(-g^2/4) / (4 sqrt(pi)) on a shared grid; no sampling enters, so
-    the value is deterministic and its decrease in n is a clean trend test.
+    No sampling enters, so the value is deterministic and its decrease in n
+    is a clean trend test.
     """
     gaps, probs = transformed_gap_distribution(start_gap, n)
-    x = gaps / math.sqrt(n)
-    edges = np.arange(0.0, upper + bin_width / 2, bin_width)
+    return gap_law_tv(gaps / math.sqrt(n), probs)
+
+
+def gap_law_tv(x, probs) -> float:
+    """TV between the law of gaps x with masses probs and the k=2 beta=2 limit.
+
+    The limit gap density is g^2 exp(-g^2/4) / (2 sqrt(pi)). Both laws are
+    binned in steps of 1/4 on [0, 8]; mass outside is one overflow cell.
+    """
+    upper = 8.0
+    edges = np.arange(0.0, upper + 0.125, 0.25)
     emp, _ = np.histogram(x, edges, weights=probs)
     emp_out = max(0.0, 1.0 - emp.sum())
     fine = np.linspace(0.0, upper, 16001)

@@ -1,12 +1,22 @@
 """Tail fits, the limit constant, endpoint diagnostics, and the local CLT."""
 
+import json
 import math
+import os
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ordwalk.asymptotics import (
+    _binned_tv,
+    _chamber_integral,
+    _gap_integral_adaptive,
+    _gap_integrand,
+    _gap_marginal_cdf,
     constant_K,
     endpoint_density_distance,
     local_clt_deviation,
@@ -61,6 +71,13 @@ def test_tail_fit_sigma_rescaling():
                                              rel=1e-10)
 
 
+def test_tail_fit_accepts_numpy_scalars():
+    ns = [2 ** i for i in range(4, 12)]
+    plain = tail_fit([(n, 3.0 * n ** -0.5) for n in ns])
+    scalars = tail_fit([(np.int64(n), np.float64(3.0 * n ** -0.5)) for n in ns])
+    assert scalars == plain
+
+
 def test_tail_fit_needs_two_points():
     with pytest.raises(ValueError):
         tail_fit([(16, 0.5)])
@@ -79,25 +96,50 @@ def test_tail_fit_on_exact_survival_curve():
 def test_constant_k2_closed_form(cache):
     assert constant_K(2, cache_path=cache) == pytest.approx(
         1.0 / math.sqrt(math.pi), abs=1e-12)
-    assert quadrature_scheme_gap(2, cache_path=cache) < 1e-10
+    assert quadrature_scheme_gap(2) < 1e-10
 
 
 def test_constant_k3_schemes_agree(cache):
     K = constant_K(3, cache_path=cache)
     assert K > 0
-    assert quadrature_scheme_gap(3, cache_path=cache) < 1e-10
+    assert quadrature_scheme_gap(3) < 1e-10
 
 
 def test_constant_cache_roundtrip(cache):
     first = constant_K(3, cache_path=cache)
-    again = constant_K(3, cache_path=cache)  # served from the sidecar
+    again = constant_K(3, cache_path=cache)
     assert first == again
     assert z1_constant(3, cache_path=cache) > 0
+    with open(cache) as fh:
+        assert json.load(fh) == {"3": {"K": first, "Z1": z1_constant(3)}}
 
 
-def test_constant_k_unsupported(cache):
+def test_constant_k_unsupported():
     with pytest.raises(UnsupportedOperationError):
-        constant_K(5, cache_path=cache)
+        quadrature_scheme_gap(5)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_chamber_integral_matches_adaptive_quadrature(k, beta):
+    quadrature = math.sqrt(2.0 * math.pi / k) * _gap_integral_adaptive(k, beta)
+    assert _chamber_integral(k, beta) == pytest.approx(quadrature, rel=1e-9)
+
+
+def test_constants_ignore_planted_cache(cache):
+    with open(cache, "w") as fh:
+        json.dump({"2": {"K": 1.0, "Z1": 1.0, "scheme_gap": 0.5}}, fh)
+    assert constant_K(2, cache_path=cache) == pytest.approx(
+        1.0 / math.sqrt(math.pi), rel=1e-12)
+    assert quadrature_scheme_gap(2) < 1e-10
+
+
+def test_constants_touch_no_default_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    constant_K(3)
+    z1_constant(3)
+    assert os.listdir(tmp_path) == []
 
 
 def test_z1_k2_value(cache):
@@ -107,10 +149,10 @@ def test_z1_k2_value(cache):
                                rel=1e-12)
 
 
-def test_endpoint_distance_self_test(cache):
+def test_endpoint_distance_self_test():
     rng = np.random.default_rng(7)
     samples = sample_endpoint_limit(2, 20_000, rng)
-    rep = endpoint_density_distance(samples, 2, cache_path=cache)
+    rep = endpoint_density_distance(samples, 2)
     assert rep["n_samples"] == 20_000
     assert rep["ks_per_gap"][0] < 0.02
     assert abs(rep["gap_mean"][0] - math.sqrt(math.pi)) < \
@@ -119,20 +161,72 @@ def test_endpoint_distance_self_test(cache):
     assert not rep["tv_underpowered"]
 
 
-def test_endpoint_distance_detects_wrong_law(cache):
+def test_endpoint_distance_detects_wrong_law():
     rng = np.random.default_rng(8)
     g = np.abs(rng.normal(0.0, 1.0, 5000)) + 1e-9  # not the limit gap law
     v = rng.normal(0.0, math.sqrt(0.5), 5000)
     bad = np.stack([v - g / 2, v + g / 2], axis=1)
-    rep = endpoint_density_distance(bad, 2, cache_path=cache)
+    rep = endpoint_density_distance(bad, 2)
     assert rep["ks_per_gap"][0] > 0.1
 
 
-def test_endpoint_distance_input_validation(cache):
+def test_endpoint_distance_input_validation():
     with pytest.raises(ValueError):
-        endpoint_density_distance(np.zeros((0, 2)), 2, cache_path=cache)
+        endpoint_density_distance(np.zeros((0, 2)), 2)
     with pytest.raises(ValueError):
-        endpoint_density_distance(np.array([[1.0, 0.0]]), 2, cache_path=cache)
+        endpoint_density_distance(np.array([[1.0, 0.0]]), 2)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("i", [0, 1])
+def test_gap_marginal_cdf_k3_matches_quadrature(i, beta):
+    f = _gap_integrand(3, beta)
+    total = _chamber_integral(3, beta) / math.sqrt(2.0 * math.pi / 3)
+    cdf = _gap_marginal_cdf(3, i, beta)
+    for g in (0.5, 1.5, 3.0):
+        def slice_f(x, u):
+            return f(x, u) if i == 0 else f(u, x)
+        mass, _ = integrate.nquad(slice_f, [(0.0, g), (0.0, np.inf)],
+                                  opts={"epsabs": 1e-11, "epsrel": 1e-11})
+        # the CDF is a trapezoid rule on a grid of step 0.0075
+        assert cdf(g) == pytest.approx(mass / total, abs=1e-5)
+
+
+def _binned_tv_reference(y, k, beta):
+    """Cell-by-cell loop over occupied and model bins, half-open binning."""
+    width, lo, nbins = 0.25, -4.0, 32
+    cells = [tuple(int(math.floor((c - lo) / width)) for c in row) for row in y]
+    counts = Counter(c for c in cells if all(0 <= j < nbins for j in c))
+    n = len(y)
+    emp_out = 1.0 - sum(counts.values()) / n
+    z = _chamber_integral(k, beta)
+    model = {}
+    for cell in combinations(range(nbins), k):  # cells with ordered midpoints
+        mid = [lo + width * (j + 0.5) for j in cell]
+        delta = math.prod(mid[b] - mid[a] for a, b in combinations(range(k), 2))
+        model[cell] = (math.exp(-0.5 * sum(m * m for m in mid)) * delta ** beta
+                       * width ** k / z)
+    tv = 0.5 * abs(emp_out - max(0.0, 1.0 - sum(model.values())))
+    for cell in set(counts) | set(model):
+        tv += 0.5 * abs(counts.get(cell, 0) / n - model.get(cell, 0.0))
+    return tv
+
+
+@pytest.mark.parametrize("k, beta", [(2, 1), (2, 2), (3, 1)])
+def test_binned_tv_matches_loop_reference(k, beta):
+    y = np.sort(np.random.default_rng(3).normal(0.0, 1.5, (3000, k)), axis=1)
+    assert _binned_tv(y, k, beta) == pytest.approx(
+        _binned_tv_reference(y, k, beta), abs=1e-12)
+
+
+def test_binned_tv_bins_are_half_open():
+    # below the box and on its top edge both count as overflow; just inside
+    # the bottom edge counts in the first bin
+    below = _binned_tv(np.array([[-4.1, 0.0]]), 2, 1)
+    top_edge = _binned_tv(np.array([[0.0, 4.0]]), 2, 1)
+    inside = _binned_tv(np.array([[-3.9, 0.0]]), 2, 1)
+    assert below == pytest.approx(top_edge, abs=1e-15)
+    assert below != pytest.approx(inside, abs=1e-6)
 
 
 def test_sample_endpoint_limit_k3_unsupported():

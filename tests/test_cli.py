@@ -1,11 +1,13 @@
 """Spec validation, deterministic serialization, and end-to-end runs."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
+from ordwalk import asymptotics, transform
 from ordwalk.cli import (
     SpecError,
     _fmt_float,
@@ -15,6 +17,8 @@ from ordwalk.cli import (
     serialize_spec,
     validate_spec,
 )
+from ordwalk.distributions import make_distribution
+from ordwalk.lattice_exact import gap_chain_alive_distribution
 
 GOOD_KM = """
 kind: exact-km
@@ -213,3 +217,48 @@ def test_seed_override(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
     assert manifest["spec"]["seed"] == 9
+
+
+def _verdicts_with_pinned_moment(tmp_path, monkeypatch, doc, module, name, keys,
+                                 value):
+    """Run `doc` with `module.name` reporting the gap moment `value` +- 1e-9."""
+    real = getattr(module, name)
+
+    def pinned(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep[keys[0]], rep[keys[1]] = [value], [1e-9]
+        return rep
+
+    monkeypatch.setattr(module, name, pinned)
+    manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    return manifest.checks
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_endpoint_gate_uses_exact_gap_dp_mean(tmp_path, monkeypatch, exact):
+    doc = """
+kind: endpoint
+walk: {k: 2, start: [0, 1], dist: rademacher}
+params: {n: 64, survivors: 200}
+"""
+    gaps, probs = gap_chain_alive_distribution(make_distribution("rademacher"), 1, 64)
+    value = float(gaps @ probs) / 8.0 if exact else math.sqrt(math.pi)
+    checks = _verdicts_with_pinned_moment(
+        tmp_path, monkeypatch, doc, asymptotics, "endpoint_density_distance",
+        ("gap_mean", "gap_mean_stderr"), value)
+    assert checks["gap_mean_3sigma"] is exact
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_hermite_gate_uses_exact_transformed_mean(tmp_path, monkeypatch, exact):
+    doc = """
+kind: hermite
+walk: {k: 2, start: [0, 1], dist: rademacher}
+params: {n: 64, paths: 200}
+"""
+    gaps, probs = transform.transformed_gap_distribution(1, 64)
+    value = float((gaps / 8.0) ** 2 @ probs) if exact else 6.0
+    checks = _verdicts_with_pinned_moment(
+        tmp_path, monkeypatch, doc, transform, "hermite_distance",
+        ("gap_sq_mean", "gap_sq_stderr"), value)
+    assert checks["gap_sq_mean_3sigma"] is exact
