@@ -43,6 +43,14 @@ _KINDS = (
     "exact-km", "exact-reflect", "exact-v", "estimate-v", "tail",
     "endpoint", "lclt", "transform", "hermite", "dyson-compare",
 )
+# params read as integers, and params listing horizons
+_INT_PARAMS = ("n", "l", "paths", "survivors", "max_attempts", "t_steps", "guard_m")
+_HORIZON_PARAMS = ("horizons", "schedule")
+
+
+def _is_int(value):
+    """An int that is not a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SpecError(ValueError):
@@ -96,7 +104,7 @@ def validate_spec(raw: str) -> ExperimentSpec:
 
     walk = doc.get("walk") or {}
     k = walk.get("k")
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         errors.append(f"k must be an integer >= 2, got {k!r}")
         k = 2
     start = walk.get("start")
@@ -106,6 +114,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
     else:
         start = tuple(start)
         try:
+            if any(isinstance(c, bool) for c in start):
+                raise TypeError("bool coordinate")
             if not in_weyl(start):
                 errors.append("start not strictly ordered")
         except (TypeError, ValueError):
@@ -129,7 +139,7 @@ def validate_spec(raw: str) -> ExperimentSpec:
         errors.append(f"bad distribution: {exc}")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         errors.append(f"seed must be a nonnegative integer, got {seed!r}")
         seed = 0
     params = doc.get("params") or {}
@@ -137,7 +147,18 @@ def validate_spec(raw: str) -> ExperimentSpec:
         errors.append("params must be a mapping")
         params = {}
     for key, val in params.items():
-        if isinstance(val, (int, float)) and val <= 0:
+        if key in _INT_PARAMS and not _is_int(val):
+            errors.append(f"params.{key} must be an integer, got {val!r}")
+        elif key in _HORIZON_PARAMS:
+            if (not isinstance(val, list) or not val
+                    or not all(_is_int(h) and h > 0 for h in val)):
+                errors.append(
+                    f"params.{key} must list positive integers, got {val!r}")
+            elif key == "schedule" and len(set(val)) != len(val):
+                errors.append(f"params.schedule has repeated horizons: {val!r}")
+        elif isinstance(val, bool):
+            errors.append(f"params.{key} must be a number, got {val!r}")
+        elif isinstance(val, (int, float)) and val <= 0:
             errors.append(f"params.{key} must be positive, got {val}")
     out = doc.get("out", "results")
 
@@ -288,7 +309,7 @@ def _run_estimate_v(spec, cfg, threads):
     schedule = spec.params.get("schedule", [16, 32, 64, 128])
     paths = int(spec.params.get("paths", 100000))
     table = v_module._vn_over_schedule(cfg, schedule, paths, threads)
-    est = v_module.estimate_v(cfg, schedule, paths, threads)
+    est = v_module.v_from_schedule(cfg, table)
     rows = []
     prev = None
     for n, ci in table:

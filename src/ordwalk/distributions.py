@@ -1,7 +1,9 @@
 """Centered step distributions and deterministic counter-based random streams.
 
 Lattice kinds carry exact rational masses on integer sites together with the
-span/offset of the per-step lattice (support is a subset of offset + span*Z).
+span/offset of the per-step lattice (support is a subset of offset + span*Z),
+and a step sampler compiled once from those masses: an integer inverse-CDF
+table over uniform integer draws, so every draw has exactly the law's masses.
 Continuous kinds only promise determinism per stream and the stored moments.
 """
 
@@ -13,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "StepDistribution",
+    "LatticeSampler",
     "RandomStream",
     "make_distribution",
     "sample_step",
@@ -22,6 +25,20 @@ __all__ = [
 
 _CONTINUOUS_KINDS = ("gaussian", "uniform", "laplace")
 _LATTICE_KINDS = ("rademacher", "lazy_lattice", "custom_lattice")
+
+# Philox stream registry. Every generator is keyed (master_seed, salt) and
+# each salt below names one stream, so no two consumers share a key.
+BLOCK_SALT = 0  # block b of an engine batch uses salt BLOCK_SALT + b (b < 2**60)
+HARMONICITY_OUTER_SALT = 2 ** 63  # first steps of harmonicity_residual's outer points
+TRANSFORMED_CHAIN_SALT = 3 * 2 ** 61  # k=2 transformed chain, gap and pair samplers
+TRANSFORM_REJECTION_SALT = 5 * 2 ** 60  # plain paths of transform_paths_rejection
+# not a key salt: harmonicity_residual's nested V_n runs use master_seed ^ this
+INNER_SEED_XOR = 0x9E3779B97F4A7C15
+
+# the sampler looks steps up in a table up to this common denominator and by
+# searchsorted above it; it refuses laws whose denominator reaches the last
+_TABLE_MAX_DENOMINATOR = 2 ** 16
+_MAX_DENOMINATOR = 2 ** 63
 
 
 class UnsupportedOperationError(TypeError):
@@ -35,6 +52,56 @@ class LatticeInfo:
 
 
 @dataclass(frozen=True)
+class LatticeSampler:
+    """Exact step sampler: a uniform integer u on [0, d) picks the site whose
+    slot range holds it; site s owns m_s * d consecutive slots.
+
+    For d <= 2**16 `table` maps every slot to its site; above that the site is
+    found by searchsorted over the slot ranges' ends. Sites are kept in the
+    smallest signed dtype that holds them, which makes the lookup and the
+    caller's add into int64 positions cheaper than with int64 steps.
+    """
+
+    denominator: int
+    draw_dtype: type  # smallest unsigned dtype holding every draw, d - 1
+    sites: np.ndarray  # ascending, smallest signed dtype holding them
+    ends: np.ndarray  # first slot past each site's range but the last's, in draw_dtype
+    table: np.ndarray | None  # site per slot, or None above 2**16
+
+    @classmethod
+    def compile(cls, masses):
+        d = math.lcm(*(m.denominator for m in masses.values()))
+        if d >= _MAX_DENOMINATOR:
+            raise ValueError(
+                f"common denominator {d} of the step masses is not below 2**63, "
+                "the bound of the exact integer step sampler")
+        sites = sorted(masses)
+        step_dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                           if np.iinfo(t).min <= sites[0]
+                           and sites[-1] <= np.iinfo(t).max), None)
+        if step_dtype is None:
+            raise ValueError(f"step sites {sites[0]}..{sites[-1]} do not fit in int64")
+        counts = [int(masses[s] * d) for s in sites]
+        draw_dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                          if d - 1 <= np.iinfo(t).max)
+        site_arr = np.array(sites, dtype=step_dtype)
+        table = np.repeat(site_arr, counts) if d <= _TABLE_MAX_DENOMINATOR else None
+        return cls(denominator=d, draw_dtype=draw_dtype, sites=site_arr,
+                   ends=np.cumsum(counts[:-1], dtype=np.uint64).astype(draw_dtype),
+                   table=table)
+
+    def sites_of(self, u):
+        """Site of each slot index in u (entries in [0, d))."""
+        if self.table is not None:
+            return self.table.take(u)
+        return self.sites.take(np.searchsorted(self.ends, u, side="right"))
+
+    def draw(self, rng: np.random.Generator, shape):
+        return self.sites_of(rng.integers(0, self.denominator, size=shape,
+                                          dtype=self.draw_dtype))
+
+
+@dataclass(frozen=True)
 class StepDistribution:
     kind: str
     mean: float
@@ -43,6 +110,13 @@ class StepDistribution:
     lattice: LatticeInfo | None = None
     # exact site -> mass table, lattice kinds only
     masses: dict | None = field(default=None, repr=False)
+    # compiled from masses once, at construction; lattice kinds only
+    sampler: LatticeSampler | None = field(default=None, init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        if self.masses is not None:
+            object.__setattr__(self, "sampler", LatticeSampler.compile(self.masses))
 
     @property
     def is_lattice(self) -> bool:
@@ -53,7 +127,7 @@ class StepDistribution:
         """Common denominator of the single-step masses (lattice kinds)."""
         if not self.is_lattice:
             raise UnsupportedOperationError(f"{self.kind} has no exact mass table")
-        return math.lcm(*(m.denominator for m in self.masses.values()))
+        return self.sampler.denominator
 
     def support(self):
         if not self.is_lattice:
@@ -61,19 +135,21 @@ class StepDistribution:
         return tuple(sorted(self.masses))
 
     def sample_array(self, rng: np.random.Generator, shape):
-        """Draw an array of i.i.d. steps using the supplied generator."""
+        """Draw an array of i.i.d. steps using the supplied generator.
+
+        Lattice kinds return integer sites from the compiled sampler, in the
+        smallest signed dtype that holds them; continuous kinds return float64.
+        """
+        if self.sampler is not None:
+            return self.sampler.draw(rng, shape)
         if self.kind == "gaussian":
-            return rng.standard_normal(shape) * math.sqrt(self.variance)
+            steps = rng.standard_normal(shape)
+            steps *= math.sqrt(self.variance)
+            return steps
         if self.kind == "uniform":
             half = math.sqrt(3.0 * self.variance)
             return rng.uniform(-half, half, shape)
-        if self.kind == "laplace":
-            return rng.laplace(0.0, math.sqrt(self.variance / 2.0), shape)
-        sites = np.array(self.support(), dtype=np.int64)
-        probs = np.array([float(self.masses[s]) for s in self.support()])
-        probs = probs / probs.sum()
-        idx = rng.choice(len(sites), size=shape, p=probs)
-        return sites[idx]
+        return rng.laplace(0.0, math.sqrt(self.variance / 2.0), shape)
 
 
 def _lattice_metadata(masses):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RandomStream, StepDistribution
+from .distributions import BLOCK_SALT, RandomStream, StepDistribution
 from .geometry import in_weyl, vandermonde
 
 __all__ = [
@@ -98,7 +98,7 @@ def run_path(cfg: WalkConfig, horizon: int, stream: RandomStream) -> StoppedOutc
 
 
 def _block_stream(cfg: WalkConfig, block_index: int) -> np.random.Generator:
-    return RandomStream(cfg.master_seed, block_index).generator()
+    return RandomStream(cfg.master_seed, BLOCK_SALT + block_index).generator()
 
 
 def _vandermonde_rows(pos: np.ndarray) -> np.ndarray:
@@ -115,26 +115,33 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     """Simulate one block of paths up to min(tau, horizon).
 
     Returns (tau, delta_at_stop, terminal) arrays; tau == horizon + 1 encodes
-    survival past the horizon.
+    survival past the horizon. Lattice positions and terminals are int64,
+    continuous ones float64.
     """
     rng = _block_stream(cfg, block_index)
-    pos = np.tile(np.asarray(cfg.start, dtype=float), (block_size, 1))
+    k = cfg.k
+    dtype = np.int64 if cfg.dist.is_lattice else np.float64
+    pos = np.tile(np.asarray(cfg.start, dtype=dtype), (block_size, 1))
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
     delta = np.empty(block_size)
-    terminal = np.empty((block_size, cfg.k))
+    terminal = np.empty((block_size, k), dtype=dtype)
     alive_idx = np.arange(block_size)
     for n in range(1, horizon + 1):
         if alive_idx.size == 0:
             break
         pos += cfg.dist.sample_array(rng, pos.shape)
-        exited = np.any(np.diff(pos, axis=1) <= 0, axis=1)
-        if exited.any():
-            dead = alive_idx[exited]
+        # flat indices of the out-of-order adjacent pairs, k - 1 per row
+        broken = np.flatnonzero(pos[:, 1:] <= pos[:, :-1])
+        if broken.size:
+            rows = broken if k == 2 else np.unique(broken // (k - 1))
+            dead = alive_idx[rows]
             tau[dead] = n
-            terminal[dead] = pos[exited]
-            delta[dead] = _vandermonde_rows(pos[exited])
-            alive_idx = alive_idx[~exited]
-            pos = pos[~exited]
+            terminal[dead] = pos[rows]
+            delta[dead] = _vandermonde_rows(pos[rows])
+            keep = np.ones(alive_idx.size, dtype=bool)
+            keep[rows] = False
+            alive_idx = alive_idx.compress(keep)
+            pos = pos.compress(keep, axis=0)
     if alive_idx.size:
         terminal[alive_idx] = pos
         delta[alive_idx] = _vandermonde_rows(pos)

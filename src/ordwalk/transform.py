@@ -16,7 +16,13 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import asymptotics
-from .distributions import RandomStream, StepDistribution, UnsupportedOperationError
+from .distributions import (
+    TRANSFORMED_CHAIN_SALT,
+    TRANSFORM_REJECTION_SALT,
+    RandomStream,
+    StepDistribution,
+    UnsupportedOperationError,
+)
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
 
@@ -171,9 +177,7 @@ def transformed_gap_paths(start_gap: int, n: int, paths: int,
     """Sample the transformed gap chain; returns gaps at time n, shape (paths,)."""
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 3 * 2 ** 61],
-                     dtype=np.uint64)))
+    rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
     g = np.full(paths, start_gap, dtype=np.int64)
     for _ in range(n):
         v = _gap_v_array(g)
@@ -196,9 +200,7 @@ def transformed_pair_paths(start, n: int, paths: int,
     if not in_weyl(start):
         raise ValueError("start must be strictly ordered")
     start_gap = int(start[1] - start[0])
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 3 * 2 ** 61],
-                     dtype=np.uint64)))
+    rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
     g = np.full(paths, start_gap, dtype=np.int64)
     s = np.full(paths, int(start[0] + start[1]), dtype=np.int64)
     for _ in range(n):
@@ -270,9 +272,7 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
             f"guard horizon {m}; plain rejection would need about "
             f"{paths / max(predicted_acceptance, 1e-300):.3g} attempts")
 
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([cfg.master_seed & 0xFFFFFFFFFFFFFFFF, 5 * 2 ** 60],
-                     dtype=np.uint64)))
+    rng = RandomStream(cfg.master_seed, TRANSFORM_REJECTION_SALT).generator()
     kept_m = []
     kept_2m = []
     attempts = 0

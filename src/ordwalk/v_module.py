@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
+from .distributions import HARMONICITY_OUTER_SALT, INNER_SEED_XOR, RandomStream
 from .engine import EstimateCI, WalkConfig
 from .geometry import in_weyl, vandermonde
 
@@ -20,13 +21,11 @@ __all__ = [
     "VEstimate",
     "estimate_vn",
     "estimate_v",
+    "v_from_schedule",
     "harmonicity_residual",
     "scaling_check",
     "snap_to_lattice",
 ]
-
-# seed offset separating inner (nested) streams from outer ones
-_INNER_SEED_SALT = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,10 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, threads=None,
     single simulation pass.
     """
     horizons = sorted(int(h) for h in horizons)
+    if not horizons:
+        raise ValueError("horizon schedule must be nonempty")
+    if len(set(horizons)) != len(horizons):
+        raise ValueError("horizon schedule must be strictly increasing")
     if horizons[0] < 1:
         raise ValueError("horizons must be >= 1")
     max_h = horizons[-1]
@@ -105,19 +108,19 @@ def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int,
     converged; that is a report, not a failure, since heavy-tailed step laws
     can converge arbitrarily slowly.
     """
-    schedule = sorted(int(h) for h in horizon_schedule)
-    if not schedule:
-        raise ValueError("horizon schedule must be nonempty")
-    if len(set(schedule)) != len(schedule):
-        raise ValueError("horizon schedule must be strictly increasing")
-    per_horizon = _vn_over_schedule(cfg, schedule, paths, threads)
-    _, final = per_horizon[-1]
+    return v_from_schedule(cfg, _vn_over_schedule(cfg, horizon_schedule, paths,
+                                                  threads))
+
+
+def v_from_schedule(cfg: WalkConfig, per_horizon) -> VEstimate:
+    """The V estimate of `estimate_v` read off a `_vn_over_schedule` table."""
+    n_used, final = per_horizon[-1]
     if len(per_horizon) >= 2:
         tail = abs(final.mean - per_horizon[-2][1].mean)
     else:
         tail = math.nan
     converged = not (tail > 3.0 * final.stderr) if not math.isnan(tail) else True
-    return VEstimate(x=tuple(cfg.start), n_used=schedule[-1], value=final,
+    return VEstimate(x=tuple(cfg.start), n_used=n_used, value=final,
                      tail_diagnostic=tail, converged=converged)
 
 
@@ -135,12 +138,10 @@ def harmonicity_residual(cfg: WalkConfig, n: int, paths: int,
     """
     if paths < 1 or inner_paths < 1:
         raise ValueError("paths and inner_paths must be >= 1")
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([cfg.master_seed & 0xFFFFFFFFFFFFFFFF, 2 ** 63],
-                     dtype=np.uint64)))
+    rng = RandomStream(cfg.master_seed, HARMONICITY_OUTER_SALT).generator()
     steps = cfg.dist.sample_array(rng, (paths, cfg.k))
     firsts = np.asarray(cfg.start, dtype=float) + steps
-    inner_seed = (cfg.master_seed ^ _INNER_SEED_SALT) & 0x7FFFFFFFFFFFFFFF
+    inner_seed = (cfg.master_seed ^ INNER_SEED_XOR) & 0x7FFFFFFFFFFFFFFF
 
     term1 = np.zeros(paths)
     for b in range(paths):

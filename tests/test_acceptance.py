@@ -22,6 +22,7 @@ from ordwalk.lattice_exact import (
     exact_martingale_check,
     exact_reflection_check,
     exact_vn,
+    gap_chain_alive_distribution,
     gap_chain_survival,
 )
 
@@ -129,11 +130,14 @@ def test_criterion_06_endpoint_limit_law():
     ks = stats.kstest(gaps, limit_cdf).statistic
     mean = gaps.mean()
     se = gaps.std(ddof=1) / math.sqrt(m)
+    # the exact finite-n mean of the conditioned gap, not its limit sqrt(pi)
+    dp_gaps, dp_probs = gap_chain_alive_distribution(RAD, 1, n)
+    exact_mean = float(dp_gaps @ dp_probs) / scale
     ok_ks = ks <= threshold
-    ok_mean = abs(mean - math.sqrt(math.pi)) <= 3 * se
+    ok_mean = abs(mean - exact_mean) <= 3 * se
     _verdict(6, "endpoint gap law: self-calibrated KS and mean", ok_ks and ok_mean,
              f"KS {ks:.4f} <= {threshold:.4f}, mean dev "
-             f"{abs(mean - math.sqrt(math.pi)):.4f} vs {3 * se:.4f}")
+             f"{abs(mean - exact_mean):.4f} vs {3 * se:.4f}")
 
 
 def test_criterion_07_v_scaling():
@@ -163,7 +167,10 @@ def test_criterion_08_hermite_ensemble():
     sq = (gaps / math.sqrt(n)) ** 2
     m2 = float(sq.mean())
     se = float(sq.std(ddof=1)) / math.sqrt(len(sq))
-    ok_m2 = abs(m2 - 6.0) <= 3 * se
+    # the exact finite-n E[g^2]/n of the transformed chain, not its limit 6
+    dp_gaps, dp_probs = tr.transformed_gap_distribution(1, n)
+    exact_m2 = float((dp_gaps / math.sqrt(n)) ** 2 @ dp_probs)
+    ok_m2 = abs(m2 - exact_m2) <= 3 * se
     tvs = [tr.hermite_gap_tv_exact(1, nn) for nn in (256, 1024, 4096)]
     ok_tv = tvs[0] > tvs[1] > tvs[2]
     _verdict(8, "Hermite ensemble: gap second moment and TV trend",

@@ -262,3 +262,59 @@ params: {n: 64, paths: 200}
         tmp_path, monkeypatch, doc, transform, "hermite_distance",
         ("gap_sq_mean", "gap_sq_stderr"), value)
     assert checks["gap_sq_mean_3sigma"] is exact
+
+
+@pytest.mark.parametrize("edit, field", [
+    (("seed: 0", "seed: true"), "seed"),
+    (("k: 2", "k: true"), "k"),
+    (("start: [0, 1]", "start: [false, true]"), "start"),
+    (("n: 4", "n: true"), "params.n"),
+    (("n: 4", "n: 2.5"), "params.n"),
+])
+def test_validate_rejects_bool_and_fractional_ints(edit, field):
+    with pytest.raises(SpecError, match=field):
+        validate_spec(GOOD_KM.replace(*edit))
+
+
+@pytest.mark.parametrize("params", [
+    "horizons: [0, -5]",
+    "horizons: [16, 2.5]",
+    "horizons: [16, true]",
+    "horizons: []",
+    "horizons: 64",
+    "schedule: [16, -32]",
+    "schedule: [16, 16.5]",
+    "schedule: [16, 32, 16]",
+])
+def test_validate_rejects_bad_horizon_lists(params):
+    doc = GOOD_KM.replace("exact-km", "tail").replace("n: 4", params)
+    with pytest.raises(SpecError, match=params.split(":")[0]):
+        validate_spec(doc)
+
+
+def test_validate_accepts_positive_horizon_lists():
+    doc = GOOD_KM.replace("n: 4", "horizons: [16, 64]\n  schedule: [8, 16]")
+    spec = validate_spec(doc)
+    assert spec.params == {"horizons": [16, 64], "schedule": [8, 16]}
+
+
+def test_estimate_v_run_simulates_once(tmp_path, monkeypatch):
+    from ordwalk import v_module
+
+    doc = """
+kind: estimate-v
+walk: {k: 2, start: [0, 1], dist: rademacher}
+params: {schedule: [4, 8, 16], paths: 2000}
+"""
+    calls = []
+    real = v_module._vn_over_schedule
+    monkeypatch.setattr(v_module, "_vn_over_schedule",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    spec = validate_spec(doc)
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path))
+    assert code == 0 and len(calls) == 1
+    report = json.loads((tmp_path / "estimate_v.json").read_text())
+    monkeypatch.undo()
+    est = v_module.estimate_v(spec.walk_config(), [4, 8, 16], 2000)
+    assert report["value"] == est.value.mean
+    assert report["tail_diagnostic"] == est.tail_diagnostic

@@ -162,3 +162,94 @@ def test_stream_autocorrelation():
     for lag in (1, 2, 5):
         r = float(np.mean(x[:-lag] * x[lag:]))
         assert abs(r) < 5 / math.sqrt(len(x))
+
+
+def _slot_counts(sampler, slots):
+    sites = sampler.sites_of(slots)
+    return {int(s): int((sites == s).sum()) for s in np.unique(sites)}
+
+
+@pytest.mark.parametrize("kind, masses", [
+    ("rademacher", None),
+    ("lazy_lattice", None),
+    ("custom_lattice", {-2: Fraction(1, 8), 0: Fraction(3, 4), 2: Fraction(1, 8)}),
+    ("custom_lattice", {-1: Fraction(1, 3), 0: Fraction(1, 3), 1: Fraction(1, 3)}),
+    ("custom_lattice", {-2: Fraction(1, 6), 0: Fraction(1, 2), 1: Fraction(1, 3),
+                        5: Fraction(0)}),
+])
+def test_sampler_table_counts_are_exact_masses(kind, masses):
+    d = make_distribution(kind, **({"masses": masses} if masses else {}))
+    sampler = d.sampler
+    assert sampler.denominator == d.denominator
+    assert sampler.table is not None and sampler.table.size == d.denominator
+    counts = _slot_counts(sampler, np.arange(d.denominator))
+    want = {s: m for s, m in d.masses.items() if m > 0}
+    assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
+
+
+def _symmetric(**mass_by_site):
+    """Mean-zero law with the given masses on +-site and the rest at 0."""
+    masses = {}
+    for name, m in mass_by_site.items():
+        site = int(name[1:])
+        masses[-site] = masses[site] = Fraction(m)
+    masses[0] = 1 - sum(masses.values())
+    return make_distribution("custom_lattice", masses=masses)
+
+
+def test_sampler_draw_dtype_is_smallest_holding_every_draw():
+    assert make_distribution("rademacher").sampler.draw_dtype is np.uint8
+    # d = 2**16 is the largest table law; its draws 0..65535 fit uint16
+    edge = _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 16))
+    assert edge.denominator == 2 ** 16
+    assert edge.sampler.table is not None and edge.sampler.draw_dtype is np.uint16
+    draws = edge.sample_array(RandomStream(1, 0).generator(), 4096)
+    assert set(np.unique(draws).tolist()) <= {-1, 0, 1}
+
+
+def test_sampler_searchsorted_counts_are_exact_masses():
+    # d = lcm(7, 5, 3 * 2**13) = 860160 > 2**16 takes the searchsorted path;
+    # site +-4 has mass zero and must own no slot
+    d = _symmetric(s1=Fraction(1, 5), s2=Fraction(1, 7),
+                   s3=Fraction(1, 3 * 2 ** 13), s4=0)
+    sampler = d.sampler
+    assert d.denominator == 860160 and sampler.table is None
+    assert sampler.draw_dtype is np.uint32
+    counts = _slot_counts(sampler, np.arange(d.denominator, dtype=sampler.draw_dtype))
+    want = {s: m for s, m in d.masses.items() if m > 0}
+    assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
+    draws = d.sample_array(RandomStream(3, 0).generator(), (1000, 3))
+    assert draws.dtype == np.int8 and set(np.unique(draws).tolist()) <= set(want)
+
+
+def test_sampler_refuses_denominator_at_int64_bound():
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 63))
+    d = _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 62))
+    assert d.denominator == 2 ** 62 and d.sampler.draw_dtype is np.uint64
+    slots = np.array([0, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 61 + 1,
+                      2 ** 62 - 1], dtype=np.uint64)
+    assert d.sampler.sites_of(slots).tolist() == [-1, -1, 0, 0, 1, 1]
+
+
+def test_sampler_is_compiled_once_per_law():
+    d = make_distribution("lazy_lattice")
+    sampler = d.sampler
+    d.sample_array(RandomStream(0, 0).generator(), (8, 3))
+    assert d.sampler is sampler
+    assert make_distribution("gaussian").sampler is None
+
+
+def test_lattice_draws_use_smallest_site_dtype_and_sample_step_is_float():
+    rad = make_distribution("rademacher")
+    draws = rad.sample_array(RandomStream(5, 0).generator(), (16, 3))
+    assert draws.dtype == np.int8 and set(np.unique(draws).tolist()) <= {-1, 1}
+    wide = make_distribution("custom_lattice",
+                             masses={-300: Fraction(1, 2), 300: Fraction(1, 2)})
+    assert wide.sample_array(RandomStream(5, 0).generator(), 8).dtype == np.int16
+    with pytest.raises(ValueError, match="int64"):
+        make_distribution("custom_lattice",
+                          masses={-2 ** 70: Fraction(1, 2), 2 ** 70: Fraction(1, 2)})
+    for dist in (rad, make_distribution("gaussian")):
+        step = sample_step(dist, RandomStream(5, 1))
+        assert type(step) is float

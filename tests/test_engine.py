@@ -10,6 +10,7 @@ from ordwalk.engine import (
     EstimateCI,
     PartialResultError,
     WalkConfig,
+    _simulate_block,
     batch_stopped_vandermonde,
     batch_survival,
     conditioned_endpoints,
@@ -130,3 +131,23 @@ def test_run_path_replay_property(seed, horizon):
     s1 = RandomStream(seed, 0)
     s2 = RandomStream(seed, 0)
     assert run_path(cfg2(seed), horizon, s1) == run_path(cfg2(seed), horizon, s2)
+
+
+@pytest.mark.parametrize("kind, start, dtype", [
+    ("rademacher", (0, 1, 2), np.int64),
+    ("lazy_lattice", (0, 1), np.int64),
+    ("gaussian", (0.0, 1.0, 2.0), np.float64),
+])
+def test_simulate_block_terminal_dtype(kind, start, dtype):
+    cfg = WalkConfig(k=len(start), start=start, dist=make_distribution(kind),
+                     master_seed=3)
+    tau, delta, terminal = _simulate_block(cfg, 64, 0, 2000)
+    assert terminal.dtype == dtype and terminal.shape == (2000, len(start))
+    # exit rows are out of order at tau, survivors stay ordered
+    gaps = np.diff(terminal, axis=1)
+    exited = tau <= 64
+    assert (gaps[exited] <= 0).any(axis=1).all()
+    assert (gaps[~exited] > 0).all()
+    prod = np.prod([terminal[:, j] - terminal[:, i] for i in range(len(start))
+                    for j in range(i + 1, len(start))], axis=0)
+    assert np.array_equal(delta, prod.astype(float))
