@@ -268,13 +268,13 @@ def _report_dict(rep):
     return rep.to_dict() if hasattr(rep, "to_dict") else dict(rep)
 
 
-def _run_exact_km(spec, cfg, threads):
+def _run_exact_km(spec, cfg):
     n = int(spec.params.get("n", 6))
     rep = lattice_exact.exact_km_check(cfg, n)
     return {"km": _report_dict(rep)}, {}, {"km_identity": rep.passed}
 
 
-def _run_exact_reflect(spec, cfg, threads):
+def _run_exact_reflect(spec, cfg):
     n = int(spec.params.get("n", 4))
     ls = spec.params.get("l")
     ls = [int(ls)] if ls is not None else list(range(1, n + 1))
@@ -287,7 +287,7 @@ def _run_exact_reflect(spec, cfg, threads):
     return {"reflection": reports}, {}, checks
 
 
-def _run_exact_v(spec, cfg, threads):
+def _run_exact_v(spec, cfg):
     n = int(spec.params.get("n", 6))
     vs = lattice_exact.exact_vn(cfg, n)
     mart = lattice_exact.exact_martingale_check(cfg, n)
@@ -305,10 +305,10 @@ def _run_exact_v(spec, cfg, threads):
     )
 
 
-def _run_estimate_v(spec, cfg, threads):
+def _run_estimate_v(spec, cfg):
     schedule = spec.params.get("schedule", [16, 32, 64, 128])
     paths = int(spec.params.get("paths", 100000))
-    table = v_module._vn_over_schedule(cfg, schedule, paths, threads)
+    table = v_module._vn_over_schedule(cfg, schedule, paths)
     est = v_module.v_from_schedule(cfg, table)
     rows = []
     prev = None
@@ -330,10 +330,10 @@ def _run_estimate_v(spec, cfg, threads):
             {"positivity_4sigma": result["positive_at_4_stderr"]})
 
 
-def _run_tail(spec, cfg, threads):
+def _run_tail(spec, cfg):
     horizons = spec.params.get("horizons", [64, 128, 256, 512, 1024, 2048, 4096])
     paths = int(spec.params.get("paths", 1000000))
-    surv = engine.batch_survival(cfg, horizons, paths, threads)
+    surv = engine.batch_survival(cfg, horizons, paths)
     fit = asymptotics.tail_fit(surv, sigma=math.sqrt(cfg.dist.variance))
     theory = -cfg.k * (cfg.k - 1) / 4.0
     result = {
@@ -352,12 +352,11 @@ def _run_tail(spec, cfg, threads):
             {"exponent_within_tol": abs(fit.exponent - theory) <= tol})
 
 
-def _run_endpoint(spec, cfg, threads):
+def _run_endpoint(spec, cfg):
     n = int(spec.params.get("n", 1024))
     target = int(spec.params.get("survivors", 20000))
     max_attempts = int(spec.params.get("max_attempts", 200 * target))
-    endpoints, rate = engine.conditioned_endpoints(cfg, n, target, max_attempts,
-                                                   threads)
+    endpoints, rate = engine.conditioned_endpoints(cfg, n, target, max_attempts)
     sigma = math.sqrt(cfg.dist.variance)
     rep = asymptotics.endpoint_density_distance(endpoints, cfg.k, sigma=sigma)
     rep["acceptance_rate"] = rate
@@ -376,7 +375,7 @@ def _run_endpoint(spec, cfg, threads):
     return (rep, {"endpoints": (header, rows)}, {"gap_mean_3sigma": mean_ok})
 
 
-def _run_lclt(spec, cfg, threads):
+def _run_lclt(spec, cfg):
     ns = spec.params.get("horizons", [256, 4096])
     reports = [asymptotics.local_clt_deviation(cfg.dist, int(n)) for n in ns]
     decreasing = all(a["sup_deviation"] > b["sup_deviation"]
@@ -391,13 +390,12 @@ def _run_lclt(spec, cfg, threads):
             {"decreasing": decreasing, "final_below_threshold": final_ok})
 
 
-def _run_transform(spec, cfg, threads):
+def _run_transform(spec, cfg):
     t_steps = int(spec.params.get("t_steps", 16))
     paths = int(spec.params.get("paths", 2000))
     guard = spec.params.get("guard_m")
     res = transform.transform_paths_rejection(
-        cfg, t_steps, paths, guard_m=int(guard) if guard else None,
-        threads=threads)
+        cfg, t_steps, paths, guard_m=int(guard) if guard else None)
     rows = [tuple(row) for row in res["samples"]]
     header = tuple(f"x{i + 1}" for i in range(cfg.k))
     result = {a: b for a, b in res.items() if a != "samples"}
@@ -405,7 +403,7 @@ def _run_transform(spec, cfg, threads):
             {"collected": True})
 
 
-def _run_hermite(spec, cfg, threads):
+def _run_hermite(spec, cfg):
     if cfg.k != 2 or cfg.dist.kind != "rademacher":
         raise FeasibilityError(
             "exact transformed chain is available for k=2 rademacher only")
@@ -425,7 +423,7 @@ def _run_hermite(spec, cfg, threads):
     return (rep, {}, {"gap_sq_mean_3sigma": m2_ok})
 
 
-def _run_dyson(spec, cfg, threads):
+def _run_dyson(spec, cfg):
     if cfg.k != 2 or cfg.dist.kind != "rademacher":
         raise FeasibilityError("dyson-compare runs on the k=2 rademacher chain")
     t = float(spec.params.get("t", 1.0))
@@ -466,11 +464,12 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def run_experiment(spec: ExperimentSpec, out_dir=None, threads=None):
+def run_experiment(spec: ExperimentSpec, out_dir=None):
     """Run one experiment; returns (manifest, exit_code).
 
     Exit code 0: every asserted check passed. 1: a check failed or a module
-    raised. 2: refusal (infeasible budget) or partial results.
+    raised. 2: refusal (infeasible budget) or partial results; the samples a
+    partial run collected are written to partial_<kind>.csv.
     """
     out = out_dir or spec.out
     os.makedirs(out, exist_ok=True)
@@ -482,11 +481,16 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, threads=None):
     code = 0
     try:
         cfg = spec.walk_config()
-        result, tables, checks = _RUNNERS[spec.kind](spec, cfg, threads)
+        result, tables, checks = _RUNNERS[spec.kind](spec, cfg)
         files = emit_report(out, name, result, tables)
     except (FeasibilityError, PartialResultError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         code = 2
+        if getattr(exc, "endpoints", None) is not None:
+            # keep what the run collected before it fell short
+            files = [f"partial_{name}.csv"]
+            _write_csv(os.path.join(out, files[0]),
+                       [f"y{i + 1}" for i in range(spec.k)], exc.endpoints)
     except Exception as exc:  # surfaced in the manifest, nonzero exit
         error = f"{type(exc).__name__}: {exc}"
         code = 1
@@ -544,7 +548,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment spec")
     p_run.add_argument("spec_file")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="check a spec without running it")
@@ -553,13 +556,9 @@ def main(argv=None) -> int:
     p_suite = sub.add_parser("suite", help="run every spec in a directory")
     p_suite.add_argument("spec_dir")
     p_suite.add_argument("--out", default=None)
-    p_suite.add_argument("--threads", type=int, default=None)
     p_suite.add_argument("--seed", type=int, default=None)
 
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads is None and os.environ.get("ORDWALK_THREADS"):
-        threads = int(os.environ["ORDWALK_THREADS"])
 
     if args.command == "validate":
         try:
@@ -578,7 +577,7 @@ def main(argv=None) -> int:
             for err in exc.errors:
                 print(f"error: {err}", file=sys.stderr)
             return 1
-        manifest, code = run_experiment(spec, threads=threads)
+        manifest, code = run_experiment(spec)
         out = args.out or spec.out
         with open(os.path.join(out, "summary.txt")) as fh:
             print(fh.read(), end="")
@@ -601,7 +600,7 @@ def main(argv=None) -> int:
             continue
         sub_out = os.path.join(args.out or "suite-results",
                                os.path.splitext(os.path.basename(path))[0])
-        manifest, code = run_experiment(spec, out_dir=sub_out, threads=threads)
+        manifest, code = run_experiment(spec, out_dir=sub_out)
         status = "PASS" if manifest.passed else (
             "REFUSED" if code == 2 else "FAIL")
         print(f"{os.path.basename(path)}: {status}")

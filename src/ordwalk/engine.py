@@ -1,13 +1,11 @@
-"""Path simulation for k ordered walks and embarrassingly parallel batches.
+"""Path simulation for k ordered walks, in blocks of paths.
 
 Paths are grouped into fixed-size blocks; each block owns a private
 counter-based stream keyed by (master_seed, block_index). Results are merged
-in block order, so estimates are bit-identical at any thread count.
+in block order, so a rerun reproduces every estimate bit for bit.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,44 +146,24 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     return tau, delta, terminal
 
 
-def _n_threads(threads=None):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("ORDWALK_THREADS")
-    return max(1, int(env)) if env else 1
+def _block_sizes(paths):
+    """Sizes of the BLOCK_SIZE blocks that hold `paths` paths, in block order."""
+    sizes = [BLOCK_SIZE] * (paths // BLOCK_SIZE)
+    if paths % BLOCK_SIZE:
+        sizes.append(paths % BLOCK_SIZE)
+    return sizes
 
 
-def _map_blocks(fn, n_blocks, threads=None):
-    """Apply fn to each block index, merging results in block order."""
-    nt = _n_threads(threads)
-    if nt == 1:
-        return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=nt) as pool:
-        return list(pool.map(fn, range(n_blocks)))
-
-
-def _blocks_for(paths, block_size):
-    n_blocks = (paths + block_size - 1) // block_size
-    sizes = [block_size] * n_blocks
-    if paths % block_size:
-        sizes[-1] = paths % block_size
-    return n_blocks, sizes
-
-
-def batch_survival(cfg: WalkConfig, horizons, paths: int, threads=None,
-                   block_size: int = BLOCK_SIZE):
+def batch_survival(cfg: WalkConfig, horizons, paths: int):
     """Estimate P_x(tau > n) at every listed horizon from a single batch."""
     if paths < 1:
         raise ValueError("paths must be >= 1")
     horizons = sorted(int(h) for h in horizons)
     max_h = horizons[-1]
-    n_blocks, sizes = _blocks_for(paths, block_size)
-
-    def work(b):
-        tau, _, _ = _simulate_block(cfg, max_h, b, sizes[b])
-        return np.array([(tau > h).sum() for h in horizons], dtype=np.int64)
-
-    counts = sum(_map_blocks(work, n_blocks, threads))
+    counts = np.zeros(len(horizons), dtype=np.int64)
+    for b, size in enumerate(_block_sizes(paths)):
+        tau, _, _ = _simulate_block(cfg, max_h, b, size)
+        counts += [(tau > h).sum() for h in horizons]
     out = []
     for h, c in zip(horizons, counts):
         p = c / paths
@@ -194,29 +172,25 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int, threads=None,
     return out
 
 
-def batch_stopped_vandermonde(cfg: WalkConfig, n: int, paths: int, threads=None,
-                              block_size: int = BLOCK_SIZE) -> EstimateCI:
+def batch_stopped_vandermonde(cfg: WalkConfig, n: int, paths: int) -> EstimateCI:
     """Estimate E_x[Delta(X(tau)) 1{tau <= n}]; survivors contribute zero."""
     if paths < 1:
         raise ValueError("paths must be >= 1")
     if n == 0:
         return EstimateCI(mean=0.0, stderr=0.0, n_samples=paths)
-    n_blocks, sizes = _blocks_for(paths, block_size)
-
-    def work(b):
-        tau, delta, _ = _simulate_block(cfg, n, b, sizes[b])
+    s = s2 = 0.0
+    for b, size in enumerate(_block_sizes(paths)):
+        tau, delta, _ = _simulate_block(cfg, n, b, size)
         contrib = np.where(tau <= n, delta, 0.0)
-        return np.array([contrib.sum(), (contrib ** 2).sum()])
-
-    s, s2 = sum(_map_blocks(work, n_blocks, threads))
+        s += contrib.sum()
+        s2 += (contrib ** 2).sum()
     mean = s / paths
     var = max(s2 / paths - mean ** 2, 0.0)
     return EstimateCI(mean=mean, stderr=math.sqrt(var / paths), n_samples=paths)
 
 
 def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
-                          max_attempts: int, threads=None,
-                          block_size: int = BLOCK_SIZE):
+                          max_attempts: int):
     """Rejection-sample survivor endpoints rescaled by 1/sqrt(n).
 
     Returns (endpoints, acceptance_rate) where endpoints is a
@@ -229,7 +203,7 @@ def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
     attempted = 0
     block = 0
     while got < target_samples and attempted < max_attempts:
-        size = min(block_size, max_attempts - attempted)
+        size = min(BLOCK_SIZE, max_attempts - attempted)
         tau, _, terminal = _simulate_block(cfg, n, block, size)
         keep = terminal[tau > n] / math.sqrt(n)
         collected.append(keep)

@@ -36,8 +36,10 @@ __all__ = [
     "exact_vn",
     "exact_martingale_check",
     "exact_harmonicity_check",
+    "killed_gap_chain",
     "gap_chain_survival",
     "gap_chain_stopped_delta",
+    "gap_chain_alive_distribution",
 ]
 
 CAPACITY_BITS = 120
@@ -124,6 +126,20 @@ def _step_vectors(dist: StepDistribution, k: int):
     return combos
 
 
+def _push(table: dict, steps) -> dict:
+    """One unconstrained step of an exact table: config -> mass one step later."""
+    nxt = {}
+    for y, mass in table.items():
+        for vec, smass in steps:
+            z = tuple(a + b for a, b in zip(y, vec))
+            nxt[z] = nxt.get(z, Fraction(0)) + mass * smass
+    return nxt
+
+
+def _start_table(cfg: WalkConfig) -> dict:
+    return {tuple(int(c) for c in cfg.start): Fraction(1)}
+
+
 def _forward_tables(cfg: WalkConfig, n: int):
     """One forward pass: per-time survival tables and the stopped measure.
 
@@ -134,21 +150,16 @@ def _forward_tables(cfg: WalkConfig, n: int):
     _require_lattice(cfg.dist)
     _check_capacity(cfg.dist, cfg.k, n)
     steps = _step_vectors(cfg.dist, cfg.k)
-    start = tuple(int(c) for c in cfg.start)
-    survival = [{start: Fraction(1)}]
+    survival = [_start_table(cfg)]
     stopped = {}
     for m in range(1, n + 1):
-        nxt = {}
-        for y, mass in survival[m - 1].items():
-            for vec, smass in steps:
-                z = tuple(a + b for a, b in zip(y, vec))
-                w = mass * smass
-                if all(z[i] < z[i + 1] for i in range(cfg.k - 1)):
-                    nxt[z] = nxt.get(z, Fraction(0)) + w
-                else:
-                    key = (m, z)
-                    stopped[key] = stopped.get(key, Fraction(0)) + w
-        survival.append(nxt)
+        alive = {}
+        for z, mass in _push(survival[-1], steps).items():
+            if all(a < b for a, b in zip(z, z[1:])):
+                alive[z] = mass
+            else:
+                stopped[(m, z)] = mass
+        survival.append(alive)
     return survival, stopped
 
 
@@ -169,29 +180,19 @@ def exact_free_kernel(cfg: WalkConfig, n: int) -> ExactKernel:
     _require_lattice(cfg.dist)
     _check_capacity(cfg.dist, cfg.k, n)
     steps = _step_vectors(cfg.dist, cfg.k)
-    table = {tuple(int(c) for c in cfg.start): Fraction(1)}
+    table = _start_table(cfg)
     for _ in range(n):
-        nxt = {}
-        for y, mass in table.items():
-            for vec, smass in steps:
-                z = tuple(a + b for a, b in zip(y, vec))
-                nxt[z] = nxt.get(z, Fraction(0)) + mass * smass
-        table = nxt
+        table = _push(table, steps)
     return ExactKernel(cfg.k, n, cfg.dist.denominator, table)
 
 
 def _single_walk_pmfs(dist: StepDistribution, n: int):
     """pmfs[l] maps displacement -> exact mass of an l-step single walk."""
-    pmfs = [{0: Fraction(1)}]
+    steps = _step_vectors(dist, 1)
+    tables = [{(0,): Fraction(1)}]
     for _ in range(n):
-        prev = pmfs[-1]
-        nxt = {}
-        for disp, mass in prev.items():
-            for site, smass in dist.masses.items():
-                z = disp + site
-                nxt[z] = nxt.get(z, Fraction(0)) + mass * smass
-        pmfs.append(nxt)
-    return pmfs
+        tables.append(_push(tables[-1], steps))
+    return [{disp: mass for (disp,), mass in table.items()} for table in tables]
 
 
 def exact_d_matrix(x, y, n: int, dist: StepDistribution, pmfs=None) -> Fraction:
@@ -314,17 +315,12 @@ def exact_vn(cfg: WalkConfig, n: int):
 
 def exact_martingale_check(cfg: WalkConfig, n: int) -> VerificationReport:
     """Assert E_x[Delta(X(m))] == Delta(x) exactly for every m <= n."""
+    _require_lattice(cfg.dist)
     delta_x = Fraction(vandermonde(tuple(int(c) for c in cfg.start)))
-    kernel = exact_free_kernel(cfg, 0)
     steps = _step_vectors(cfg.dist, cfg.k)
-    table = dict(kernel.masses)
+    table = _start_table(cfg)
     for m in range(1, n + 1):
-        nxt = {}
-        for y, mass in table.items():
-            for vec, smass in steps:
-                z = tuple(a + b for a, b in zip(y, vec))
-                nxt[z] = nxt.get(z, Fraction(0)) + mass * smass
-        table = nxt
+        table = _push(table, steps)
         expect = sum((mass * vandermonde(y) for y, mass in table.items()), Fraction(0))
         if expect != delta_x:
             raise IdentityViolationError("martingale", m, expect, delta_x)
@@ -349,7 +345,7 @@ def exact_harmonicity_check(cfg: WalkConfig, n: int) -> VerificationReport:
     sites = 0
     for vec, smass in steps:
         y = tuple(a + b for a, b in zip(x, vec))
-        if not all(y[i] < y[i + 1] for i in range(cfg.k - 1)):
+        if not in_weyl(y):
             continue
         sites += 1
         if n == 0:
@@ -388,42 +384,51 @@ def _gap_step_law(dist: StepDistribution):
     return offsets, probs
 
 
-def _gap_chain_dp(dist: StepDistribution, start_gap: int, horizons):
-    """Core float64 DP for the two-walker gap chain.
+def killed_gap_chain(dist: StepDistribution, start_gap: int, horizons):
+    """Float64 DP of the killed two-walker gap chain.
 
     The gap of two independent walks is itself a random walk; the ordering
-    survives while the gap stays strictly positive. Returns, per horizon,
-    (survival probability, cumulative E[gap at absorption, tau <= horizon]).
-    The gap at absorption equals Delta of the two-walker configuration at tau.
-    Float64 is used because the target horizons (up to 2^14) are far beyond
-    exact-rational capacity; round-off is ~1e-12 relative at these sizes.
+    survives while the gap stays strictly positive. Returns (mass, table):
+    mass[g] = P(tau > n, gap(n) = g) for g = 0..size-1 at the last horizon n
+    (mass[0] = 0), and table maps each horizon h to (P(tau > h),
+    E[gap(tau) 1{tau <= h}]). The gap at absorption equals Delta of the
+    two-walker configuration at tau. Float64 is used because the target
+    horizons (up to 2^14) are far beyond exact-rational capacity; round-off
+    is ~1e-12 relative at these sizes.
     """
     if start_gap <= 0:
         raise ValueError("start gap must be positive")
     offsets, probs = _gap_step_law(dist)
     horizons = sorted(int(h) for h in horizons)
-    max_h = horizons[-1]
+    n = horizons[-1]
     lo = int(offsets.min())
     hi = int(offsets.max())
-    size = start_gap + max_h * hi + 1  # index = gap, gaps 1..size-1 alive
+    size = start_gap + n * hi + 1  # index = gap, gaps 1..size-1 alive
     mass = np.zeros(size)
     mass[start_gap] = 1.0
+    full = np.empty(size + hi - lo)  # full[j] = mass arriving at gap j + lo
     exit_gaps = np.arange(lo, 1, dtype=float)  # absorbed at gap in [lo, 0]
-    stopped_acc = 0.0
-    out = {0: (1.0, 0.0)}
-    for m in range(1, max_h + 1):
-        # full[g - lo] = mass arriving at gap g, for g in lo .. size-1+hi
-        full = np.zeros(size + hi - lo)
+    stopped = 0.0
+    wanted = set(horizons)
+    table = {0: (1.0, 0.0)}
+    for m in range(1, n + 1):
+        # only gaps below `reach` can carry mass before step m
+        reach = start_gap + (m - 1) * hi + 1
+        arrive = full[: reach + hi - lo]
+        arrive.fill(0.0)
         for off, p in zip(offsets, probs):
-            if p == 0.0:
-                continue
-            sh = int(off) - lo
-            full[sh: sh + size] += p * mass
-        stopped_acc += float((full[: 1 - lo] * exit_gaps).sum())
-        alive = full[1 - lo: size - lo]  # gaps 1 .. size-1 survive
-        mass = np.concatenate([[0.0], alive])
-        out[m] = (float(mass.sum()), stopped_acc)
-    return {h: out[h] for h in horizons}
+            if p:
+                arrive[off - lo: off - lo + reach] += p * mass[:reach]
+        stopped += float((arrive[: 1 - lo] * exit_gaps).sum())
+        mass[1: reach + hi] = arrive[1 - lo:]
+        if m in wanted:
+            table[m] = (float(mass.sum()), stopped)
+    return mass, {h: table[h] for h in horizons}
+
+
+def _gap_chain_dp(dist: StepDistribution, start_gap: int, horizons):
+    """Per horizon, (P(tau > h), E[gap(tau) 1{tau <= h}]) of the gap chain."""
+    return killed_gap_chain(dist, start_gap, horizons)[1]
 
 
 def gap_chain_alive_distribution(dist: StepDistribution, start_gap: int, n: int):
@@ -432,26 +437,9 @@ def gap_chain_alive_distribution(dist: StepDistribution, start_gap: int, n: int)
     Returns (gaps, probs) with probs summing to one; useful as a noise-free
     reference for the conditioned endpoint distribution of two walkers.
     """
-    if start_gap <= 0:
-        raise ValueError("start gap must be positive")
-    offsets, probs_step = _gap_step_law(dist)
-    lo = int(offsets.min())
-    hi = int(offsets.max())
-    size = start_gap + n * hi + 1
-    mass = np.zeros(size)
-    mass[start_gap] = 1.0
-    for _ in range(n):
-        full = np.zeros(size + hi - lo)
-        for off, p in zip(offsets, probs_step):
-            if p == 0.0:
-                continue
-            sh = int(off) - lo
-            full[sh: sh + size] += p * mass
-        alive = full[1 - lo: size - lo]
-        mass = np.concatenate([[0.0], alive])
-    total = mass.sum()
+    mass, _ = killed_gap_chain(dist, start_gap, [n])
     keep = mass > 0
-    return np.arange(size)[keep], mass[keep] / total
+    return np.flatnonzero(keep), mass[keep] / mass.sum()
 
 
 def gap_chain_survival(dist: StepDistribution, start_gap: int, horizons):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special, stats
 
 from . import asymptotics
 from .distributions import (
@@ -22,9 +22,11 @@ from .distributions import (
     RandomStream,
     StepDistribution,
     UnsupportedOperationError,
+    make_distribution,
 )
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
+from .lattice_exact import exact_vn, killed_gap_chain
 
 __all__ = [
     "TransformTable",
@@ -39,6 +41,7 @@ __all__ = [
     "sample_hermite_limit",
     "dyson_density",
     "dyson_gap_marginal",
+    "dyson_gap_cdf",
     "dyson_compare",
     "clamp_warning_count",
     "reset_clamp_warnings",
@@ -107,8 +110,6 @@ def table_from_exact_vn(cfg: WalkConfig, n: int, domain) -> TransformTable:
     carries an stderr budget of max |V_{n+1}/V_n - 1| over the domain.
     """
     from dataclasses import replace
-
-    from .lattice_exact import exact_vn
 
     values = {}
     budget = 0.0
@@ -216,35 +217,22 @@ def transformed_pair_paths(start, n: int, paths: int,
 
 
 def transformed_gap_distribution(start_gap: int, n: int) -> tuple:
-    """Exact float64 law of the transformed gap at time n: (gaps, probs)."""
+    """Exact float64 law of the transformed gap at time n: (gaps, probs).
+
+    The transform is the Doob h-transform of the killed chain by V, so
+    P^V_g0(g_n = g) = P_g0(tau > n, g_n = g) V(g) / V(g0).
+    """
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
-    size = start_gap + 2 * n + 1
-    probs = np.zeros(size)
-    probs[start_gap] = 1.0
-    gaps = np.arange(size, dtype=float)
-    v = np.where(gaps % 2 == 1, gaps + 1.0, gaps)
-    v[0] = 1.0  # unused (gap 0 never occupied); avoids 0/0
-    v_up = np.where((gaps + 2) % 2 == 1, gaps + 3.0, gaps + 2.0)
-    p_up = 0.25 * v_up / v
-    p_down = np.zeros(size)
-    down_ok = gaps >= 3  # g=2 -> 0 and g=1 -> -1 both carry V-weight 0 or 1?
-    # transformed down-probability: 0.25 * V(g-2)/V(g); V(0) = 0 blocks g=2,
-    # and from g=1 the exit move has weight 0 under the transform
-    p_down[3:] = 0.25 * v[1:-2] / v[3:]
-    p_stay = 1.0 - p_up - p_down
-    for _ in range(n):
-        nxt = probs * p_stay
-        nxt[2:] += (probs * p_up)[:-2]
-        nxt[:-2] += (probs * p_down)[2:]
-        probs = nxt
+    mass, _ = killed_gap_chain(make_distribution("rademacher"), start_gap, [n])
+    v0 = float(_rademacher_gap_v((0, start_gap)))
+    probs = mass * _gap_v_array(np.arange(mass.size)) / v0
     keep = probs > 0
-    return np.arange(size)[keep], probs[keep]
+    return np.flatnonzero(keep), probs[keep]
 
 
 def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
-                              guard_m=None, threads=None,
-                              predicted_acceptance=None):
+                              guard_m=None, predicted_acceptance=None):
     """Approximate the transformed law by conditioning on long survival.
 
     Simulates plain paths, keeps those still ordered at the guard horizon m
@@ -357,21 +345,24 @@ def hermite_gap_tv_exact(start_gap: int, n: int) -> float:
     return gap_law_tv(gaps / math.sqrt(n), probs)
 
 
+def _limit_gap_cdf(g):
+    """CDF of the k=2 beta=2 limit gap, density g^2 exp(-g^2/4) / (2 sqrt(pi))."""
+    g = np.asarray(g, dtype=float)
+    return special.erf(g / 2.0) - g / math.sqrt(math.pi) * np.exp(-g ** 2 / 4.0)
+
+
 def gap_law_tv(x, probs) -> float:
     """TV between the law of gaps x with masses probs and the k=2 beta=2 limit.
 
-    The limit gap density is g^2 exp(-g^2/4) / (2 sqrt(pi)). Both laws are
-    binned in steps of 1/4 on [0, 8]; mass outside is one overflow cell.
+    Both laws are binned in steps of 1/4 on [0, 8]; mass outside is one
+    overflow cell.
     """
     upper = 8.0
     edges = np.arange(0.0, upper + 0.125, 0.25)
     emp, _ = np.histogram(x, edges, weights=probs)
     emp_out = max(0.0, 1.0 - emp.sum())
-    fine = np.linspace(0.0, upper, 16001)
-    dens = fine ** 2 * np.exp(-fine ** 2 / 4.0) / (2.0 * math.sqrt(math.pi))
-    cum = integrate.cumulative_trapezoid(dens, fine, initial=0.0)
-    model = np.interp(edges[1:], fine, cum) - np.interp(edges[:-1], fine, cum)
-    model_out = max(0.0, 1.0 - model.sum())
+    model = np.diff(_limit_gap_cdf(edges))
+    model_out = 1.0 - float(_limit_gap_cdf(upper))
     return 0.5 * float(np.abs(emp - model).sum() + abs(emp_out - model_out))
 
 
@@ -441,6 +432,21 @@ def dyson_gap_marginal(g0: float, t: float, g) -> np.ndarray:
     return np.where(g > 0, out, 0.0)
 
 
+def dyson_gap_cdf(g0: float, t: float, g) -> np.ndarray:
+    """CDF of `dyson_gap_marginal`, in closed form.
+
+    With s^2 = 2t and phi_s the N(0, s^2) density, integrating the density
+    term by term gives Phi((g-g0)/s) - Phi(-g0/s) + Phi((g+g0)/s) - Phi(g0/s)
+    + s^2 (phi_s(g+g0) - phi_s(g-g0)) / g0, which tends to exactly 1.
+    """
+    g = np.maximum(np.asarray(g, dtype=float), 0.0)
+    s = math.sqrt(2.0 * t)
+    norm = stats.norm
+    return (norm.cdf((g - g0) / s) - norm.cdf(-g0 / s)
+            + norm.cdf((g + g0) / s) - norm.cdf(g0 / s)
+            + s * s * (norm.pdf(g + g0, scale=s) - norm.pdf(g - g0, scale=s)) / g0)
+
+
 def dyson_compare(x_unit, t: float, n: int, paths: int, sigma: float = 1.0,
                   master_seed: int = 0) -> dict:
     """Distance between rescaled transformed-walk marginals and the BM law.
@@ -465,21 +471,12 @@ def dyson_compare(x_unit, t: float, n: int, paths: int, sigma: float = 1.0,
     hi = g0_eff + 6.0 * math.sqrt(2.0 * t_eff)
     edges = np.arange(0.0, hi, 0.25 * sigma)
     counts, _ = np.histogram(rescaled, edges)
-    fine = np.linspace(edges[0], edges[-1], 8 * (len(edges) - 1) + 1)
-    dens = dyson_gap_marginal(g0_eff, t_eff, fine)
-    cum = integrate.cumulative_trapezoid(dens, fine, initial=0.0)
-    total = integrate.trapezoid(
-        dyson_gap_marginal(g0_eff, t_eff, np.linspace(0, hi + 20, 20001)),
-        np.linspace(0, hi + 20, 20001))
-    model_bins = np.interp(edges[1:], fine, cum) - np.interp(edges[:-1], fine, cum)
+    model_bins = np.diff(dyson_gap_cdf(g0_eff, t_eff, edges))
     emp = counts / len(rescaled)
-    tv = 0.5 * (np.abs(emp - model_bins).sum()
-                + abs((1.0 - emp.sum()) - (total - model_bins.sum())))
-
-    def cdf(g):
-        return np.interp(g, fine, cum / total)
-
-    ks = float(stats.kstest(rescaled, cdf).statistic)
+    # both laws have total mass 1, so the overflow cells differ by the sums
+    tv = 0.5 * (np.abs(emp - model_bins).sum() + abs(model_bins.sum() - emp.sum()))
+    ks = float(stats.kstest(rescaled,
+                            lambda g: dyson_gap_cdf(g0_eff, t_eff, g)).statistic)
     return {
         "n": n,
         "steps": steps,

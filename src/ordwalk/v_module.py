@@ -43,8 +43,7 @@ class VEstimate:
             raise ValueError("truncation horizon must be >= 0")
 
 
-def _vn_over_schedule(cfg: WalkConfig, horizons, paths, threads=None,
-                      block_size=engine.BLOCK_SIZE):
+def _vn_over_schedule(cfg: WalkConfig, horizons, paths):
     """V_n estimates at every horizon from one shared batch of paths.
 
     Each path is run to min(tau, max horizon); the stopped Vandermonde
@@ -59,17 +58,12 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, threads=None,
     if horizons[0] < 1:
         raise ValueError("horizons must be >= 1")
     max_h = horizons[-1]
-    n_blocks, sizes = engine._blocks_for(paths, block_size)
-
-    def work(b):
-        tau, delta, _ = engine._simulate_block(cfg, max_h, b, sizes[b])
-        sums = np.empty((len(horizons), 2))
+    totals = np.zeros((len(horizons), 2))
+    for b, size in enumerate(engine._block_sizes(paths)):
+        tau, delta, _ = engine._simulate_block(cfg, max_h, b, size)
         for i, h in enumerate(horizons):
             contrib = np.where(tau <= h, delta, 0.0)
-            sums[i] = contrib.sum(), (contrib ** 2).sum()
-        return sums
-
-    totals = sum(engine._map_blocks(work, n_blocks, threads))
+            totals[i] += contrib.sum(), (contrib ** 2).sum()
     delta_x = float(vandermonde(cfg.start))
     out = []
     for i, h in enumerate(horizons):
@@ -81,7 +75,7 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, threads=None,
     return out
 
 
-def estimate_vn(cfg: WalkConfig, n: int, paths: int, threads=None) -> VEstimate:
+def estimate_vn(cfg: WalkConfig, n: int, paths: int) -> VEstimate:
     """Estimate the truncation V_n(x) by Monte Carlo.
 
     n = 0 returns Delta(x) exactly: no exit can have happened yet, so the
@@ -94,13 +88,12 @@ def estimate_vn(cfg: WalkConfig, n: int, paths: int, threads=None) -> VEstimate:
         value = EstimateCI(mean=delta_x, stderr=0.0, n_samples=paths)
         return VEstimate(x=tuple(cfg.start), n_used=0, value=value,
                          tail_diagnostic=math.nan)
-    (_, est), = _vn_over_schedule(cfg, [n], paths, threads)
+    (_, est), = _vn_over_schedule(cfg, [n], paths)
     return VEstimate(x=tuple(cfg.start), n_used=n, value=est,
                      tail_diagnostic=math.nan)
 
 
-def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int,
-               threads=None) -> VEstimate:
+def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int) -> VEstimate:
     """Estimate V(x) as V_{n_max} over a doubling schedule of horizons.
 
     The tail diagnostic is the absolute change of the estimate over the last
@@ -108,8 +101,7 @@ def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int,
     converged; that is a report, not a failure, since heavy-tailed step laws
     can converge arbitrarily slowly.
     """
-    return v_from_schedule(cfg, _vn_over_schedule(cfg, horizon_schedule, paths,
-                                                  threads))
+    return v_from_schedule(cfg, _vn_over_schedule(cfg, horizon_schedule, paths))
 
 
 def v_from_schedule(cfg: WalkConfig, per_horizon) -> VEstimate:
@@ -125,7 +117,7 @@ def v_from_schedule(cfg: WalkConfig, per_horizon) -> VEstimate:
 
 
 def harmonicity_residual(cfg: WalkConfig, n: int, paths: int,
-                         inner_paths: int = 512, threads=None) -> EstimateCI:
+                         inner_paths: int = 512) -> EstimateCI:
     """Estimate E_x[1{tau > 1} V_n(X(1))] - V_{n+1}(x) (zero in theory).
 
     The outer expectation is sampled with `paths` first steps; each surviving
@@ -151,13 +143,13 @@ def harmonicity_residual(cfg: WalkConfig, n: int, paths: int,
         if cfg.dist.is_lattice:
             y = tuple(int(round(c)) for c in y)
         inner_cfg = replace(cfg, start=y, master_seed=inner_seed)
-        term1[b] = estimate_vn(inner_cfg, n, inner_paths, threads).value.mean
+        term1[b] = estimate_vn(inner_cfg, n, inner_paths).value.mean
 
     mean1 = float(term1.mean())
     se1 = float(term1.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
 
     ref_cfg = replace(cfg, master_seed=inner_seed)
-    ref = estimate_vn(ref_cfg, n + 1, paths * inner_paths, threads).value
+    ref = estimate_vn(ref_cfg, n + 1, paths * inner_paths).value
 
     residual = mean1 - ref.mean
     stderr = math.hypot(se1, ref.stderr)
@@ -173,7 +165,7 @@ def snap_to_lattice(x, k: int):
     return tuple(snapped)
 
 
-def scaling_check(cfg: WalkConfig, x_unit, n_list, paths: int, threads=None):
+def scaling_check(cfg: WalkConfig, x_unit, n_list, paths: int):
     """Tabulate n^{-k(k-1)/4} V-hat(sqrt(n) x_unit) against Delta(x_unit).
 
     The scaled estimate should approach Delta(x_unit) as n grows. Returns a
@@ -196,7 +188,7 @@ def scaling_check(cfg: WalkConfig, x_unit, n_list, paths: int, threads=None):
             start = tuple(scaled_x)
         run_cfg = replace(cfg, start=start)
         schedule = [max(1, n // 2), n] if n > 1 else [1]
-        est = estimate_v(run_cfg, schedule, paths, threads)
+        est = estimate_v(run_cfg, schedule, paths)
         scale = n ** (-power)
         rows.append({
             "n": n,

@@ -18,6 +18,7 @@ from ordwalk.cli import (
     validate_spec,
 )
 from ordwalk.distributions import make_distribution
+from ordwalk.engine import PartialResultError, conditioned_endpoints
 from ordwalk.lattice_exact import gap_chain_alive_distribution
 
 GOOD_KM = """
@@ -120,7 +121,7 @@ def test_run_exact_v_tables(tmp_path):
     assert csv[1].startswith("1,5/4,1.25")
 
 
-def test_run_is_byte_identical_across_threads(tmp_path):
+def test_run_is_byte_identical_across_reruns(tmp_path):
     doc = """
 kind: tail
 walk:
@@ -134,13 +135,13 @@ params:
   exponent_tol: 0.2
 """
     spec = validate_spec(doc)
-    out1, out4 = tmp_path / "t1", tmp_path / "t4"
-    m1, c1 = run_experiment(spec, out_dir=str(out1), threads=1)
-    m4, c4 = run_experiment(spec, out_dir=str(out4), threads=4)
-    assert c1 == c4 == 0
-    assert m1.files == m4.files
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    m1, c1 = run_experiment(spec, out_dir=str(out1))
+    m2, c2 = run_experiment(spec, out_dir=str(out2))
+    assert c1 == c2 == 0
+    assert m1.files == m2.files
     for fname in m1.files:
-        assert (out1 / fname).read_bytes() == (out4 / fname).read_bytes()
+        assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
 def test_run_failed_check_exits_one(tmp_path):
@@ -176,6 +177,33 @@ params:
     manifest, code = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
     assert code == 2
     assert manifest.error and "FeasibilityError" in manifest.error
+
+
+def test_partial_run_writes_collected_samples(tmp_path):
+    doc = """
+kind: endpoint
+walk:
+  k: 3
+  start: [0, 1, 2]
+  dist: rademacher
+seed: 5
+params:
+  n: 64
+  survivors: 10000
+  max_attempts: 2000
+"""
+    spec = validate_spec(doc)
+    with pytest.raises(PartialResultError) as exc:
+        conditioned_endpoints(spec.walk_config(), 64, 10_000, 2000)
+    collected = exc.value.endpoints
+    assert 0 < len(collected) < 10_000
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path))
+    assert code == 2 and "PartialResultError" in manifest.error
+    assert "partial_endpoint.csv" in manifest.files
+    lines = (tmp_path / "partial_endpoint.csv").read_text().splitlines()
+    assert lines[0] == "y1,y2,y3"
+    assert len(lines) - 1 == len(collected)
+    assert [float(c) for c in lines[1].split(",")] == collected[0].tolist()
 
 
 def test_main_validate_and_run(tmp_path, capsys):

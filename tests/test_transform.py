@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import ordwalk.transform as tr
 from ordwalk.distributions import RandomStream, make_distribution
 from ordwalk.engine import PartialResultError, WalkConfig
-from ordwalk.lattice_exact import exact_vn
+from ordwalk.lattice_exact import exact_survival_kernel, exact_vn
 
 RAD = make_distribution("rademacher")
 
@@ -85,6 +86,33 @@ def test_transformed_gap_distribution_moments():
     assert (gaps % 2 == 1).all()  # parity preserved from an odd start
     m2 = float((probs * (gaps / math.sqrt(1024)) ** 2).sum())
     assert m2 == pytest.approx(5.864, abs=0.01)  # limit value 6 from below
+
+
+def _exact_h_transformed_gap_law(start_gap, n):
+    """Rational P(tau > n, gap(n) = g) V(g) / V(g0) from the exact k=2 kernel."""
+    cfg = WalkConfig(k=2, start=(0, start_gap), dist=RAD)
+    table = tr.rademacher_gap_table()
+    v0 = table.v((0, start_gap))
+    law = {}
+    for (a, b), mass in exact_survival_kernel(cfg, n).masses.items():
+        law[b - a] = law.get(b - a, Fraction(0)) + mass * table.v((a, b)) / v0
+    return law
+
+
+@pytest.mark.parametrize("start_gap", [1, 2])
+def test_transformed_gap_distribution_is_the_h_transform(start_gap):
+    for n in range(0, 11):
+        law = _exact_h_transformed_gap_law(start_gap, n)
+        assert sum(law.values(), Fraction(0)) == 1  # V is harmonic, exactly
+        gaps, probs = tr.transformed_gap_distribution(start_gap, n)
+        assert set(gaps.tolist()) == set(law)
+        for g, p in zip(gaps.tolist(), probs.tolist()):
+            assert abs(p - float(law[g])) <= 1e-15
+
+
+def test_transformed_gap_distribution_total_mass_at_4096():
+    _, probs = tr.transformed_gap_distribution(1, 4096)
+    assert abs(probs.sum() - 1.0) <= 1e-13
 
 
 def test_transformed_gap_paths_match_exact_law():
@@ -188,6 +216,24 @@ def test_dyson_gap_marginal_normalized():
     dens = tr.dyson_gap_marginal(1.0, 0.5, g)
     assert np.trapezoid(dens, g) == pytest.approx(1.0, abs=1e-8)
     assert (dens >= 0).all()
+
+
+@pytest.mark.parametrize("g", [0.0, 0.1, 0.5, 1.3, 2.0, 4.0, 7.5, 12.0])
+def test_gap_cdfs_match_quadrature(g):
+    def quad(f):
+        return integrate.quad(f, 0.0, g, epsabs=1e-13, epsrel=1e-13)[0]
+
+    hermite = quad(lambda x: x * x * math.exp(-x * x / 4) / (2 * math.sqrt(math.pi)))
+    assert abs(float(tr._limit_gap_cdf(g)) - hermite) <= 1e-10
+    for g0, t in ((1.0, 1.0), (0.25, 0.5), (2.0, 0.05)):
+        dyson = quad(lambda x: float(tr.dyson_gap_marginal(g0, t, x)))
+        assert abs(float(tr.dyson_gap_cdf(g0, t, g)) - dyson) <= 1e-10
+
+
+def test_gap_cdfs_have_unit_mass():
+    assert float(tr._limit_gap_cdf(60.0)) == pytest.approx(1.0, abs=1e-15)
+    assert float(tr.dyson_gap_cdf(0.5, 1.0, 60.0)) == pytest.approx(1.0, abs=1e-15)
+    assert float(tr.dyson_gap_cdf(0.5, 1.0, -1.0)) == 0.0
 
 
 def test_dyson_compare_small():
