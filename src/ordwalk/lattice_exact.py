@@ -7,7 +7,9 @@ reflection identity, the martingale property of the Vandermonde determinant
 and the one-step iteration of V_n -- all as exact rational equalities.
 
 All masses are Fractions whose denominators divide d^(k*n) with d the common
-denominator of the single-step masses.
+denominator of the single-step masses. The Karlin-McGregor and reflection
+checks multiply both sides by d^(k*n) and compare integers, with the
+determinants of all sites taken at once from integer path-count tables.
 """
 
 import itertools
@@ -196,16 +198,16 @@ def _single_walk_pmfs(dist: StepDistribution, n: int):
 
 
 def exact_d_matrix(x, y, n: int, dist: StepDistribution, pmfs=None) -> Fraction:
-    """Exact determinant det[(P_{x_i}(X_1(n) = y_j))_{i,j}]."""
+    """Exact determinant det[(P_{x_i}(X_1(n) = y_j))_{i,j}].
+
+    The scalar reference for the batched integer determinants below.
+    """
     _require_lattice(dist)
     if pmfs is None:
         pmfs = _single_walk_pmfs(dist, n)
     pmf = pmfs[n]
     k = len(x)
-    rows = [
-        [pmf.get(int(y[j]) - int(x[i]), Fraction(0)) for j in range(k)]
-        for i in range(k)
-    ]
+    rows = [[pmf.get(int(y[j]) - int(x[i]), 0) for j in range(k)] for i in range(k)]
     return exact_det(rows)
 
 
@@ -219,33 +221,123 @@ def _candidate_sites(cfg: WalkConfig, n: int, pmfs):
     return [y for y in itertools.combinations(values, cfg.k)]
 
 
+# Batched integer determinants. With d the common denominator of the step
+# masses, C_l = d^l p_l is the integer count table of the l-step single walk,
+# so D_l(z, y) = d^(-k l) det[C_l(y_j - z_i)]: an identity between sums of
+# masses times D's, multiplied through by d^(k n), is one between integers.
+
+# rows per chunk: as many as keep each gathered matrix entry within this many
+# (row, site) cells (at least one row), so the gathers' memory stays small
+_CHUNK_CELLS = 1 << 12
+
+
+def _count_dtype(k: int, scale: int):
+    """np.int64 when 2 k! scale < 2^63, else object (Python int) arrays.
+
+    A row of weight scale * mass contributes k! Leibniz terms of at most
+    scale * |mass| each, and the rows of one sum carry total mass at most 2
+    (D_n's 1 plus the stopped mass, or one exit law), so no partial sum
+    reaches 2 k! scale.
+    """
+    return np.int64 if 2 * math.factorial(k) * scale < 2 ** 63 else object
+
+
+def _signed_permutations(k: int):
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        yield perm, -1 if inversions % 2 else 1
+
+
+def _weighted_dets(table, ys, zs, steps, weights):
+    """sum_s weights[s] * det[C_{steps[s]}(y_j - zs[s, i])] for every site y.
+
+    table[l, v + span] = C_l(v) covers every displacement; each determinant is
+    the Leibniz sum over the k! permutations, taken on (row chunk, site) arrays.
+    """
+    width = table.shape[1]
+    span = width // 2
+    flat = table.ravel()
+    k = ys.shape[1]
+    total = np.zeros(len(ys), dtype=table.dtype)
+    chunk = max(1, _CHUNK_CELLS // len(ys))
+    for a in range(0, len(zs), chunk):
+        z = zs[a:a + chunk]
+        base = steps[a:a + chunk, None] * width + span
+        entry = [[flat.take(base + (ys[:, j] - z[:, i, None])) for j in range(k)]
+                 for i in range(k)]
+        det = 0
+        for perm, sign in _signed_permutations(k):
+            term = entry[0][perm[0]]
+            for i in range(1, k):
+                term = term * entry[i][perm[i]]
+            det = det + term if sign > 0 else det - term
+        total += weights[a:a + chunk] @ det
+    return total
+
+
+def _scaled_det_sums(dist: StepDistribution, pmfs, n: int, sites, groups):
+    """(scale, sums): per group of (z, m, mass) rows, the integers
+    scale * sum of mass * D_{n-m}(z, y) at every site y.
+
+    scale = g d^(k n), with g the least positive integer that makes every
+    weight g d^(k m) mass an integer. The DP's masses at time m are multiples
+    of d^(-k m), so g = 1 on its tables; a mass off that grid raises g
+    instead of being rounded.
+    """
+    d = dist.denominator
+    k = len(sites[0])
+    weights = [[mass * d ** (k * m) for _, m, mass in rows] for rows in groups]
+    g = math.lcm(*(w.denominator for ws in weights for w in ws))
+    scale = g * d ** (k * n)
+    dtype = _count_dtype(k, scale)
+    ys = np.array(sites, dtype=np.int64)
+    zs = [np.array([z for z, _, _ in rows], dtype=np.int64).reshape(-1, k)
+          for rows in groups]
+    span = int(np.ptp(np.concatenate([ys.ravel(), *(z.ravel() for z in zs)])))
+    table = np.zeros((n + 1, 2 * span + 1), dtype=dtype)
+    for l, pmf in enumerate(pmfs[:n + 1]):
+        for v, mass in pmf.items():
+            if abs(v) <= span:
+                table[l, v + span] = mass.numerator * (d ** l // mass.denominator)
+    sums = []
+    for rows, ws, z in zip(groups, weights, zs):
+        steps = np.array([n - m for _, m, _ in rows], dtype=np.int64)
+        w = np.array([int(v * g) for v in ws], dtype=dtype)
+        sums.append(_weighted_dets(table, ys, z, steps, w))
+    return scale, sums
+
+
+def _require_equal(identity: str, sites, lhs, rhs, scale: int):
+    """Raise at the first site where lhs != rhs, both scale * the sides."""
+    for y, left, right in zip(sites, lhs, rhs):
+        if left != right:
+            raise IdentityViolationError(identity, y, Fraction(left) / scale,
+                                         Fraction(int(right), scale))
+
+
 def exact_km_check(cfg: WalkConfig, n: int) -> VerificationReport:
     """Verify the determinantal transition identity exactly at every site.
 
     P_x(tau > n, X(n) = y) == D_n(x, y) - sum over stopped (m, z) of
     P_x(tau = m, X(m) = z) * D_{n-m}(z, y), for all ordered y.
+
+    Both sides are compared as integers, times d^(k n); the right side comes
+    from the single-walk pmfs through batched integer determinants.
     """
     survival, stopped = _forward_tables(cfg, n)
     pmfs = _single_walk_pmfs(cfg.dist, n)
     sites = _candidate_sites(cfg, n, pmfs)
     x = tuple(int(c) for c in cfg.start)
-    max_disc = Fraction(0)
-    for y in sites:
-        lhs = survival[n].get(y, Fraction(0))
-        rhs = exact_d_matrix(x, y, n, cfg.dist, pmfs)
-        for (m, z), mass in stopped.items():
-            corr = exact_d_matrix(z, y, n - m, cfg.dist, pmfs)
-            if corr:
-                rhs -= mass * corr
-        if lhs != rhs:
-            raise IdentityViolationError("karlin-mcgregor", y, lhs, rhs)
-        max_disc = max(max_disc, abs(lhs - rhs))
+    rows = [(x, 0, Fraction(1))] + [(z, m, -mass) for (m, z), mass in stopped.items()]
+    scale, (rhs,) = _scaled_det_sums(cfg.dist, pmfs, n, sites, [rows])
+    lhs = [survival[n].get(y, 0) * scale for y in sites]
+    _require_equal("karlin-mcgregor", sites, lhs, rhs.tolist(), scale)
     return VerificationReport(
         identity="karlin-mcgregor",
         k=cfg.k,
         n=n,
         sites_checked=len(sites),
-        max_abs_discrepancy=max_disc,
+        max_abs_discrepancy=Fraction(0),
         passed=True,
     )
 
@@ -264,32 +356,33 @@ def exact_reflection_check(cfg: WalkConfig, n: int, l: int) -> VerificationRepor
     for walks that can jump over each other; the shift belongs on the exit
     configuration.) Exits that land exactly on the boundary contribute zero
     to both sides (psi = 0 there and the determinant has equal rows).
+
+    Swapping two rows negates a determinant, so for one exit law the two
+    sides agree whatever its masses. The left side therefore takes the exit
+    law from the stopped measure, and the right side takes it afresh, by one
+    step from the survivors at time l - 1 (the Markov property at l - 1), so
+    a wrong stopped mass breaks the identity. Both sides are compared as
+    integers, times d^(k n).
     """
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    _, stopped = _forward_tables(cfg, n)
+    survival, stopped = _forward_tables(cfg, n)
     pmfs = _single_walk_pmfs(cfg.dist, n)
     sites = _candidate_sites(cfg, n, pmfs)
     at_l = {z: mass for (m, z), mass in stopped.items() if m == l}
-    shifts = {z: reflection_shift(z) for z in at_l}
-    boundary_ties = sum(1 for z, s in shifts.items() if all(c == 0 for c in s))
-    max_disc = Fraction(0)
-    for y in sites:
-        lhs = Fraction(0)
-        rhs = Fraction(0)
-        for z, mass in at_l.items():
-            lhs -= mass * exact_d_matrix(z, y, n - l, cfg.dist, pmfs)
-            z_reflected = tuple(a - b for a, b in zip(z, shifts[z]))
-            rhs += mass * exact_d_matrix(z_reflected, y, n - l, cfg.dist, pmfs)
-        if lhs != rhs:
-            raise IdentityViolationError("reflection", y, lhs, rhs)
-        max_disc = max(max_disc, abs(lhs - rhs))
+    boundary_ties = sum(1 for z in at_l if not any(reflection_shift(z)))
+    exits = _push(survival[l - 1], _step_vectors(cfg.dist, cfg.k))
+    reflected = [(tuple(a - b for a, b in zip(z, reflection_shift(z))), l, mass)
+                 for z, mass in exits.items() if not in_weyl(z)]
+    scale, (lhs, rhs) = _scaled_det_sums(
+        cfg.dist, pmfs, n, sites, [[(z, l, -mass) for z, mass in at_l.items()], reflected])
+    _require_equal("reflection", sites, lhs.tolist(), rhs.tolist(), scale)
     return VerificationReport(
         identity="reflection",
         k=cfg.k,
         n=n,
         sites_checked=len(sites),
-        max_abs_discrepancy=max_disc,
+        max_abs_discrepancy=Fraction(0),
         passed=True,
         extra={"l": l, "boundary_tie_exits": boundary_ties},
     )

@@ -27,6 +27,7 @@ from ordwalk.lattice_exact import (
 
 RAD = make_distribution("rademacher")
 CFG2 = WalkConfig(k=2, start=(0, 1), dist=RAD)
+LAZY2 = WalkConfig(k=2, start=(0, 1), dist=make_distribution("lazy_lattice"))
 CFG3 = WalkConfig(k=3, start=(0, 1, 2), dist=RAD)
 
 
@@ -40,11 +41,12 @@ def _verdict(num: int, name: str, ok: bool, detail: str = ""):
 def test_criterion_01_exact_transition_identity():
     t0 = time.monotonic()
     reps = [exact_km_check(CFG2, n) for n in range(1, 11)]
-    reps += [exact_km_check(CFG3, n) for n in range(1, 7)]
+    reps += [exact_km_check(CFG3, n) for n in range(1, 9)]
+    reps += [exact_km_check(LAZY2, n) for n in range(1, 9)]
     elapsed = time.monotonic() - t0
     ok = all(r.passed and r.max_abs_discrepancy == 0 for r in reps)
     ok = ok and elapsed < 60.0
-    _verdict(1, "exact transition identity k=2 n<=10, k=3 n<=6", ok,
+    _verdict(1, "exact transition identity k=2 n<=10, k=3 n<=8, lazy k=2 n<=8", ok,
              f"{sum(r.sites_checked for r in reps)} sites, {elapsed:.1f}s")
 
 
@@ -52,10 +54,11 @@ def test_criterion_02_exact_reflection_identity():
     t0 = time.monotonic()
     reps = [exact_reflection_check(CFG2, 6, l) for l in range(1, 7)]
     reps += [exact_reflection_check(CFG3, 4, l) for l in range(1, 5)]
+    reps += [exact_reflection_check(CFG3, 5, l) for l in range(1, 6)]
     elapsed = time.monotonic() - t0
     ok = all(r.passed and r.max_abs_discrepancy == 0 for r in reps)
     ok = ok and elapsed < 60.0
-    _verdict(2, "exact reflection identity k=2 n=6 all l, k=3 n=4 all l", ok,
+    _verdict(2, "exact reflection identity k=2 n=6 all l, k=3 n=4 and n=5 all l", ok,
              f"{elapsed:.1f}s")
 
 

@@ -1,15 +1,19 @@
 """Exact rational kernels and identity checks on small lattice walks."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordwalk import lattice_exact
 from ordwalk.distributions import UnsupportedOperationError, make_distribution
 from ordwalk.engine import WalkConfig
 from ordwalk.lattice_exact import (
     CapacityError,
+    IdentityViolationError,
     exact_d_matrix,
     exact_free_kernel,
     exact_harmonicity_check,
@@ -26,6 +30,10 @@ from ordwalk.lattice_exact import (
 
 RAD = make_distribution("rademacher")
 LAZY = make_distribution("lazy_lattice")
+THIRDS = make_distribution("custom_lattice", masses={-2: Fraction(1, 3), 1: Fraction(2, 3)})
+# d = 4099: 2 * 2! * d^(2 n) passes 2^63 from n = 3 on, so the counts are Python ints
+WIDE = make_distribution("custom_lattice", masses={
+    -1: Fraction(1000, 4099), 0: Fraction(2099, 4099), 1: Fraction(1000, 4099)})
 CFG2 = WalkConfig(k=2, start=(0, 1), dist=RAD)
 CFG3 = WalkConfig(k=3, start=(0, 1, 2), dist=RAD)
 
@@ -182,3 +190,131 @@ def test_km_total_mass_equals_survival(n):
     kern = exact_survival_kernel(CFG2, n)
     stopped = exact_stopped_measure(CFG2, n)
     assert kern.total_mass() + sum(stopped.values(), Fraction(0)) == 1
+
+
+def _batched_km_rhs(cfg, n):
+    """The batched right-hand side of the KM identity, as Fractions per site."""
+    _, stopped = lattice_exact._forward_tables(cfg, n)
+    pmfs = lattice_exact._single_walk_pmfs(cfg.dist, n)
+    sites = lattice_exact._candidate_sites(cfg, n, pmfs)
+    x = tuple(cfg.start)
+    rows = [(x, 0, Fraction(1))] + [(z, m, -mass) for (m, z), mass in stopped.items()]
+    scale, (rhs,) = lattice_exact._scaled_det_sums(cfg.dist, pmfs, n, sites, [rows])
+    return sites, stopped, pmfs, [Fraction(int(r), scale) for r in rhs]
+
+
+@pytest.mark.parametrize("dist", [RAD, LAZY, THIRDS, WIDE], ids=lambda d: d.kind
+                         + str(d.denominator))
+@pytest.mark.parametrize("start,n", [((0, 1), 4), ((0, 2), 4), ((0, 1, 2), 3),
+                                     ((0, 2, 5), 3)])
+def test_batched_rhs_matches_scalar_determinants(dist, start, n):
+    if dist is WIDE and len(start) == 3:
+        n = 1  # d^(k n) stays inside the capacity guard
+    cfg = WalkConfig(k=len(start), start=start, dist=dist)
+    sites, stopped, pmfs, batched = _batched_km_rhs(cfg, n)
+    assert sites
+    for y, got in zip(sites, batched):
+        want = exact_d_matrix(start, y, n, dist, pmfs)
+        for (m, z), mass in stopped.items():
+            want -= mass * exact_d_matrix(z, y, n - m, dist, pmfs)
+        assert got == want, y
+
+
+def test_wide_law_takes_the_object_path(monkeypatch):
+    seen = _record_dtypes(monkeypatch)
+    cfg = WalkConfig(k=2, start=(0, 1), dist=WIDE)
+    assert exact_km_check(cfg, 3).passed
+    assert all(exact_reflection_check(cfg, 3, l).passed for l in (1, 2, 3))
+    assert seen == [object] * 4
+
+
+def test_count_dtype_threshold():
+    # int64 exactly while 2 k! scale < 2^63
+    for k in (2, 3, 4):
+        top = (2 ** 63 - 1) // (2 * math.factorial(k))
+        assert lattice_exact._count_dtype(k, top) is np.int64
+        assert lattice_exact._count_dtype(k, top + 1) is object
+
+
+def _record_dtypes(monkeypatch):
+    seen = []
+    real = lattice_exact._count_dtype
+
+    def recording(k, scale):
+        seen.append(real(k, scale))
+        return seen[-1]
+
+    monkeypatch.setattr(lattice_exact, "_count_dtype", recording)
+    return seen
+
+
+def test_count_dtype_switches_at_the_bound(monkeypatch):
+    # lazy steps have d = 4: 2 * 2! * 4^(2 n) < 2^63 up to n = 15
+    seen = _record_dtypes(monkeypatch)
+    for n in (15, 16):
+        assert exact_km_check(WalkConfig(k=2, start=(0, 1), dist=LAZY), n).passed
+    assert seen == [np.int64, object]
+
+
+def _with_fault(monkeypatch, perturb):
+    real = lattice_exact._forward_tables
+
+    def faulty(cfg, n):
+        survival, stopped = real(cfg, n)
+        perturb(survival, stopped)
+        return survival, stopped
+
+    monkeypatch.setattr(lattice_exact, "_forward_tables", faulty)
+
+
+EPS = Fraction(1, 2 ** 40)
+
+
+@pytest.mark.parametrize("cfg,n,path", [
+    (CFG2, 4, np.int64), (CFG3, 4, np.int64),
+    (WalkConfig(k=2, start=(0, 1), dist=WIDE), 3, object)])
+def test_km_check_catches_a_perturbed_survival_mass(monkeypatch, cfg, n, path):
+    target = sorted(lattice_exact._forward_tables(cfg, n)[0][n])[1]
+
+    def perturb(survival, stopped):
+        survival[n][target] += EPS
+
+    _with_fault(monkeypatch, perturb)
+    seen = _record_dtypes(monkeypatch)
+    with pytest.raises(IdentityViolationError) as err:
+        exact_km_check(cfg, n)
+    assert seen == [path]
+    assert err.value.site == target
+    assert err.value.lhs - err.value.rhs == EPS
+    assert "karlin-mcgregor violated at y=" in str(err.value)
+
+
+@pytest.mark.parametrize("cfg,n,l,path", [
+    (CFG2, 4, 1, np.int64), (CFG3, 4, 2, np.int64),
+    (WalkConfig(k=2, start=(0, 1), dist=WIDE), 3, 2, object)])
+def test_reflection_check_catches_a_perturbed_stopped_mass(monkeypatch, cfg, n, l, path):
+    stopped = lattice_exact._forward_tables(cfg, n)[1]
+    pmfs = lattice_exact._single_walk_pmfs(cfg.dist, n)
+    # an exit off the boundary, whose determinant row is not identically zero
+    z0 = next(z for (m, z), _ in sorted(stopped.items()) if m == l and len(set(z)) == cfg.k)
+    hit = next(y for y in lattice_exact._candidate_sites(cfg, n, pmfs)
+               if exact_d_matrix(z0, y, n - l, cfg.dist, pmfs))
+
+    def perturb(survival, stopped):
+        stopped[(l, z0)] += EPS
+
+    _with_fault(monkeypatch, perturb)
+    seen = _record_dtypes(monkeypatch)
+    with pytest.raises(IdentityViolationError) as err:
+        exact_reflection_check(cfg, n, l)
+    assert seen == [path]
+    assert err.value.site == hit
+    assert err.value.lhs - err.value.rhs == -EPS * exact_d_matrix(z0, hit, n - l, cfg.dist, pmfs)
+
+
+def test_identities_for_walks_that_jump_over_each_other():
+    # steps -2 and +1 let two walkers swap places without meeting
+    cfg2 = WalkConfig(k=2, start=(0, 1), dist=THIRDS)
+    assert exact_km_check(cfg2, 6).passed
+    assert exact_km_check(WalkConfig(k=3, start=(0, 1, 2), dist=THIRDS), 3).passed
+    assert all(exact_reflection_check(cfg2, 4, l).passed for l in range(1, 5))
