@@ -29,7 +29,6 @@ __all__ = [
     "constant_K",
     "z1_constant",
     "endpoint_density_distance",
-    "sample_endpoint_limit",
     "local_clt_deviation",
     "walk_pmf",
 ]
@@ -328,21 +327,6 @@ def endpoint_density_distance(samples, k: int, sigma: float = 1.0) -> dict:
     report, gaps = _limit_law_report(samples, k, 1, sigma)
     report["gap_mean"], report["gap_mean_stderr"] = _mean_stderr(gaps)
     return report
-
-
-def sample_endpoint_limit(k: int, size: int, rng) -> np.ndarray:
-    """Exact samples from the endpoint limit density (k=2 only).
-
-    Factorizes as center v ~ N(0, 1/2) independent of gap g with density
-    (g/2) exp(-g^2/4), sampled by CDF inversion g = 2 sqrt(-log u).
-    """
-    if k != 2:
-        raise UnsupportedOperationError(
-            "direct limit sampling implemented for k=2 only")
-    u = rng.random(size)
-    g = 2.0 * np.sqrt(-np.log(u))
-    v = rng.normal(0.0, math.sqrt(0.5), size)
-    return np.stack([v - g / 2.0, v + g / 2.0], axis=1)
 
 
 # ---------------------------------------------------------------------------

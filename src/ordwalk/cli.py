@@ -39,10 +39,21 @@ __all__ = [
     "main",
 ]
 
-_KINDS = (
-    "exact-km", "exact-reflect", "exact-v", "estimate-v", "tail",
-    "endpoint", "lclt", "transform", "hermite", "dyson-compare",
-)
+# the params each kind's runner reads; validate_spec rejects any other key
+_KIND_PARAMS = {
+    "exact-km": ("n",),
+    "exact-reflect": ("n", "l"),
+    "exact-v": ("n",),
+    "estimate-v": ("schedule", "paths"),
+    "tail": ("horizons", "paths", "exponent_tol"),
+    "endpoint": ("n", "survivors", "max_attempts"),
+    "lclt": ("horizons", "threshold"),
+    "transform": ("t_steps", "paths", "guard_m"),
+    "hermite": ("n", "paths"),
+    "dyson-compare": ("t", "horizons", "paths", "x_unit", "tv_threshold"),
+}
+_KINDS = tuple(_KIND_PARAMS)
+_REFLECT_DEFAULT_N = 4
 # params read as integers, and params listing horizons
 _INT_PARAMS = ("n", "l", "paths", "survivors", "max_attempts", "t_steps", "guard_m")
 _HORIZON_PARAMS = ("horizons", "schedule")
@@ -160,6 +171,13 @@ def validate_spec(raw: str) -> ExperimentSpec:
             errors.append(f"params.{key} must be a number, got {val!r}")
         elif isinstance(val, (int, float)) and val <= 0:
             errors.append(f"params.{key} must be positive, got {val}")
+        if kind in _KIND_PARAMS and key not in _KIND_PARAMS[kind]:
+            errors.append(f"params.{key} is not read by kind {kind}, which reads "
+                          f"{', '.join(_KIND_PARAMS[kind])}")
+    if kind == "exact-reflect" and _is_int(params.get("l")):
+        n = params.get("n", _REFLECT_DEFAULT_N)
+        if _is_int(n) and not 1 <= params["l"] <= n:
+            errors.append(f"params.l must lie in 1..n = 1..{n}, got {params['l']}")
     out = doc.get("out", "results")
 
     if errors:
@@ -275,7 +293,7 @@ def _run_exact_km(spec, cfg):
 
 
 def _run_exact_reflect(spec, cfg):
-    n = int(spec.params.get("n", 4))
+    n = int(spec.params.get("n", _REFLECT_DEFAULT_N))
     ls = spec.params.get("l")
     ls = [int(ls)] if ls is not None else list(range(1, n + 1))
     reports = {}

@@ -18,20 +18,19 @@ __all__ = [
     "LatticeSampler",
     "RandomStream",
     "make_distribution",
-    "sample_step",
-    "step_pmf",
-    "moments",
 ]
 
 _CONTINUOUS_KINDS = ("gaussian", "uniform", "laplace")
 _LATTICE_KINDS = ("rademacher", "lazy_lattice", "custom_lattice")
 
-# Philox stream registry. Every generator is keyed (master_seed, salt) and
-# each salt below names one stream, so no two consumers share a key.
+# Philox stream registry. Every generator is keyed (master_seed, salt); the
+# salt ranges below are disjoint, so consumers of different ranges never share
+# a key. Within one range the key is shared on purpose: every plain-walk run
+# (tail, estimate-v, endpoint, transform) draws block b of its paths from the
+# same engine stream, so runs of one walk at one master seed share paths.
 BLOCK_SALT = 0  # block b of an engine batch uses salt BLOCK_SALT + b (b < 2**60)
 HARMONICITY_OUTER_SALT = 2 ** 63  # first steps of harmonicity_residual's outer points
 TRANSFORMED_CHAIN_SALT = 3 * 2 ** 61  # k=2 transformed chain, gap and pair samplers
-TRANSFORM_REJECTION_SALT = 5 * 2 ** 60  # plain paths of transform_paths_rejection
 # not a key salt: harmonicity_residual's nested V_n runs use master_seed ^ this
 INNER_SEED_XOR = 0x9E3779B97F4A7C15
 
@@ -239,28 +238,3 @@ class RandomStream:
             )
             self._gen = np.random.Generator(bitgen)
         return self._gen
-
-
-def sample_step(dist: StepDistribution, stream: RandomStream) -> float:
-    """One step from the law, drawn from the stream's generator."""
-    return float(dist.sample_array(stream.generator(), ()))
-
-
-def step_pmf(dist: StepDistribution, site) -> Fraction:
-    """Exact single-step mass at an integer site (lattice kinds only)."""
-    if not dist.is_lattice:
-        raise UnsupportedOperationError(
-            f"step_pmf is undefined for continuous kind {dist.kind!r}"
-        )
-    if site != int(site):
-        return Fraction(0)
-    return dist.masses.get(int(site), Fraction(0))
-
-
-def moments(dist: StepDistribution):
-    """(mean, variance, moment_order); recomputed exactly for lattice kinds."""
-    if dist.is_lattice:
-        mean, var = _exact_moments(dist.masses)
-        assert float(mean) == dist.mean and float(var) == dist.variance
-        return float(mean), float(var), dist.moment_order
-    return dist.mean, dist.variance, dist.moment_order

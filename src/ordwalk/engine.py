@@ -11,16 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BLOCK_SALT, RandomStream, StepDistribution
-from .geometry import in_weyl, vandermonde
+from .geometry import in_weyl
 
 __all__ = [
     "WalkConfig",
-    "StoppedOutcome",
     "EstimateCI",
     "PartialResultError",
-    "run_path",
     "batch_survival",
-    "batch_stopped_vandermonde",
     "conditioned_endpoints",
 ]
 
@@ -56,14 +53,6 @@ class WalkConfig:
 
 
 @dataclass(frozen=True)
-class StoppedOutcome:
-    stop_time: int
-    exited: bool
-    terminal: tuple
-    delta_at_stop: float
-
-
-@dataclass(frozen=True)
 class EstimateCI:
     mean: float
     stderr: float
@@ -80,21 +69,6 @@ class EstimateCI:
         return abs(self.mean - value) <= width
 
 
-def run_path(cfg: WalkConfig, horizon: int, stream: RandomStream) -> StoppedOutcome:
-    """Advance all k components stepwise until the order breaks or the horizon."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    rng = stream.generator()
-    pos = np.asarray(cfg.start, dtype=float)
-    for n in range(1, horizon + 1):
-        pos = pos + cfg.dist.sample_array(rng, cfg.k)
-        if np.any(np.diff(pos) <= 0):
-            term = tuple(pos.tolist())
-            return StoppedOutcome(n, True, term, float(vandermonde(term)))
-    term = tuple(pos.tolist())
-    return StoppedOutcome(horizon, False, term, float(vandermonde(term)))
-
-
 def _block_stream(cfg: WalkConfig, block_index: int) -> np.random.Generator:
     return RandomStream(cfg.master_seed, BLOCK_SALT + block_index).generator()
 
@@ -109,11 +83,14 @@ def _vandermonde_rows(pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size: int):
+def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size: int,
+                    snap_step: int | None = None):
     """Simulate one block of paths up to min(tau, horizon).
 
-    Returns (tau, delta_at_stop, terminal) arrays; tau == horizon + 1 encodes
-    survival past the horizon. Lattice positions and terminals are int64,
+    Returns (tau, delta_at_stop, terminal, snap) arrays; tau == horizon + 1
+    encodes survival past the horizon. With snap_step in 0..horizon, snap
+    holds every row's positions at that step (rows with tau <= snap_step keep
+    the start); otherwise snap is None. Lattice positions are int64,
     continuous ones float64.
     """
     rng = _block_stream(cfg, block_index)
@@ -124,6 +101,7 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     delta = np.empty(block_size)
     terminal = np.empty((block_size, k), dtype=dtype)
     alive_idx = np.arange(block_size)
+    snap = pos.copy() if snap_step is not None else None
     for n in range(1, horizon + 1):
         if alive_idx.size == 0:
             break
@@ -140,10 +118,12 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
             keep[rows] = False
             alive_idx = alive_idx.compress(keep)
             pos = pos.compress(keep, axis=0)
+        if n == snap_step:
+            snap[alive_idx] = pos
     if alive_idx.size:
         terminal[alive_idx] = pos
         delta[alive_idx] = _vandermonde_rows(pos)
-    return tau, delta, terminal
+    return tau, delta, terminal, snap
 
 
 def _block_sizes(paths):
@@ -162,7 +142,7 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int):
     max_h = horizons[-1]
     counts = np.zeros(len(horizons), dtype=np.int64)
     for b, size in enumerate(_block_sizes(paths)):
-        tau, _, _ = _simulate_block(cfg, max_h, b, size)
+        tau = _simulate_block(cfg, max_h, b, size)[0]
         counts += [(tau > h).sum() for h in horizons]
     out = []
     for h, c in zip(horizons, counts):
@@ -170,23 +150,6 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int):
         se = math.sqrt(p * (1.0 - p) / paths)
         out.append((h, EstimateCI(mean=p, stderr=se, n_samples=paths)))
     return out
-
-
-def batch_stopped_vandermonde(cfg: WalkConfig, n: int, paths: int) -> EstimateCI:
-    """Estimate E_x[Delta(X(tau)) 1{tau <= n}]; survivors contribute zero."""
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    if n == 0:
-        return EstimateCI(mean=0.0, stderr=0.0, n_samples=paths)
-    s = s2 = 0.0
-    for b, size in enumerate(_block_sizes(paths)):
-        tau, delta, _ = _simulate_block(cfg, n, b, size)
-        contrib = np.where(tau <= n, delta, 0.0)
-        s += contrib.sum()
-        s2 += (contrib ** 2).sum()
-    mean = s / paths
-    var = max(s2 / paths - mean ** 2, 0.0)
-    return EstimateCI(mean=mean, stderr=math.sqrt(var / paths), n_samples=paths)
 
 
 def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
@@ -204,7 +167,7 @@ def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
     block = 0
     while got < target_samples and attempted < max_attempts:
         size = min(BLOCK_SIZE, max_attempts - attempted)
-        tau, _, terminal = _simulate_block(cfg, n, block, size)
+        tau, _, terminal, _ = _simulate_block(cfg, n, block, size)
         keep = terminal[tau > n] / math.sqrt(n)
         collected.append(keep)
         got += keep.shape[0]

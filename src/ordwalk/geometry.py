@@ -1,4 +1,4 @@
-"""Weyl-chamber predicates, the Vandermonde determinant, and the reflection shift.
+"""Weyl-chamber predicate, Vandermonde product, exact determinant, reflection shift.
 
 All functions are pure and accept any sequence of k >= 2 coordinates.
 Exact integer/rational arithmetic is used whenever every coordinate is an
@@ -8,12 +8,9 @@ int or a Fraction; float inputs take the floating-point path.
 from fractions import Fraction
 from numbers import Integral
 
-import numpy as np
-
 __all__ = [
     "in_weyl",
     "vandermonde",
-    "vandermonde_det_form",
     "reflection_shift",
 ]
 
@@ -97,17 +94,6 @@ def exact_det(rows):
             det = det + term if j % 2 == 0 else det - term
         return det
     return _bareiss_det(rows)
-
-
-def vandermonde_det_form(x):
-    """Vandermonde via det[(x_j^(i-1))_{i,j}]; must agree with the product form."""
-    coords = _check_config(x)
-    k = len(coords)
-    if _is_exact(coords):
-        rows = [[c ** i for c in coords] for i in range(k)]
-        return exact_det(rows)
-    mat = np.vander(np.asarray(coords, dtype=float), increasing=True).T
-    return float(np.linalg.det(mat))
 
 
 def reflection_shift(y):

@@ -8,79 +8,37 @@ transition density of ordered Brownian motions.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 from scipy import special, stats
 
-from . import asymptotics
+from . import asymptotics, engine
 from .distributions import (
     TRANSFORMED_CHAIN_SALT,
-    TRANSFORM_REJECTION_SALT,
     RandomStream,
-    StepDistribution,
     UnsupportedOperationError,
     make_distribution,
 )
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
-from .lattice_exact import exact_vn, killed_gap_chain
+from .lattice_exact import killed_gap_chain
 
 __all__ = [
-    "TransformTable",
     "FeasibilityError",
-    "rademacher_gap_table",
-    "transform_step_exact",
     "transformed_gap_paths",
     "transformed_gap_distribution",
     "gap_law_tv",
     "transform_paths_rejection",
     "hermite_distance",
-    "sample_hermite_limit",
-    "dyson_density",
     "dyson_gap_marginal",
     "dyson_gap_cdf",
     "dyson_compare",
-    "clamp_warning_count",
-    "reset_clamp_warnings",
 ]
 
 
 class FeasibilityError(RuntimeError):
     """Plain rejection would be hopeless; carries the predicted cost."""
-
-
-@dataclass(frozen=True)
-class TransformTable:
-    """V values over a lattice domain, exact or estimated.
-
-    `values` maps configurations to Fraction (exact) or (mean, stderr)
-    tuples; `closed_form`, when set, serves configurations outside the dict.
-    All stored values must be positive.
-    """
-
-    k: int
-    domain: str
-    values: dict = field(default_factory=dict)
-    closed_form: object = None
-    exact: bool = True
-    stderr_budget: float = 0.0
-
-    def __post_init__(self):
-        for x, v in self.values.items():
-            mean = v[0] if isinstance(v, tuple) else v
-            if mean <= 0:
-                raise ValueError(f"V must be positive, got {mean} at {x}")
-
-    def v(self, x):
-        if x in self.values:
-            val = self.values[x]
-            return val[0] if isinstance(val, tuple) else val
-        if self.closed_form is not None:
-            return self.closed_form(x)
-        raise KeyError(f"configuration {x} outside table domain {self.domain}")
 
 
 def _rademacher_gap_v(x):
@@ -94,73 +52,6 @@ def _rademacher_gap_v(x):
     if g <= 0:
         raise ValueError("configuration must be strictly ordered")
     return Fraction(g + 1) if g % 2 else Fraction(g)
-
-
-def rademacher_gap_table() -> TransformTable:
-    """Exact V table for k=2 Rademacher steps via the closed form."""
-    return TransformTable(k=2, domain="all ordered integer pairs",
-                          closed_form=_rademacher_gap_v, exact=True)
-
-
-def table_from_exact_vn(cfg: WalkConfig, n: int, domain) -> TransformTable:
-    """Truncated table of exact rational V_n over an explicit domain.
-
-    V_n is only approximately invariant (it iterates to V_{n+1}), so one-step
-    normalization holds within the truncation gap, not exactly; the table
-    carries an stderr budget of max |V_{n+1}/V_n - 1| over the domain.
-    """
-    from dataclasses import replace
-
-    values = {}
-    budget = 0.0
-    for x in domain:
-        vs = exact_vn(replace(cfg, start=tuple(x)), n + 1)
-        values[tuple(x)] = vs[n - 1]
-        budget = max(budget, abs(float(vs[n] / vs[n - 1]) - 1.0))
-    return TransformTable(k=cfg.k, domain=f"{len(values)} configurations",
-                          values=values, exact=False, stderr_budget=budget)
-
-
-def transform_step_exact(table: TransformTable, x, dist: StepDistribution,
-                         stream: RandomStream):
-    """One transformed step from x: sample y with mass p(x->y) V(y)/V(x).
-
-    With an exact table the one-step masses are verified to sum to one in
-    rational arithmetic; estimated tables get the table's stderr budget as
-    tolerance. Moves leaving the chamber have V-weight zero by convention
-    (the Vandermonde vanishes on the boundary) and are never proposed.
-    """
-    if not dist.is_lattice:
-        raise UnsupportedOperationError("exact transform steps need a lattice law")
-    x = tuple(x)
-    vx = table.v(x)
-    targets = []
-    weights = []
-    for steps in product(dist.support(), repeat=table.k):
-        y = tuple(a + s for a, s in zip(x, steps))
-        if not in_weyl(y):
-            continue
-        mass = math.prod(dist.masses[s] for s in steps)
-        vy = table.v(y)
-        weights.append(Fraction(mass) * Fraction(vy) / Fraction(vx)
-                       if table.exact else float(mass) * vy / vx)
-        targets.append(y)
-    total = sum(weights)
-    if table.exact:
-        if total != 1:
-            raise ArithmeticError(
-                f"transformed one-step mass is {total}, expected exactly 1")
-    elif abs(float(total) - 1.0) > max(table.stderr_budget, 1e-12):
-        raise ArithmeticError(
-            f"transformed one-step mass {float(total)} off by more than the "
-            f"table budget {table.stderr_budget}")
-    u = stream.generator().random()
-    acc = 0.0
-    for y, w in zip(targets, weights):
-        acc += float(w) / float(total)
-        if u < acc:
-            return y
-    return targets[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +126,12 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
                               guard_m=None, predicted_acceptance=None):
     """Approximate the transformed law by conditioning on long survival.
 
-    Simulates plain paths, keeps those still ordered at the guard horizon m
-    (default 8x the requested length), and returns their positions at
-    t_steps. The conditional law converges to the transform as m grows, with
-    no explicit rate, so the report always includes a bias proxy: the binned
-    TV distance between the kept marginals under m and under 2m.
+    Simulates plain paths to 2m in engine blocks, keeps those still ordered
+    at the guard horizon m (default 8x the requested length), and returns
+    their positions at t_steps, in block order. The conditional law
+    converges to the transform as m grows, with no explicit rate, so the
+    report always includes a bias proxy: the binned TV distance between the
+    kept marginals under m and under 2m.
     """
     if t_steps < 0:
         raise ValueError("t_steps must be >= 0")
@@ -260,51 +152,32 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
             f"guard horizon {m}; plain rejection would need about "
             f"{paths / max(predicted_acceptance, 1e-300):.3g} attempts")
 
-    rng = RandomStream(cfg.master_seed, TRANSFORM_REJECTION_SALT).generator()
     kept_m = []
     kept_2m = []
-    attempts = 0
+    got = attempts = block = 0
     max_attempts = int(paths / max(predicted_acceptance, 1e-6)) * 20 + 10000
-    block = 1 << 13
-    while len(kept_m) < paths and attempts < max_attempts:
-        pos = np.tile(np.asarray(cfg.start, dtype=float), (block, 1))
-        at_t = np.zeros_like(pos)
-        alive = np.ones(block, dtype=bool)
-        alive_m = np.zeros(block, dtype=bool)
-        snap = np.zeros_like(pos)
-        for step in range(1, 2 * m + 1):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            pos[idx] += cfg.dist.sample_array(rng, (idx.size, k))
-            exited = np.any(np.diff(pos[idx], axis=1) <= 0, axis=1)
-            alive[idx[exited]] = False
-            if step == t_steps:
-                at_t[alive] = pos[alive]
-            if step == m:
-                alive_m = alive.copy()
-                snap = at_t.copy()
-        if t_steps == 0:
-            snap = np.tile(np.asarray(cfg.start, dtype=float), (block, 1))
-            at_t = snap.copy()
-        kept_m.extend(snap[alive_m].tolist())
-        kept_2m.extend(at_t[alive].tolist())
-        attempts += block
-    rate = len(kept_m) / attempts if attempts else 0.0
-    if len(kept_m) < paths:
+    while got < paths and attempts < max_attempts:
+        size = min(engine.BLOCK_SIZE, max_attempts - attempts)
+        tau, _, _, at_t = engine._simulate_block(cfg, 2 * m, block, size, t_steps)
+        kept_m.append(at_t[tau > m])
+        kept_2m.append(at_t[tau > 2 * m])
+        got += kept_m[-1].shape[0]
+        attempts += size
+        block += 1
+    samples = np.concatenate(kept_m)[:paths]
+    at_2m = np.concatenate(kept_2m)
+    rate = got / attempts
+    if got < paths:
         raise PartialResultError(
-            f"kept {len(kept_m)}/{paths} paths after {attempts} attempts "
+            f"kept {got}/{paths} paths after {attempts} attempts "
             f"(acceptance {rate:.3g})",
-            endpoints=np.asarray(kept_m), acceptance_rate=rate)
-    samples_m = np.asarray(kept_m[:paths])
-    samples_2m = np.asarray(kept_2m)
-    proxy = _marginal_tv(samples_m, samples_2m) if len(samples_2m) else math.nan
+            endpoints=samples, acceptance_rate=rate)
     return {
-        "samples": samples_m,
+        "samples": samples,
         "acceptance_rate": rate,
         "guard_m": m,
-        "bias_proxy_tv": proxy,
-        "n_at_2m": len(samples_2m),
+        "bias_proxy_tv": _marginal_tv(samples, at_2m) if len(at_2m) else math.nan,
+        "n_at_2m": len(at_2m),
     }
 
 
@@ -366,57 +239,8 @@ def gap_law_tv(x, probs) -> float:
     return 0.5 * float(np.abs(emp - model).sum() + abs(emp_out - model_out))
 
 
-def sample_hermite_limit(k: int, size: int, rng) -> np.ndarray:
-    """Exact samples from the squared-Vandermonde ensemble (k=2 only).
-
-    Center v ~ N(0, 1/2); gap density proportional to g^2 exp(-g^2/4) is a
-    chi distribution with 3 degrees of freedom scaled by sqrt(2).
-    """
-    if k != 2:
-        raise UnsupportedOperationError("Hermite sampler implemented for k=2")
-    g = np.sqrt(2.0) * stats.chi.rvs(3, size=size, random_state=rng)
-    v = rng.normal(0.0, math.sqrt(0.5), size)
-    return np.stack([v - g / 2.0, v + g / 2.0], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # ordered Brownian motion (the Delta-transformed Gaussian law)
-
-_clamp_warnings = 0
-
-
-def clamp_warning_count() -> int:
-    return _clamp_warnings
-
-
-def reset_clamp_warnings():
-    global _clamp_warnings
-    _clamp_warnings = 0
-
-
-def dyson_density(x, t: float, y) -> float:
-    """Transition density of k ordered Brownian motions from x to y in time t.
-
-    det[phi_t(y_j - x_i)] * Delta(y) / Delta(x), with phi_t the centered
-    Gaussian kernel of variance t. Nonnegative up to round-off; tiny negative
-    determinant values are clamped to zero and counted.
-    """
-    global _clamp_warnings
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if not (in_weyl(x) and in_weyl(y)):
-        raise ValueError("x and y must lie in the Weyl chamber")
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    diff = ys[None, :] - xs[:, None]
-    kern = np.exp(-diff ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-    det = float(np.linalg.det(kern))
-    val = det * float(vandermonde(ys)) / float(vandermonde(xs))
-    if val < 0:
-        _clamp_warnings += 1
-        val = 0.0
-    return val
-
 
 def dyson_gap_marginal(g0: float, t: float, g) -> np.ndarray:
     """Gap density of two ordered Brownian motions after time t, start gap g0.

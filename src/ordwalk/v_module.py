@@ -60,7 +60,7 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths):
     max_h = horizons[-1]
     totals = np.zeros((len(horizons), 2))
     for b, size in enumerate(engine._block_sizes(paths)):
-        tau, delta, _ = engine._simulate_block(cfg, max_h, b, size)
+        tau, delta, _, _ = engine._simulate_block(cfg, max_h, b, size)
         for i, h in enumerate(horizons):
             contrib = np.where(tau <= h, delta, 0.0)
             totals[i] += contrib.sum(), (contrib ** 2).sum()

@@ -160,12 +160,11 @@ def test_criterion_06_endpoint_limit_law():
 def test_criterion_07_v_scaling():
     # exact branch: n = m^2 with m odd snaps sqrt(n)*(0,1) to gap m, where
     # the closed form gives V = m + 1, i.e. n^{-1/2} V = 1 + n^{-1/2} exactly
-    table = tr.rademacher_gap_table()
     exact_ok = True
     for root in (3, 5, 9, 15, 31):
         n = root * root
         start = v_module.snap_to_lattice((0.0, math.sqrt(n)), 2)
-        lhs = float(table.v(start)) / math.sqrt(n)
+        lhs = float(tr._rademacher_gap_v(start)) / math.sqrt(n)
         exact_ok = exact_ok and lhs == 1.0 + 1.0 / math.sqrt(n)
     # Gaussian branch: estimated scaled V against Delta of the unit config
     gauss = make_distribution("gaussian")

@@ -21,7 +21,6 @@ from ordwalk.asymptotics import (
     endpoint_density_distance,
     local_clt_deviation,
     quadrature_scheme_gap,
-    sample_endpoint_limit,
     tail_fit,
     walk_pmf,
     z1_constant,
@@ -149,9 +148,21 @@ def test_z1_k2_value(cache):
                                rel=1e-12)
 
 
+def _sample_endpoint_limit(size, rng):
+    """Exact samples from the k=2 endpoint limit density.
+
+    Factorizes as center v ~ N(0, 1/2) independent of gap g with density
+    (g/2) exp(-g^2/4), sampled by CDF inversion g = 2 sqrt(-log u).
+    """
+    u = rng.random(size)
+    g = 2.0 * np.sqrt(-np.log(u))
+    v = rng.normal(0.0, math.sqrt(0.5), size)
+    return np.stack([v - g / 2.0, v + g / 2.0], axis=1)
+
+
 def test_endpoint_distance_self_test():
     rng = np.random.default_rng(7)
-    samples = sample_endpoint_limit(2, 20_000, rng)
+    samples = _sample_endpoint_limit(20_000, rng)
     rep = endpoint_density_distance(samples, 2)
     assert rep["n_samples"] == 20_000
     assert rep["ks_per_gap"][0] < 0.02
@@ -227,11 +238,6 @@ def test_binned_tv_bins_are_half_open():
     inside = _binned_tv(np.array([[-3.9, 0.0]]), 2, 1)
     assert below == pytest.approx(top_edge, abs=1e-15)
     assert below != pytest.approx(inside, abs=1e-6)
-
-
-def test_sample_endpoint_limit_k3_unsupported():
-    with pytest.raises(UnsupportedOperationError):
-        sample_endpoint_limit(3, 10, np.random.default_rng(0))
 
 
 def test_walk_pmf_exact_small():

@@ -9,6 +9,7 @@ import pytest
 
 from ordwalk import asymptotics, transform
 from ordwalk.cli import (
+    _KIND_PARAMS,
     SpecError,
     _fmt_float,
     _to_json,
@@ -315,15 +316,63 @@ def test_validate_rejects_bool_and_fractional_ints(edit, field):
     "schedule: [16, 32, 16]",
 ])
 def test_validate_rejects_bad_horizon_lists(params):
-    doc = GOOD_KM.replace("exact-km", "tail").replace("n: 4", params)
-    with pytest.raises(SpecError, match=params.split(":")[0]):
+    key = params.split(":")[0]
+    kind = "tail" if key == "horizons" else "estimate-v"
+    doc = GOOD_KM.replace("exact-km", kind).replace("n: 4", params)
+    with pytest.raises(SpecError, match=key) as exc:
         validate_spec(doc)
+    assert all("must list" in e or "repeated" in e for e in exc.value.errors)
 
 
 def test_validate_accepts_positive_horizon_lists():
-    doc = GOOD_KM.replace("n: 4", "horizons: [16, 64]\n  schedule: [8, 16]")
-    spec = validate_spec(doc)
-    assert spec.params == {"horizons": [16, 64], "schedule": [8, 16]}
+    doc = GOOD_KM.replace("exact-km", "tail").replace("n: 4", "horizons: [16, 64]")
+    assert validate_spec(doc).params == {"horizons": [16, 64]}
+    doc = GOOD_KM.replace("exact-km", "estimate-v").replace("n: 4", "schedule: [8, 16]")
+    assert validate_spec(doc).params == {"schedule": [8, 16]}
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    ("endpoint", "{n: 64, survivor: 100}", "params.survivor"),
+    ("exact-km", "{n: 4, paths: 10}", "params.paths"),
+    ("tail", "{horizons: [16], schedule: [16]}", "params.schedule"),
+    ("exact-reflect", "{n: 4, l: 9}", "params.l"),
+    ("exact-reflect", "{l: 5}", r"1\.\.4"),
+    ("exact-reflect", "{n: 3, l: 4}", r"1\.\.3"),
+])
+def test_validate_rejects_params_the_kind_does_not_read(kind, params, field):
+    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1]}}\nparams: {params}\n"
+    with pytest.raises(SpecError, match=field) as exc:
+        validate_spec(doc)
+    assert len(exc.value.errors) == 1
+
+
+def test_validate_accepts_every_param_each_runner_reads(tmp_path):
+    # every key a runner looks up must be in its kind's table entry
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    small = {"exact-km": "{n: 2}", "exact-reflect": "{n: 2, l: 2}",
+             "exact-v": "{n: 2}", "estimate-v": "{schedule: [2, 4], paths: 100}",
+             "tail": "{horizons: [2, 4], paths: 100, exponent_tol: 10}",
+             "endpoint": "{n: 4, survivors: 20, max_attempts: 2000}",
+             "lclt": "{horizons: [4, 8], threshold: 1}",
+             "transform": "{t_steps: 1, paths: 20, guard_m: 2}",
+             "hermite": "{n: 4, paths: 20}",
+             "dyson-compare": "{t: 1.0, horizons: [4, 16], paths: 20, "
+                              "x_unit: [0, 1], tv_threshold: 1}"}
+    assert set(small) == set(_KIND_PARAMS)
+    for kind, params in small.items():
+        dist = "lazy_lattice" if kind == "lclt" else "rademacher"
+        spec = validate_spec(f"kind: {kind}\nwalk: {{k: 2, start: [0, 1], dist: {dist}}}\n"
+                             f"params: {params}\n")
+        assert set(spec.params) == set(_KIND_PARAMS[kind])
+        read = set()
+        object.__setattr__(spec, "params", Recording(spec.params))
+        manifest, _ = run_experiment(spec, out_dir=str(tmp_path / kind))
+        assert manifest.error is None, (kind, manifest.error)
+        assert read == set(_KIND_PARAMS[kind]), kind
 
 
 def test_estimate_v_run_simulates_once(tmp_path, monkeypatch):

@@ -1,0 +1,84 @@
+"""Every public name of the package is used by the program, the benchmark or
+the acceptance criteria, and not only by unit tests."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ordwalk"
+USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
+
+# public names that only unit tests call, and why each stays public
+TEST_ONLY = {
+    "lattice_exact.exact_free_kernel":
+        "exact free k-walk law; the killed kernels are checked against it",
+    "lattice_exact.exact_stopped_measure":
+        "exact exit law P(tau = m, X(m) = z); checked for mass balance with survival",
+    "lattice_exact.gap_chain_stopped_delta":
+        "float64 k=2 E[Delta(X(tau)); tau <= n], the V_n reference past exact capacity",
+    "transform.dyson_gap_marginal":
+        "ordered-BM gap density; its quadrature checks the closed-form dyson_gap_cdf",
+    "v_module.harmonicity_residual":
+        "Monte Carlo harmonicity check of V_n; no run kind calls it, since in "
+        "estimate-v it would add a nested simulation",
+}
+
+
+TREES = {path: ast.parse(path.read_text()) for path in USERS}
+
+
+def _exported(path):
+    for node in TREES[path].body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references(path, module, name):
+    """Uses of `name` in a file: names, attributes, imports and identifier
+    strings (bench/spans.py patches by attribute name). The name's own
+    definition, its body, and `__all__` do not count."""
+    count = 0
+
+    def visit(node):
+        nonlocal count
+        if (path.stem == module and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name):
+            return
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return
+        if isinstance(node, ast.Name) and node.id == name:
+            count += 1
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            count += 1
+        elif isinstance(node, ast.alias) and node.name == name:
+            count += 1
+        elif isinstance(node, ast.Constant) and node.value == name:
+            count += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(TREES[path])
+    return count
+
+
+PUBLIC = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+          for name in _exported(path)]
+
+
+@pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
+def test_public_name_has_a_user(module, name):
+    used = sum(_references(path, module, name) for path in USERS)
+    if f"{module}.{name}" in TEST_ONLY:
+        assert used == 0, f"{module}.{name} has users; drop it from TEST_ONLY"
+    else:
+        assert used > 0, f"{module}.{name} is public but nothing outside tests uses it"
+
+
+def test_test_only_names_are_public():
+    assert set(TEST_ONLY) <= {f"{m}.{n}" for m, n in PUBLIC}

@@ -12,9 +12,6 @@ from ordwalk.distributions import (
     RandomStream,
     UnsupportedOperationError,
     make_distribution,
-    moments,
-    sample_step,
-    step_pmf,
 )
 
 
@@ -47,7 +44,7 @@ def test_custom_lattice_example():
     d = make_distribution(
         "custom_lattice",
         masses={-2: Fraction(1, 8), 0: Fraction(3, 4), 2: Fraction(1, 8)})
-    assert moments(d) == (0.0, 1.0, math.inf)
+    assert (d.mean, d.variance, d.moment_order) == (0.0, 1.0, math.inf)
     assert d.lattice.span == 2 and d.lattice.offset == 0
 
 
@@ -78,14 +75,19 @@ def test_nonpositive_variance():
 def test_step_pmf_values():
     rad = make_distribution("rademacher")
     lazy = make_distribution("lazy_lattice")
-    assert step_pmf(rad, 1) == Fraction(1, 2)
-    assert step_pmf(rad, 0) == 0
-    assert step_pmf(lazy, 0) == Fraction(1, 2)
+    assert rad.masses[1] == Fraction(1, 2)
+    assert 0 not in rad.masses
+    assert lazy.masses[0] == Fraction(1, 2)
+    assert rad.denominator == 2 and lazy.denominator == 4
 
 
 def test_step_pmf_continuous_unsupported():
+    gauss = make_distribution("gaussian")
+    assert gauss.masses is None and not gauss.is_lattice
     with pytest.raises(UnsupportedOperationError):
-        step_pmf(make_distribution("gaussian"), 0)
+        gauss.support()
+    with pytest.raises(UnsupportedOperationError):
+        gauss.denominator
 
 
 def test_mass_and_mean_sums_exact():
@@ -112,27 +114,31 @@ def test_custom_lattice_moments_property(raw):
     if len([m for m in merged.values() if m > 0]) < 2:
         return
     d = make_distribution("custom_lattice", masses=merged)
-    mu, var, _ = moments(d)
-    assert mu == 0.0 and var > 0
+    var = sum(Fraction(s) ** 2 * m for s, m in merged.items())
+    assert d.mean == 0.0 and d.variance == float(var) > 0
+
+
+def _draws(kind, stream, calls=20):
+    """Steps from `calls` successive draws on one stream's generator."""
+    d = make_distribution(kind)
+    rng = stream.generator()
+    return np.concatenate([d.sample_array(rng, 3) for _ in range(calls)])
 
 
 def test_stream_replay_is_identical():
-    a = [sample_step(make_distribution("gaussian"), RandomStream(7, 3))
-         for _ in range(1)]
-    b = [sample_step(make_distribution("gaussian"), RandomStream(7, 3))
-         for _ in range(1)]
-    assert a == b
-    s1, s2 = RandomStream(7, 3), RandomStream(7, 3)
-    g = make_distribution("gaussian")
-    assert [sample_step(g, s1) for _ in range(20)] == \
-        [sample_step(g, s2) for _ in range(20)]
+    for kind in ("gaussian", "lazy_lattice"):
+        assert np.array_equal(_draws(kind, RandomStream(7, 3)),
+                              _draws(kind, RandomStream(7, 3)))
+    # one stream object hands out the same generator on every call
+    stream = RandomStream(7, 3)
+    assert stream.generator() is stream.generator()
 
 
 def test_distinct_streams_differ():
-    g = make_distribution("gaussian")
-    s1, s2 = RandomStream(7, 0), RandomStream(7, 1)
-    assert [sample_step(g, s1) for _ in range(5)] != \
-        [sample_step(g, s2) for _ in range(5)]
+    for kind in ("gaussian", "lazy_lattice"):
+        base = _draws(kind, RandomStream(7, 0))
+        assert not np.array_equal(base, _draws(kind, RandomStream(7, 1)))
+        assert not np.array_equal(base, _draws(kind, RandomStream(8, 0)))
 
 
 def test_sampled_mean_lazy():
@@ -240,7 +246,7 @@ def test_sampler_is_compiled_once_per_law():
     assert make_distribution("gaussian").sampler is None
 
 
-def test_lattice_draws_use_smallest_site_dtype_and_sample_step_is_float():
+def test_lattice_draws_use_smallest_site_dtype():
     rad = make_distribution("rademacher")
     draws = rad.sample_array(RandomStream(5, 0).generator(), (16, 3))
     assert draws.dtype == np.int8 and set(np.unique(draws).tolist()) <= {-1, 1}
@@ -250,6 +256,5 @@ def test_lattice_draws_use_smallest_site_dtype_and_sample_step_is_float():
     with pytest.raises(ValueError, match="int64"):
         make_distribution("custom_lattice",
                           masses={-2 ** 70: Fraction(1, 2), 2 ** 70: Fraction(1, 2)})
-    for dist in (rad, make_distribution("gaussian")):
-        step = sample_step(dist, RandomStream(5, 1))
-        assert type(step) is float
+    gauss = make_distribution("gaussian").sample_array(RandomStream(5, 0).generator(), 8)
+    assert gauss.dtype == np.float64

@@ -1,20 +1,19 @@
-"""Path engine: exit detection, batch estimates, and thread invariance."""
+"""Path engine: exit detection, batch estimates, and block replay."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordwalk.distributions import RandomStream, make_distribution
+from ordwalk.distributions import make_distribution
 from ordwalk.engine import (
+    BLOCK_SIZE,
     EstimateCI,
     PartialResultError,
     WalkConfig,
     _simulate_block,
-    batch_stopped_vandermonde,
     batch_survival,
     conditioned_endpoints,
-    run_path,
 )
 
 RAD = make_distribution("rademacher")
@@ -36,31 +35,6 @@ def test_config_validation():
     WalkConfig(k=2, start=(0.5, 1.5), dist=make_distribution("gaussian"))
 
 
-def test_run_path_deterministic():
-    a = run_path(cfg2(), 50, RandomStream(3, 9))
-    b = run_path(cfg2(), 50, RandomStream(3, 9))
-    assert a == b
-    assert a.stop_time >= 1
-    if a.exited:
-        assert a.delta_at_stop <= 0
-        assert a.stop_time <= 50
-
-
-def test_run_path_rejects_zero_horizon():
-    with pytest.raises(ValueError):
-        run_path(cfg2(), 0, RandomStream(0, 0))
-
-
-def test_run_path_exit_state_disordered():
-    for i in range(30):
-        out = run_path(cfg2(), 20, RandomStream(1, i))
-        diffs = np.diff(out.terminal)
-        if out.exited:
-            assert (diffs <= 0).any()
-        else:
-            assert (diffs > 0).all() and out.stop_time == 20
-
-
 def test_one_step_survival_three_quarters():
     [(h, est)] = batch_survival(cfg2(), [1], paths=200_000)
     assert h == 1
@@ -72,14 +46,26 @@ def test_zero_horizon_survival_is_one():
     assert h == 0 and est.mean == 1.0 and est.stderr == 0.0
 
 
+def _stopped_vandermonde(cfg, n, blocks):
+    """Per-path Delta(X(tau)) 1{tau <= n} over the first `blocks` full blocks."""
+    out = []
+    for b in range(blocks):
+        tau, delta, _, _ = _simulate_block(cfg, n, b, BLOCK_SIZE)
+        out.append(np.where(tau <= n, delta, 0.0))
+    return np.concatenate(out)
+
+
 def test_one_step_stopped_vandermonde():
-    est = batch_stopped_vandermonde(cfg2(), 1, paths=200_000)
+    # the pair exits at step one only by swapping to gap -1, with mass 1/4
+    contrib = _stopped_vandermonde(cfg2(), 1, blocks=12)
+    est = EstimateCI(mean=contrib.mean(), stderr=contrib.std() / np.sqrt(contrib.size),
+                     n_samples=contrib.size)
+    assert set(np.unique(contrib).tolist()) == {-1.0, 0.0}
     assert est.covers(-0.25, n_sigma=4)
 
 
 def test_zero_step_stopped_vandermonde_exact_zero():
-    est = batch_stopped_vandermonde(cfg2(), 0, paths=10)
-    assert est.mean == 0.0 and est.stderr == 0.0
+    assert not _stopped_vandermonde(cfg2(), 0, blocks=1).any()
 
 
 def test_survival_monotone_in_horizon():
@@ -94,9 +80,10 @@ def test_rerun_reproduces_results():
     again = batch_survival(cfg2(), [4, 16], paths=60_000)
     assert [(h, e.mean, e.stderr) for h, e in first] == \
         [(h, e.mean, e.stderr) for h, e in again]
-    b1 = batch_stopped_vandermonde(cfg2(), 8, paths=60_000)
-    b2 = batch_stopped_vandermonde(cfg2(), 8, paths=60_000)
-    assert b1 == b2
+    for b in (0, 3):
+        first = _simulate_block(cfg2(), 8, b, 1000, 4)
+        again = _simulate_block(cfg2(), 8, b, 1000, 4)
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
 
 
 def test_conditioned_endpoints_shape_and_order():
@@ -127,11 +114,17 @@ def test_estimate_ci_covers():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 1000), st.integers(1, 40))
-def test_run_path_replay_property(seed, horizon):
-    s1 = RandomStream(seed, 0)
-    s2 = RandomStream(seed, 0)
-    assert run_path(cfg2(seed), horizon, s1) == run_path(cfg2(seed), horizon, s2)
+@given(st.integers(0, 1000), st.integers(0, 40), st.integers(0, 5))
+def test_simulate_block_replay_property(seed, horizon, block):
+    # a block is a pure function of (seed, block index): a replay is identical,
+    # and a shorter horizon replays the same paths up to its end
+    first = _simulate_block(cfg2(seed), horizon, block, 64, horizon // 2)
+    again = _simulate_block(cfg2(seed), horizon, block, 64, horizon // 2)
+    assert all(np.array_equal(x, y) for x, y in zip(first, again))
+    tau_short, _, terminal_short, _ = _simulate_block(cfg2(seed), horizon // 2, block, 64)
+    assert np.array_equal(np.minimum(first[0], horizon // 2 + 1), tau_short)
+    survived = first[0] > horizon // 2
+    assert np.array_equal(first[3][survived], terminal_short[survived])
 
 
 @pytest.mark.parametrize("kind, start, dtype", [
@@ -142,13 +135,36 @@ def test_run_path_replay_property(seed, horizon):
 def test_simulate_block_terminal_dtype(kind, start, dtype):
     cfg = WalkConfig(k=len(start), start=start, dist=make_distribution(kind),
                      master_seed=3)
-    tau, delta, terminal = _simulate_block(cfg, 64, 0, 2000)
+    tau, delta, terminal, snap = _simulate_block(cfg, 64, 0, 2000)
+    assert snap is None
     assert terminal.dtype == dtype and terminal.shape == (2000, len(start))
+    assert ((1 <= tau) & (tau <= 65)).all()
     # exit rows are out of order at tau, survivors stay ordered
     gaps = np.diff(terminal, axis=1)
     exited = tau <= 64
+    assert exited.any() and not exited.all()
     assert (gaps[exited] <= 0).any(axis=1).all()
     assert (gaps[~exited] > 0).all()
     prod = np.prod([terminal[:, j] - terminal[:, i] for i in range(len(start))
                     for j in range(i + 1, len(start))], axis=0)
     assert np.array_equal(delta, prod.astype(float))
+
+
+@pytest.mark.parametrize("kind, start", [
+    ("rademacher", (0, 1, 2)),
+    ("gaussian", (0.0, 1.0)),
+])
+def test_simulate_block_snapshot_is_the_position_at_that_step(kind, start):
+    # same block, stopped at the snapshot step: its survivors' terminals are
+    # the snapshot rows, and every other row keeps the start
+    cfg = WalkConfig(k=len(start), start=start, dist=make_distribution(kind),
+                     master_seed=4)
+    tau, _, _, snap = _simulate_block(cfg, 40, 2, 3000, 10)
+    tau_10, _, terminal_10, _ = _simulate_block(cfg, 10, 2, 3000)
+    alive = tau > 10
+    assert np.array_equal(alive, tau_10 > 10)
+    assert snap.dtype == terminal_10.dtype
+    assert np.array_equal(snap[alive], terminal_10[alive])
+    assert (snap[~alive] == np.asarray(start)).all()
+    _, _, _, snap0 = _simulate_block(cfg, 40, 2, 3000, 0)
+    assert (snap0 == np.asarray(start)).all()

@@ -1,36 +1,40 @@
-"""Conditioned-walk transform: exact step law, limit ensembles, BM marginals."""
+"""Conditioned-walk transform: closed-form V, limit ensembles, BM marginals."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 import ordwalk.transform as tr
-from ordwalk.distributions import RandomStream, make_distribution
+from ordwalk import engine
+from ordwalk.distributions import make_distribution
 from ordwalk.engine import PartialResultError, WalkConfig
+from ordwalk.geometry import in_weyl, vandermonde
 from ordwalk.lattice_exact import exact_survival_kernel, exact_vn
 
 RAD = make_distribution("rademacher")
 
 
 def test_closed_form_table_values():
-    table = tr.rademacher_gap_table()
-    assert table.v((0, 1)) == 2
-    assert table.v((0, 2)) == 2
-    assert table.v((0, 3)) == 4
-    assert table.v((5, 9)) == 4
+    v = tr._rademacher_gap_v
+    assert v((0, 1)) == 2
+    assert v((0, 2)) == 2
+    assert v((0, 3)) == 4
+    assert v((5, 9)) == 4
     with pytest.raises(ValueError):
-        table.v((1, 1))
+        v((1, 1))
 
 
 def test_closed_form_is_harmonic_for_killed_gap_chain():
     # the gap moves -2/0/+2 with masses 1/4, 1/2, 1/4 and is killed at <= 0;
     # the closed form must reproduce itself exactly under one step
-    table = tr.rademacher_gap_table()
+    def v(gap):
+        return tr._rademacher_gap_v((0, gap)) if gap > 0 else Fraction(0)
+
     for g in range(1, 12):
-        v = lambda gap: table.v((0, gap)) if gap > 0 else Fraction(0)
         one_step = (Fraction(1, 4) * v(g + 2) + Fraction(1, 2) * v(g)
                     + Fraction(1, 4) * v(g - 2))
         assert one_step == v(g)
@@ -38,46 +42,36 @@ def test_closed_form_is_harmonic_for_killed_gap_chain():
 
 def test_closed_form_dominates_exact_truncations():
     # V_n increases to V; at n = 20 the truncation sits just below the limit
-    table = tr.rademacher_gap_table()
     for gap in (1, 2, 3):
         exact = float(exact_vn(WalkConfig(2, (0, gap), RAD), 20)[-1])
-        limit = float(table.v((0, gap)))
+        limit = float(tr._rademacher_gap_v((0, gap)))
         assert exact <= limit
         assert limit - exact < 0.5
 
 
-def test_table_positivity_enforced():
-    with pytest.raises(ValueError):
-        tr.TransformTable(k=2, domain="bad", values={(0, 1): Fraction(0)})
-
-
-def test_table_from_exact_vn_budget():
-    domain = [(0, g) for g in range(1, 6)]
-    cfg = WalkConfig(2, (0, 1), RAD)
-    table = tr.table_from_exact_vn(cfg, 8, domain)
-    assert not table.exact and table.stderr_budget > 0
-    assert table.v((0, 1)) > 0
+def _transform_step_law(x):
+    """Exact one-step law p(x -> y) V(y) / V(x) of the k=2 Rademacher transform."""
+    vx = tr._rademacher_gap_v(x)
+    law = {}
+    for a, b in product(RAD.support(), repeat=2):
+        y = (x[0] + a, x[1] + b)
+        if in_weyl(y):
+            law[y] = RAD.masses[a] * RAD.masses[b] * tr._rademacher_gap_v(y) / vx
+    return law
 
 
 def test_transform_step_exact_normalizes_and_moves():
-    table = tr.rademacher_gap_table()
-    stream = RandomStream(0, 0)
-    seen = set()
-    x = (0, 1)
-    for _ in range(200):
-        y = tr.transform_step_exact(table, x, RAD, stream)
-        assert y[0] < y[1]
-        seen.add((y[0] - x[0], y[1] - x[1]))
-        x = y
-    # all four one-step moves that keep the order should occur from gap >= 3
-    assert (1, 1) in seen and (-1, -1) in seen and (-1, 1) in seen
-
-
-def test_transform_step_rejects_inconsistent_table():
-    bad = tr.TransformTable(k=2, domain="wrong", exact=True,
-                            closed_form=lambda x: Fraction(x[1] - x[0]))
-    with pytest.raises(ArithmeticError):
-        tr.transform_step_exact(bad, (0, 1), RAD, RandomStream(0, 0))
+    for x in [(0, g) for g in range(1, 8)] + [(-3, 4), (5, 6)]:
+        assert sum(_transform_step_law(x).values()) == 1
+    # one step of the pair sampler from gap 3 makes all four ordered moves,
+    # with the exact transformed masses 1/4, 1/4, 3/8 and 1/8
+    paths = 40_000
+    pts = tr.transformed_pair_paths((0, 3), 1, paths, master_seed=5)
+    law = _transform_step_law((0, 3))
+    assert len(law) == 4
+    for y, p in law.items():
+        freq = float((pts == y).all(axis=1).mean())
+        assert abs(freq - float(p)) < 5 * math.sqrt(float(p * (1 - p)) / paths)
 
 
 def test_transformed_gap_distribution_moments():
@@ -91,11 +85,10 @@ def test_transformed_gap_distribution_moments():
 def _exact_h_transformed_gap_law(start_gap, n):
     """Rational P(tau > n, gap(n) = g) V(g) / V(g0) from the exact k=2 kernel."""
     cfg = WalkConfig(k=2, start=(0, start_gap), dist=RAD)
-    table = tr.rademacher_gap_table()
-    v0 = table.v((0, start_gap))
+    v0 = tr._rademacher_gap_v((0, start_gap))
     law = {}
     for (a, b), mass in exact_survival_kernel(cfg, n).masses.items():
-        law[b - a] = law.get(b - a, Fraction(0)) + mass * table.v((a, b)) / v0
+        law[b - a] = law.get(b - a, Fraction(0)) + mass * tr._rademacher_gap_v((a, b)) / v0
     return law
 
 
@@ -148,9 +141,20 @@ def test_hermite_gap_tv_exact_decreases():
     assert vals[2] < 0.03
 
 
+def _sample_hermite_limit(size, rng):
+    """Exact samples from the k=2 squared-Vandermonde ensemble.
+
+    Center v ~ N(0, 1/2); gap density proportional to g^2 exp(-g^2/4) is a
+    chi distribution with 3 degrees of freedom scaled by sqrt(2).
+    """
+    g = np.sqrt(2.0) * stats.chi.rvs(3, size=size, random_state=rng)
+    v = rng.normal(0.0, math.sqrt(0.5), size)
+    return np.stack([v - g / 2.0, v + g / 2.0], axis=1)
+
+
 def test_hermite_distance_self_test():
     rng = np.random.default_rng(11)
-    samples = tr.sample_hermite_limit(2, 20_000, rng)
+    samples = _sample_hermite_limit(20_000, rng)
     rep = tr.hermite_distance(samples, 2)
     assert rep["ks_per_gap"][0] < 0.02
     assert abs(rep["gap_sq_mean"][0] - 6.0) < 4 * rep["gap_sq_stderr"][0]
@@ -171,6 +175,51 @@ def test_rejection_transform_small_case():
     assert out["bias_proxy_tv"] < 0.2
 
 
+def test_rejection_transform_at_step_zero_returns_the_start():
+    cfg = WalkConfig(3, (0, 2, 5), RAD, master_seed=1)
+    out = tr.transform_paths_rejection(cfg, t_steps=0, paths=300)
+    assert out["samples"].dtype == np.int64
+    assert (out["samples"] == (0, 2, 5)).all() and out["samples"].shape == (300, 3)
+    assert out["guard_m"] == 8 and out["bias_proxy_tv"] == 0.0
+
+
+def test_rejection_transform_continuous_law_gives_float_rows():
+    cfg = WalkConfig(2, (0.0, 1.5), make_distribution("gaussian"), master_seed=2)
+    out = tr.transform_paths_rejection(cfg, t_steps=3, paths=500)
+    assert out["samples"].dtype == np.float64 and out["samples"].shape == (500, 2)
+    assert (np.diff(out["samples"], axis=1) > 0).all()
+    assert len(np.unique(out["samples"][:, 0])) == 500
+
+
+def test_rejection_transform_rerun_is_identical():
+    cfg = WalkConfig(3, (0, 1, 2), RAD, master_seed=6)
+    first = tr.transform_paths_rejection(cfg, t_steps=2, paths=400)
+    again = tr.transform_paths_rejection(cfg, t_steps=2, paths=400)
+    assert first["samples"].tobytes() == again["samples"].tobytes()
+    assert {a: b for a, b in first.items() if a != "samples"} == \
+        {a: b for a, b in again.items() if a != "samples"}
+
+
+def test_rejection_transform_keeps_the_engine_blocks_rows():
+    # the kept rows are, in block order, the step-t positions of the engine
+    # blocks' paths with tau > m; the bias proxy's rows are those with tau > 2m
+    cfg = WalkConfig(3, (0, 1, 2), RAD, master_seed=9)
+    t, m, paths = 3, 12, 6000
+    out = tr.transform_paths_rejection(cfg, t, paths, guard_m=m)
+    rows_m, rows_2m, attempts, b = [], [], 0, 0
+    while sum(map(len, rows_m)) < paths:
+        tau, _, _, at_t = engine._simulate_block(cfg, 2 * m, b, engine.BLOCK_SIZE, t)
+        rows_m.append(at_t[tau > m])
+        rows_2m.append(at_t[tau > 2 * m])
+        attempts += engine.BLOCK_SIZE
+        b += 1
+    assert b > 1  # the check spans more than one block
+    kept = np.concatenate(rows_m)
+    assert np.array_equal(out["samples"], kept[:paths])
+    assert out["acceptance_rate"] == len(kept) / attempts
+    assert out["n_at_2m"] == sum(map(len, rows_2m))
+
+
 def test_rejection_transform_feasibility_guard():
     cfg = WalkConfig(2, (0, 1), RAD, master_seed=3)
     with pytest.raises(tr.FeasibilityError):
@@ -187,24 +236,21 @@ def test_rejection_transform_partial_result():
     assert exc.value.acceptance_rate < 0.1
 
 
-def test_dyson_density_values():
-    # k=1 reduction sanity via k=2 with one walker far away is awkward;
-    # instead check symmetry, normalization on a grid, and clamping counter
-    tr.reset_clamp_warnings()
-    val = tr.dyson_density((0.0, 1.0), 0.5, (0.0, 1.0))
-    assert val > 0
-    with pytest.raises(ValueError):
-        tr.dyson_density((1.0, 0.0), 0.5, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        tr.dyson_density((0.0, 1.0), 0.0, (0.0, 1.0))
-    assert tr.clamp_warning_count() == 0
+def _dyson_density(x, t, y):
+    """Transition density of k ordered Brownian motions from x to y in time t:
+    det[phi_t(y_j - x_i)] * Delta(y) / Delta(x), phi_t the N(0, t) density."""
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    diff = ys[None, :] - xs[:, None]
+    kern = np.exp(-diff ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+    return float(np.linalg.det(kern)) * vandermonde(ys) / vandermonde(xs)
 
 
 def test_dyson_density_matches_gap_marginal():
     # integrate the 2-d density over the center: matches the gap marginal
     g0, t, g = 1.0, 0.3, 1.7
     centers = np.linspace(-8, 8, 2001)
-    vals = [tr.dyson_density((-g0 / 2, g0 / 2), t, (c - g / 2, c + g / 2))
+    vals = [_dyson_density((-g0 / 2, g0 / 2), t, (c - g / 2, c + g / 2))
             for c in centers]
     integral = np.trapezoid(vals, centers)
     expected = float(tr.dyson_gap_marginal(g0, t, np.array([g]))[0])
