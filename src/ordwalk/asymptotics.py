@@ -31,6 +31,7 @@ __all__ = [
     "endpoint_density_distance",
     "local_clt_deviation",
     "walk_pmf",
+    "quadrature_scheme_gap",
 ]
 
 # ---------------------------------------------------------------------------
@@ -332,10 +333,10 @@ def endpoint_density_distance(samples, k: int, sigma: float = 1.0) -> dict:
 # ---------------------------------------------------------------------------
 # local CLT diagnostic
 
-def walk_pmf(dist: StepDistribution, n: int, exact: bool = False):
+def walk_pmf(dist: StepDistribution, n: int):
     """PMF of the n-step single-walk sum by convolution doubling.
 
-    Returns (sites, masses); masses are floats, or Fractions when exact=True.
+    Returns (sites, masses), the masses as floats.
     """
     if not dist.is_lattice:
         raise UnsupportedOperationError("walk_pmf needs a lattice law")
@@ -343,18 +344,9 @@ def walk_pmf(dist: StepDistribution, n: int, exact: bool = False):
         raise ValueError("n must be >= 1")
     support = dist.support()
     lo, hi = support[0], support[-1]
-    base = np.zeros(hi - lo + 1, dtype=object if exact else float)
+    base = np.zeros(hi - lo + 1)
     for s, mass in dist.masses.items():
-        base[s - lo] = mass if exact else float(mass)
-
-    def conv(a, b):
-        if exact:
-            out = np.zeros(len(a) + len(b) - 1, dtype=object)
-            for i, ai in enumerate(a):
-                if ai:
-                    out[i:i + len(b)] += ai * b
-            return out
-        return np.convolve(a, b)
+        base[s - lo] = float(mass)
 
     result = None
     result_off = 0
@@ -366,11 +358,11 @@ def walk_pmf(dist: StepDistribution, n: int, exact: bool = False):
             if result is None:
                 result, result_off = power, power_off
             else:
-                result = conv(result, power)
+                result = np.convolve(result, power)
                 result_off += power_off
         m >>= 1
         if m:
-            power = conv(power, power)
+            power = np.convolve(power, power)
             power_off *= 2
     sites = np.arange(result_off, result_off + len(result))
     return sites, result
@@ -409,5 +401,5 @@ def local_clt_deviation(dist: StepDistribution, n: int) -> dict:
         "n": n,
         "sup_deviation": float(dev[worst]),
         "argmax_site": int(sites[worst]),
-        "total_mass": float(np.asarray(masses, dtype=float).sum()),
+        "total_mass": float(masses.sum()),
     }

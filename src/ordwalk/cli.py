@@ -296,12 +296,9 @@ def _run_exact_reflect(spec, cfg):
     n = int(spec.params.get("n", _REFLECT_DEFAULT_N))
     ls = spec.params.get("l")
     ls = [int(ls)] if ls is not None else list(range(1, n + 1))
-    reports = {}
-    checks = {}
-    for l in ls:
-        rep = lattice_exact.exact_reflection_check(cfg, n, l)
-        reports[f"l={l}"] = _report_dict(rep)
-        checks[f"reflection_l{l}"] = rep.passed
+    reps = lattice_exact.exact_reflection_check(cfg, n, ls)
+    reports = {f"l={l}": _report_dict(rep) for l, rep in zip(ls, reps)}
+    checks = {f"reflection_l{l}": rep.passed for l, rep in zip(ls, reps)}
     return {"reflection": reports}, {}, checks
 
 

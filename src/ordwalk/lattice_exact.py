@@ -315,6 +315,12 @@ def _require_equal(identity: str, sites, lhs, rhs, scale: int):
                                          Fraction(int(right), scale))
 
 
+def _held(identity: str, cfg: WalkConfig, n: int, sites_checked: int, **extra):
+    """The report of an identity that held exactly; a violation raises instead."""
+    return VerificationReport(identity=identity, k=cfg.k, n=n, sites_checked=sites_checked,
+                              max_abs_discrepancy=Fraction(0), passed=True, extra=extra)
+
+
 def exact_km_check(cfg: WalkConfig, n: int) -> VerificationReport:
     """Verify the determinantal transition identity exactly at every site.
 
@@ -332,18 +338,12 @@ def exact_km_check(cfg: WalkConfig, n: int) -> VerificationReport:
     scale, (rhs,) = _scaled_det_sums(cfg.dist, pmfs, n, sites, [rows])
     lhs = [survival[n].get(y, 0) * scale for y in sites]
     _require_equal("karlin-mcgregor", sites, lhs, rhs.tolist(), scale)
-    return VerificationReport(
-        identity="karlin-mcgregor",
-        k=cfg.k,
-        n=n,
-        sites_checked=len(sites),
-        max_abs_discrepancy=Fraction(0),
-        passed=True,
-    )
+    return _held("karlin-mcgregor", cfg, n, len(sites))
 
 
-def exact_reflection_check(cfg: WalkConfig, n: int, l: int) -> VerificationReport:
-    """Verify the reflection identity at exit time l exactly at every site.
+def exact_reflection_check(cfg: WalkConfig, n: int, ls) -> list:
+    """Verify the reflection identity at each exit time l in ls exactly at
+    every site; returns one report per l, in the order of ls.
 
     The path reflection interchanges the step sequences of the minimal
     disordered pair of the exit configuration z = X(l); the reflected exit
@@ -362,30 +362,30 @@ def exact_reflection_check(cfg: WalkConfig, n: int, l: int) -> VerificationRepor
     law from the stopped measure, and the right side takes it afresh, by one
     step from the survivors at time l - 1 (the Markov property at l - 1), so
     a wrong stopped mass breaks the identity. Both sides are compared as
-    integers, times d^(k n).
+    integers, times d^(k n). One forward pass to n, one set of single-walk
+    pmfs and one site list serve every l.
     """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
+    ls = list(ls)
+    if not all(1 <= l <= n for l in ls):
+        raise ValueError(f"need 1 <= l <= n for every l, got ls={ls}, n={n}")
     survival, stopped = _forward_tables(cfg, n)
     pmfs = _single_walk_pmfs(cfg.dist, n)
     sites = _candidate_sites(cfg, n, pmfs)
-    at_l = {z: mass for (m, z), mass in stopped.items() if m == l}
-    boundary_ties = sum(1 for z in at_l if not any(reflection_shift(z)))
-    exits = _push(survival[l - 1], _step_vectors(cfg.dist, cfg.k))
-    reflected = [(tuple(a - b for a, b in zip(z, reflection_shift(z))), l, mass)
-                 for z, mass in exits.items() if not in_weyl(z)]
-    scale, (lhs, rhs) = _scaled_det_sums(
-        cfg.dist, pmfs, n, sites, [[(z, l, -mass) for z, mass in at_l.items()], reflected])
-    _require_equal("reflection", sites, lhs.tolist(), rhs.tolist(), scale)
-    return VerificationReport(
-        identity="reflection",
-        k=cfg.k,
-        n=n,
-        sites_checked=len(sites),
-        max_abs_discrepancy=Fraction(0),
-        passed=True,
-        extra={"l": l, "boundary_tie_exits": boundary_ties},
-    )
+    steps = _step_vectors(cfg.dist, cfg.k)
+    reports = []
+    for l in ls:
+        at_l = {z: mass for (m, z), mass in stopped.items() if m == l}
+        boundary_ties = sum(1 for z in at_l if not any(reflection_shift(z)))
+        exits = _push(survival[l - 1], steps)
+        reflected = [(tuple(a - b for a, b in zip(z, reflection_shift(z))), l, mass)
+                     for z, mass in exits.items() if not in_weyl(z)]
+        scale, (lhs, rhs) = _scaled_det_sums(
+            cfg.dist, pmfs, n, sites,
+            [[(z, l, -mass) for z, mass in at_l.items()], reflected])
+        _require_equal("reflection", sites, lhs.tolist(), rhs.tolist(), scale)
+        reports.append(_held("reflection", cfg, n, len(sites),
+                             l=l, boundary_tie_exits=boundary_ties))
+    return reports
 
 
 def exact_vn(cfg: WalkConfig, n: int):
@@ -417,14 +417,7 @@ def exact_martingale_check(cfg: WalkConfig, n: int) -> VerificationReport:
         expect = sum((mass * vandermonde(y) for y, mass in table.items()), Fraction(0))
         if expect != delta_x:
             raise IdentityViolationError("martingale", m, expect, delta_x)
-    return VerificationReport(
-        identity="martingale",
-        k=cfg.k,
-        n=n,
-        sites_checked=n,
-        max_abs_discrepancy=Fraction(0),
-        passed=True,
-    )
+    return _held("martingale", cfg, n, n)
 
 
 def exact_harmonicity_check(cfg: WalkConfig, n: int) -> VerificationReport:
@@ -449,14 +442,7 @@ def exact_harmonicity_check(cfg: WalkConfig, n: int) -> VerificationReport:
         acc += smass * v_n_y
     if acc != vn_plus:
         raise IdentityViolationError("harmonicity", x, acc, vn_plus)
-    return VerificationReport(
-        identity="harmonicity",
-        k=cfg.k,
-        n=n,
-        sites_checked=sites,
-        max_abs_discrepancy=Fraction(0),
-        passed=True,
-    )
+    return _held("harmonicity", cfg, n, sites)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,17 @@ from .distributions import (
 )
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
-from .lattice_exact import killed_gap_chain
+from .lattice_exact import _gap_step_law, killed_gap_chain
 
 __all__ = [
     "FeasibilityError",
     "transformed_gap_paths",
+    "transformed_pair_paths",
     "transformed_gap_distribution",
     "gap_law_tv",
     "transform_paths_rejection",
     "hermite_distance",
+    "hermite_gap_tv_exact",
     "dyson_gap_marginal",
     "dyson_gap_cdf",
     "dyson_compare",
@@ -57,11 +59,29 @@ def _rademacher_gap_v(x):
 # ---------------------------------------------------------------------------
 # the k=2 Rademacher transformed chain in gap coordinates
 #
-# The gap performs steps -2/0/+2 with base masses 1/4, 1/2, 1/4; transformed
-# probabilities are reweighted by V(g')/V(g). Parity of the gap is preserved.
+# The chain is the Doob h-transform of the killed gap chain by V: a step of the
+# gap law (lattice_exact._gap_step_law) to g' > 0 has its mass times V(g')/V(g).
 
 def _gap_v_array(gaps: np.ndarray) -> np.ndarray:
     return np.where(gaps % 2 == 1, gaps + 1.0, gaps.astype(float))
+
+
+def _transformed_gap_table(start_gap: int, n: int) -> np.ndarray:
+    """Rows (up, moved): the chances to step +2 and to move, by gap 0..start_gap + 2n."""
+    offsets, probs = _gap_step_law(make_distribution("rademacher"))
+    mass = dict(zip(offsets.tolist(), probs.tolist()))
+    gaps = np.arange(1, start_gap + 2 * n + 1)
+    v = _gap_v_array(gaps)
+    up = mass[2] * _gap_v_array(gaps + 2) / v
+    down = mass[-2] * _gap_v_array(gaps - 2) / v  # V is 0 at the exit gaps -1 and 0
+    return np.pad(np.stack([up, up + down]), ((0, 0), (1, 0)))  # gap 0 is never visited
+
+
+def _transformed_gap_step(g: np.ndarray, u: np.ndarray, table: np.ndarray):
+    """(new gaps, moved) after one step with uniforms u; a gap past the table raises."""
+    up, moved = table.take(g, axis=1)
+    moved = u < moved
+    return np.where(u < up, g + 2, np.where(moved, g - 2, g)), moved
 
 
 def transformed_gap_paths(start_gap: int, n: int, paths: int,
@@ -70,13 +90,10 @@ def transformed_gap_paths(start_gap: int, n: int, paths: int,
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
     rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
+    table = _transformed_gap_table(start_gap, n)
     g = np.full(paths, start_gap, dtype=np.int64)
     for _ in range(n):
-        v = _gap_v_array(g)
-        p_up = 0.25 * _gap_v_array(g + 2) / v
-        p_down = 0.25 * np.where(g >= 2, _gap_v_array(np.maximum(g - 2, 0)), 0.0) / v
-        u = rng.random(paths)
-        g = np.where(u < p_up, g + 2, np.where(u < p_up + p_down, g - 2, g))
+        g, _ = _transformed_gap_step(g, rng.random(paths), table)
     return g
 
 
@@ -93,15 +110,11 @@ def transformed_pair_paths(start, n: int, paths: int,
         raise ValueError("start must be strictly ordered")
     start_gap = int(start[1] - start[0])
     rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
+    table = _transformed_gap_table(start_gap, n)
     g = np.full(paths, start_gap, dtype=np.int64)
     s = np.full(paths, int(start[0] + start[1]), dtype=np.int64)
     for _ in range(n):
-        v = _gap_v_array(g)
-        p_up = 0.25 * _gap_v_array(g + 2) / v
-        p_down = 0.25 * np.where(g >= 2, _gap_v_array(np.maximum(g - 2, 0)), 0.0) / v
-        u = rng.random(paths)
-        moved = u < p_up + p_down
-        g = np.where(u < p_up, g + 2, np.where(moved, g - 2, g))
+        g, moved = _transformed_gap_step(g, rng.random(paths), table)
         coin = rng.random(paths) < 0.5
         s = np.where(moved, s, s + np.where(coin, 2, -2))
     return np.stack([(s - g) / 2.0, (s + g) / 2.0], axis=1)

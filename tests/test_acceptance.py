@@ -52,9 +52,9 @@ def test_criterion_01_exact_transition_identity():
 
 def test_criterion_02_exact_reflection_identity():
     t0 = time.monotonic()
-    reps = [exact_reflection_check(CFG2, 6, l) for l in range(1, 7)]
-    reps += [exact_reflection_check(CFG3, 4, l) for l in range(1, 5)]
-    reps += [exact_reflection_check(CFG3, 5, l) for l in range(1, 6)]
+    reps = exact_reflection_check(CFG2, 6, range(1, 7))
+    reps += exact_reflection_check(CFG3, 4, range(1, 5))
+    reps += exact_reflection_check(CFG3, 5, range(1, 6))
     elapsed = time.monotonic() - t0
     ok = all(r.passed and r.max_abs_discrepancy == 0 for r in reps)
     ok = ok and elapsed < 60.0
@@ -116,6 +116,17 @@ def _lattice_ks(sample, sites, cdf):
     return float(np.abs(emp - cdf).max())
 
 
+def _exact_law_ks_threshold(sites, cdf, m, seed):
+    """Max lattice KS over 100 size-m draws from the exact law (sites, cdf)."""
+    cal_rng = np.random.default_rng(seed)
+    threshold = 0.0
+    for _ in range(100):
+        idx = np.searchsorted(cdf, cal_rng.random(m), side="right")
+        draw = sites[np.minimum(idx, len(sites) - 1)]
+        threshold = max(threshold, _lattice_ks(draw, sites, cdf))
+    return threshold
+
+
 def test_criterion_06_endpoint_limit_law():
     n = 4096
     m = 20_000
@@ -123,14 +134,8 @@ def test_criterion_06_endpoint_limit_law():
     # the exact n=4096 law of the conditioned gap (odd integers, start gap 1)
     sites, probs = gap_chain_alive_distribution(RAD, 1, n)
     cdf = np.cumsum(probs)
-
     # the KS threshold is the max over 100 same-size draws from the exact law
-    cal_rng = np.random.default_rng(20260823)
-    threshold = 0.0
-    for _ in range(100):
-        idx = np.searchsorted(cdf, cal_rng.random(m), side="right")
-        draw = sites[np.minimum(idx, len(sites) - 1)]
-        threshold = max(threshold, _lattice_ks(draw, sites, cdf))
+    threshold = _exact_law_ks_threshold(sites, cdf, m, seed=20260823)
 
     cfg = WalkConfig(k=2, start=(0, 1), dist=RAD, master_seed=2)
     endpoints, _ = conditioned_endpoints(cfg, n, m, max_attempts=4_000_000)
@@ -179,7 +184,8 @@ def test_criterion_07_v_scaling():
 
 def test_criterion_08_hermite_ensemble():
     n = 4096
-    gaps = tr.transformed_gap_paths(1, n, 20_000, master_seed=0)
+    m = 20_000
+    gaps = tr.transformed_gap_paths(1, n, m, master_seed=0)
     sq = (gaps / math.sqrt(n)) ** 2
     m2 = float(sq.mean())
     se = float(sq.std(ddof=1)) / math.sqrt(len(sq))
@@ -187,11 +193,17 @@ def test_criterion_08_hermite_ensemble():
     dp_gaps, dp_probs = tr.transformed_gap_distribution(1, n)
     exact_m2 = float((dp_gaps / math.sqrt(n)) ** 2 @ dp_probs)
     ok_m2 = abs(m2 - exact_m2) <= 3 * se
+    # lattice KS against the exact law, threshold calibrated on draws from it
+    cdf = np.cumsum(dp_probs)
+    ks = _lattice_ks(gaps, dp_gaps, cdf)
+    threshold = _exact_law_ks_threshold(dp_gaps, cdf, m, seed=20260824)
+    ok_ks = ks <= threshold
     tvs = [tr.hermite_gap_tv_exact(1, nn) for nn in (256, 1024, 4096)]
     ok_tv = tvs[0] > tvs[1] > tvs[2]
-    _verdict(8, "Hermite ensemble: gap second moment and TV trend",
-             ok_m2 and ok_tv,
-             f"m2 {m2:.3f}+-{se:.3f}, TV {tvs[0]:.4f}>{tvs[1]:.4f}>{tvs[2]:.4f}")
+    _verdict(8, "Hermite ensemble: gap second moment, exact-law KS, TV trend",
+             ok_m2 and ok_ks and ok_tv,
+             f"m2 {m2:.3f}+-{se:.3f}, KS {ks:.4f} <= {threshold:.4f}, "
+             f"TV {tvs[0]:.4f}>{tvs[1]:.4f}>{tvs[2]:.4f}")
 
 
 def test_criterion_09_ordered_bm_marginals():

@@ -4,7 +4,6 @@ import json
 import math
 import os
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +26,7 @@ from ordwalk.asymptotics import (
 )
 from ordwalk.distributions import UnsupportedOperationError, make_distribution
 from ordwalk.engine import EstimateCI
-from ordwalk.lattice_exact import gap_chain_survival
+from ordwalk.lattice_exact import _single_walk_pmfs, gap_chain_survival
 
 RAD = make_distribution("rademacher")
 LAZY = make_distribution("lazy_lattice")
@@ -240,20 +239,24 @@ def test_binned_tv_bins_are_half_open():
     assert below != pytest.approx(inside, abs=1e-6)
 
 
+def _assert_walk_pmf_is_the_exact_law(dist, n):
+    """The float walk_pmf against lattice_exact's exact single-walk law."""
+    exact = _single_walk_pmfs(dist, n)[n]
+    sites, masses = walk_pmf(dist, n)
+    assert set(sites[masses > 0].tolist()) == set(exact)
+    for site, mass in zip(sites.tolist(), masses.tolist()):
+        assert abs(mass - float(exact.get(site, 0))) <= 1e-15
+
+
 def test_walk_pmf_exact_small():
-    sites, masses = walk_pmf(RAD, 2, exact=True)
-    table = dict(zip(sites.tolist(), masses.tolist()))
-    assert table[-2] == Fraction(1, 4)
-    assert table[0] == Fraction(1, 2)
-    assert table[2] == Fraction(1, 4)
-    assert sum(masses) == 1
+    _assert_walk_pmf_is_the_exact_law(RAD, 2)
+    sites, masses = walk_pmf(RAD, 2)
+    assert dict(zip(sites.tolist(), masses.tolist())) == {
+        -2: 0.25, -1: 0.0, 0: 0.5, 1: 0.0, 2: 0.25}
 
 
 def test_walk_pmf_float_matches_exact():
-    se, me = walk_pmf(LAZY, 9, exact=True)
-    sf, mf = walk_pmf(LAZY, 9)
-    assert (se == sf).all()
-    assert np.allclose(mf, [float(m) for m in me], atol=1e-15)
+    _assert_walk_pmf_is_the_exact_law(LAZY, 9)
 
 
 def test_walk_pmf_rejects_continuous():

@@ -106,24 +106,39 @@ def test_km_identity_lazy_law():
 
 
 def test_reflection_identity_small():
-    for l in (1, 2, 3):
-        rep = exact_reflection_check(CFG2, 3, l)
-        assert rep.passed and rep.extra["l"] == l
-    rep3 = exact_reflection_check(CFG3, 3, 1)
+    reps = exact_reflection_check(CFG2, 3, [1, 2, 3])
+    assert [(rep.passed, rep.extra["l"]) for rep in reps] == [(True, 1), (True, 2), (True, 3)]
+    (rep3,) = exact_reflection_check(CFG3, 3, [1])
     assert rep3.passed
+
+
+def test_reflection_check_runs_one_forward_pass_for_every_l(monkeypatch):
+    # the reports for all l at once equal those of each l checked alone
+    alone = [exact_reflection_check(CFG3, 5, [l])[0].to_dict() for l in range(1, 6)]
+    calls = []
+    real = lattice_exact._forward_tables
+
+    def counting(cfg, n):
+        calls.append(n)
+        return real(cfg, n)
+
+    monkeypatch.setattr(lattice_exact, "_forward_tables", counting)
+    together = exact_reflection_check(CFG3, 5, range(1, 6))
+    assert calls == [5]
+    assert [rep.to_dict() for rep in together] == alone
 
 
 def test_reflection_identity_with_boundary_ties():
     cfg = WalkConfig(k=2, start=(0, 1), dist=LAZY)
-    rep = exact_reflection_check(cfg, 2, 1)
+    (rep,) = exact_reflection_check(cfg, 2, [1])
     assert rep.passed and rep.extra["boundary_tie_exits"] >= 1
 
 
 def test_reflection_rejects_bad_l():
     with pytest.raises(ValueError):
-        exact_reflection_check(CFG2, 3, 0)
+        exact_reflection_check(CFG2, 3, [0])
     with pytest.raises(ValueError):
-        exact_reflection_check(CFG2, 3, 4)
+        exact_reflection_check(CFG2, 3, [1, 4])
 
 
 def test_martingale_example():
@@ -224,7 +239,7 @@ def test_wide_law_takes_the_object_path(monkeypatch):
     seen = _record_dtypes(monkeypatch)
     cfg = WalkConfig(k=2, start=(0, 1), dist=WIDE)
     assert exact_km_check(cfg, 3).passed
-    assert all(exact_reflection_check(cfg, 3, l).passed for l in (1, 2, 3))
+    assert all(rep.passed for rep in exact_reflection_check(cfg, 3, [1, 2, 3]))
     assert seen == [object] * 4
 
 
@@ -306,7 +321,7 @@ def test_reflection_check_catches_a_perturbed_stopped_mass(monkeypatch, cfg, n, 
     _with_fault(monkeypatch, perturb)
     seen = _record_dtypes(monkeypatch)
     with pytest.raises(IdentityViolationError) as err:
-        exact_reflection_check(cfg, n, l)
+        exact_reflection_check(cfg, n, [l])
     assert seen == [path]
     assert err.value.site == hit
     assert err.value.lhs - err.value.rhs == -EPS * exact_d_matrix(z0, hit, n - l, cfg.dist, pmfs)
@@ -317,4 +332,4 @@ def test_identities_for_walks_that_jump_over_each_other():
     cfg2 = WalkConfig(k=2, start=(0, 1), dist=THIRDS)
     assert exact_km_check(cfg2, 6).passed
     assert exact_km_check(WalkConfig(k=3, start=(0, 1, 2), dist=THIRDS), 3).passed
-    assert all(exact_reflection_check(cfg2, 4, l).passed for l in range(1, 5))
+    assert all(rep.passed for rep in exact_reflection_check(cfg2, 4, range(1, 5)))

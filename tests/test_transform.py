@@ -74,6 +74,28 @@ def test_transform_step_exact_normalizes_and_moves():
         assert abs(freq - float(p)) < 5 * math.sqrt(float(p * (1 - p)) / paths)
 
 
+def test_transformed_gap_table_is_the_exact_step_law():
+    table = tr._transformed_gap_table(1, 7)
+    for g in range(1, 16):
+        by_move = {-2: Fraction(0), 0: Fraction(0), 2: Fraction(0)}
+        for (a, b), p in _transform_step_law((0, g)).items():
+            by_move[b - a - g] += p
+        up, moved = table[:, g]
+        assert abs(up - float(by_move[2])) <= 1e-15
+        assert abs(moved - up - float(by_move[-2])) <= 1e-15
+        assert abs(1.0 - moved - float(by_move[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("start_gap,n", [(1, 0), (1, 7), (4, 30)])
+def test_transformed_gap_table_covers_exactly_the_reachable_gaps(start_gap, n):
+    table = tr._transformed_gap_table(start_gap, n)
+    top = start_gap + 2 * n
+    gaps, _ = tr._transformed_gap_step(np.array([top]), np.array([0.999]), table)
+    assert gaps.tolist() == [top]
+    with pytest.raises(IndexError):
+        tr._transformed_gap_step(np.array([top + 1]), np.array([0.999]), table)
+
+
 def test_transformed_gap_distribution_moments():
     gaps, probs = tr.transformed_gap_distribution(1, 1024)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
