@@ -304,9 +304,11 @@ def _run_exact_reflect(spec, cfg):
 
 def _run_exact_v(spec, cfg):
     n = int(spec.params.get("n", 6))
-    vs = lattice_exact.exact_vn(cfg, n)
+    # one forward pass to n + 1 gives V_1..V_n and the V_{n+1}(x) of the harmonicity check
+    v_start = lattice_exact.exact_vn(cfg, n + 1)
+    vs = v_start[:n]
     mart = lattice_exact.exact_martingale_check(cfg, n)
-    harm = lattice_exact.exact_harmonicity_check(cfg, n)
+    harm = lattice_exact.exact_harmonicity_check(cfg, n, v_start)
     positive = all(v > 0 for v in vs)
     rows = [(i + 1, v, float(v)) for i, v in enumerate(vs)]
     return (

@@ -22,7 +22,7 @@ from .distributions import (
 )
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
-from .lattice_exact import _gap_step_law, killed_gap_chain
+from .lattice_exact import _gap_step_law, _require_truncation_within, killed_gap_chain
 
 __all__ = [
     "FeasibilityError",
@@ -128,11 +128,14 @@ def transformed_gap_distribution(start_gap: int, n: int) -> tuple:
     """
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
-    mass, _ = killed_gap_chain(make_distribution("rademacher"), start_gap, [n])
+    gaps, mass, table = killed_gap_chain(make_distribution("rademacher"), start_gap, [n])
     v0 = float(_rademacher_gap_v((0, start_gap)))
-    probs = mass * _gap_v_array(np.arange(mass.size)) / v0
+    # a truncated path ends at a gap of at most start_gap + 2n, where V <= gap + 1
+    _require_truncation_within(f"transformed gap law mass at n={n}", 1.0,
+                               table[n][2] * (start_gap + 2 * n + 1) / v0)
+    probs = mass * _gap_v_array(gaps) / v0
     keep = probs > 0
-    return np.flatnonzero(keep), probs[keep]
+    return gaps[keep], probs[keep]
 
 
 def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,

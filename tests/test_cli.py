@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordwalk import asymptotics, transform
+from ordwalk import asymptotics, lattice_exact, transform
 from ordwalk.cli import (
     _KIND_PARAMS,
     SpecError,
@@ -120,6 +120,34 @@ def test_run_exact_v_tables(tmp_path):
     csv = (tmp_path / "v_exact.csv").read_text().splitlines()
     assert csv[0] == "n,v_exact,v_float"
     assert csv[1].startswith("1,5/4,1.25")
+
+
+@pytest.mark.parametrize("walk, n, passes", [
+    ("{k: 3, start: [0, 1, 2], dist: rademacher}", 6,
+     [((0, 1, 2), 7), ((-1, 0, 3), 6), ((-1, 2, 3), 6)]),
+    ("{k: 2, start: [0, 1], dist: lazy_lattice}", 8,
+     [((0, 1), 9), ((-1, 1), 8), ((-1, 2), 8)]),
+])
+def test_exact_v_runs_one_forward_dp_per_translation_class(tmp_path, monkeypatch,
+                                                           walk, n, passes):
+    # the start's pass to n + 1 gives V_1..V_n, V_{n+1}(x) and V_n of the
+    # start's translates; each other class of neighbours runs one pass to n
+    doc = f"kind: exact-v\nwalk: {walk}\nseed: 0\nparams: {{n: {n}}}\n"
+    spec = validate_spec(doc)
+    expected = [str(v) for v in lattice_exact.exact_vn(spec.walk_config(), n)]
+    calls = []
+    real = lattice_exact._forward_tables
+
+    def counting(cfg, horizon):
+        calls.append((cfg.start, horizon))
+        return real(cfg, horizon)
+
+    monkeypatch.setattr(lattice_exact, "_forward_tables", counting)
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path))
+    assert code == 0 and manifest.checks["harmonicity"]
+    assert calls == passes
+    rows = (tmp_path / "v_exact.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == expected
 
 
 def test_run_is_byte_identical_across_reruns(tmp_path):

@@ -14,6 +14,7 @@ from ordwalk.engine import WalkConfig
 from ordwalk.lattice_exact import (
     CapacityError,
     IdentityViolationError,
+    TruncationError,
     exact_d_matrix,
     exact_free_kernel,
     exact_harmonicity_check,
@@ -27,6 +28,7 @@ from ordwalk.lattice_exact import (
     gap_chain_stopped_delta,
     gap_chain_survival,
 )
+from ordwalk.transform import transformed_gap_distribution
 
 RAD = make_distribution("rademacher")
 LAZY = make_distribution("lazy_lattice")
@@ -153,6 +155,15 @@ def test_harmonicity_check():
     assert exact_harmonicity_check(CFG3, 1).passed
 
 
+def test_harmonicity_check_takes_v_from_the_start_pass():
+    vs = exact_vn(CFG3, 3)  # V_1..V_3 of (0, 1, 2)
+    assert exact_harmonicity_check(CFG3, 2, vs).passed
+    with pytest.raises(IdentityViolationError):
+        exact_harmonicity_check(CFG3, 2, vs[:2] + [vs[2] + Fraction(1, 64)])
+    with pytest.raises(IdentityViolationError):  # V_2 of the start's translates
+        exact_harmonicity_check(CFG3, 2, [vs[0], vs[1] + Fraction(1, 64), vs[2]])
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         exact_survival_kernel(CFG2, 10_000)
@@ -197,6 +208,87 @@ def test_gap_chain_alive_distribution():
         by_gap[b - a] = by_gap.get(b - a, Fraction(0)) + mass
     for g, p in zip(gaps, probs):
         assert p == pytest.approx(float(by_gap[int(g)] / total), abs=1e-12)
+
+
+def _reflection_survival(start_gap, n):
+    """Exact Rademacher P(tau > n) from odd gap 2x - 1, by reflection.
+
+    In half-units the gap walk is x plus a lazy walk with steps -1, 0, 1 of
+    masses 1/4, 1/2, 1/4, the law of half of a 2n-step simple walk. It is
+    skip-free and killed at 0, so P(tau > n) = P(1 - x <= W_n <= x).
+    """
+    x = (start_gap + 1) // 2
+    count = sum(math.comb(2 * n, n + j) for j in range(1 - x, x + 1))
+    return Fraction(count, 4 ** n)
+
+
+def test_gap_chain_matches_reflection_oracle_at_large_n():
+    n = 1 << 14
+    for start_gap in (1, 3, 5):
+        gaps, mass, table = lattice_exact.killed_gap_chain(RAD, start_gap, [n])
+        alive, stopped, truncated = table[n]
+        exact = float(_reflection_survival(start_gap, n))
+        assert abs(alive - exact) <= 1e-13 * exact
+        assert dict(gap_chain_survival(RAD, start_gap, [n]))[n] == alive
+        # optional stopping of the gap martingale: a truncated path ends at a
+        # gap of at most start_gap + 2n
+        bound = truncated * (start_gap + 2 * n)
+        assert abs(float(gaps @ mass) + stopped - start_gap) <= 1e-12 + bound
+
+
+@pytest.mark.parametrize("dist, start_gap", [
+    (LAZY, 1), (LAZY, 2), (THIRDS, 1), (THIRDS, 2), (THIRDS, 3), (THIRDS, 6),
+    (RAD, 2), (RAD, 3),
+])
+def test_decimated_gap_chain_matches_exact_kernels(dist, start_gap):
+    cfg = WalkConfig(k=2, start=(0, start_gap), dist=dist)
+    horizons = [1, 2, 3, 5]
+    survival = dict(gap_chain_survival(dist, start_gap, horizons))
+    vs = exact_vn(cfg, horizons[-1])
+    for h in horizons:
+        kern = exact_survival_kernel(cfg, h)
+        assert survival[h] == pytest.approx(float(kern.total_mass()), abs=1e-12)
+        # Delta(x) = start_gap, so E[Delta(X(tau)); tau <= h] = start_gap - V_h
+        stopped = gap_chain_stopped_delta(dist, start_gap, h)
+        assert stopped == pytest.approx(start_gap - float(vs[h - 1]), abs=1e-12)
+        by_gap = {}
+        for (a, b), mass in kern.masses.items():
+            by_gap[b - a] = by_gap.get(b - a, Fraction(0)) + mass
+        gaps, probs = gap_chain_alive_distribution(dist, start_gap, h)
+        # the sites of the exact law, which the undecimated DP also returned
+        assert gaps.tolist() == sorted(by_gap)
+        total = kern.total_mass()
+        assert probs == pytest.approx([float(by_gap[g] / total) for g in sorted(by_gap)],
+                                      abs=1e-12)
+
+
+def test_gap_chain_window_is_capped_and_counts_the_truncated_mass(monkeypatch):
+    horizons = [4, 16, 64, 256]
+    monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1e9)
+    uncapped = lattice_exact.killed_gap_chain(RAD, 1, horizons)[2]
+    assert all(truncated == 0.0 for _, _, truncated in uncapped.values())
+    monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1.0)
+    gaps, _, capped = lattice_exact.killed_gap_chain(RAD, 1, horizons)
+    assert gaps[-1] <= 1 + math.sqrt(2 * 256) + 2  # 1 sigma sqrt(n) above gap 1
+    assert capped[256][2] > 1e-3
+    for h in horizons:
+        alive, stopped, truncated = capped[h]
+        assert abs(alive - uncapped[h][0]) <= truncated
+        # every exit from an odd gap lands on gap -1: no mass goes missing
+        assert alive - stopped + truncated == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gap_chain_survival(RAD, 1, [64, 256]),
+    lambda: lattice_exact._gap_chain_dp(RAD, 1, [256]),
+    lambda: gap_chain_alive_distribution(RAD, 1, 256),
+    lambda: gap_chain_stopped_delta(RAD, 1, 256),
+    lambda: transformed_gap_distribution(1, 256),
+])
+def test_gap_chain_wrappers_raise_on_truncation(monkeypatch, call):
+    monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1.0)
+    with pytest.raises(TruncationError, match="truncated mass bounding its error by"):
+        call()
 
 
 @settings(max_examples=15, deadline=None)
