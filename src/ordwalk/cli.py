@@ -325,7 +325,8 @@ def _run_exact_v(spec, cfg):
 def _run_estimate_v(spec, cfg):
     schedule = spec.params.get("schedule", [16, 32, 64, 128])
     paths = int(spec.params.get("paths", 100000))
-    table = v_module._vn_over_schedule(cfg, schedule, paths)
+    work = engine.WorkCounts()
+    table = v_module._vn_over_schedule(cfg, schedule, paths, work=work)
     est = v_module.v_from_schedule(cfg, table)
     rows = []
     prev = None
@@ -341,6 +342,7 @@ def _run_estimate_v(spec, cfg):
         "tail_diagnostic": est.tail_diagnostic,
         "converged": est.converged,
         "positive_at_4_stderr": est.value.mean > 4 * est.value.stderr,
+        "work": asdict(work),
     }
     return (result,
             {"v_estimates": (("n", "estimate", "stderr", "diagnostic"), rows)},
@@ -350,7 +352,8 @@ def _run_estimate_v(spec, cfg):
 def _run_tail(spec, cfg):
     horizons = spec.params.get("horizons", [64, 128, 256, 512, 1024, 2048, 4096])
     paths = int(spec.params.get("paths", 1000000))
-    surv = engine.batch_survival(cfg, horizons, paths)
+    work = engine.WorkCounts()
+    surv = engine.batch_survival(cfg, horizons, paths, work=work)
     fit = asymptotics.tail_fit(surv, sigma=math.sqrt(cfg.dist.variance))
     theory = -cfg.k * (cfg.k - 1) / 4.0
     result = {
@@ -361,6 +364,7 @@ def _run_tail(spec, cfg):
         "cut_sensitivity": fit.cut_sensitivity,
         "dropped": fit.dropped,
         "theory_exponent": theory,
+        "work": asdict(work),
     }
     rows = [(n, ci.mean, ci.stderr) for n, ci in surv]
     tol = float(spec.params.get("exponent_tol", 0.15))
@@ -373,11 +377,13 @@ def _run_endpoint(spec, cfg):
     n = int(spec.params.get("n", 1024))
     target = int(spec.params.get("survivors", 20000))
     max_attempts = int(spec.params.get("max_attempts", 200 * target))
-    endpoints, rate = engine.conditioned_endpoints(cfg, n, target, max_attempts)
+    work = engine.WorkCounts()
+    endpoints, rate = engine.conditioned_endpoints(cfg, n, target, max_attempts, work=work)
     sigma = math.sqrt(cfg.dist.variance)
     rep = asymptotics.endpoint_density_distance(endpoints, cfg.k, sigma=sigma)
     rep["acceptance_rate"] = rate
     rep["n"] = n
+    rep["work"] = asdict(work)
     rows = [tuple(row) for row in endpoints]
     header = tuple(f"y{i + 1}" for i in range(cfg.k))
     mean_ok = True
@@ -385,7 +391,7 @@ def _run_endpoint(spec, cfg):
         target_mean = math.sqrt(math.pi)
         if cfg.dist.is_lattice:
             # the exact finite-n mean of the conditioned gap, not its limit
-            gaps, probs = lattice_exact.gap_chain_alive_distribution(
+            gaps, probs, rep["gap_dp"] = lattice_exact._alive_law(
                 cfg.dist, int(cfg.start[1] - cfg.start[0]), n)
             target_mean = float(gaps @ probs) / (math.sqrt(n) * sigma)
         mean_ok = abs(rep["gap_mean"][0] - target_mean) <= 3 * rep["gap_mean_stderr"][0]
@@ -430,7 +436,7 @@ def _run_hermite(spec, cfg):
                                          master_seed=cfg.master_seed)
     rep = transform.hermite_distance(y / math.sqrt(n), 2)
     rep["n"] = n
-    gaps, probs = transform.transformed_gap_distribution(
+    gaps, probs, rep["gap_dp"] = transform._transformed_gap_law(
         int(cfg.start[1] - cfg.start[0]), n)
     x = gaps / math.sqrt(n)
     rep["exact_gap_tv"] = transform.gap_law_tv(x, probs)

@@ -2,8 +2,9 @@
 
 Lattice kinds carry exact rational masses on integer sites together with the
 span/offset of the per-step lattice (support is a subset of offset + span*Z),
-and a step sampler compiled once from those masses: an integer inverse-CDF
-table over uniform integer draws, so every draw has exactly the law's masses.
+and a step sampler compiled once from those masses: uniform integers on
+[0, d), cut from the stream's raw 64-bit words and mapped through an integer
+inverse-CDF table, so every draw has exactly the law's masses.
 Continuous kinds only promise determinism per stream and the stored moments.
 """
 
@@ -55,6 +56,14 @@ class LatticeSampler:
     """Exact step sampler: a uniform integer u on [0, d) picks the site whose
     slot range holds it; site s owns m_s * d consecutive slots.
 
+    The uniforms come from the generator's raw 64-bit words, each cut into
+    lanes of `draw_dtype` (little-endian: the low byte first). A lane is
+    masked to the bit length of d - 1 and kept if it is below d; lanes at or
+    above d are rejected, and more words are drawn until the shape is full.
+    So the kept lanes are exactly uniform on [0, d), and a power-of-two d
+    rejects nothing. A draw of N steps is the first N kept lanes of the word
+    stream, so a smaller draw from the same state is a prefix of a larger one.
+
     For d <= 2**16 `table` maps every slot to its site; above that the site is
     found by searchsorted over the slot ranges' ends. Sites are kept in the
     smallest signed dtype that holds them, which makes the lookup and the
@@ -95,9 +104,31 @@ class LatticeSampler:
             return self.table.take(u)
         return self.sites.take(np.searchsorted(self.ends, u, side="right"))
 
+    def uniforms(self, bit_generator, size: int) -> np.ndarray:
+        """`size` exact uniform integers on [0, d) from raw words, in stream order."""
+        d = self.denominator
+        mask = (1 << (d - 1).bit_length()) - 1
+        lanes = 8 // np.dtype(self.draw_dtype).itemsize  # lanes per 64-bit word
+        kept = []
+        need = size
+        while True:
+            # enough words for `need` kept lanes at the mean acceptance d / (mask + 1)
+            words = bit_generator.random_raw(-(-need * (mask + 1) // (d * lanes)))
+            u = words.view(self.draw_dtype)
+            u &= mask
+            if mask + 1 != d:
+                u = u[u < d]
+            kept.append(u)
+            need -= u.size
+            if need <= 0:
+                break
+        u = kept[0] if len(kept) == 1 else np.concatenate(kept)
+        return u[:size]
+
     def draw(self, rng: np.random.Generator, shape):
-        return self.sites_of(rng.integers(0, self.denominator, size=shape,
-                                          dtype=self.draw_dtype))
+        """Steps of the given int or tuple shape, filled in C order."""
+        size = math.prod(shape) if isinstance(shape, tuple) else int(shape)
+        return self.sites_of(self.uniforms(rng.bit_generator, size)).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -134,10 +165,12 @@ class StepDistribution:
         return tuple(sorted(self.masses))
 
     def sample_array(self, rng: np.random.Generator, shape):
-        """Draw an array of i.i.d. steps using the supplied generator.
+        """Draw an array of i.i.d. steps, of an int or tuple shape, from `rng`.
 
         Lattice kinds return integer sites from the compiled sampler, in the
         smallest signed dtype that holds them; continuous kinds return float64.
+        Either way the steps fill the shape in C order from the stream, so a
+        draw of fewer leading rows from the same state is a prefix.
         """
         if self.sampler is not None:
             return self.sampler.draw(rng, shape)

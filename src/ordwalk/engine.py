@@ -3,6 +3,18 @@
 Paths are grouped into fixed-size blocks; each block owns a private
 counter-based stream keyed by (master_seed, block_index). Results are merged
 in block order, so a rerun reproduces every estimate bit for bit.
+
+A block advances in time-major chunks. With m paths alive, one
+`StepDistribution.sample_array` call draws the steps of the next
+t = max(1, CHUNK_CELLS // m) times (fewer at the horizon) for all m paths,
+as an array of shape (t, m, k); the positions are its cumulative sum along
+time, and each path's exit time is its first out-of-order step in the
+chunk. The chunk length depends on m alone, never on the horizon or the
+snapshot step, so a block is a pure function of (seed, block index) and a
+shorter horizon replays the same paths. A path that exits inside a chunk
+still has its steps drawn to the end of that chunk; the traced count
+`distributions.draws` includes these steps past the exit, so it exceeds k
+times the path-steps.
 """
 
 import math
@@ -16,12 +28,18 @@ from .geometry import in_weyl
 __all__ = [
     "WalkConfig",
     "EstimateCI",
+    "WorkCounts",
     "PartialResultError",
     "batch_survival",
     "conditioned_endpoints",
 ]
 
 BLOCK_SIZE = 1 << 14
+# path-steps per chunk of a block: one draw call covers this many (path, step)
+# pairs, so a chunk's arrays stay near k * CHUNK_CELLS int64 cells
+CHUNK_CELLS = 1 << 14
+# a chunk's running sum adds whole time rows from this many cells per row up
+_WIDE_ROW_CELLS = 512
 
 
 class PartialResultError(RuntimeError):
@@ -69,6 +87,21 @@ class EstimateCI:
         return abs(self.mean - value) <= width
 
 
+@dataclass
+class WorkCounts:
+    """Monte Carlo work of a run, summed over its blocks; exact for a seed."""
+
+    paths: int = 0
+    path_steps: int = 0  # sum over paths of min(tau, horizon)
+    exits: int = 0  # paths with tau <= horizon
+
+    def add(self, tau: np.ndarray, horizon: int):
+        """Count one block from its exit times, run to `horizon`."""
+        self.paths += tau.size
+        self.path_steps += int(np.minimum(tau, horizon).sum())
+        self.exits += int((tau <= horizon).sum())
+
+
 def _block_stream(cfg: WalkConfig, block_index: int) -> np.random.Generator:
     return RandomStream(cfg.master_seed, BLOCK_SALT + block_index).generator()
 
@@ -91,7 +124,7 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     encodes survival past the horizon. With snap_step in 0..horizon, snap
     holds every row's positions at that step (rows with tau <= snap_step keep
     the start); otherwise snap is None. Lattice positions are int64,
-    continuous ones float64.
+    continuous ones float64. The steps are drawn in chunks (module docstring).
     """
     rng = _block_stream(cfg, block_index)
     k = cfg.k
@@ -102,24 +135,41 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     terminal = np.empty((block_size, k), dtype=dtype)
     alive_idx = np.arange(block_size)
     snap = pos.copy() if snap_step is not None else None
-    for n in range(1, horizon + 1):
-        if alive_idx.size == 0:
-            break
-        pos += cfg.dist.sample_array(rng, pos.shape)
-        # flat indices of the out-of-order adjacent pairs, k - 1 per row
-        broken = np.flatnonzero(pos[:, 1:] <= pos[:, :-1])
-        if broken.size:
-            rows = broken if k == 2 else np.unique(broken // (k - 1))
+    n = 0  # steps taken so far
+    while n < horizon and alive_idx.size:
+        m = alive_idx.size
+        t = min(max(1, CHUNK_CELLS // m), horizon - n)
+        path = cfg.dist.sample_array(rng, (t, m, k)).astype(dtype, copy=False)
+        path[0] += pos
+        # path[i] = positions after step n + i + 1, by the same sequential adds
+        # either way: numpy's cumsum along axis 0 runs column by column, which
+        # is slower than adding whole rows once rows are wide
+        if m * k < _WIDE_ROW_CELLS:
+            np.cumsum(path, axis=0, out=path)
+        else:
+            for i in range(1, t):
+                path[i] += path[i - 1]
+        broken = path[:, :, 1] <= path[:, :, 0]
+        for j in range(2, k):
+            broken |= path[:, :, j] <= path[:, :, j - 1]
+        rows = np.flatnonzero(broken.any(axis=0))  # the paths that exit in this chunk
+        exit_at = broken[:, rows].argmax(axis=0)  # and the chunk step where they do
+        if snap_step is not None and n < snap_step <= n + t:
+            live = np.ones(m, dtype=bool)
+            live[rows[exit_at < snap_step - n]] = False
+            snap[alive_idx[live]] = path[snap_step - n - 1, live]
+        pos = path[-1]
+        if rows.size:
             dead = alive_idx[rows]
-            tau[dead] = n
-            terminal[dead] = pos[rows]
-            delta[dead] = _vandermonde_rows(pos[rows])
-            keep = np.ones(alive_idx.size, dtype=bool)
+            at_exit = path[exit_at, rows]
+            tau[dead] = n + 1 + exit_at
+            terminal[dead] = at_exit
+            delta[dead] = _vandermonde_rows(at_exit)
+            keep = np.ones(m, dtype=bool)
             keep[rows] = False
             alive_idx = alive_idx.compress(keep)
             pos = pos.compress(keep, axis=0)
-        if n == snap_step:
-            snap[alive_idx] = pos
+        n += t
     if alive_idx.size:
         terminal[alive_idx] = pos
         delta[alive_idx] = _vandermonde_rows(pos)
@@ -134,8 +184,11 @@ def _block_sizes(paths):
     return sizes
 
 
-def batch_survival(cfg: WalkConfig, horizons, paths: int):
-    """Estimate P_x(tau > n) at every listed horizon from a single batch."""
+def batch_survival(cfg: WalkConfig, horizons, paths: int, work: WorkCounts | None = None):
+    """Estimate P_x(tau > n) at every listed horizon from a single batch.
+
+    The batch's work to the last horizon is added to `work` if one is given.
+    """
     if paths < 1:
         raise ValueError("paths must be >= 1")
     horizons = sorted(int(h) for h in horizons)
@@ -143,6 +196,8 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int):
     counts = np.zeros(len(horizons), dtype=np.int64)
     for b, size in enumerate(_block_sizes(paths)):
         tau = _simulate_block(cfg, max_h, b, size)[0]
+        if work is not None:
+            work.add(tau, max_h)
         counts += [(tau > h).sum() for h in horizons]
     out = []
     for h, c in zip(horizons, counts):
@@ -153,11 +208,12 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int):
 
 
 def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
-                          max_attempts: int):
+                          max_attempts: int, work: WorkCounts | None = None):
     """Rejection-sample survivor endpoints rescaled by 1/sqrt(n).
 
     Returns (endpoints, acceptance_rate) where endpoints is a
-    (target_samples, k) array of X(n)/sqrt(n) rows with tau > n.
+    (target_samples, k) array of X(n)/sqrt(n) rows with tau > n. The work of
+    every attempted block is added to `work` if one is given.
     """
     if target_samples < 1:
         raise ValueError("target_samples must be >= 1")
@@ -168,6 +224,8 @@ def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
     while got < target_samples and attempted < max_attempts:
         size = min(BLOCK_SIZE, max_attempts - attempted)
         tau, _, terminal, _ = _simulate_block(cfg, n, block, size)
+        if work is not None:
+            work.add(tau, n)
         keep = terminal[tau > n] / math.sqrt(n)
         collected.append(keep)
         got += keep.shape[0]

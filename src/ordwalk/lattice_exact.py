@@ -562,17 +562,28 @@ def _gap_chain_dp(dist: StepDistribution, start_gap: int, horizons):
     return table
 
 
+def _gap_dp_extent(truncated: float, window_cells: int) -> dict:
+    """What a report records of the capped gap DP behind a result."""
+    return {"truncated_mass": truncated, "window_cells": window_cells}
+
+
+def _alive_law(dist: StepDistribution, start_gap: int, n: int):
+    """`gap_chain_alive_distribution`'s (gaps, probs), and the DP's extent:
+    its truncated mass to n and the cells of its window at n."""
+    gaps, mass, table = killed_gap_chain(dist, start_gap, [n])
+    alive, _, truncated = table[n]
+    _require_truncation_within(f"P(tau > {n})", alive, truncated)
+    keep = mass > 0
+    return gaps[keep], mass[keep] / alive, _gap_dp_extent(truncated, mass.size)
+
+
 def gap_chain_alive_distribution(dist: StepDistribution, start_gap: int, n: int):
     """Law of the gap at time n conditioned on survival, by float64 DP.
 
     Returns (gaps, probs) with probs summing to one; useful as a noise-free
     reference for the conditioned endpoint distribution of two walkers.
     """
-    gaps, mass, table = killed_gap_chain(dist, start_gap, [n])
-    alive, _, truncated = table[n]
-    _require_truncation_within(f"P(tau > {n})", alive, truncated)
-    keep = mass > 0
-    return gaps[keep], mass[keep] / alive
+    return _alive_law(dist, start_gap, n)[:2]
 
 
 def gap_chain_survival(dist: StepDistribution, start_gap: int, horizons):

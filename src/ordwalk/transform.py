@@ -22,7 +22,12 @@ from .distributions import (
 )
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
-from .lattice_exact import _gap_step_law, _require_truncation_within, killed_gap_chain
+from .lattice_exact import (
+    _gap_dp_extent,
+    _gap_step_law,
+    _require_truncation_within,
+    killed_gap_chain,
+)
 
 __all__ = [
     "FeasibilityError",
@@ -120,22 +125,29 @@ def transformed_pair_paths(start, n: int, paths: int,
     return np.stack([(s - g) / 2.0, (s + g) / 2.0], axis=1)
 
 
+def _transformed_gap_law(start_gap: int, n: int):
+    """`transformed_gap_distribution`'s (gaps, probs), and the extent of the
+    killed gap DP behind it (lattice_exact._gap_dp_extent)."""
+    if start_gap < 1:
+        raise ValueError("start gap must be >= 1")
+    gaps, mass, table = killed_gap_chain(make_distribution("rademacher"), start_gap, [n])
+    v0 = float(_rademacher_gap_v((0, start_gap)))
+    truncated = table[n][2]
+    # a truncated path ends at a gap of at most start_gap + 2n, where V <= gap + 1
+    _require_truncation_within(f"transformed gap law mass at n={n}", 1.0,
+                               truncated * (start_gap + 2 * n + 1) / v0)
+    probs = mass * _gap_v_array(gaps) / v0
+    keep = probs > 0
+    return gaps[keep], probs[keep], _gap_dp_extent(truncated, mass.size)
+
+
 def transformed_gap_distribution(start_gap: int, n: int) -> tuple:
     """Exact float64 law of the transformed gap at time n: (gaps, probs).
 
     The transform is the Doob h-transform of the killed chain by V, so
     P^V_g0(g_n = g) = P_g0(tau > n, g_n = g) V(g) / V(g0).
     """
-    if start_gap < 1:
-        raise ValueError("start gap must be >= 1")
-    gaps, mass, table = killed_gap_chain(make_distribution("rademacher"), start_gap, [n])
-    v0 = float(_rademacher_gap_v((0, start_gap)))
-    # a truncated path ends at a gap of at most start_gap + 2n, where V <= gap + 1
-    _require_truncation_within(f"transformed gap law mass at n={n}", 1.0,
-                               table[n][2] * (start_gap + 2 * n + 1) / v0)
-    probs = mass * _gap_v_array(gaps) / v0
-    keep = probs > 0
-    return gaps[keep], probs[keep]
+    return _transformed_gap_law(start_gap, n)[:2]
 
 
 def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,

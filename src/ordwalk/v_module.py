@@ -14,7 +14,7 @@ import numpy as np
 
 from . import engine
 from .distributions import HARMONICITY_OUTER_SALT, INNER_SEED_XOR, RandomStream
-from .engine import EstimateCI, WalkConfig
+from .engine import EstimateCI, WalkConfig, WorkCounts
 from .geometry import in_weyl, vandermonde
 
 __all__ = [
@@ -43,12 +43,12 @@ class VEstimate:
             raise ValueError("truncation horizon must be >= 0")
 
 
-def _vn_over_schedule(cfg: WalkConfig, horizons, paths):
+def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None = None):
     """V_n estimates at every horizon from one shared batch of paths.
 
     Each path is run to min(tau, max horizon); the stopped Vandermonde
     contributes to every horizon >= tau, so all truncations are read off a
-    single simulation pass.
+    single simulation pass. Its work is added to `work` if one is given.
     """
     horizons = sorted(int(h) for h in horizons)
     if not horizons:
@@ -61,6 +61,8 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths):
     totals = np.zeros((len(horizons), 2))
     for b, size in enumerate(engine._block_sizes(paths)):
         tau, delta, _, _ = engine._simulate_block(cfg, max_h, b, size)
+        if work is not None:
+            work.add(tau, max_h)
         for i, h in enumerate(horizons):
             contrib = np.where(tau <= h, delta, 0.0)
             totals[i] += contrib.sum(), (contrib ** 2).sum()

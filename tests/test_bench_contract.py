@@ -1,16 +1,20 @@
 """The benchmark's tracer hooks into names of the package; they must exist.
 
 `bench/spans.py` wraps entry points such as `lattice_exact.exact_d_matrix`
-and the `exact_det` name that `lattice_exact` imports. A renamed hook would
-otherwise surface only in a traced benchmark run.
+and the `exact_det` name that `lattice_exact` imports, and reads the horizon
+of `engine._simulate_block` from its second positional argument. A renamed
+hook, or a simulator that draws around `StepDistribution.sample_array`,
+would otherwise surface only in a traced benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
 
-from ordwalk import lattice_exact
+import numpy as np
+
+from ordwalk import engine, lattice_exact
 from ordwalk.distributions import make_distribution
-from ordwalk.engine import WalkConfig
+from ordwalk.engine import WalkConfig, WorkCounts
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -36,3 +40,26 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is original for owner, attr, original in hooks)
+
+
+def test_traced_batch_survival_counts_the_untraced_work():
+    cfg = WalkConfig(k=3, start=(0, 1, 2), dist=make_distribution("rademacher"),
+                     master_seed=3)
+    horizons, paths = [4, 32], 20_000  # two blocks, the second partial
+    work = WorkCounts()
+    untraced = engine.batch_survival(cfg, horizons, paths, work=work)
+    # sum of min(tau, horizon) straight from the untraced blocks
+    path_steps = sum(
+        int(np.minimum(engine._simulate_block(cfg, 32, b, size)[0], 32).sum())
+        for b, size in enumerate(engine._block_sizes(paths)))
+    assert work.path_steps == path_steps and work.paths == paths
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        traced = engine.batch_survival(cfg, horizons, paths)
+    finally:
+        tracer.uninstall()
+    assert [(h, e.mean) for h, e in traced] == [(h, e.mean) for h, e in untraced]
+    assert tracer.counts["distributions.draws"] > 0
+    assert tracer.counts["engine.path_steps"] == path_steps
+    assert tracer.counts["engine.paths"] == paths

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from ordwalk import asymptotics, lattice_exact, transform
+import numpy as np
+
+from ordwalk import asymptotics, engine, lattice_exact, transform
 from ordwalk.cli import (
     _KIND_PARAMS,
     SpecError,
@@ -423,3 +425,56 @@ params: {schedule: [4, 8, 16], paths: 2000}
     est = v_module.estimate_v(spec.walk_config(), [4, 8, 16], 2000)
     assert report["value"] == est.value.mean
     assert report["tail_diagnostic"] == est.tail_diagnostic
+
+
+def _block_work(cfg, horizon, blocks):
+    """(paths, sum of min(tau, horizon), exits) over the given block sizes."""
+    taus = [engine._simulate_block(cfg, horizon, b, size)[0] for b, size in enumerate(blocks)]
+    tau = np.concatenate(taus)
+    return {"paths": tau.size, "path_steps": int(np.minimum(tau, horizon).sum()),
+            "exits": int((tau <= horizon).sum())}
+
+
+@pytest.mark.parametrize("kind, walk, params, horizon", [
+    ("tail", "{k: 3, start: [0, 1, 2], dist: rademacher}",
+     "{horizons: [4, 16], paths: 20000}", 16),
+    ("estimate-v", "{k: 2, start: [0.0, 1.0], dist: gaussian}",
+     "{schedule: [4, 8], paths: 20000}", 8),
+], ids=["tail", "estimate-v"])
+def test_reports_count_the_monte_carlo_work(tmp_path, kind, walk, params, horizon):
+    spec = validate_spec(f"kind: {kind}\nwalk: {walk}\nseed: 3\nparams: {params}\n")
+    manifest, _ = run_experiment(spec, out_dir=str(tmp_path))
+    assert manifest.error is None  # the verdicts of so small a run do not matter
+    report = json.loads((tmp_path / f"{kind.replace('-', '_')}.json").read_text())
+    assert report["work"] == _block_work(spec.walk_config(), horizon,
+                                         engine._block_sizes(20000))
+
+
+def test_endpoint_report_counts_work_and_gap_dp_extent(tmp_path):
+    doc = """
+kind: endpoint
+walk: {k: 2, start: [0, 1], dist: rademacher}
+seed: 3
+params: {n: 64, survivors: 200, max_attempts: 40000}
+"""
+    spec = validate_spec(doc)
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path))
+    assert code == 0, manifest.error
+    report = json.loads((tmp_path / "endpoint.json").read_text())
+    # 200 survivors of n = 64 take the first block alone (P(tau > 64) ~ 0.1)
+    assert report["work"] == _block_work(spec.walk_config(), 64, [engine.BLOCK_SIZE])
+    gaps, mass, table = lattice_exact.killed_gap_chain(make_distribution("rademacher"), 1, [64])
+    assert report["gap_dp"] == {"truncated_mass": table[64][2], "window_cells": mass.size}
+
+
+def test_hermite_report_records_gap_dp_extent(tmp_path):
+    doc = """
+kind: hermite
+walk: {k: 2, start: [0, 1], dist: rademacher}
+params: {n: 64, paths: 200}
+"""
+    manifest, code = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert code == 0, manifest.error
+    report = json.loads((tmp_path / "hermite.json").read_text())
+    gaps, mass, table = lattice_exact.killed_gap_chain(make_distribution("rademacher"), 1, [64])
+    assert report["gap_dp"] == {"truncated_mass": table[64][2], "window_cells": mass.size}

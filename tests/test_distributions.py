@@ -258,3 +258,124 @@ def test_lattice_draws_use_smallest_site_dtype():
                           masses={-2 ** 70: Fraction(1, 2), 2 ** 70: Fraction(1, 2)})
     gauss = make_distribution("gaussian").sample_array(RandomStream(5, 0).generator(), 8)
     assert gauss.dtype == np.float64
+
+
+class _RawWords:
+    """Bit generator stand-in: hands out fixed raw 64-bit words in order and
+    records the size of every request."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.requests = []
+
+    def random_raw(self, size):
+        start = sum(self.requests)
+        self.requests.append(size)
+        out = self.words[start:start + size]
+        assert out.size == size, "the draw asked for more words than the stub holds"
+        return out.copy()
+
+
+class _StubRng:
+    def __init__(self, words):
+        self.bit_generator = _RawWords(words)
+
+
+def _words(lanes, dtype):
+    """Raw words whose little-endian lanes of `dtype` are `lanes`, in order,
+    and zero lanes to fill the last word."""
+    lanes = np.asarray(lanes, dtype=np.dtype(dtype).newbyteorder("<"))
+    pad = -lanes.size % (8 // lanes.itemsize)
+    return np.concatenate([lanes, np.zeros(pad, lanes.dtype)]).view("<u8")
+
+
+THIRDS = {-1: Fraction(1, 3), 0: Fraction(1, 3), 1: Fraction(1, 3)}
+# d = 4099 is prime, so its uint16 lanes are masked to 13 bits and about half rejected
+D4099 = {-1: Fraction(1000, 4099), 0: Fraction(2099, 4099), 1: Fraction(1000, 4099)}
+
+
+@pytest.mark.parametrize("kind, masses, lanes, want", [
+    # d = 2: lanes masked to one bit, none rejected
+    ("rademacher", None, [0, 1, 2, 3, 254, 255, 6, 7], [-1, 1, -1, 1, -1, 1, -1, 1]),
+    # d = 4: lanes masked to two bits, none rejected
+    ("lazy_lattice", None, [0, 1, 2, 3, 4, 5, 6, 0xFF], [-1, 0, 0, 1, -1, 0, 0, 1]),
+])
+def test_sampler_power_of_two_lanes_are_masked_in_order(kind, masses, lanes, want):
+    d = make_distribution(kind)
+    rng = _StubRng(_words(lanes, np.uint8))
+    assert d.sample_array(rng, 8).tolist() == want
+    assert rng.bit_generator.requests == [1]
+    rng = _StubRng(_words(lanes, np.uint8))
+    assert d.sample_array(rng, (2, 4)).tolist() == [want[:4], want[4:]]
+
+
+def test_sampler_rejects_lanes_at_or_above_d_and_refills():
+    d = make_distribution("custom_lattice", masses=THIRDS)  # d = 3, two-bit mask
+    # word 1 keeps 6 of 8 lanes (masked 3 is rejected), word 2 keeps none
+    # (0xFF masks to 3), and the refill's word 3 supplies the last two
+    lanes = [0, 1, 2, 3, 4, 5, 6, 7] + [0xFF] * 8 + [2, 0xFB, 1, 0, 0, 0, 0, 0]
+    rng = _StubRng(_words(lanes, np.uint8))
+    draws = d.sample_array(rng, (2, 4))
+    assert draws.tolist() == [[-1, 0, 1, -1], [0, 1, 1, 0]]
+    # 8 draws at acceptance 3/4 ask for ceil(8 * 4 / (3 * 8)) = 2 words, then 1
+    assert rng.bit_generator.requests == [2, 1]
+
+
+def test_sampler_uint16_lanes_reject_above_d():
+    d = make_distribution("custom_lattice", masses=D4099)
+    sampler = d.sampler
+    assert d.denominator == 4099 and sampler.draw_dtype is np.uint16
+    # slots 0..999 are site -1, 1000..3098 site 0, 3099..4098 site 1
+    lanes = [0, 4098, 4099, 8191, 0xFFFF, 0x2000 | 999, 1000, 0xE000 | 3099] + [1] * 4
+    rng = _StubRng(_words(lanes, np.uint16))
+    assert d.sample_array(rng, 5).tolist() == [-1, 1, -1, 0, 1]
+    assert rng.bit_generator.requests == [3]  # ceil(5 * 8192 / (4099 * 4))
+
+
+def test_sampler_uint32_lanes_take_the_searchsorted_path():
+    d = _symmetric(s1=Fraction(1, 5), s2=Fraction(1, 7),
+                   s3=Fraction(1, 3 * 2 ** 13), s4=0)
+    sampler = d.sampler
+    assert d.denominator == 860160 and sampler.table is None
+    assert sampler.draw_dtype is np.uint32
+    # the mask is 2**20 - 1; site -3 owns slots 0..34 and site -2 the next 122880
+    lanes = [0, 860159, 860160, 0xFFFFFFFF, (1 << 20) | 7, 35, 0, 0]
+    rng = _StubRng(_words(lanes, np.uint32))
+    assert d.sample_array(rng, (2, 2)).tolist() == [[-3, 3], [-3, -2]]
+
+
+@pytest.mark.parametrize("masses", [
+    {-1: Fraction(1, 2), 1: Fraction(1, 2)},
+    {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)},
+    THIRDS,
+    {-2: Fraction(1, 6), 0: Fraction(1, 2), 1: Fraction(1, 3), 5: Fraction(0)},
+    D4099,
+    {-3: Fraction(1, 49152), -2: Fraction(1, 14), -1: Fraction(1, 10),
+     0: 1 - Fraction(1, 24576) - Fraction(1, 7) - Fraction(1, 5),
+     1: Fraction(1, 10), 2: Fraction(1, 14), 3: Fraction(1, 49152)},
+])
+def test_every_masked_lane_value_once_gives_exact_masses(masses):
+    # lanes running once through every masked value 0..mask keep exactly the
+    # d slots 0..d-1, in order, so site s gets m_s * d of them
+    d = make_distribution("custom_lattice", masses=masses)
+    sampler = d.sampler
+    mask = (1 << (d.denominator - 1).bit_length()) - 1
+    lanes = np.arange(mask + 1, dtype=np.uint64).astype(sampler.draw_dtype)
+    rng = _StubRng(_words(lanes, sampler.draw_dtype))
+    draws = d.sample_array(rng, d.denominator)
+    assert np.array_equal(draws, sampler.sites_of(np.arange(d.denominator)))
+    counts = {int(s): int((draws == s).sum()) for s in np.unique(draws)}
+    want = {s: m for s, m in masses.items() if m > 0}
+    assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
+
+
+@pytest.mark.parametrize("kind", ["rademacher", "lazy_lattice", "gaussian"])
+def test_sample_array_takes_int_and_tuple_shapes(kind):
+    d = make_distribution(kind)
+    flat = d.sample_array(RandomStream(9, 0).generator(), 12)
+    shaped = d.sample_array(RandomStream(9, 0).generator(), (3, 4))
+    assert flat.shape == (12,) and shaped.shape == (3, 4)
+    assert np.array_equal(flat.reshape(3, 4), shaped)
+    # a draw of fewer leading rows is a prefix of the longer draw
+    rows = d.sample_array(RandomStream(9, 0).generator(), (2, 4))
+    assert np.array_equal(rows, shaped[:2])

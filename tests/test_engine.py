@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordwalk import engine
 from ordwalk.distributions import make_distribution
 from ordwalk.engine import (
     BLOCK_SIZE,
@@ -15,8 +16,12 @@ from ordwalk.engine import (
     batch_survival,
     conditioned_endpoints,
 )
+from ordwalk.lattice_exact import exact_survival_kernel
 
 RAD = make_distribution("rademacher")
+# chunk sizes the block tests run at: one step per chunk, the default, and
+# chunks that span every horizon the tests use
+CHUNK_SIZES = (1, engine.CHUNK_CELLS, 1 << 20)
 
 
 def cfg2(seed=0):
@@ -117,14 +122,19 @@ def test_estimate_ci_covers():
 @given(st.integers(0, 1000), st.integers(0, 40), st.integers(0, 5))
 def test_simulate_block_replay_property(seed, horizon, block):
     # a block is a pure function of (seed, block index): a replay is identical,
-    # and a shorter horizon replays the same paths up to its end
-    first = _simulate_block(cfg2(seed), horizon, block, 64, horizon // 2)
-    again = _simulate_block(cfg2(seed), horizon, block, 64, horizon // 2)
-    assert all(np.array_equal(x, y) for x, y in zip(first, again))
-    tau_short, _, terminal_short, _ = _simulate_block(cfg2(seed), horizon // 2, block, 64)
-    assert np.array_equal(np.minimum(first[0], horizon // 2 + 1), tau_short)
-    survived = first[0] > horizon // 2
-    assert np.array_equal(first[3][survived], terminal_short[survived])
+    # and a shorter horizon replays the same paths up to its end; at every
+    # chunk size (a loop rather than a parametrize mark keeps the test's name)
+    for chunk in CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "CHUNK_CELLS", chunk)
+            first = _simulate_block(cfg2(seed), horizon, block, 64, horizon // 2)
+            again = _simulate_block(cfg2(seed), horizon, block, 64, horizon // 2)
+            assert all(np.array_equal(x, y) for x, y in zip(first, again))
+            tau_short, _, terminal_short, _ = _simulate_block(cfg2(seed), horizon // 2,
+                                                              block, 64)
+            assert np.array_equal(np.minimum(first[0], horizon // 2 + 1), tau_short)
+            survived = first[0] > horizon // 2
+            assert np.array_equal(first[3][survived], terminal_short[survived])
 
 
 @pytest.mark.parametrize("kind, start, dtype", [
@@ -154,17 +164,32 @@ def test_simulate_block_terminal_dtype(kind, start, dtype):
     ("rademacher", (0, 1, 2)),
     ("gaussian", (0.0, 1.0)),
 ])
-def test_simulate_block_snapshot_is_the_position_at_that_step(kind, start):
+def test_simulate_block_snapshot_is_the_position_at_that_step(kind, start, monkeypatch):
     # same block, stopped at the snapshot step: its survivors' terminals are
-    # the snapshot rows, and every other row keeps the start
+    # the snapshot rows, and every other row keeps the start; at every chunk
+    # size (a loop rather than a parametrize mark keeps the test's names)
     cfg = WalkConfig(k=len(start), start=start, dist=make_distribution(kind),
                      master_seed=4)
-    tau, _, _, snap = _simulate_block(cfg, 40, 2, 3000, 10)
-    tau_10, _, terminal_10, _ = _simulate_block(cfg, 10, 2, 3000)
-    alive = tau > 10
-    assert np.array_equal(alive, tau_10 > 10)
-    assert snap.dtype == terminal_10.dtype
-    assert np.array_equal(snap[alive], terminal_10[alive])
-    assert (snap[~alive] == np.asarray(start)).all()
-    _, _, _, snap0 = _simulate_block(cfg, 40, 2, 3000, 0)
-    assert (snap0 == np.asarray(start)).all()
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(engine, "CHUNK_CELLS", chunk)
+        tau, _, _, snap = _simulate_block(cfg, 40, 2, 3000, 10)
+        tau_10, _, terminal_10, _ = _simulate_block(cfg, 10, 2, 3000)
+        alive = tau > 10
+        assert np.array_equal(alive, tau_10 > 10)
+        assert snap.dtype == terminal_10.dtype
+        assert np.array_equal(snap[alive], terminal_10[alive])
+        assert (snap[~alive] == np.asarray(start)).all()
+        _, _, _, snap0 = _simulate_block(cfg, 40, 2, 3000, 0)
+        assert (snap0 == np.asarray(start)).all()
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@pytest.mark.parametrize("start", [(0, 1), (0, 1, 2)])
+def test_survival_matches_exact_rational_at_every_chunk_size(start, chunk, monkeypatch):
+    # one 2^16-path batch against P(tau > n) from the exact rational DP, n = 1..8
+    monkeypatch.setattr(engine, "CHUNK_CELLS", chunk)
+    cfg = WalkConfig(k=len(start), start=start, dist=RAD, master_seed=6)
+    paths = 1 << 16
+    for n, est in batch_survival(cfg, range(1, 9), paths):
+        p = float(exact_survival_kernel(cfg, n).total_mass())
+        assert abs(est.mean - p) <= 4 * np.sqrt(p * (1 - p) / paths), (n, est.mean, p)
