@@ -38,8 +38,9 @@ BLOCK_SIZE = 1 << 14
 # path-steps per chunk of a block: one draw call covers this many (path, step)
 # pairs, so a chunk's arrays stay near k * CHUNK_CELLS int64 cells
 CHUNK_CELLS = 1 << 14
-# a chunk's running sum adds whole time rows from this many cells per row up
-_WIDE_ROW_CELLS = 512
+# a chunk's running sum adds whole time rows from this many cells per row up;
+# below it np.cumsum is faster (timed crossover between 320 and 448 cells)
+_WIDE_ROW_CELLS = 384
 
 
 class PartialResultError(RuntimeError):

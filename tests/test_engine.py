@@ -183,6 +183,22 @@ def test_simulate_block_snapshot_is_the_position_at_that_step(kind, start, monke
         assert (snap0 == np.asarray(start)).all()
 
 
+@pytest.mark.parametrize("kind, start", [
+    ("rademacher", (0, 1)),
+    ("gaussian", (0.0, 1.0, 2.0)),
+])
+def test_running_sum_paths_give_the_same_block(kind, start, monkeypatch):
+    # row adds and np.cumsum make the same sequential adds, so a block is the
+    # same bit for bit whichever the width threshold picks, floats included
+    cfg = WalkConfig(k=len(start), start=start, dist=make_distribution(kind),
+                     master_seed=5)
+    blocks = []
+    for wide in (0, 1 << 62):
+        monkeypatch.setattr(engine, "_WIDE_ROW_CELLS", wide)
+        blocks.append(_simulate_block(cfg, 300, 1, 3000, 150))
+    assert all(np.array_equal(x, y) for x, y in zip(*blocks))
+
+
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize("start", [(0, 1), (0, 1, 2)])
 def test_survival_matches_exact_rational_at_every_chunk_size(start, chunk, monkeypatch):
