@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from .distributions import StepDistribution, UnsupportedOperationError
 
@@ -158,13 +158,6 @@ def _gap_integrand(k, beta):
     return f
 
 
-def _mapped_legendre(nodes):
-    """Gauss-Legendre nodes and weights mapped from (0,1) to (0,inf) via g=t/(1-t)."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (t + 1.0)
-    return t / (1.0 - t), 0.5 * w / (1.0 - t) ** 2
-
-
 def _gap_integral_adaptive(k, beta):
     f = _gap_integrand(k, beta)
     ranges = [(0.0, np.inf)] * (k - 1)
@@ -173,8 +166,10 @@ def _gap_integral_adaptive(k, beta):
 
 
 def _gap_integral_gauss(k, beta, nodes):
-    """Tensor Gauss-Legendre on the nodes of `_mapped_legendre`."""
-    g, jac = _mapped_legendre(nodes)
+    """Tensor Gauss-Legendre, mapped from (0,1) to (0,inf) by g = t/(1-t)."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t = 0.5 * (t + 1.0)
+    g, jac = t / (1.0 - t), 0.5 * w / (1.0 - t) ** 2
     grids = np.meshgrid(*([g] * (k - 1)), indexing="ij")
     vals = _gap_integrand(k, beta)(*grids)
     for axis in range(k - 1):
@@ -230,29 +225,50 @@ def quadrature_scheme_gap(k: int) -> float:
 # ---------------------------------------------------------------------------
 # goodness of fit to the beta law
 
-def _gap_marginal_cdf(k, i, beta):
-    """CDF of gap i under the beta law (k = 2 or 3), as a callable.
+def _k3_gap_density(g, beta):
+    """Unnormalized density of a k=3 gap under the beta law (integer beta).
 
-    Trapezoid rule over the unnormalized marginal density on a fixed grid of
-    [0, 30]. For k=3 the other gap is integrated out on mapped Gauss-Legendre
-    nodes, a block of grid rows at a time to keep memory small.
+    The other gap h is integrated out of (g h (g+h))^beta exp(-(g^2+gh+h^2)/3)
+    in closed form: with a = g/2 and u = h + a this is g^beta exp(-g^2/4)
+    sum_j C(beta, j) (-a^2)^(beta-j) M_2j, where M_2j = int_a^inf u^2j
+    exp(-u^2/3) du, M_0 = (sqrt(3 pi)/2) erfc(a/sqrt(3)) and, by parts,
+    M_2j = (3/2)(a^(2j-1) exp(-a^2/3) + (2j-1) M_(2j-2)).
     """
-    grid = np.linspace(0.0, 30.0, 4001)
-    f = _gap_integrand(k, beta)
+    g = np.asarray(g, dtype=float)
+    a = g / 2.0
+    moments = [math.sqrt(3.0 * math.pi) / 2.0 * special.erfc(a / math.sqrt(3.0))]
+    for j in range(1, beta + 1):
+        moments.append(1.5 * (a ** (2 * j - 1) * np.exp(-a * a / 3.0)
+                              + (2 * j - 1) * moments[-1]))
+    inner = sum(math.comb(beta, j) * (-a * a) ** (beta - j) * m
+                for j, m in enumerate(moments))
+    return g ** beta * np.exp(-g * g / 4.0) * inner
+
+
+def _gap_marginal_cdf(k, beta):
+    """CDF of a gap under the beta law (k = 2 or 3), as a callable.
+
+    The law is invariant under y -> -reverse(y), so the k=3 gaps share one
+    law. For k=2 the density g^beta exp(-g^2/4) has the exact CDF
+    P((beta+1)/2, g^2/4), a regularized incomplete gamma function; for k=3
+    the CDF is the trapezoid rule of `_k3_gap_density` on a grid of [0, 30].
+    """
     if k == 2:
-        dens = f(grid)
-    elif k == 3:
-        u, jac = _mapped_legendre(200)
-        dens = np.empty(len(grid))
-        for lo in range(0, len(grid), 256):
-            g = grid[lo:lo + 256, None]
-            dens[lo:lo + 256] = (f(g, u) if i == 0 else f(u, g)) @ jac
-    else:
+        return lambda g: special.gammainc((beta + 1) / 2.0, np.square(g) / 4.0)
+    if k != 3:
         raise UnsupportedOperationError(
             f"gap marginals implemented for k <= 3, got {k}")
-    cum = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+    grid = np.linspace(0.0, 30.0, 4001)
+    cum = integrate.cumulative_trapezoid(_k3_gap_density(grid, beta), grid,
+                                         initial=0.0)
     cum /= cum[-1]
     return lambda g: np.interp(g, grid, cum)
+
+
+def _tv(emp, model):
+    """TV distance of two binned laws; each array's last cell is its overflow."""
+    return 0.5 * float(np.abs(emp[:-1] - model[:-1]).sum()
+                       + abs(emp[-1] - model[-1]))
 
 
 def _binned_tv(y, k, beta):
@@ -263,11 +279,12 @@ def _binned_tv(y, k, beta):
     either measure outside the box is lumped into one overflow cell.
     """
     width, lo, nbins = 0.25, -4.0, 32
+    cells = nbins ** k
     idx = np.floor((y - lo) / width).astype(int)
     inside = np.all((idx >= 0) & (idx < nbins), axis=1)
-    flat = np.ravel_multi_index(tuple(idx[inside].T), (nbins,) * k)
-    emp = np.bincount(flat, minlength=nbins ** k) / len(y)
-    emp_out = float((~inside).sum()) / len(y)
+    flat = np.where(inside, np.ravel_multi_index(tuple(idx.T), (nbins,) * k,
+                                                 mode="clip"), cells)
+    emp = np.bincount(flat, minlength=cells + 1) / len(y)
 
     centers = lo + width * (np.arange(nbins) + 0.5)
     mesh = np.meshgrid(*([centers] * k), indexing="ij")
@@ -277,17 +294,17 @@ def _binned_tv(y, k, beta):
     # |y|^2 = k mean(y)^2 + Q(diff y): the center factor times the gap integrand
     dens = (np.exp(-0.5 * k * pts.mean(axis=1) ** 2)
             * _gap_integrand(k, beta)(*np.diff(pts, axis=1).T))
-    model = np.zeros(nbins ** k)
-    model[ordered] = dens * width ** k / _chamber_integral(k, beta)
-    model_out = max(0.0, 1.0 - model.sum())
-    return 0.5 * float(np.abs(emp - model).sum() + abs(emp_out - model_out))
+    model = np.zeros(cells + 1)
+    model[:-1][ordered] = dens * width ** k / _chamber_integral(k, beta)
+    model[-1] = 1.0 - model[:-1].sum()
+    return _tv(emp, model)
 
 
-def _limit_law_report(samples, k, beta, sigma):
+def _limit_law_report(samples, k, beta, sigma=1.0):
     """Fit of samples / sigma to the beta law; returns (report, gaps).
 
     The report holds per-gap one-sample KS statistics against the gap
-    marginals and the binned total-variation distance; callers add the gap
+    marginal and the binned total-variation distance; callers add the gap
     moment they test.
     """
     samples = np.asarray(samples, dtype=float)
@@ -297,8 +314,8 @@ def _limit_law_report(samples, k, beta, sigma):
         raise ValueError("all samples must lie in the Weyl chamber")
     y = samples / sigma
     gaps = np.diff(y, axis=1)
-    ks = [float(stats.kstest(gaps[:, i], _gap_marginal_cdf(k, i, beta)).statistic)
-          for i in range(k - 1)]
+    cdf = _gap_marginal_cdf(k, beta)
+    ks = [float(stats.kstest(gaps[:, i], cdf).statistic) for i in range(k - 1)]
     report = {
         "n_samples": len(y),
         "ks_per_gap": ks,

@@ -231,8 +231,8 @@ def _to_json(obj, indent=0):
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, Fraction):
         return json.dumps(f"{obj.numerator}/{obj.denominator}")
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+    if isinstance(obj, (bool, np.bool_)) or obj is None:
+        return json.dumps(None if obj is None else bool(obj))
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -13,7 +13,6 @@ determinants of all sites taken at once from integer path-count tables.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,9 +95,6 @@ class VerificationReport:
             "pass": self.passed,
             **self.extra,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _require_lattice(dist: StepDistribution):

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import special, stats
+from scipy import stats
 
 from . import asymptotics, engine
 from .distributions import (
@@ -151,7 +151,7 @@ def transformed_gap_distribution(start_gap: int, n: int) -> tuple:
 
 
 def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
-                              guard_m=None, predicted_acceptance=None):
+                              guard_m=None):
     """Approximate the transformed law by conditioning on long survival.
 
     Simulates plain paths to 2m in engine blocks, keeps those still ordered
@@ -167,13 +167,8 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
     if m < t_steps:
         raise ValueError("guard horizon must be >= t_steps")
     k = cfg.k
-    if predicted_acceptance is None:
-        p = k * (k - 1) / 4.0
-        predicted_acceptance = min(
-            1.0,
-            asymptotics.constant_K(k) * float(vandermonde(cfg.start))
-            * (2.0 * m * cfg.dist.variance) ** (-p),
-        )
+    predicted_acceptance = min(1.0, asymptotics.constant_K(k) * float(vandermonde(cfg.start))
+                               * (2.0 * m * cfg.dist.variance) ** (-k * (k - 1) / 4.0))
     if predicted_acceptance < 1e-4:
         raise FeasibilityError(
             f"predicted acceptance {predicted_acceptance:.3g} below 1e-4 at "
@@ -216,22 +211,23 @@ def _marginal_tv(a: np.ndarray, b: np.ndarray) -> float:
     lo = min(ga.min(), gb.min())
     hi = max(ga.max(), gb.max())
     edges = np.linspace(lo, hi + 1e-9, 41)
-    ha, _ = np.histogram(ga, edges)
-    hb, _ = np.histogram(gb, edges)
-    return 0.5 * float(np.abs(ha / len(ga) - hb / len(gb)).sum())
+    # the bins hold every sample, so both overflow cells are empty
+    ha = np.append(np.histogram(ga, edges)[0] / len(ga), 0.0)
+    hb = np.append(np.histogram(gb, edges)[0] / len(gb), 0.0)
+    return asymptotics._tv(ha, hb)
 
 
 # ---------------------------------------------------------------------------
 # Hermite ensemble comparison
 
-def hermite_distance(samples, k: int, sigma: float = 1.0) -> dict:
+def hermite_distance(samples, k: int) -> dict:
     """Goodness of fit of rescaled transformed endpoints to the squared law.
 
     Same statistic suite as the endpoint report, but against the density
     proportional to exp(-|y|^2/2) Delta(y)^2. Also reports the second gap
     moment (limit value 6 for k=2).
     """
-    report, gaps = asymptotics._limit_law_report(samples, k, 2, sigma)
+    report, gaps = asymptotics._limit_law_report(samples, k, 2)
     report["gap_sq_mean"], report["gap_sq_stderr"] = asymptotics._mean_stderr(gaps ** 2)
     return report
 
@@ -246,25 +242,16 @@ def hermite_gap_tv_exact(start_gap: int, n: int) -> float:
     return gap_law_tv(gaps / math.sqrt(n), probs)
 
 
-def _limit_gap_cdf(g):
-    """CDF of the k=2 beta=2 limit gap, density g^2 exp(-g^2/4) / (2 sqrt(pi))."""
-    g = np.asarray(g, dtype=float)
-    return special.erf(g / 2.0) - g / math.sqrt(math.pi) * np.exp(-g ** 2 / 4.0)
-
-
 def gap_law_tv(x, probs) -> float:
     """TV between the law of gaps x with masses probs and the k=2 beta=2 limit.
 
     Both laws are binned in steps of 1/4 on [0, 8]; mass outside is one
     overflow cell.
     """
-    upper = 8.0
-    edges = np.arange(0.0, upper + 0.125, 0.25)
+    edges = np.arange(0.0, 8.125, 0.25)
     emp, _ = np.histogram(x, edges, weights=probs)
-    emp_out = max(0.0, 1.0 - emp.sum())
-    model = np.diff(_limit_gap_cdf(edges))
-    model_out = 1.0 - float(_limit_gap_cdf(upper))
-    return 0.5 * float(np.abs(emp - model).sum() + abs(emp_out - model_out))
+    model = np.diff(asymptotics._gap_marginal_cdf(2, 2)(np.append(edges, np.inf)))
+    return asymptotics._tv(np.append(emp, max(0.0, 1.0 - emp.sum())), model)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +286,14 @@ def dyson_gap_cdf(g0: float, t: float, g) -> np.ndarray:
             + s * s * (norm.pdf(g + g0, scale=s) - norm.pdf(g - g0, scale=s)) / g0)
 
 
-def dyson_compare(x_unit, t: float, n: int, paths: int, sigma: float = 1.0,
+def dyson_compare(x_unit, t: float, n: int, paths: int,
                   master_seed: int = 0) -> dict:
     """Distance between rescaled transformed-walk marginals and the BM law.
 
     k=2 Rademacher route: starts the exact transformed gap chain at the
     snapped gap sqrt(n) * (unit gap), runs floor(t n) steps, rescales by
-    sqrt(n), and compares against the exact gap marginal at diffusion time
-    t * sigma^2 by binned TV and KS.
+    sqrt(n), and compares against the exact gap marginal at diffusion time t
+    by binned TV and KS.
     """
     if len(x_unit) != 2:
         raise UnsupportedOperationError("dyson_compare is a k=2 gap-chain route")
@@ -317,24 +304,19 @@ def dyson_compare(x_unit, t: float, n: int, paths: int, sigma: float = 1.0,
     steps = int(t * n)
     gaps = transformed_gap_paths(start_gap, steps, paths, master_seed)
     rescaled = gaps / math.sqrt(n)
-    t_eff = t * sigma ** 2
-    g0_eff = start_gap / math.sqrt(n)
+    g0 = start_gap / math.sqrt(n)
 
-    hi = g0_eff + 6.0 * math.sqrt(2.0 * t_eff)
-    edges = np.arange(0.0, hi, 0.25 * sigma)
+    edges = np.arange(0.0, g0 + 6.0 * math.sqrt(2.0 * t), 0.25)
     counts, _ = np.histogram(rescaled, edges)
-    model_bins = np.diff(dyson_gap_cdf(g0_eff, t_eff, edges))
-    emp = counts / len(rescaled)
-    # both laws have total mass 1, so the overflow cells differ by the sums
-    tv = 0.5 * (np.abs(emp - model_bins).sum() + abs(model_bins.sum() - emp.sum()))
-    ks = float(stats.kstest(rescaled,
-                            lambda g: dyson_gap_cdf(g0_eff, t_eff, g)).statistic)
+    emp = np.append(counts, paths - counts.sum()) / paths
+    model = np.diff(dyson_gap_cdf(g0, t, np.append(edges, np.inf)))
+    ks = float(stats.kstest(rescaled, lambda g: dyson_gap_cdf(g0, t, g)).statistic)
     return {
         "n": n,
         "steps": steps,
         "start_gap": start_gap,
         "n_samples": paths,
-        "tv": float(tv),
+        "tv": asymptotics._tv(emp, model),
         "ks": ks,
         "gap_mean": float(rescaled.mean()),
     }

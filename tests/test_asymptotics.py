@@ -16,6 +16,7 @@ from ordwalk.asymptotics import (
     _gap_integral_adaptive,
     _gap_integrand,
     _gap_marginal_cdf,
+    _k3_gap_density,
     constant_K,
     endpoint_density_distance,
     local_clt_deviation,
@@ -188,11 +189,36 @@ def test_endpoint_distance_input_validation():
 
 
 @pytest.mark.parametrize("beta", [1, 2])
+def test_gap_marginal_cdf_k2_is_exact(beta):
+    def dens(x):
+        return x ** beta * math.exp(-x * x / 4.0)
+
+    total = integrate.quad(dens, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)[0]
+    cdf = _gap_marginal_cdf(2, beta)
+    for g in (0.0, 0.1, 0.5, 1.3, 2.0, 4.0, 7.5, 12.0):
+        mass = integrate.quad(dens, 0.0, g, epsabs=1e-13, epsrel=1e-13)[0]
+        assert abs(float(cdf(g)) - mass / total) <= 1e-12
+    assert float(cdf(60.0)) == 1.0
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("i", [0, 1])
+def test_k3_gap_density_is_the_marginal(i, beta):
+    # the closed form against the gap integrand integrated over the other gap
+    f = _gap_integrand(3, beta)
+    for g in (0.5, 1.5, 3.0, 6.0):
+        def slice_f(u):
+            return float(f(g, u) if i == 0 else f(u, g))
+        mass, _ = integrate.quad(slice_f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)
+        assert float(_k3_gap_density(g, beta)) == pytest.approx(mass, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("i", [0, 1])
 def test_gap_marginal_cdf_k3_matches_quadrature(i, beta):
     f = _gap_integrand(3, beta)
     total = _chamber_integral(3, beta) / math.sqrt(2.0 * math.pi / 3)
-    cdf = _gap_marginal_cdf(3, i, beta)
+    cdf = _gap_marginal_cdf(3, beta)  # one CDF for both gaps
     for g in (0.5, 1.5, 3.0):
         def slice_f(x, u):
             return f(x, u) if i == 0 else f(u, x)

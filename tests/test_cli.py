@@ -100,6 +100,8 @@ def test_json_writer_deterministic_and_exact():
     assert "2.5" in text
     parsed = json.loads(text)
     assert parsed["c"]["nested"] is True and parsed["c"]["x"] is None
+    assert _to_json(np.bool_(False)) == "false"
+    assert _to_json(np.bool_(True)) == "true"
 
 
 def test_run_exact_km_end_to_end(tmp_path):
@@ -425,6 +427,20 @@ params: {schedule: [4, 8, 16], paths: 2000}
     est = v_module.estimate_v(spec.walk_config(), [4, 8, 16], 2000)
     assert report["value"] == est.value.mean
     assert report["tail_diagnostic"] == est.tail_diagnostic
+
+
+def test_estimate_v_writes_its_verdicts_as_json_bools(tmp_path):
+    doc = """
+kind: estimate-v
+walk: {k: 2, start: [0, 1], dist: rademacher}
+params: {schedule: [4, 8], paths: 500}
+"""
+    manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    report = json.loads((tmp_path / "estimate_v.json").read_text())
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert isinstance(report["positive_at_4_stderr"], bool)
+    assert written["checks"]["positivity_4sigma"] is report["positive_at_4_stderr"]
+    assert written["passed"] is manifest.passed
 
 
 def _block_work(cfg, horizon, blocks):

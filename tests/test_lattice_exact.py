@@ -179,7 +179,6 @@ def test_report_serialization():
     rep = exact_km_check(CFG2, 2)
     d = rep.to_dict()
     assert d["identity"] == "karlin-mcgregor" and d["pass"] is True
-    assert isinstance(rep.to_json(), str)
 
 
 def test_gap_chain_matches_exact_kernel():
