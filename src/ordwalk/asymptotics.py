@@ -7,9 +7,10 @@ V-transformed walk tends to the density proportional to exp(-|y|^2/2)
 Delta(y)^2. Both limits belong to one family indexed by the Vandermonde power
 beta. This module fits the exponent and prefactor from survival curves,
 takes K and the normalizations Z_beta from Mehta's integral in closed form
-(with a two-scheme quadrature cross-check), measures goodness of fit of
-samples to the beta law, and provides a local-CLT deviation diagnostic for
-lattice step laws.
+(the acceptance criteria check K on the exact Rademacher survival curves of
+`lattice_exact.star_survival`), measures goodness of fit of samples to the
+beta law, and provides a local-CLT deviation diagnostic for lattice step
+laws.
 """
 
 import json
@@ -31,7 +32,6 @@ __all__ = [
     "endpoint_density_distance",
     "local_clt_deviation",
     "walk_pmf",
-    "quadrature_scheme_gap",
 ]
 
 # ---------------------------------------------------------------------------
@@ -126,9 +126,7 @@ def tail_fit(survival, sigma: float = 1.0, top_fraction: float = 0.5) -> TailFit
 # of the gap vector g in (0,inf)^{k-1} and integrating the center v out
 # analytically leaves
 #   Z_beta = int_W ... dy = sqrt(2pi/k) * int_{g>0} Delta(c(g))^beta exp(-Q(g)/2) dg,
-# with Q(g) = sum_i c_i^2 - (sum_i c_i)^2 / k. Two independent quadrature
-# schemes of the gap integral (adaptive, and tensor Gauss-Legendre on a
-# mapped grid) cross-check the closed form.
+# with Q(g) = sum_i c_i^2 - (sum_i c_i)^2 / k.
 
 def _chamber_integral(k, beta):
     """Z_beta: the integral of exp(-|y|^2/2) Delta(y)^beta over W."""
@@ -158,27 +156,6 @@ def _gap_integrand(k, beta):
     return f
 
 
-def _gap_integral_adaptive(k, beta):
-    f = _gap_integrand(k, beta)
-    ranges = [(0.0, np.inf)] * (k - 1)
-    val, _ = integrate.nquad(f, ranges, opts={"epsabs": 1e-10, "epsrel": 1e-10})
-    return val
-
-
-def _gap_integral_gauss(k, beta, nodes):
-    """Tensor Gauss-Legendre, mapped from (0,1) to (0,inf) by g = t/(1-t)."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (t + 1.0)
-    g, jac = t / (1.0 - t), 0.5 * w / (1.0 - t) ** 2
-    grids = np.meshgrid(*([g] * (k - 1)), indexing="ij")
-    vals = _gap_integrand(k, beta)(*grids)
-    for axis in range(k - 1):
-        shape = [1] * (k - 1)
-        shape[axis] = nodes
-        vals = vals * jac.reshape(shape)
-    return float(vals.sum())
-
-
 def _constants(k: int, cache_path=None):
     """(K, Z1) for k walkers, from Mehta's integral.
 
@@ -205,21 +182,6 @@ def z1_constant(k: int, cache_path=None) -> float:
     """Normalization of the endpoint density exp(-|y|^2/2) Delta(y) on W."""
     _, Z1 = _constants(k, cache_path)
     return Z1
-
-
-def quadrature_scheme_gap(k: int) -> float:
-    """Largest relative error of the two quadrature schemes against Z1.
-
-    Both schemes are recomputed on every call and compared with the closed
-    form; at k=4 the adaptive scheme is a three-dimensional nquad and is slow.
-    """
-    if k not in (2, 3, 4):
-        raise UnsupportedOperationError(
-            f"quadrature cross-check supports k in 2..4, got {k}")
-    exact = _chamber_integral(k, 1) / math.sqrt(2.0 * math.pi / k)
-    schemes = (_gap_integral_adaptive(k, 1),
-               _gap_integral_gauss(k, 1, nodes=64 if k == 4 else 96))
-    return max(abs(q - exact) for q in schemes) / exact
 
 
 # ---------------------------------------------------------------------------
@@ -271,33 +233,57 @@ def _tv(emp, model):
                        + abs(emp[-1] - model[-1]))
 
 
-def _binned_tv(y, k, beta):
-    """Total-variation distance between samples y and the beta law.
+# `_binned_tv` bins a sample by its center mean(y) in [-4, 4) and each of
+# its k - 1 gaps in [0, 8), in 32 half-open bins of width 1/4 per axis
+_TV_WIDTH, _TV_BINS, _TV_CENTER_LOW = 0.25, 32, -4.0
+# Gauss-Legendre nodes per gap in a k = 3 gap cell; the cell masses then
+# agree with adaptive quadrature to about 1e-17
+_TV_GAUSS_NODES = 5
 
-    Half-open bins [a, a + 1/4) tile the box [-4, 4)^k; model bin masses are
-    the normalized density at the bin midpoint times the bin volume. Mass of
-    either measure outside the box is lumped into one overflow cell.
+
+def _binned_model(k, beta):
+    """Masses of the beta law (k = 2, 3) in the cells of `_binned_tv`,
+    overflow last.
+
+    The law factors into the center, N(0, 1/k), and the gaps, of density
+    proportional to `_gap_integrand`, since |y|^2 = k mean(y)^2 + Q(gaps).
+    Center cells take normal CDF differences. For k=2 the gap cells take
+    differences of the exact `_gap_marginal_cdf`; for k=3 each of the 32x32
+    gap cells takes a tensor Gauss-Legendre rule of the gap integrand.
     """
-    width, lo, nbins = 0.25, -4.0, 32
-    cells = nbins ** k
-    idx = np.floor((y - lo) / width).astype(int)
-    inside = np.all((idx >= 0) & (idx < nbins), axis=1)
-    flat = np.where(inside, np.ravel_multi_index(tuple(idx.T), (nbins,) * k,
+    edges = np.arange(_TV_BINS + 1) * _TV_WIDTH
+    center = np.diff(special.ndtr(math.sqrt(k) * (_TV_CENTER_LOW + edges)))
+    if k == 2:
+        gaps = np.diff(_gap_marginal_cdf(2, beta)(edges))
+    else:
+        t, w = np.polynomial.legendre.leggauss(_TV_GAUSS_NODES)
+        nodes = (edges[:-1, None] + 0.5 * _TV_WIDTH * (t + 1.0)).ravel()
+        weights = np.tile(0.5 * _TV_WIDTH * w, _TV_BINS)
+        vals = (_gap_integrand(3, beta)(nodes[:, None], nodes[None, :])
+                * np.outer(weights, weights))
+        shape = (_TV_BINS, _TV_GAUSS_NODES) * 2
+        gaps = (vals.reshape(shape).sum(axis=(1, 3)) * math.sqrt(2.0 * math.pi / 3)
+                / _chamber_integral(3, beta))
+    model = np.multiply.outer(center, gaps).ravel()
+    return np.append(model, 1.0 - model.sum())
+
+
+def _binned_tv(y, k, beta):
+    """Total-variation distance between samples y and the beta law (k = 2, 3).
+
+    Each sample is binned by its center and its gaps; mass of either measure
+    outside the box is one overflow cell. The model's cell masses come from
+    `_binned_model`.
+    """
+    coords = np.column_stack([y.mean(axis=1), np.diff(y, axis=1)])
+    lows = np.array([_TV_CENTER_LOW] + [0.0] * (k - 1))
+    idx = np.floor((coords - lows) / _TV_WIDTH).astype(int)
+    inside = np.all((idx >= 0) & (idx < _TV_BINS), axis=1)
+    cells = _TV_BINS ** k
+    flat = np.where(inside, np.ravel_multi_index(tuple(idx.T), (_TV_BINS,) * k,
                                                  mode="clip"), cells)
     emp = np.bincount(flat, minlength=cells + 1) / len(y)
-
-    centers = lo + width * (np.arange(nbins) + 0.5)
-    mesh = np.meshgrid(*([centers] * k), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    ordered = np.all(np.diff(pts, axis=1) > 0, axis=1)
-    pts = pts[ordered]
-    # |y|^2 = k mean(y)^2 + Q(diff y): the center factor times the gap integrand
-    dens = (np.exp(-0.5 * k * pts.mean(axis=1) ** 2)
-            * _gap_integrand(k, beta)(*np.diff(pts, axis=1).T))
-    model = np.zeros(cells + 1)
-    model[:-1][ordered] = dens * width ** k / _chamber_integral(k, beta)
-    model[-1] = 1.0 - model[:-1].sum()
-    return _tv(emp, model)
+    return _tv(emp, _binned_model(k, beta))
 
 
 def _limit_law_report(samples, k, beta, sigma=1.0):

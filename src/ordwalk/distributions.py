@@ -30,10 +30,7 @@ _LATTICE_KINDS = ("rademacher", "lazy_lattice", "custom_lattice")
 # (tail, estimate-v, endpoint, transform) draws block b of its paths from the
 # same engine stream, so runs of one walk at one master seed share paths.
 BLOCK_SALT = 0  # block b of an engine batch uses salt BLOCK_SALT + b (b < 2**60)
-HARMONICITY_OUTER_SALT = 2 ** 63  # first steps of harmonicity_residual's outer points
 TRANSFORMED_CHAIN_SALT = 3 * 2 ** 61  # k=2 transformed chain, gap and pair samplers
-# not a key salt: harmonicity_residual's nested V_n runs use master_seed ^ this
-INNER_SEED_XOR = 0x9E3779B97F4A7C15
 
 # the sampler looks steps up in a table up to this common denominator and by
 # searchsorted above it; it refuses laws whose denominator reaches the last

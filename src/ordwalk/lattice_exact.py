@@ -42,6 +42,7 @@ __all__ = [
     "gap_chain_survival",
     "gap_chain_stopped_delta",
     "gap_chain_alive_distribution",
+    "star_survival",
 ]
 
 CAPACITY_BITS = 120
@@ -598,3 +599,29 @@ def gap_chain_stopped_delta(dist: StepDistribution, start_gap: int, n: int):
     _require_truncation_within(f"E[Delta(X(tau)); tau <= {n}]", stopped,
                                deepest * truncated)
     return stopped
+
+
+# ---------------------------------------------------------------------------
+# k Rademacher walkers from the packed start: a closed form at any horizon
+# ---------------------------------------------------------------------------
+
+
+def star_survival(k: int, horizons):
+    """P(tau > n) of k Rademacher walkers from (0, 1, ..., k-1), per horizon.
+
+    Moving walker i up by i makes every gap even, so the walkers become
+    non-colliding ("vicious") walkers from (0, 2, ..., 2k-2), whose star
+    count (Guttmann, Owczarek & Viennot, J. Phys. A 31, 1998) is
+    2^{kn} P(tau > n) = prod_{1<=i<=j<=n} (k+i+j-1)/(i+j-1). The factors of
+    one j multiply to 2^k prod_{m<k} (2j+m)/(2j+2m), so
+    P(tau > n) = prod_{j<=n} prod_{m=1}^{k-1} (1 - m/(2(j+m))). Each horizon
+    is one math.fsum of these log1p terms, with no 2^{kn} to cancel.
+    Returns [(n, P(tau > n))] in increasing n.
+    """
+    horizons = sorted(int(h) for h in horizons)
+    if k < 1 or horizons[0] < 0:
+        raise ValueError("need k >= 1 and horizons >= 0")
+    j = np.arange(1, horizons[-1] + 1)[:, None]
+    m = np.arange(1, k)
+    terms = np.log1p(-m / (2.0 * (j + m)))  # row j - 1 holds step j's factors
+    return [(h, math.exp(math.fsum(terms[:h].ravel()))) for h in horizons]

@@ -8,7 +8,7 @@ transition density of ordered Brownian motions.
 """
 
 import math
-from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from scipy import stats
@@ -22,12 +22,7 @@ from .distributions import (
 )
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
-from .lattice_exact import (
-    _gap_dp_extent,
-    _gap_step_law,
-    _require_truncation_within,
-    killed_gap_chain,
-)
+from .lattice_exact import _gap_dp_extent, _require_truncation_within, killed_gap_chain
 
 __all__ = [
     "FeasibilityError",
@@ -48,45 +43,48 @@ class FeasibilityError(RuntimeError):
     """Plain rejection would be hopeless; carries the predicted cost."""
 
 
-def _rademacher_gap_v(x):
-    """Closed-form V for two Rademacher walkers, as a function of the config.
+def _rademacher_v(x):
+    """The harmonic V of Rademacher walkers, for every k: V(x) = Delta(x + c).
 
-    In gap coordinates g = x2 - x1: V = g + 1 for odd g (the walk exits
-    exactly at gap -1, so E[gap at exit] = -1) and V = g for even g (exit
-    lands on gap 0 where the Vandermonde vanishes).
+    c_i counts the odd gaps below walker i. A +-1 step never changes the
+    parity of a gap, so the killed walk from x is the killed walk from x + c
+    moved back by c; x + c has even gaps only, its walkers cannot cross
+    without meeting, and Delta is harmonic for them. Takes one integer
+    configuration or an array of them along the last axis. At every exit
+    reachable in one step (a gap of 0 or -1) the value is exactly 0.
     """
-    g = x[1] - x[0]
-    if g <= 0:
-        raise ValueError("configuration must be strictly ordered")
-    return Fraction(g + 1) if g % 2 else Fraction(g)
+    x = np.asarray(x, dtype=np.int64)
+    c = np.cumsum(np.diff(x, axis=-1) % 2, axis=-1)
+    y = x + np.concatenate([np.zeros_like(x[..., :1]), c], axis=-1)
+    return math.prod(y[..., j] - y[..., i]
+                     for i, j in combinations(range(x.shape[-1]), 2))
 
 
 # ---------------------------------------------------------------------------
-# the k=2 Rademacher transformed chain in gap coordinates
+# the k=2 Rademacher transformed chain
 #
-# The chain is the Doob h-transform of the killed gap chain by V: a step of the
-# gap law (lattice_exact._gap_step_law) to g' > 0 has its mass times V(g')/V(g).
+# The chain is the Doob h-transform of the killed walk by V. The gap moves
+# by +-2 when the two steps differ, with masses V(g +- 2) / (4 V(g)), and
+# V(g + 2) + V(g - 2) = 2 V(g), so it moves at exactly half of the steps
+# whatever its state. A path therefore makes M ~ Bin(n, 1/2) gap moves, and
+# its other n - M steps move both walkers together by +-1 with equal chance.
 
-def _gap_v_array(gaps: np.ndarray) -> np.ndarray:
-    return np.where(gaps % 2 == 1, gaps + 1.0, gaps.astype(float))
+def _transformed_gaps(start_gap: int, moves: np.ndarray, rng) -> np.ndarray:
+    """Gaps after moves[i] moves of the transformed gap chain on path i.
 
-
-def _transformed_gap_table(start_gap: int, n: int) -> np.ndarray:
-    """Rows (up, moved): the chances to step +2 and to move, by gap 0..start_gap + 2n."""
-    offsets, probs = _gap_step_law(make_distribution("rademacher"))
-    mass = dict(zip(offsets.tolist(), probs.tolist()))
-    gaps = np.arange(1, start_gap + 2 * n + 1)
-    v = _gap_v_array(gaps)
-    up = mass[2] * _gap_v_array(gaps + 2) / v
-    down = mass[-2] * _gap_v_array(gaps - 2) / v  # V is 0 at the exit gaps -1 and 0
-    return np.pad(np.stack([up, up + down]), ((0, 0), (1, 0)))  # gap 0 is never visited
-
-
-def _transformed_gap_step(g: np.ndarray, u: np.ndarray, table: np.ndarray):
-    """(new gaps, moved) after one step with uniforms u; a gap past the table raises."""
-    up, moved = table.take(g, axis=1)
-    moved = u < moved
-    return np.where(u < up, g + 2, np.where(moved, g - 2, g)), moved
+    A move keeps the parity of the gap, so it moves V by the same +-2 and
+    the loop runs on v = V(g): a move goes up with chance
+    V(g + 2) / (2 V(g)) = (v + 2) / (2 v), one uniform per move. Paths run
+    in order of decreasing moves, so the paths still moving are a prefix.
+    """
+    v0 = int(_rademacher_v((0, start_gap)))
+    v = np.full(moves.size, v0, dtype=np.int64)
+    for live in moves.size - np.cumsum(np.bincount(moves))[:-1]:
+        head = v[:live]
+        head += np.where(2 * head * rng.random(live) < head + 2, 2, -2)
+    gaps = np.empty(moves.size, dtype=np.int64)
+    gaps[np.argsort(-moves, kind="stable")] = v - (v0 - start_gap)
+    return gaps
 
 
 def transformed_gap_paths(start_gap: int, n: int, paths: int,
@@ -95,33 +93,25 @@ def transformed_gap_paths(start_gap: int, n: int, paths: int,
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
     rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
-    table = _transformed_gap_table(start_gap, n)
-    g = np.full(paths, start_gap, dtype=np.int64)
-    for _ in range(n):
-        g, _ = _transformed_gap_step(g, rng.random(paths), table)
-    return g
+    return _transformed_gaps(start_gap, rng.binomial(n, 0.5, paths), rng)
 
 
 def transformed_pair_paths(start, n: int, paths: int,
                            master_seed: int = 0) -> np.ndarray:
     """Sample full k=2 transformed configurations at time n, shape (paths, 2).
 
-    For Rademacher steps the pair (sum, gap) moves on a checkerboard: the gap
-    changes by +-2 exactly when the two steps differ, in which case the sum is
-    frozen; when the gap stays, the sum jumps +-2 with equal probability. The
-    V-reweighting touches only the gap component.
+    The sum s of the two walkers is frozen while the gap moves and jumps by
+    +-2 with equal chance at each of the other n - M steps, so
+    s = s0 + 2 (2 Bin(n - M, 1/2) - (n - M)). The gaps equal those of
+    `transformed_gap_paths` at the same seed.
     """
     if not in_weyl(start):
         raise ValueError("start must be strictly ordered")
-    start_gap = int(start[1] - start[0])
     rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
-    table = _transformed_gap_table(start_gap, n)
-    g = np.full(paths, start_gap, dtype=np.int64)
-    s = np.full(paths, int(start[0] + start[1]), dtype=np.int64)
-    for _ in range(n):
-        g, moved = _transformed_gap_step(g, rng.random(paths), table)
-        coin = rng.random(paths) < 0.5
-        s = np.where(moved, s, s + np.where(coin, 2, -2))
+    moves = rng.binomial(n, 0.5, paths)
+    g = _transformed_gaps(int(start[1] - start[0]), moves, rng)
+    frozen = n - moves
+    s = int(start[0] + start[1]) + 2 * (2 * rng.binomial(frozen, 0.5) - frozen)
     return np.stack([(s - g) / 2.0, (s + g) / 2.0], axis=1)
 
 
@@ -131,12 +121,12 @@ def _transformed_gap_law(start_gap: int, n: int):
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
     gaps, mass, table = killed_gap_chain(make_distribution("rademacher"), start_gap, [n])
-    v0 = float(_rademacher_gap_v((0, start_gap)))
+    v0 = float(_rademacher_v((0, start_gap)))
     truncated = table[n][2]
     # a truncated path ends at a gap of at most start_gap + 2n, where V <= gap + 1
     _require_truncation_within(f"transformed gap law mass at n={n}", 1.0,
                                truncated * (start_gap + 2 * n + 1) / v0)
-    probs = mass * _gap_v_array(gaps) / v0
+    probs = mass * _rademacher_v(np.stack([np.zeros_like(gaps), gaps], axis=1)) / v0
     keep = probs > 0
     return gaps[keep], probs[keep], _gap_dp_extent(truncated, mass.size)
 

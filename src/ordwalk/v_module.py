@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .distributions import HARMONICITY_OUTER_SALT, INNER_SEED_XOR, RandomStream
 from .engine import EstimateCI, WalkConfig, WorkCounts
 from .geometry import in_weyl, vandermonde
 
@@ -22,7 +21,6 @@ __all__ = [
     "estimate_vn",
     "estimate_v",
     "v_from_schedule",
-    "harmonicity_residual",
     "scaling_check",
     "snap_to_lattice",
 ]
@@ -116,46 +114,6 @@ def v_from_schedule(cfg: WalkConfig, per_horizon) -> VEstimate:
     converged = not (tail > 3.0 * final.stderr) if not math.isnan(tail) else True
     return VEstimate(x=tuple(cfg.start), n_used=n_used, value=final,
                      tail_diagnostic=tail, converged=converged)
-
-
-def harmonicity_residual(cfg: WalkConfig, n: int, paths: int,
-                         inner_paths: int = 512) -> EstimateCI:
-    """Estimate E_x[1{tau > 1} V_n(X(1))] - V_{n+1}(x) (zero in theory).
-
-    The outer expectation is sampled with `paths` first steps; each surviving
-    configuration gets a nested V_n estimate. All nested estimates share one
-    inner seed, so the inner noise is common across outer points and largely
-    cancels in the difference. The nested estimates must stay independent of
-    the outer step draw: reusing the outer path's own continuation would make
-    the residual vanish identically (it telescopes to the Vandermonde
-    martingale increment) and test nothing.
-    """
-    if paths < 1 or inner_paths < 1:
-        raise ValueError("paths and inner_paths must be >= 1")
-    rng = RandomStream(cfg.master_seed, HARMONICITY_OUTER_SALT).generator()
-    steps = cfg.dist.sample_array(rng, (paths, cfg.k))
-    firsts = np.asarray(cfg.start, dtype=float) + steps
-    inner_seed = (cfg.master_seed ^ INNER_SEED_XOR) & 0x7FFFFFFFFFFFFFFF
-
-    term1 = np.zeros(paths)
-    for b in range(paths):
-        y = tuple(firsts[b].tolist())
-        if not in_weyl(y):
-            continue
-        if cfg.dist.is_lattice:
-            y = tuple(int(round(c)) for c in y)
-        inner_cfg = replace(cfg, start=y, master_seed=inner_seed)
-        term1[b] = estimate_vn(inner_cfg, n, inner_paths).value.mean
-
-    mean1 = float(term1.mean())
-    se1 = float(term1.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-
-    ref_cfg = replace(cfg, master_seed=inner_seed)
-    ref = estimate_vn(ref_cfg, n + 1, paths * inner_paths).value
-
-    residual = mean1 - ref.mean
-    stderr = math.hypot(se1, ref.stderr)
-    return EstimateCI(mean=residual, stderr=stderr, n_samples=paths)
 
 
 def snap_to_lattice(x, k: int):

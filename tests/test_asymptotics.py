@@ -4,30 +4,28 @@ import json
 import math
 import os
 from collections import Counter
-from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ordwalk.asymptotics import (
+    _binned_model,
     _binned_tv,
     _chamber_integral,
-    _gap_integral_adaptive,
     _gap_integrand,
     _gap_marginal_cdf,
     _k3_gap_density,
     constant_K,
     endpoint_density_distance,
     local_clt_deviation,
-    quadrature_scheme_gap,
     tail_fit,
     walk_pmf,
     z1_constant,
 )
 from ordwalk.distributions import UnsupportedOperationError, make_distribution
 from ordwalk.engine import EstimateCI
-from ordwalk.lattice_exact import _single_walk_pmfs, gap_chain_survival
+from ordwalk.lattice_exact import _single_walk_pmfs, gap_chain_survival, star_survival
 
 RAD = make_distribution("rademacher")
 LAZY = make_distribution("lazy_lattice")
@@ -95,13 +93,14 @@ def test_tail_fit_on_exact_survival_curve():
 def test_constant_k2_closed_form(cache):
     assert constant_K(2, cache_path=cache) == pytest.approx(
         1.0 / math.sqrt(math.pi), abs=1e-12)
-    assert quadrature_scheme_gap(2) < 1e-10
 
 
 def test_constant_k3_schemes_agree(cache):
+    # Mehta's closed form against the exact survival curve from (0, 1, 2),
+    # where V = 16: n^{3/2} P(tau > n) / 16 -> K, within 1.6e-4 at n = 2^14
     K = constant_K(3, cache_path=cache)
-    assert K > 0
-    assert quadrature_scheme_gap(3) < 1e-10
+    (n, p), = star_survival(3, [2 ** 14])
+    assert n ** 1.5 * p / 16 == pytest.approx(K, rel=2.5e-4)
 
 
 def test_constant_cache_roundtrip(cache):
@@ -113,15 +112,13 @@ def test_constant_cache_roundtrip(cache):
         assert json.load(fh) == {"3": {"K": first, "Z1": z1_constant(3)}}
 
 
-def test_constant_k_unsupported():
-    with pytest.raises(UnsupportedOperationError):
-        quadrature_scheme_gap(5)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("beta", [1, 2])
 def test_chamber_integral_matches_adaptive_quadrature(k, beta):
-    quadrature = math.sqrt(2.0 * math.pi / k) * _gap_integral_adaptive(k, beta)
+    # the gap integrand, which `_binned_model` integrates, against Mehta
+    gap_integral, _ = integrate.nquad(_gap_integrand(k, beta), [(0.0, np.inf)] * (k - 1),
+                                      opts={"epsabs": 1e-10, "epsrel": 1e-10})
+    quadrature = math.sqrt(2.0 * math.pi / k) * gap_integral
     assert _chamber_integral(k, beta) == pytest.approx(quadrature, rel=1e-9)
 
 
@@ -130,7 +127,6 @@ def test_constants_ignore_planted_cache(cache):
         json.dump({"2": {"K": 1.0, "Z1": 1.0, "scheme_gap": 0.5}}, fh)
     assert constant_K(2, cache_path=cache) == pytest.approx(
         1.0 / math.sqrt(math.pi), rel=1e-12)
-    assert quadrature_scheme_gap(2) < 1e-10
 
 
 def test_constants_touch_no_default_cache(tmp_path, monkeypatch):
@@ -188,6 +184,13 @@ def test_endpoint_distance_input_validation():
         endpoint_density_distance(np.array([[1.0, 0.0]]), 2)
 
 
+def test_limit_law_report_k4_unsupported():
+    # the gap marginals and the binned model exist for k = 2 and 3 only
+    samples = np.array([[0.0, 1.0, 2.0, 3.0]])
+    with pytest.raises(UnsupportedOperationError):
+        endpoint_density_distance(samples, 4)
+
+
 @pytest.mark.parametrize("beta", [1, 2])
 def test_gap_marginal_cdf_k2_is_exact(beta):
     def dens(x):
@@ -229,22 +232,21 @@ def test_gap_marginal_cdf_k3_matches_quadrature(i, beta):
 
 
 def _binned_tv_reference(y, k, beta):
-    """Cell-by-cell loop over occupied and model bins, half-open binning."""
-    width, lo, nbins = 0.25, -4.0, 32
-    cells = [tuple(int(math.floor((c - lo) / width)) for c in row) for row in y]
-    counts = Counter(c for c in cells if all(0 <= j < nbins for j in c))
+    """Row-by-row binning in (center, gaps) and a cell-by-cell TV loop."""
+    width, nbins = 0.25, 32
+    model = _binned_model(k, beta)
+    counts = Counter()
+    for row in y.tolist():
+        coords = [sum(row) / k] + [b - a for a, b in zip(row, row[1:])]
+        cell = tuple(int(math.floor((c - lo) / width))
+                     for c, lo in zip(coords, [-4.0] + [0.0] * (k - 1)))
+        if all(0 <= j < nbins for j in cell):
+            counts[cell] += 1
     n = len(y)
-    emp_out = 1.0 - sum(counts.values()) / n
-    z = _chamber_integral(k, beta)
-    model = {}
-    for cell in combinations(range(nbins), k):  # cells with ordered midpoints
-        mid = [lo + width * (j + 0.5) for j in cell]
-        delta = math.prod(mid[b] - mid[a] for a, b in combinations(range(k), 2))
-        model[cell] = (math.exp(-0.5 * sum(m * m for m in mid)) * delta ** beta
-                       * width ** k / z)
-    tv = 0.5 * abs(emp_out - max(0.0, 1.0 - sum(model.values())))
-    for cell in set(counts) | set(model):
-        tv += 0.5 * abs(counts.get(cell, 0) / n - model.get(cell, 0.0))
+    tv = 0.5 * abs(1.0 - sum(counts.values()) / n - model[-1])
+    for flat, mass in enumerate(model[:-1].tolist()):
+        cell = np.unravel_index(flat, (nbins,) * k)
+        tv += 0.5 * abs(counts.get(tuple(int(j) for j in cell), 0) / n - mass)
     return tv
 
 
@@ -256,13 +258,36 @@ def test_binned_tv_matches_loop_reference(k, beta):
 
 
 def test_binned_tv_bins_are_half_open():
-    # below the box and on its top edge both count as overflow; just inside
-    # the bottom edge counts in the first bin
-    below = _binned_tv(np.array([[-4.1, 0.0]]), 2, 1)
-    top_edge = _binned_tv(np.array([[0.0, 4.0]]), 2, 1)
-    inside = _binned_tv(np.array([[-3.9, 0.0]]), 2, 1)
-    assert below == pytest.approx(top_edge, abs=1e-15)
-    assert below != pytest.approx(inside, abs=1e-6)
+    # a center on the bottom edge of the box falls in the first bin; a center
+    # on its top edge, a gap on its top edge and a center below it overflow
+    def tv(row):
+        return _binned_tv(np.array([row]), 2, 1)
+
+    below = tv([-4.6, -3.6])
+    assert tv([3.5, 4.5]) == below and tv([-4.0, 4.0]) == below
+    assert tv([-4.5, -3.5]) == tv([-4.4, -3.4]) != below
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_binned_model_k2_is_center_times_gap_cells(beta):
+    edges = np.arange(33) * 0.25
+    center = np.diff(special.ndtr(math.sqrt(2.0) * (edges - 4.0)))
+    gap = np.diff(_gap_marginal_cdf(2, beta)(edges))
+    model = _binned_model(2, beta)
+    assert np.abs(model[:-1] - np.outer(center, gap).ravel()).max() <= 1e-12
+    assert model[-1] == pytest.approx(1.0 - center.sum() * gap.sum(), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_binned_model_k3_gap_cells_sum_to_the_marginal(beta):
+    # summed over the center and one gap, the k=3 cells are the bins of the
+    # one-gap marginal; the center's mass in the box is read off and divided out
+    edges = np.arange(33) * 0.25
+    cells = _binned_model(3, beta)[:-1].reshape(32, 32, 32).sum(axis=0)
+    cells /= np.diff(special.ndtr(math.sqrt(3.0) * (edges - 4.0))).sum()
+    bins = np.diff(_gap_marginal_cdf(3, beta)(edges))
+    assert np.abs(cells.sum(axis=1) - bins).max() <= 1e-5
+    assert np.abs(cells.sum(axis=0) - bins).max() <= 1e-5
 
 
 def _assert_walk_pmf_is_the_exact_law(dist, n):

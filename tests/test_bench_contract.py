@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ordwalk import engine, lattice_exact
+from ordwalk import engine, lattice_exact, transform
 from ordwalk.distributions import make_distribution
 from ordwalk.engine import WalkConfig, WorkCounts
 
@@ -63,3 +63,17 @@ def test_traced_batch_survival_counts_the_untraced_work():
     assert tracer.counts["distributions.draws"] > 0
     assert tracer.counts["engine.path_steps"] == path_steps
     assert tracer.counts["engine.paths"] == paths
+
+
+def test_traced_transformed_pair_paths_match_the_untraced():
+    n, paths = 64, 3000
+    untraced = transform.transformed_pair_paths((0, 1), n, paths, master_seed=4)
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        traced = transform.transformed_pair_paths((0, 1), n, paths, master_seed=4)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced, untraced)
+    # the counter assumes one step per path and time step
+    assert tracer.counts["transform.chain_steps"] == n * paths

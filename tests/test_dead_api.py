@@ -21,9 +21,9 @@ TEST_ONLY = {
         "float64 k=2 E[Delta(X(tau)); tau <= n], the V_n reference past exact capacity",
     "transform.dyson_gap_marginal":
         "ordered-BM gap density; its quadrature checks the closed-form dyson_gap_cdf",
-    "v_module.harmonicity_residual":
-        "Monte Carlo harmonicity check of V_n; no run kind calls it, since in "
-        "estimate-v it would add a nested simulation",
+    "v_module.estimate_vn":
+        "Monte Carlo V_n at one horizon, with the exact n=0 case; estimate-v "
+        "reads the same estimates off one shared pass of _vn_over_schedule",
 }
 
 

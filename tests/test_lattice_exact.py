@@ -27,6 +27,7 @@ from ordwalk.lattice_exact import (
     gap_chain_alive_distribution,
     gap_chain_stopped_delta,
     gap_chain_survival,
+    star_survival,
 )
 from ordwalk.transform import transformed_gap_distribution
 
@@ -229,10 +230,28 @@ def test_gap_chain_matches_reflection_oracle_at_large_n():
         exact = float(_reflection_survival(start_gap, n))
         assert abs(alive - exact) <= 1e-13 * exact
         assert dict(gap_chain_survival(RAD, start_gap, [n]))[n] == alive
+        if start_gap == 1:
+            (_, star), = star_survival(2, [n])
+            assert abs(star - alive) <= 1e-12 * alive
         # optional stopping of the gap martingale: a truncated path ends at a
         # gap of at most start_gap + 2n
         bound = truncated * (start_gap + 2 * n)
         assert abs(float(gaps @ mass) + stopped - start_gap) <= 1e-12 + bound
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_star_survival_is_the_exact_survival(k):
+    # the star count in rationals and its float evaluation against the DP
+    # from the packed start (0, ..., k-1)
+    horizons = range(1, 7)
+    got = dict(star_survival(k, horizons))
+    for n in horizons:
+        exact = exact_survival_kernel(WalkConfig(k, tuple(range(k)), RAD), n).total_mass()
+        star = math.prod(Fraction(k + i + j - 1, i + j - 1)
+                         for j in range(1, n + 1) for i in range(1, j + 1))
+        assert star / 2 ** (k * n) == exact
+        assert abs(got[n] - float(exact)) <= 1e-15 * float(exact)
+    assert star_survival(k, [0]) == [(0, 1.0)]
 
 
 @pytest.mark.parametrize("dist, start_gap", [

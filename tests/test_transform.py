@@ -19,20 +19,23 @@ RAD = make_distribution("rademacher")
 
 
 def test_closed_form_table_values():
-    v = tr._rademacher_gap_v
+    v = tr._rademacher_v
     assert v((0, 1)) == 2
     assert v((0, 2)) == 2
     assert v((0, 3)) == 4
     assert v((5, 9)) == 4
-    with pytest.raises(ValueError):
-        v((1, 1))
+    assert v((1, 1)) == 0 and v((2, 1)) == 0  # the exits of one step
+    assert v((0, 1, 2)) == 16 and v((0, 1, 2, 3)) == 768
+    assert v((0, 3, 4, 7)) == vandermonde((0, 4, 6, 10))
+    rows = np.array([(0, 1, 2), (0, 2, 5), (3, 4, 5)])
+    assert v(rows).tolist() == [v(tuple(row)) for row in rows.tolist()]
 
 
 def test_closed_form_is_harmonic_for_killed_gap_chain():
     # the gap moves -2/0/+2 with masses 1/4, 1/2, 1/4 and is killed at <= 0;
     # the closed form must reproduce itself exactly under one step
     def v(gap):
-        return tr._rademacher_gap_v((0, gap)) if gap > 0 else Fraction(0)
+        return int(tr._rademacher_v((0, gap))) if gap > 0 else 0
 
     for g in range(1, 12):
         one_step = (Fraction(1, 4) * v(g + 2) + Fraction(1, 2) * v(g)
@@ -40,23 +43,41 @@ def test_closed_form_is_harmonic_for_killed_gap_chain():
         assert one_step == v(g)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rademacher_v_is_harmonic_and_vanishes_at_exits(k):
+    # on every gap vector in {1..5}^(k-1), one killed step of Delta(x + c)
+    # returns it exactly, and it reads 0 wherever the step leaves the chamber
+    steps = list(product((-1, 1), repeat=k))
+    for gaps in product(range(1, 6), repeat=k - 1):
+        x = np.concatenate([[0], np.cumsum(gaps)])
+        one_step = Fraction(0)
+        for s in steps:
+            y = x + s
+            v = int(tr._rademacher_v(y))
+            if in_weyl(tuple(y.tolist())):
+                one_step += Fraction(v, 2 ** k)
+            else:
+                assert v == 0
+        assert one_step == int(tr._rademacher_v(x))
+
+
 def test_closed_form_dominates_exact_truncations():
     # V_n increases to V; at n = 20 the truncation sits just below the limit
     for gap in (1, 2, 3):
         exact = float(exact_vn(WalkConfig(2, (0, gap), RAD), 20)[-1])
-        limit = float(tr._rademacher_gap_v((0, gap)))
+        limit = float(tr._rademacher_v((0, gap)))
         assert exact <= limit
         assert limit - exact < 0.5
 
 
 def _transform_step_law(x):
     """Exact one-step law p(x -> y) V(y) / V(x) of the k=2 Rademacher transform."""
-    vx = tr._rademacher_gap_v(x)
+    vx = int(tr._rademacher_v(x))
     law = {}
     for a, b in product(RAD.support(), repeat=2):
         y = (x[0] + a, x[1] + b)
         if in_weyl(y):
-            law[y] = RAD.masses[a] * RAD.masses[b] * tr._rademacher_gap_v(y) / vx
+            law[y] = RAD.masses[a] * RAD.masses[b] * int(tr._rademacher_v(y)) / vx
     return law
 
 
@@ -74,28 +95,6 @@ def test_transform_step_exact_normalizes_and_moves():
         assert abs(freq - float(p)) < 5 * math.sqrt(float(p * (1 - p)) / paths)
 
 
-def test_transformed_gap_table_is_the_exact_step_law():
-    table = tr._transformed_gap_table(1, 7)
-    for g in range(1, 16):
-        by_move = {-2: Fraction(0), 0: Fraction(0), 2: Fraction(0)}
-        for (a, b), p in _transform_step_law((0, g)).items():
-            by_move[b - a - g] += p
-        up, moved = table[:, g]
-        assert abs(up - float(by_move[2])) <= 1e-15
-        assert abs(moved - up - float(by_move[-2])) <= 1e-15
-        assert abs(1.0 - moved - float(by_move[0])) <= 1e-15
-
-
-@pytest.mark.parametrize("start_gap,n", [(1, 0), (1, 7), (4, 30)])
-def test_transformed_gap_table_covers_exactly_the_reachable_gaps(start_gap, n):
-    table = tr._transformed_gap_table(start_gap, n)
-    top = start_gap + 2 * n
-    gaps, _ = tr._transformed_gap_step(np.array([top]), np.array([0.999]), table)
-    assert gaps.tolist() == [top]
-    with pytest.raises(IndexError):
-        tr._transformed_gap_step(np.array([top + 1]), np.array([0.999]), table)
-
-
 def test_transformed_gap_distribution_moments():
     gaps, probs = tr.transformed_gap_distribution(1, 1024)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -107,10 +106,10 @@ def test_transformed_gap_distribution_moments():
 def _exact_h_transformed_gap_law(start_gap, n):
     """Rational P(tau > n, gap(n) = g) V(g) / V(g0) from the exact k=2 kernel."""
     cfg = WalkConfig(k=2, start=(0, start_gap), dist=RAD)
-    v0 = tr._rademacher_gap_v((0, start_gap))
+    v0 = int(tr._rademacher_v((0, start_gap)))
     law = {}
     for (a, b), mass in exact_survival_kernel(cfg, n).masses.items():
-        law[b - a] = law.get(b - a, Fraction(0)) + mass * tr._rademacher_gap_v((a, b)) / v0
+        law[b - a] = law.get(b - a, Fraction(0)) + mass * int(tr._rademacher_v((a, b))) / v0
     return law
 
 
@@ -146,6 +145,8 @@ def test_transformed_pair_paths_consistent_with_gap_chain():
     assert pts.shape == (5_000, 2)
     assert (np.diff(pts, axis=1) > 0).all()
     gaps = np.diff(pts, axis=1)[:, 0].astype(int)
+    # both samplers draw the moves and the gaps first from one stream
+    assert np.array_equal(gaps, tr.transformed_gap_paths(1, 32, 5_000, master_seed=2))
     exact_gaps, probs = tr.transformed_gap_distribution(1, 32)
     table = dict(zip(exact_gaps.tolist(), probs.tolist()))
     for g in (1, 3, 7):

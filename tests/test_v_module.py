@@ -11,7 +11,6 @@ from ordwalk.lattice_exact import exact_vn
 from ordwalk.v_module import (
     estimate_v,
     estimate_vn,
-    harmonicity_residual,
     scaling_check,
     snap_to_lattice,
 )
@@ -66,17 +65,6 @@ def test_estimate_v_rejects_duplicate_schedule():
 def test_estimate_v_single_horizon_tail_nan():
     est = estimate_v(CFG2, [8], paths=10_000)
     assert math.isnan(est.tail_diagnostic) and est.converged
-
-
-def test_harmonicity_residual_near_zero():
-    res = harmonicity_residual(CFG2, 4, paths=256, inner_paths=256)
-    assert abs(res.mean) <= 4 * max(res.stderr, 1e-12)
-
-
-def test_harmonicity_residual_reproducible():
-    a = harmonicity_residual(CFG2, 2, paths=64, inner_paths=64)
-    b = harmonicity_residual(CFG2, 2, paths=64, inner_paths=64)
-    assert a == b
 
 
 def test_snap_to_lattice():
