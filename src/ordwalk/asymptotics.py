@@ -236,6 +236,9 @@ def _tv(emp, model):
 # `_binned_tv` bins a sample by its center mean(y) in [-4, 4) and each of
 # its k - 1 gaps in [0, 8), in 32 half-open bins of width 1/4 per axis
 _TV_WIDTH, _TV_BINS, _TV_CENTER_LOW = 0.25, 32, -4.0
+# a binned TV is sampling noise when exact draws of the same size would
+# already show more than this, on average
+_TV_FLOOR_MAX = 0.1
 # Gauss-Legendre nodes per gap in a k = 3 gap cell; the cell masses then
 # agree with adaptive quadrature to about 1e-17
 _TV_GAUSS_NODES = 5
@@ -269,11 +272,14 @@ def _binned_model(k, beta):
 
 
 def _binned_tv(y, k, beta):
-    """Total-variation distance between samples y and the beta law (k = 2, 3).
+    """(tv, floor): the total-variation distance between samples y and the
+    beta law (k = 2, 3), and the TV that as many exact draws from the binned
+    law would show on average.
 
     Each sample is binned by its center and its gaps; mass of either measure
-    outside the box is one overflow cell. The model's cell masses come from
-    `_binned_model`.
+    outside the box is one overflow cell. The model's cell masses p_c come
+    from `_binned_model`. The floor takes each cell count of m draws as
+    normal, so that E|emp_c - p_c| = sqrt(2 p_c (1 - p_c) / (pi m)).
     """
     coords = np.column_stack([y.mean(axis=1), np.diff(y, axis=1)])
     lows = np.array([_TV_CENTER_LOW] + [0.0] * (k - 1))
@@ -283,7 +289,14 @@ def _binned_tv(y, k, beta):
     flat = np.where(inside, np.ravel_multi_index(tuple(idx.T), (_TV_BINS,) * k,
                                                  mode="clip"), cells)
     emp = np.bincount(flat, minlength=cells + 1) / len(y)
-    return _tv(emp, _binned_model(k, beta))
+    model = _binned_model(k, beta)
+    tv = _tv(emp, model)
+    # p (1 - p) goes into emp's buffer, which the TV no longer needs: a new
+    # array of 32^3 cells here raised the peak RSS of k=3 runs by about 0.5 MB
+    spread = np.square(model, out=emp)
+    np.subtract(model, spread, out=spread)
+    np.sqrt(np.clip(spread, 0.0, None, out=spread), out=spread)
+    return tv, 0.5 * math.sqrt(2.0 / (math.pi * len(y))) * float(spread.sum())
 
 
 def _limit_law_report(samples, k, beta, sigma=1.0):
@@ -302,11 +315,13 @@ def _limit_law_report(samples, k, beta, sigma=1.0):
     gaps = np.diff(y, axis=1)
     cdf = _gap_marginal_cdf(k, beta)
     ks = [float(stats.kstest(gaps[:, i], cdf).statistic) for i in range(k - 1)]
+    tv, floor = _binned_tv(y, k, beta)
     report = {
         "n_samples": len(y),
         "ks_per_gap": ks,
-        "tv": _binned_tv(y, k, beta),
-        "tv_underpowered": len(y) < 1000,
+        "tv": tv,
+        "tv_floor": floor,
+        "tv_underpowered": floor > _TV_FLOOR_MAX,
     }
     return report, gaps
 

@@ -368,9 +368,16 @@ def _run_tail(spec, cfg):
     }
     rows = [(n, ci.mean, ci.stderr) for n, ci in surv]
     tol = float(spec.params.get("exponent_tol", 0.15))
-    return (result,
-            {"survival": (("n", "p_survive", "stderr"), rows)},
-            {"exponent_within_tol": abs(fit.exponent - theory) <= tol})
+    checks = {"exponent_within_tol": abs(fit.exponent - theory) <= tol}
+    if cfg.dist.kind == "rademacher" and all(b - a == 1 for a, b in zip(cfg.start, cfg.start[1:])):
+        # from a packed start every horizon has the exact star survival; each
+        # estimate must fall within 4 binomial sd of it
+        exact = lattice_exact.star_survival(cfg.k, [n for n, _ in surv])
+        result["exact_survival"] = [[n, p] for n, p in exact]
+        checks["exact_within_4sd"] = all(
+            abs(ci.mean - p) <= 4.0 * math.sqrt(p * (1.0 - p) / paths)
+            for (_, ci), (_, p) in zip(surv, exact))
+    return (result, {"survival": (("n", "p_survive", "stderr"), rows)}, checks)
 
 
 def _run_endpoint(spec, cfg):

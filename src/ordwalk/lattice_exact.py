@@ -1,19 +1,27 @@
-"""Exact rational dynamic programming for lattice walks.
+"""Exact integer dynamic programming for lattice walks.
 
 Builds the constrained kernel P_x(tau > n, X(n) = y), the stopped measure
 P_x(tau = m, X(m) = z) for z outside the chamber, and the signed determinantal
 kernel D_n(x, y), then verifies the determinantal transition identity, the
 reflection identity, the martingale property of the Vandermonde determinant
-and the one-step iteration of V_n -- all as exact rational equalities.
+and the one-step iteration of V_n -- all as exact equalities.
 
-All masses are Fractions whose denominators divide d^(k*n) with d the common
-denominator of the single-step masses. The Karlin-McGregor and reflection
-checks multiply both sides by d^(k*n) and compare integers, with the
-determinants of all sites taken at once from integer path-count tables.
+With d the common denominator of the single-step masses, every mass at time
+m is a multiple of d^(-k m). The forward DP therefore carries the integer
+counts mass * d^(k m) in one dense box per time, an array with one axis per
+walker: cell j of axis i is the position x_i + m lo + span j, with lo the
+least step and span the gcd of the step differences. A step is k one-axis
+convolutions with the single-walk counts d p(s); the walkers are killed after
+the k-th. The counts are np.int64 while d^(k n) < 2^63 and Python ints in
+object arrays above that bound, so no count is ever rounded, and no float
+enters; Fractions appear only in what the API returns. The Karlin-McGregor
+and reflection checks compare integers, times d^(k n), with the determinants
+of all sites taken at once from the single-walk count tables.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +29,7 @@ import numpy as np
 
 from .distributions import StepDistribution, UnsupportedOperationError
 from .engine import WalkConfig
-from .geometry import exact_det, in_weyl, reflection_shift, vandermonde
+from .geometry import exact_det, reflection_shift, vandermonde
 
 __all__ = [
     "ExactKernel",
@@ -113,110 +121,185 @@ def _check_capacity(dist: StepDistribution, k: int, n: int):
         )
 
 
-def _step_vectors(dist: StepDistribution, k: int):
-    """All k-fold step combinations with their exact joint masses."""
-    items = sorted(dist.masses.items())
-    combos = []
-    for combo in itertools.product(items, repeat=k):
-        vec = tuple(site for site, _ in combo)
-        mass = Fraction(1)
-        for _, m in combo:
-            mass *= m
-        combos.append((vec, mass))
-    return combos
+def _int_dtype(bound: int):
+    """np.int64 for integers that stay below bound < 2^63, else object
+    (Python int) arrays."""
+    return np.int64 if bound < 2 ** 63 else object
 
 
-def _push(table: dict, steps) -> dict:
-    """One unconstrained step of an exact table: config -> mass one step later."""
-    nxt = {}
-    for y, mass in table.items():
-        for vec, smass in steps:
-            z = tuple(a + b for a, b in zip(y, vec))
-            nxt[z] = nxt.get(z, Fraction(0)) + mass * smass
-    return nxt
+# ---------------------------------------------------------------------------
+# the forward DP on integer counts
+# ---------------------------------------------------------------------------
 
 
-def _start_table(cfg: WalkConfig) -> dict:
-    return {tuple(int(c) for c in cfg.start): Fraction(1)}
+@dataclass(frozen=True)
+class _Counts:
+    """One dense box of integer counts: counts[j] belongs to the
+    configuration (origin_i + span j_i)_i. len() is the number of
+    configurations that carry mass."""
+
+    origin: tuple
+    span: int
+    counts: np.ndarray
+
+    def __len__(self):
+        return int(np.count_nonzero(self.counts))
+
+    def positions(self, axis: int) -> np.ndarray:
+        """The positions along one axis, shaped to broadcast over the box."""
+        shape = [1] * self.counts.ndim
+        shape[axis] = -1
+        cells = np.arange(self.counts.shape[axis])
+        return (self.origin[axis] + self.span * cells).reshape(shape)
+
+    def chamber(self) -> np.ndarray:
+        """Boolean mask of the strictly ordered configurations."""
+        inside = np.ones(self.counts.shape, dtype=bool)
+        for i in range(self.counts.ndim - 1):
+            inside &= self.positions(i) < self.positions(i + 1)
+        return inside
+
+    def sparse(self, where=None):
+        """(configs, counts) of the cells with mass, within the mask `where`
+        if given: an (N, k) int64 array in lexicographic order, N counts."""
+        mask = self.counts != 0
+        if where is not None:
+            mask &= where
+        cells = np.nonzero(mask)
+        configs = np.stack([o + self.span * c for o, c in zip(self.origin, cells)], axis=-1)
+        return configs, self.counts[cells]
+
+    def items(self):
+        """(config tuple, int count) of each cell with mass."""
+        return _pairs(*self.sparse())
+
+
+def _pairs(configs, counts):
+    """(config tuple, int count) of each row."""
+    return zip(map(tuple, configs.tolist()), counts.tolist())
+
+
+def _step_law(dist: StepDistribution):
+    """(lo, span, weights): the steps lo + span j, span the gcd of the step
+    differences, with the integer counts weights[j] = d p(lo + span j)."""
+    sites = [s for s, p in sorted(dist.masses.items()) if p > 0]
+    lo = sites[0]
+    span = math.gcd(*(s - lo for s in sites))
+    weights = [0] * ((sites[-1] - lo) // span + 1)
+    for s in sites:
+        weights[(s - lo) // span] = int(dist.masses[s] * dist.denominator)
+    return lo, span, weights
+
+
+def _start(x, law, dtype) -> _Counts:
+    return _Counts(tuple(int(c) for c in x), law[1], np.ones((1,) * len(x), dtype=dtype))
+
+
+def _push(box: _Counts, law) -> _Counts:
+    """One free step of every walker: the counts at time m + 1 from those at
+    m, by one convolution with the step weights along each axis in turn."""
+    lo, span, weights = law
+    counts = box.counts
+    for axis in range(counts.ndim):
+        size = counts.shape[axis]
+        shape = list(counts.shape)
+        shape[axis] += len(weights) - 1
+        out = np.zeros(shape, dtype=counts.dtype)
+        src, dst = counts.swapaxes(0, axis), out.swapaxes(0, axis)
+        for j, w in enumerate(weights):
+            if w:
+                dst[j:j + size] += src if w == 1 else w * src
+        counts = out
+    return _Counts(tuple(o + lo for o in box.origin), span, counts)
+
+
+def _free_boxes(x, law, n: int, dtype):
+    """The free counts from x at times 0, 1, ..., n."""
+    box = _start(x, law, dtype)
+    yield box
+    for _ in range(n):
+        box = _push(box, law)
+        yield box
 
 
 def _forward_tables(cfg: WalkConfig, n: int):
-    """One forward pass: per-time survival tables and the stopped measure.
+    """One forward pass of the killed walk: per-time survival counts and exits.
 
-    Returns (survival, stopped) where survival[m] maps ordered configs to
-    P_x(tau > m, X(m) = y) and stopped maps (m, z) with z outside the chamber
-    to P_x(tau = m, X(m) = z).
+    Returns (survival, stopped). survival[m] is the box of the counts
+    d^(k m) P_x(tau > m, X(m) = y), zero off the chamber, so len(survival[m])
+    is the number of configurations alive at time m. stopped[m] is
+    (configs, counts): the exits z at time m, an (N, k) array, with their
+    counts d^(k m) P_x(tau = m, X(m) = z); stopped[0] is empty.
     """
     _require_lattice(cfg.dist)
     _check_capacity(cfg.dist, cfg.k, n)
-    steps = _step_vectors(cfg.dist, cfg.k)
-    survival = [_start_table(cfg)]
-    stopped = {}
-    for m in range(1, n + 1):
-        alive = {}
-        for z, mass in _push(survival[-1], steps).items():
-            if all(a < b for a, b in zip(z, z[1:])):
-                alive[z] = mass
-            else:
-                stopped[(m, z)] = mass
-        survival.append(alive)
+    law = _step_law(cfg.dist)
+    box = _start(cfg.start, law, _int_dtype(cfg.dist.denominator ** (cfg.k * n)))
+    survival = [box]
+    stopped = [box.sparse(~box.chamber())]  # empty: the start is ordered
+    for _ in range(n):
+        box = _push(box, law)
+        dead = ~box.chamber()
+        stopped.append(box.sparse(dead))
+        box.counts[dead] = 0
+        survival.append(box)
     return survival, stopped
+
+
+def _masses(box: _Counts, scale: int) -> dict:
+    return {y: Fraction(c, scale) for y, c in box.items()}
 
 
 def exact_survival_kernel(cfg: WalkConfig, n: int) -> ExactKernel:
     """Exact table of P_x(tau > n, X(n) = y) over ordered configurations."""
     survival, _ = _forward_tables(cfg, n)
-    return ExactKernel(cfg.k, n, cfg.dist.denominator, survival[n])
+    d = cfg.dist.denominator
+    return ExactKernel(cfg.k, n, d, _masses(survival[n], d ** (cfg.k * n)))
 
 
 def exact_stopped_measure(cfg: WalkConfig, n: int) -> dict:
     """Exact table of P_x(tau = m, X(m) = z), m <= n, z outside the chamber."""
     _, stopped = _forward_tables(cfg, n)
-    return stopped
+    d = cfg.dist.denominator
+    return {(m, z): Fraction(c, d ** (cfg.k * m))
+            for m, exits in enumerate(stopped) for z, c in _pairs(*exits)}
 
 
 def exact_free_kernel(cfg: WalkConfig, n: int) -> ExactKernel:
     """Unconstrained n-step kernel (product of k single-walk convolutions)."""
     _require_lattice(cfg.dist)
     _check_capacity(cfg.dist, cfg.k, n)
-    steps = _step_vectors(cfg.dist, cfg.k)
-    table = _start_table(cfg)
-    for _ in range(n):
-        table = _push(table, steps)
-    return ExactKernel(cfg.k, n, cfg.dist.denominator, table)
+    scale = cfg.dist.denominator ** (cfg.k * n)
+    *_, box = _free_boxes(cfg.start, _step_law(cfg.dist), n, _int_dtype(scale))
+    return ExactKernel(cfg.k, n, cfg.dist.denominator, _masses(box, scale))
 
 
-def _single_walk_pmfs(dist: StepDistribution, n: int):
-    """pmfs[l] maps displacement -> exact mass of an l-step single walk."""
-    steps = _step_vectors(dist, 1)
-    tables = [{(0,): Fraction(1)}]
-    for _ in range(n):
-        tables.append(_push(tables[-1], steps))
-    return [{disp: mass for (disp,), mass in table.items()} for table in tables]
+def _single_walk_counts(dist: StepDistribution, n: int):
+    """[C_0, ..., C_n]: C_l the one-axis box of the counts d^l P_0(X(l) = v)
+    of a single walk, the k = 1 case of the forward DP."""
+    return list(_free_boxes((0,), _step_law(dist), n, _int_dtype(dist.denominator ** n)))
 
 
-def exact_d_matrix(x, y, n: int, dist: StepDistribution, pmfs=None) -> Fraction:
+def exact_d_matrix(x, y, n: int, dist: StepDistribution, walks=None) -> Fraction:
     """Exact determinant det[(P_{x_i}(X_1(n) = y_j))_{i,j}].
 
-    The scalar reference for the batched integer determinants below.
+    The scalar reference for the batched integer determinants below; walks
+    is _single_walk_counts(dist, n') for some n' >= n, if already at hand.
     """
     _require_lattice(dist)
-    if pmfs is None:
-        pmfs = _single_walk_pmfs(dist, n)
-    pmf = pmfs[n]
+    if walks is None:
+        walks = _single_walk_counts(dist, n)
+    count = {v: c for (v,), c in walks[n].items()}
     k = len(x)
-    rows = [[pmf.get(int(y[j]) - int(x[i]), 0) for j in range(k)] for i in range(k)]
-    return exact_det(rows)
+    rows = [[count.get(int(y[j]) - int(x[i]), 0) for j in range(k)] for i in range(k)]
+    return Fraction(exact_det(rows), dist.denominator ** (k * n))
 
 
-def _candidate_sites(cfg: WalkConfig, n: int, pmfs):
+def _candidate_sites(cfg: WalkConfig, n: int, walks):
     """Ordered configurations on which either side could carry mass."""
-    reach = set()
-    for xi in cfg.start:
-        for disp in pmfs[n]:
-            reach.add(int(xi) + disp)
-    values = sorted(reach)
-    return [y for y in itertools.combinations(values, cfg.k)]
+    reach = walks[n].sparse()[0][:, 0].tolist()
+    values = sorted({int(xi) + v for xi in cfg.start for v in reach})
+    return list(itertools.combinations(values, cfg.k))
 
 
 # Batched integer determinants. With d the common denominator of the step
@@ -237,7 +320,7 @@ def _count_dtype(k: int, scale: int):
     (D_n's 1 plus the stopped mass, or one exit law), so no partial sum
     reaches 2 k! scale.
     """
-    return np.int64 if 2 * math.factorial(k) * scale < 2 ** 63 else object
+    return _int_dtype(2 * math.factorial(k) * scale)
 
 
 def _signed_permutations(k: int):
@@ -273,35 +356,30 @@ def _weighted_dets(table, ys, zs, steps, weights):
     return total
 
 
-def _scaled_det_sums(dist: StepDistribution, pmfs, n: int, sites, groups):
-    """(scale, sums): per group of (z, m, mass) rows, the integers
-    scale * sum of mass * D_{n-m}(z, y) at every site y.
-
-    scale = g d^(k n), with g the least positive integer that makes every
-    weight g d^(k m) mass an integer. The DP's masses at time m are multiples
-    of d^(-k m), so g = 1 on its tables; a mass off that grid raises g
-    instead of being rounded.
+def _scaled_det_sums(dist: StepDistribution, walks, n: int, sites, groups):
+    """(scale, sums): per group of parts (configs, m, counts), with counts
+    mass * d^(k m) of the configurations z at time m <= n, the integers
+    scale * sum of mass * D_{n-m}(z, y) = sum of count * det[C_{n-m}(y_j - z_i)]
+    at every site y, where scale = d^(k n).
     """
-    d = dist.denominator
     k = len(sites[0])
-    weights = [[mass * d ** (k * m) for _, m, mass in rows] for rows in groups]
-    g = math.lcm(*(w.denominator for ws in weights for w in ws))
-    scale = g * d ** (k * n)
+    scale = dist.denominator ** (k * n)
     dtype = _count_dtype(k, scale)
     ys = np.array(sites, dtype=np.int64)
-    zs = [np.array([z for z, _, _ in rows], dtype=np.int64).reshape(-1, k)
-          for rows in groups]
-    span = int(np.ptp(np.concatenate([ys.ravel(), *(z.ravel() for z in zs)])))
-    table = np.zeros((n + 1, 2 * span + 1), dtype=dtype)
-    for l, pmf in enumerate(pmfs[:n + 1]):
-        for v, mass in pmf.items():
-            if abs(v) <= span:
-                table[l, v + span] = mass.numerator * (d ** l // mass.denominator)
+    reach = int(np.ptp(np.concatenate(
+        [ys.ravel()] + [z.ravel() for parts in groups for z, _, _ in parts])))
+    # the table holds every displacement of the walk and between configurations
+    half = max(reach, int(np.abs(walks[n].positions(0)).max()))
+    table = np.zeros((n + 1, 2 * half + 1), dtype=dtype)
+    for l, walk in enumerate(walks[:n + 1]):
+        first = walk.origin[0] + half
+        table[l, first:first + walk.span * walk.counts.size:walk.span] = walk.counts
     sums = []
-    for rows, ws, z in zip(groups, weights, zs):
-        steps = np.array([n - m for _, m, _ in rows], dtype=np.int64)
-        w = np.array([int(v * g) for v in ws], dtype=dtype)
-        sums.append(_weighted_dets(table, ys, z, steps, w))
+    for parts in groups:
+        zs = np.concatenate([z for z, _, _ in parts])
+        steps = np.concatenate([np.full(len(z), n - m, dtype=np.int64) for z, m, _ in parts])
+        weights = np.concatenate([c.astype(dtype) for _, _, c in parts])
+        sums.append(_weighted_dets(table, ys, zs, steps, weights))
     return scale, sums
 
 
@@ -309,7 +387,7 @@ def _require_equal(identity: str, sites, lhs, rhs, scale: int):
     """Raise at the first site where lhs != rhs, both scale * the sides."""
     for y, left, right in zip(sites, lhs, rhs):
         if left != right:
-            raise IdentityViolationError(identity, y, Fraction(left) / scale,
+            raise IdentityViolationError(identity, y, Fraction(int(left), scale),
                                          Fraction(int(right), scale))
 
 
@@ -326,15 +404,17 @@ def exact_km_check(cfg: WalkConfig, n: int) -> VerificationReport:
     P_x(tau = m, X(m) = z) * D_{n-m}(z, y), for all ordered y.
 
     Both sides are compared as integers, times d^(k n); the right side comes
-    from the single-walk pmfs through batched integer determinants.
+    from the single-walk counts through batched integer determinants.
     """
     survival, stopped = _forward_tables(cfg, n)
-    pmfs = _single_walk_pmfs(cfg.dist, n)
-    sites = _candidate_sites(cfg, n, pmfs)
-    x = tuple(int(c) for c in cfg.start)
-    rows = [(x, 0, Fraction(1))] + [(z, m, -mass) for (m, z), mass in stopped.items()]
-    scale, (rhs,) = _scaled_det_sums(cfg.dist, pmfs, n, sites, [rows])
-    lhs = [survival[n].get(y, 0) * scale for y in sites]
+    walks = _single_walk_counts(cfg.dist, n)
+    sites = _candidate_sites(cfg, n, walks)
+    x = np.array([[int(c) for c in cfg.start]], dtype=np.int64)
+    rows = [(x, 0, np.ones(1, dtype=np.int64))]
+    rows += [(z, m, -counts) for m, (z, counts) in enumerate(stopped)]
+    scale, (rhs,) = _scaled_det_sums(cfg.dist, walks, n, sites, [rows])
+    alive = dict(survival[n].items())
+    lhs = [alive.get(y, 0) for y in sites]
     _require_equal("karlin-mcgregor", sites, lhs, rhs.tolist(), scale)
     return _held("karlin-mcgregor", cfg, n, len(sites))
 
@@ -361,29 +441,39 @@ def exact_reflection_check(cfg: WalkConfig, n: int, ls) -> list:
     step from the survivors at time l - 1 (the Markov property at l - 1), so
     a wrong stopped mass breaks the identity. Both sides are compared as
     integers, times d^(k n). One forward pass to n, one set of single-walk
-    pmfs and one site list serve every l.
+    counts and one site list serve every l.
     """
     ls = list(ls)
     if not all(1 <= l <= n for l in ls):
         raise ValueError(f"need 1 <= l <= n for every l, got ls={ls}, n={n}")
     survival, stopped = _forward_tables(cfg, n)
-    pmfs = _single_walk_pmfs(cfg.dist, n)
-    sites = _candidate_sites(cfg, n, pmfs)
-    steps = _step_vectors(cfg.dist, cfg.k)
+    walks = _single_walk_counts(cfg.dist, n)
+    sites = _candidate_sites(cfg, n, walks)
+    law = _step_law(cfg.dist)
     reports = []
     for l in ls:
-        at_l = {z: mass for (m, z), mass in stopped.items() if m == l}
-        boundary_ties = sum(1 for z in at_l if not any(reflection_shift(z)))
-        exits = _push(survival[l - 1], steps)
-        reflected = [(tuple(a - b for a, b in zip(z, reflection_shift(z))), l, mass)
-                     for z, mass in exits.items() if not in_weyl(z)]
+        exits, counts = stopped[l]
+        boundary_ties = sum(1 for z in exits.tolist() if not any(reflection_shift(z)))
+        fresh = _push(survival[l - 1], law)
+        fresh_exits, fresh_counts = fresh.sparse(~fresh.chamber())
+        reflected = np.array([[a - b for a, b in zip(z, reflection_shift(z))]
+                              for z in fresh_exits.tolist()], dtype=np.int64)
         scale, (lhs, rhs) = _scaled_det_sums(
-            cfg.dist, pmfs, n, sites,
-            [[(z, l, -mass) for z, mass in at_l.items()], reflected])
+            cfg.dist, walks, n, sites,
+            [[(exits, l, -counts)], [(reflected.reshape(-1, cfg.k), l, fresh_counts)]])
         _require_equal("reflection", sites, lhs.tolist(), rhs.tolist(), scale)
         reports.append(_held("reflection", cfg, n, len(sites),
                              l=l, boundary_tie_exits=boundary_ties))
     return reports
+
+
+def _delta_sum(configs, counts) -> int:
+    """sum of count * Delta(z) over the rows z of configs, in Python ints."""
+    cols = configs.astype(object).T
+    delta = np.ones(len(configs), dtype=object)
+    for i, j in itertools.combinations(range(configs.shape[1]), 2):
+        delta *= cols[j] - cols[i]
+    return sum(map(operator.mul, counts.tolist(), delta.tolist()))
 
 
 def exact_vn(cfg: WalkConfig, n: int):
@@ -392,29 +482,30 @@ def exact_vn(cfg: WalkConfig, n: int):
     Returns the list [V_1, ..., V_n] of Fractions.
     """
     _, stopped = _forward_tables(cfg, n)
-    delta_x = Fraction(vandermonde(tuple(int(c) for c in cfg.start)))
-    per_time = [Fraction(0)] * (n + 1)
-    for (m, z), mass in stopped.items():
-        per_time[m] += mass * vandermonde(z)
+    d = cfg.dist.denominator
+    delta_x = vandermonde(tuple(int(c) for c in cfg.start))
     out = []
     acc = Fraction(0)
     for m in range(1, n + 1):
-        acc += per_time[m]
+        acc += Fraction(_delta_sum(*stopped[m]), d ** (cfg.k * m))
         out.append(delta_x - acc)
     return out
 
 
 def exact_martingale_check(cfg: WalkConfig, n: int) -> VerificationReport:
-    """Assert E_x[Delta(X(m))] == Delta(x) exactly for every m <= n."""
+    """Assert E_x[Delta(X(m))] == Delta(x) exactly for every m <= n: the
+    Delta-weighted free counts at time m sum to d^(k m) Delta(x)."""
     _require_lattice(cfg.dist)
-    delta_x = Fraction(vandermonde(tuple(int(c) for c in cfg.start)))
-    steps = _step_vectors(cfg.dist, cfg.k)
-    table = _start_table(cfg)
-    for m in range(1, n + 1):
-        table = _push(table, steps)
-        expect = sum((mass * vandermonde(y) for y, mass in table.items()), Fraction(0))
-        if expect != delta_x:
-            raise IdentityViolationError("martingale", m, expect, delta_x)
+    d = cfg.dist.denominator
+    x = tuple(int(c) for c in cfg.start)
+    delta_x = vandermonde(x)
+    boxes = _free_boxes(x, _step_law(cfg.dist), n, _int_dtype(d ** (cfg.k * n)))
+    next(boxes)  # time 0
+    for m, box in enumerate(boxes, 1):
+        total = _delta_sum(*box.sparse())
+        if total != d ** (cfg.k * m) * delta_x:
+            raise IdentityViolationError("martingale", m, Fraction(total, d ** (cfg.k * m)),
+                                         Fraction(delta_x))
     return _held("martingale", cfg, n, n)
 
 
@@ -430,32 +521,31 @@ def exact_harmonicity_check(cfg: WalkConfig, n: int, v_start=None) -> Verificati
     """
     from dataclasses import replace
 
-    steps = _step_vectors(cfg.dist, cfg.k)
     x = tuple(int(c) for c in cfg.start)
     if v_start is None:
         v_start = exact_vn(cfg, n + 1)
+    d = cfg.dist.denominator
+    law = _step_law(cfg.dist)
+    one = _push(_start(x, law, _int_dtype(d ** cfg.k)), law)
+    neighbours = list(_pairs(*one.sparse(one.chamber())))  # (y, d^k P_x(X(1) = y))
 
     def shape(y):  # the class of y under translation
         return tuple(c - y[0] for c in y)
 
     v_n_by_shape = {shape(x): v_start[n - 1]} if n else {}
-    acc = Fraction(0)
-    sites = 0
-    for vec, smass in steps:
-        y = tuple(a + b for a, b in zip(x, vec))
-        if not in_weyl(y):
-            continue
-        sites += 1
+    acc = 0
+    for y, count in neighbours:
         if n == 0:
-            v_n_y = Fraction(vandermonde(y))  # V_0 = Delta
+            v_n_y = vandermonde(y)  # V_0 = Delta
         else:
             if shape(y) not in v_n_by_shape:
                 v_n_by_shape[shape(y)] = exact_vn(replace(cfg, start=y), n)[n - 1]
             v_n_y = v_n_by_shape[shape(y)]
-        acc += smass * v_n_y
+        acc += count * v_n_y
+    acc = Fraction(acc) / d ** cfg.k
     if acc != v_start[n]:
         raise IdentityViolationError("harmonicity", x, acc, v_start[n])
-    return _held("harmonicity", cfg, n, sites)
+    return _held("harmonicity", cfg, n, len(neighbours))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ordwalk.asymptotics import (
 )
 from ordwalk.distributions import UnsupportedOperationError, make_distribution
 from ordwalk.engine import EstimateCI
-from ordwalk.lattice_exact import _single_walk_pmfs, gap_chain_survival, star_survival
+from ordwalk.lattice_exact import _single_walk_counts, gap_chain_survival, star_survival
 
 RAD = make_distribution("rademacher")
 LAZY = make_distribution("lazy_lattice")
@@ -253,7 +254,7 @@ def _binned_tv_reference(y, k, beta):
 @pytest.mark.parametrize("k, beta", [(2, 1), (2, 2), (3, 1)])
 def test_binned_tv_matches_loop_reference(k, beta):
     y = np.sort(np.random.default_rng(3).normal(0.0, 1.5, (3000, k)), axis=1)
-    assert _binned_tv(y, k, beta) == pytest.approx(
+    assert _binned_tv(y, k, beta)[0] == pytest.approx(
         _binned_tv_reference(y, k, beta), abs=1e-12)
 
 
@@ -261,11 +262,35 @@ def test_binned_tv_bins_are_half_open():
     # a center on the bottom edge of the box falls in the first bin; a center
     # on its top edge, a gap on its top edge and a center below it overflow
     def tv(row):
-        return _binned_tv(np.array([row]), 2, 1)
+        return _binned_tv(np.array([row]), 2, 1)[0]
 
     below = tv([-4.6, -3.6])
     assert tv([3.5, 4.5]) == below and tv([-4.0, 4.0]) == below
     assert tv([-4.5, -3.5]) == tv([-4.4, -3.4]) != below
+
+
+@pytest.mark.parametrize("k, m", [(2, 5000), (2, 20000), (3, 20000)])
+def test_binned_tv_floor_is_the_tv_of_exact_draws(k, m):
+    # the mean TV of multinomial draws from the binned law itself; the
+    # normal approximation reads a little high where cells are sparse
+    model = _binned_model(k, 1)
+    rng = np.random.default_rng(11)
+    draws = [0.5 * np.abs(rng.multinomial(m, model / model.sum()) / m - model).sum()
+             for _ in range(20)]
+    y = np.sort(rng.normal(0.0, 1.0, (m, k)), axis=1)
+    floor = _binned_tv(y, k, 1)[1]
+    assert np.mean(draws) <= floor <= 1.1 * np.mean(draws)
+
+
+@pytest.mark.parametrize("k, m, flagged", [(2, 5000, False), (2, 20000, False),
+                                           (3, 2000, True), (3, 20000, True)])
+def test_tv_underpowered_follows_the_floor(k, m, flagged):
+    # 32^3 cells for k = 3: even 20000 exact draws show a TV above 0.1
+    y = np.sort(np.random.default_rng(12).normal(0.0, 1.0, (m, k)), axis=1)
+    rep = endpoint_density_distance(y, k)
+    assert rep["tv_floor"] == _binned_tv(y, k, 1)[1]
+    assert rep["tv_underpowered"] is flagged
+    assert (rep["tv_floor"] > 0.1) is flagged
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -292,7 +317,8 @@ def test_binned_model_k3_gap_cells_sum_to_the_marginal(beta):
 
 def _assert_walk_pmf_is_the_exact_law(dist, n):
     """The float walk_pmf against lattice_exact's exact single-walk law."""
-    exact = _single_walk_pmfs(dist, n)[n]
+    exact = {v: Fraction(c, dist.denominator ** n)
+             for (v,), c in _single_walk_counts(dist, n)[n].items()}
     sites, masses = walk_pmf(dist, n)
     assert set(sites[masses > 0].tolist()) == set(exact)
     for site, mass in zip(sites.tolist(), masses.tolist()):

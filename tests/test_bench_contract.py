@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ordwalk import engine, lattice_exact, transform
 from ordwalk.distributions import make_distribution
@@ -77,3 +78,27 @@ def test_traced_transformed_pair_paths_match_the_untraced():
     assert np.array_equal(traced, untraced)
     # the counter assumes one step per path and time step
     assert tracer.counts["transform.chain_steps"] == n * paths
+
+
+@pytest.mark.parametrize("dist,start,n,alive", [
+    ("rademacher", (0, 1, 2), 7, [1, 4, 10, 20, 35, 56, 84, 120]),
+    ("lazy_lattice", (0, 1), 9, [1, 6, 15, 28, 45, 66, 91, 120, 153, 190]),
+])
+def test_forward_tables_count_the_alive_configurations(dist, start, n, alive):
+    # the tracer's cell_steps read len(survival[m]) as the configurations
+    # alive at time m
+    cfg = WalkConfig(k=len(start), start=start, dist=make_distribution(dist))
+    survival, _ = lattice_exact._forward_tables(cfg, n)
+    assert [len(table) for table in survival] == alive
+
+
+def test_traced_cell_steps_are_joint_steps_times_alive_configurations():
+    cfg = WalkConfig(k=3, start=(0, 1, 2), dist=make_distribution("rademacher"))
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        lattice_exact.exact_survival_kernel(cfg, 7)
+    finally:
+        tracer.uninstall()
+    # 2^3 joint steps from each of 1 + 4 + ... + 84 = 210 alive configurations
+    assert tracer.counts["lattice_exact.cell_steps"] == 8 * 210

@@ -494,3 +494,41 @@ params: {n: 64, paths: 200}
     report = json.loads((tmp_path / "hermite.json").read_text())
     gaps, mass, table = lattice_exact.killed_gap_chain(make_distribution("rademacher"), 1, [64])
     assert report["gap_dp"] == {"truncated_mass": table[64][2], "window_cells": mass.size}
+
+
+TAIL_K3 = """
+kind: tail
+walk: {k: 3, start: [START], dist: DIST}
+seed: 3
+params: {horizons: [4, 16, 64], paths: 20000}
+"""
+
+
+def test_tail_gates_a_packed_rademacher_start_on_the_exact_survival(tmp_path, monkeypatch):
+    spec = validate_spec(TAIL_K3.replace("START", "5, 6, 7").replace("DIST", "rademacher"))
+    manifest, _ = run_experiment(spec, out_dir=str(tmp_path / "ok"))
+    report = json.loads((tmp_path / "ok" / "tail.json").read_text())
+    exact = lattice_exact.star_survival(3, [4, 16, 64])
+    assert report["exact_survival"] == [[n, p] for n, p in exact]
+    assert manifest.checks["exact_within_4sd"]
+    # an estimate 5 binomial sd above the exact P(tau > 16) fails the gate
+    real = engine.batch_survival
+    p16 = exact[1][1]
+
+    def biased(cfg, horizons, paths, work=None):
+        out = real(cfg, horizons, paths, work=work)
+        shift = 5.0 * math.sqrt(p16 * (1.0 - p16) / paths)
+        return [(n, ci if n != 16 else engine.EstimateCI(p16 + shift, ci.stderr, paths))
+                for n, ci in out]
+
+    monkeypatch.setattr(engine, "batch_survival", biased)
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path / "biased"))
+    assert code == 1 and not manifest.checks["exact_within_4sd"]
+
+
+@pytest.mark.parametrize("start, dist", [("0, 1, 3", "rademacher"),
+                                         ("0, 1, 2", "lazy_lattice")])
+def test_tail_has_no_exact_gate_without_the_star_formula(tmp_path, start, dist):
+    spec = validate_spec(TAIL_K3.replace("START", start).replace("DIST", dist))
+    manifest, _ = run_experiment(spec, out_dir=str(tmp_path))
+    assert "exact_within_4sd" not in manifest.checks

@@ -1,5 +1,6 @@
 """Exact rational kernels and identity checks on small lattice walks."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ordwalk import lattice_exact
 from ordwalk.distributions import UnsupportedOperationError, make_distribution
 from ordwalk.engine import WalkConfig
+from ordwalk.geometry import vandermonde
 from ordwalk.lattice_exact import (
     CapacityError,
     IdentityViolationError,
@@ -319,13 +321,13 @@ def test_km_total_mass_equals_survival(n):
 
 def _batched_km_rhs(cfg, n):
     """The batched right-hand side of the KM identity, as Fractions per site."""
-    _, stopped = lattice_exact._forward_tables(cfg, n)
-    pmfs = lattice_exact._single_walk_pmfs(cfg.dist, n)
-    sites = lattice_exact._candidate_sites(cfg, n, pmfs)
-    x = tuple(cfg.start)
-    rows = [(x, 0, Fraction(1))] + [(z, m, -mass) for (m, z), mass in stopped.items()]
-    scale, (rhs,) = lattice_exact._scaled_det_sums(cfg.dist, pmfs, n, sites, [rows])
-    return sites, stopped, pmfs, [Fraction(int(r), scale) for r in rhs]
+    _, exits = lattice_exact._forward_tables(cfg, n)
+    walks = lattice_exact._single_walk_counts(cfg.dist, n)
+    sites = lattice_exact._candidate_sites(cfg, n, walks)
+    rows = [(np.array([cfg.start]), 0, np.ones(1, dtype=np.int64))]
+    rows += [(z, m, -counts) for m, (z, counts) in enumerate(exits)]
+    scale, (rhs,) = lattice_exact._scaled_det_sums(cfg.dist, walks, n, sites, [rows])
+    return sites, walks, [Fraction(int(r), scale) for r in rhs]
 
 
 @pytest.mark.parametrize("dist", [RAD, LAZY, THIRDS, WIDE], ids=lambda d: d.kind
@@ -336,12 +338,13 @@ def test_batched_rhs_matches_scalar_determinants(dist, start, n):
     if dist is WIDE and len(start) == 3:
         n = 1  # d^(k n) stays inside the capacity guard
     cfg = WalkConfig(k=len(start), start=start, dist=dist)
-    sites, stopped, pmfs, batched = _batched_km_rhs(cfg, n)
+    sites, walks, batched = _batched_km_rhs(cfg, n)
+    stopped = exact_stopped_measure(cfg, n)
     assert sites
     for y, got in zip(sites, batched):
-        want = exact_d_matrix(start, y, n, dist, pmfs)
+        want = exact_d_matrix(start, y, n, dist, walks)
         for (m, z), mass in stopped.items():
-            want -= mass * exact_d_matrix(z, y, n - m, dist, pmfs)
+            want -= mass * exact_d_matrix(z, y, n - m, dist, walks)
         assert got == want, y
 
 
@@ -392,17 +395,19 @@ def _with_fault(monkeypatch, perturb):
     monkeypatch.setattr(lattice_exact, "_forward_tables", faulty)
 
 
-EPS = Fraction(1, 2 ** 40)
+# Each fault adds one count, mass * d^(k m) + 1: the least change the
+# integer tables can hold, a mass change of d^(-k m).
 
 
 @pytest.mark.parametrize("cfg,n,path", [
     (CFG2, 4, np.int64), (CFG3, 4, np.int64),
     (WalkConfig(k=2, start=(0, 1), dist=WIDE), 3, object)])
 def test_km_check_catches_a_perturbed_survival_mass(monkeypatch, cfg, n, path):
-    target = sorted(lattice_exact._forward_tables(cfg, n)[0][n])[1]
+    target = sorted(exact_survival_kernel(cfg, n).masses)[1]
 
     def perturb(survival, stopped):
-        survival[n][target] += EPS
+        box = survival[n]
+        box.counts[tuple((np.array(target) - box.origin) // box.span)] += 1
 
     _with_fault(monkeypatch, perturb)
     seen = _record_dtypes(monkeypatch)
@@ -410,7 +415,7 @@ def test_km_check_catches_a_perturbed_survival_mass(monkeypatch, cfg, n, path):
         exact_km_check(cfg, n)
     assert seen == [path]
     assert err.value.site == target
-    assert err.value.lhs - err.value.rhs == EPS
+    assert err.value.lhs - err.value.rhs == Fraction(1, cfg.dist.denominator ** (cfg.k * n))
     assert "karlin-mcgregor violated at y=" in str(err.value)
 
 
@@ -418,15 +423,16 @@ def test_km_check_catches_a_perturbed_survival_mass(monkeypatch, cfg, n, path):
     (CFG2, 4, 1, np.int64), (CFG3, 4, 2, np.int64),
     (WalkConfig(k=2, start=(0, 1), dist=WIDE), 3, 2, object)])
 def test_reflection_check_catches_a_perturbed_stopped_mass(monkeypatch, cfg, n, l, path):
-    stopped = lattice_exact._forward_tables(cfg, n)[1]
-    pmfs = lattice_exact._single_walk_pmfs(cfg.dist, n)
+    stopped = exact_stopped_measure(cfg, n)
+    walks = lattice_exact._single_walk_counts(cfg.dist, n)
     # an exit off the boundary, whose determinant row is not identically zero
     z0 = next(z for (m, z), _ in sorted(stopped.items()) if m == l and len(set(z)) == cfg.k)
-    hit = next(y for y in lattice_exact._candidate_sites(cfg, n, pmfs)
-               if exact_d_matrix(z0, y, n - l, cfg.dist, pmfs))
+    hit = next(y for y in lattice_exact._candidate_sites(cfg, n, walks)
+               if exact_d_matrix(z0, y, n - l, cfg.dist, walks))
 
     def perturb(survival, stopped):
-        stopped[(l, z0)] += EPS
+        exits, counts = stopped[l]
+        counts[exits.tolist().index(list(z0))] += 1
 
     _with_fault(monkeypatch, perturb)
     seen = _record_dtypes(monkeypatch)
@@ -434,7 +440,8 @@ def test_reflection_check_catches_a_perturbed_stopped_mass(monkeypatch, cfg, n, 
         exact_reflection_check(cfg, n, [l])
     assert seen == [path]
     assert err.value.site == hit
-    assert err.value.lhs - err.value.rhs == -EPS * exact_d_matrix(z0, hit, n - l, cfg.dist, pmfs)
+    one = Fraction(1, cfg.dist.denominator ** (cfg.k * l))
+    assert err.value.lhs - err.value.rhs == -one * exact_d_matrix(z0, hit, n - l, cfg.dist, walks)
 
 
 def test_identities_for_walks_that_jump_over_each_other():
@@ -443,3 +450,51 @@ def test_identities_for_walks_that_jump_over_each_other():
     assert exact_km_check(cfg2, 6).passed
     assert exact_km_check(WalkConfig(k=3, start=(0, 1, 2), dist=THIRDS), 3).passed
     assert all(rep.passed for rep in exact_reflection_check(cfg2, 4, range(1, 5)))
+
+
+# d = 1021 with steps -2, 0, +1: walkers jump over each other, and
+# d^(k n) >= 2^63 already at k n = 7, so the DP runs on Python ints
+JUMPS = make_distribution("custom_lattice", masses={
+    -2: Fraction(100, 1021), 0: Fraction(721, 1021), 1: Fraction(200, 1021)})
+
+
+def _path_enumeration(cfg, n):
+    """Brute-force oracle: every step sequence to time tau ^ n, each with the
+    Fraction product of its step masses. Returns the survival kernel at n, the
+    stopped measure and [V_1, ..., V_n]."""
+    joint = [(tuple(s for s, _ in combo), math.prod(p for _, p in combo))
+             for combo in itertools.product(sorted(cfg.dist.masses.items()), repeat=cfg.k)]
+    alive, stopped = {}, {}
+
+    def extend(m, y, mass):
+        if m == n:
+            alive[y] = alive.get(y, 0) + mass
+            return
+        for vec, p in joint:
+            z = tuple(a + s for a, s in zip(y, vec))
+            if all(a < b for a, b in zip(z, z[1:])):
+                extend(m + 1, z, mass * p)
+            else:
+                stopped[(m + 1, z)] = stopped.get((m + 1, z), 0) + mass * p
+
+    extend(0, tuple(cfg.start), Fraction(1))
+    vs = [vandermonde(cfg.start) - sum(mass * vandermonde(z)
+                                       for (t, z), mass in stopped.items() if t <= m)
+          for m in range(1, n + 1)]
+    return alive, stopped, vs
+
+
+@pytest.mark.parametrize("dist,start,n,path", [
+    (RAD, (0, 1), 4, np.int64), (RAD, (0, 1, 2), 4, np.int64),
+    (RAD, (0, 1, 3, 4), 4, np.int64), (LAZY, (0, 2), 4, np.int64),
+    (LAZY, (0, 1, 2), 3, np.int64), (JUMPS, (0, 1), 4, object),
+    (JUMPS, (0, 1, 3), 3, object),
+], ids=["rademacher-k2", "rademacher-k3", "rademacher-k4", "lazy-k2", "lazy-k3",
+        "jumps-k2-object", "jumps-k3-object"])
+def test_count_dp_equals_path_enumeration(dist, start, n, path):
+    cfg = WalkConfig(k=len(start), start=start, dist=dist)
+    alive, stopped, vs = _path_enumeration(cfg, n)
+    assert lattice_exact._forward_tables(cfg, n)[0][n].counts.dtype == path
+    assert exact_survival_kernel(cfg, n).masses == alive
+    assert exact_stopped_measure(cfg, n) == stopped
+    assert exact_vn(cfg, n) == vs
