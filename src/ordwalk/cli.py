@@ -429,8 +429,18 @@ def _run_transform(spec, cfg):
     rows = [tuple(row) for row in res["samples"]]
     header = tuple(f"x{i + 1}" for i in range(cfg.k))
     result = {a: b for a, b in res.items() if a != "samples"}
-    return (result, {"transform_samples": (header, rows)},
-            {"collected": True})
+    checks = {"collected": True}
+    if cfg.k == 2 and cfg.dist.is_lattice:
+        # the exact mean of the gap at t_steps given survival to guard_m
+        gaps, probs = transform._rejection_gap_law(
+            cfg.dist, int(cfg.start[1] - cfg.start[0]), t_steps, res["guard_m"])
+        mean = float(gaps @ probs)
+        sd = math.sqrt(max(float(gaps ** 2 @ probs) - mean ** 2, 0.0))
+        se = sd / math.sqrt(len(rows))
+        gap_mean = float(np.diff(res["samples"], axis=1).mean())
+        result.update(gap_mean=gap_mean, exact_gap_mean=mean, gap_mean_stderr=se)
+        checks = {"gap_mean_4se": abs(gap_mean - mean) <= 4 * se}
+    return (result, {"transform_samples": (header, rows)}, checks)
 
 
 def _run_hermite(spec, cfg):

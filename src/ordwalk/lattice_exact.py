@@ -582,7 +582,7 @@ class TruncationError(ArithmeticError):
 def _require_truncation_within(what: str, value: float, bound: float):
     if bound > _TRUNCATION_RTOL * abs(value):
         raise TruncationError(
-            f"{what} = {value:.6g}: the gap DP window of {_WINDOW_SIGMAS:g} sigma "
+            f"{what} = {value:.6g}: the gap window of {_WINDOW_SIGMAS:g} sigma "
             f"sqrt(n) truncated mass bounding its error by {bound:.3g}, more than "
             f"{_TRUNCATION_RTOL:g} of the value")
 

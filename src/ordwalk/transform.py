@@ -22,7 +22,14 @@ from .distributions import (
 )
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl, vandermonde
-from .lattice_exact import _gap_dp_extent, _require_truncation_within, killed_gap_chain
+from .lattice_exact import (
+    _WINDOW_SIGMAS,
+    _gap_dp_extent,
+    _require_truncation_within,
+    gap_chain_alive_distribution,
+    gap_chain_survival,
+    killed_gap_chain,
+)
 
 __all__ = [
     "FeasibilityError",
@@ -68,28 +75,72 @@ def _rademacher_v(x):
 # V(g + 2) + V(g - 2) = 2 V(g), so it moves at exactly half of the steps
 # whatever its state. A path therefore makes M ~ Bin(n, 1/2) gap moves, and
 # its other n - M steps move both walkers together by +-1 with equal chance.
+# A move keeps the parity of the gap, so it moves V by the same +-2, and
+# w = V(g) / 2 goes up with chance (w + 1) / (2 w): the h-transform by
+# h(w) = w of a simple random walk killed at 0, the discrete Bessel-3 chain
+# (Koenig, O'Connell & Roch, EJP 7, 2002). Its law after M moves from w0 is
+# the reflection formula P(w) = [p_M(w - w0) - p_M(w + w0)] w / w0, w >= 1,
+# with p_M the M-step simple-random-walk pmf, so each path needs one draw.
+
+def _move_law(w0: int, m: int) -> tuple:
+    """Law of w after m moves of the chain from w0: (w, probs) on w >= 1.
+
+    With X ~ Bin(m, 1/2), w = w0 + 2X - m, p_m(w - w0) = P(X = x) and
+    p_m(w + w0) = P(X = x + w0). The law is kept on x within
+    _WINDOW_SIGMAS / 2 sqrt(m) of m / 2, that is w within _WINDOW_SIGMAS
+    standard deviations sqrt(m) of w0, so moves drawn from Bin(n, 1/2), about
+    sqrt(n) distinct values, cost O(n) cells in all. P(X = x) comes from the
+    ratio (m - x) / (x + 1) of neighbouring masses, normalised over the
+    window. By Hoeffding, X leaves the window with chance at most
+    exp(-2 d^2 / m) on a side at distance d, and w / w0 <= 1 + m / w0, so the
+    mass the law misplaces (cells outside, reflections past its end and the
+    normalisation) is at most 3 (1 + m / w0) times the two tails; it must
+    stay within _TRUNCATION_RTOL.
+    """
+    half = math.ceil(_WINDOW_SIGMAS / 2 * math.sqrt(m)) + 1
+    lo, hi = max(m // 2 - half, 0), min(m // 2 + half, m)
+    tails = ((math.exp(-2 * (m / 2 - lo + 1) ** 2 / m) if lo > 0 else 0.0)
+             + (math.exp(-2 * (hi + 1 - m / 2) ** 2 / m) if hi < m else 0.0))
+    _require_truncation_within(f"transformed gap law mass after {m} moves", 1.0,
+                               3 * (1 + m / w0) * tails)
+    x = np.arange(lo, hi + 1)
+    pmf = np.ones(x.size)
+    pmf[1:] = (m - x[:-1]) / (x[:-1] + 1)
+    np.cumprod(pmf, out=pmf)
+    pmf /= pmf.sum()
+    pmf[:max(x.size - w0, 0)] -= pmf[w0:]
+    w = w0 - m + 2 * x
+    keep = w >= 1
+    return w[keep], pmf[keep] * w[keep] / w0
+
 
 def _transformed_gaps(start_gap: int, moves: np.ndarray, rng) -> np.ndarray:
     """Gaps after moves[i] moves of the transformed gap chain on path i.
 
-    A move keeps the parity of the gap, so it moves V by the same +-2 and
-    the loop runs on v = V(g): a move goes up with chance
-    V(g + 2) / (2 V(g)) = (v + 2) / (2 v), one uniform per move. Paths run
-    in order of decreasing moves, so the paths still moving are a prefix.
+    The paths are grouped by their number of moves m. Each group inverts one
+    uniform per path through the CDF of `_move_law(w0, m)`, and w maps back
+    to the gap by g = 2 w - (V(start_gap) - start_gap).
     """
     v0 = int(_rademacher_v((0, start_gap)))
-    v = np.full(moves.size, v0, dtype=np.int64)
-    for live in moves.size - np.cumsum(np.bincount(moves))[:-1]:
-        head = v[:live]
-        head += np.where(2 * head * rng.random(live) < head + 2, 2, -2)
-    gaps = np.empty(moves.size, dtype=np.int64)
-    gaps[np.argsort(-moves, kind="stable")] = v - (v0 - start_gap)
-    return gaps
+    # a target in (0, total] lands on a cell of positive mass
+    target = 1.0 - rng.random(moves.size)
+    order = np.argsort(moves, kind="stable")
+    distinct, first = np.unique(moves[order], return_index=True)
+    out = np.empty(moves.size, dtype=np.int64)
+    for m, paths in zip(distinct.tolist(), np.split(order, first[1:])):
+        w, probs = _move_law(v0 // 2, m)
+        cdf = np.cumsum(probs)
+        out[paths] = w[np.searchsorted(cdf, target[paths] * cdf[-1])]
+    return 2 * out - (v0 - start_gap)
 
 
 def transformed_gap_paths(start_gap: int, n: int, paths: int,
                           master_seed: int = 0) -> np.ndarray:
-    """Sample the transformed gap chain; returns gaps at time n, shape (paths,)."""
+    """Sample the transformed gap chain; returns gaps at time n, shape (paths,).
+
+    Draws each path's number of gap moves M ~ Bin(n, 1/2), then its gap from
+    the exact law after M moves, one uniform per path (`_transformed_gaps`).
+    """
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
     rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
@@ -192,6 +243,19 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
         "bias_proxy_tv": _marginal_tv(samples, at_2m) if len(at_2m) else math.nan,
         "n_at_2m": len(at_2m),
     }
+
+
+def _rejection_gap_law(dist, start_gap: int, t_steps: int, guard_m: int):
+    """Exact law of the k=2 gap at t_steps given survival to guard_m, the law
+    `transform_paths_rejection` samples: (gaps, probs), by the gap DP.
+
+    By the Markov property at t_steps, P(g_t = g | tau > m) is proportional to
+    P_g0(g_t = g, tau > t) P_g(tau > m - t).
+    """
+    gaps, probs = gap_chain_alive_distribution(dist, start_gap, t_steps)
+    probs = probs * [gap_chain_survival(dist, int(g), [guard_m - t_steps])[0][1]
+                     for g in gaps]
+    return gaps, probs / probs.sum()
 
 
 def _marginal_tv(a: np.ndarray, b: np.ndarray) -> float:

@@ -325,6 +325,41 @@ params: {n: 64, paths: 200}
     assert checks["gap_sq_mean_3sigma"] is exact
 
 
+@pytest.mark.parametrize("dist, shift, passed", [
+    ("rademacher", 0, True), ("rademacher", 2, False),
+    ("lazy_lattice", 0, True), ("lazy_lattice", 1, False),
+])
+def test_transform_gate_uses_exact_conditioned_gap_mean(tmp_path, monkeypatch, dist,
+                                                        shift, passed):
+    # a k=2 lattice run passes at its own samples and fails once the upper
+    # walker is moved by `shift`
+    doc = f"""
+kind: transform
+walk: {{k: 2, start: [0, 1], dist: {dist}}}
+params: {{t_steps: 4, paths: 2000}}
+"""
+    real = transform.transform_paths_rejection
+
+    def moved(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res["samples"][:, 1] += shift
+        return res
+
+    monkeypatch.setattr(transform, "transform_paths_rejection", moved)
+    manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert manifest.checks == {"gap_mean_4se": passed}
+
+
+def test_transform_k3_has_no_exact_gate(tmp_path):
+    doc = """
+kind: transform
+walk: {k: 3, start: [0, 1, 2], dist: rademacher}
+params: {t_steps: 2, paths: 50}
+"""
+    manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert manifest.checks == {"collected": True}
+
+
 @pytest.mark.parametrize("edit, field", [
     (("seed: 0", "seed: true"), "seed"),
     (("k: 2", "k: true"), "k"),

@@ -13,7 +13,7 @@ from ordwalk import engine
 from ordwalk.distributions import make_distribution
 from ordwalk.engine import PartialResultError, WalkConfig
 from ordwalk.geometry import in_weyl, vandermonde
-from ordwalk.lattice_exact import exact_survival_kernel, exact_vn
+from ordwalk.lattice_exact import TruncationError, exact_survival_kernel, exact_vn
 
 RAD = make_distribution("rademacher")
 
@@ -140,6 +140,67 @@ def test_transformed_gap_paths_match_exact_law():
         assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / paths)
 
 
+def test_transformed_gap_paths_match_exact_law_from_an_even_gap():
+    n, paths = 256, 40_000
+    draws = tr.transformed_gap_paths(16, n, paths, master_seed=1)
+    assert (draws % 2 == 0).all()
+    gaps, probs = tr.transformed_gap_distribution(16, n)
+    table = dict(zip(gaps.tolist(), probs.tolist()))
+    for g in (4, 16, 34, 60):
+        p = table[g]
+        freq = float((draws == g).mean())
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / paths)
+
+
+def _bessel_chain_laws(w0, moves):
+    """Rational laws of w after 0..moves moves of the chain that steps
+    w -> w + 1 with chance (w + 1) / (2 w) and w -> w - 1 otherwise."""
+    law = {w0: Fraction(1)}
+    laws = [law]
+    for _ in range(moves):
+        nxt = {}
+        for w, p in law.items():
+            up = p * Fraction(w + 1, 2 * w)
+            nxt[w + 1] = nxt.get(w + 1, Fraction(0)) + up
+            if w > 1:
+                nxt[w - 1] = nxt.get(w - 1, Fraction(0)) + p - up
+        law = nxt
+        laws.append(law)
+    return laws
+
+
+@pytest.mark.parametrize("w0", [1, 2, 8])
+def test_move_law_is_the_bessel_chain_iterated(w0):
+    # the reflection formula after m moves against the move-by-move chain
+    for m, law in enumerate(_bessel_chain_laws(w0, 30)):
+        w, probs = tr._move_law(w0, m)
+        assert w.tolist() == sorted(law)
+        assert max(abs(p - float(law[x])) for x, p in zip(w.tolist(), probs.tolist())) <= 1e-15
+
+
+@pytest.mark.parametrize("start_gap", [1, 3, 8, 16])
+def test_move_law_mixture_is_the_transformed_gap_law(start_gap):
+    # the Bin(n, 1/2) mixture of the laws the sampler inverts against the
+    # killed gap DP times V: two independent computations of one law
+    v0 = int(tr._rademacher_v((0, start_gap)))
+    for n in (64, 100, 256, 1000):
+        gaps, exact = tr.transformed_gap_distribution(start_gap, n)
+        mixture = np.zeros(start_gap + 2 * n + 1)  # every gap n steps reach
+        for m in range(n + 1):
+            w, probs = tr._move_law(v0 // 2, m)
+            g = 2 * w - (v0 - start_gap)
+            mixture[g] += probs / probs.sum() * (math.comb(n, m) / 2 ** n)
+        mixture[gaps] -= exact
+        assert np.abs(mixture).max() <= 1e-15, (start_gap, n)
+
+
+def test_move_law_fails_loudly_on_a_narrow_window(monkeypatch):
+    monkeypatch.setattr(tr, "_WINDOW_SIGMAS", 2.0)
+    tr._move_law(1, 0)
+    with pytest.raises(TruncationError, match="after 400 moves"):
+        tr._move_law(1, 400)
+
+
 def test_transformed_pair_paths_consistent_with_gap_chain():
     pts = tr.transformed_pair_paths((0, 1), 32, 5_000, master_seed=2)
     assert pts.shape == (5_000, 2)
@@ -259,6 +320,21 @@ def test_rejection_transform_partial_result(monkeypatch):
     with pytest.raises(PartialResultError) as exc:
         tr.transform_paths_rejection(cfg, 4, 2_000, guard_m=32)
     assert exc.value.acceptance_rate < 0.1
+
+
+@pytest.mark.parametrize("start_gap, t, m", [(1, 3, 8), (2, 4, 6), (3, 0, 5), (1, 5, 5)])
+def test_rejection_gap_law_is_the_exact_conditioned_law(start_gap, t, m):
+    # P(g_t = g | tau > m) from the rational kernels: sum over the alive
+    # configurations at t of their mass times their survival to m
+    law = {}
+    for (a, b), mass in exact_survival_kernel(WalkConfig(2, (0, start_gap), RAD), t).masses.items():
+        ahead = exact_survival_kernel(WalkConfig(2, (a, b), RAD), m - t).total_mass()
+        law[b - a] = law.get(b - a, Fraction(0)) + mass * ahead
+    total = sum(law.values())
+    gaps, probs = tr._rejection_gap_law(RAD, start_gap, t, m)
+    assert set(gaps.tolist()) == {g for g, p in law.items() if p > 0}
+    for g, p in zip(gaps.tolist(), probs.tolist()):
+        assert abs(p - float(law[g] / total)) <= 1e-14
 
 
 def _dyson_density(x, t, y):
