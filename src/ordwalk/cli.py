@@ -54,14 +54,21 @@ _KIND_PARAMS = {
 }
 _KINDS = tuple(_KIND_PARAMS)
 _REFLECT_DEFAULT_N = 4
-# params read as integers, and params listing horizons
+_TRANSFORM_DEFAULT_T_STEPS = 16
+# params read as integers, as floats, and params listing horizons
 _INT_PARAMS = ("n", "l", "paths", "survivors", "max_attempts", "t_steps", "guard_m")
+_FLOAT_PARAMS = ("t", "exponent_tol", "threshold", "tv_threshold")
 _HORIZON_PARAMS = ("horizons", "schedule")
 
 
 def _is_int(value):
     """An int that is not a bool (bool subclasses int)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """An int or a float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class SpecError(ValueError):
@@ -167,9 +174,14 @@ def validate_spec(raw: str) -> ExperimentSpec:
                     f"params.{key} must list positive integers, got {val!r}")
             elif key == "schedule" and len(set(val)) != len(val):
                 errors.append(f"params.schedule has repeated horizons: {val!r}")
-        elif isinstance(val, bool):
-            errors.append(f"params.{key} must be a number, got {val!r}")
-        elif isinstance(val, (int, float)) and val <= 0:
+        elif key == "x_unit":
+            if (not isinstance(val, list) or len(val) != k
+                    or not all(map(_is_number, val)) or not in_weyl(val)):
+                errors.append(f"params.x_unit must list k={k} strictly increasing "
+                              f"numbers, got {val!r}")
+        elif key in _FLOAT_PARAMS and not (_is_number(val) and math.isfinite(val)):
+            errors.append(f"params.{key} must be a finite number, got {val!r}")
+        elif _is_number(val) and val <= 0:
             errors.append(f"params.{key} must be positive, got {val}")
         if kind in _KIND_PARAMS and key not in _KIND_PARAMS[kind]:
             errors.append(f"params.{key} is not read by kind {kind}, which reads "
@@ -178,6 +190,11 @@ def validate_spec(raw: str) -> ExperimentSpec:
         n = params.get("n", _REFLECT_DEFAULT_N)
         if _is_int(n) and not 1 <= params["l"] <= n:
             errors.append(f"params.l must lie in 1..n = 1..{n}, got {params['l']}")
+    if kind == "transform" and _is_int(params.get("guard_m")):
+        t_steps = params.get("t_steps", _TRANSFORM_DEFAULT_T_STEPS)
+        if _is_int(t_steps) and params["guard_m"] < t_steps:
+            errors.append(f"params.guard_m must be >= t_steps = {t_steps}, "
+                          f"got {params['guard_m']}")
     out = doc.get("out", "results")
 
     if errors:
@@ -282,14 +299,10 @@ def emit_report(out_dir: str, name: str, result: dict, tables: dict | None = Non
 # ---------------------------------------------------------------------------
 # experiment kinds
 
-def _report_dict(rep):
-    return rep.to_dict() if hasattr(rep, "to_dict") else dict(rep)
-
-
 def _run_exact_km(spec, cfg):
     n = int(spec.params.get("n", 6))
     rep = lattice_exact.exact_km_check(cfg, n)
-    return {"km": _report_dict(rep)}, {}, {"km_identity": rep.passed}
+    return {"km": rep.to_dict()}, {}, {"km_identity": rep.passed}
 
 
 def _run_exact_reflect(spec, cfg):
@@ -297,7 +310,7 @@ def _run_exact_reflect(spec, cfg):
     ls = spec.params.get("l")
     ls = [int(ls)] if ls is not None else list(range(1, n + 1))
     reps = lattice_exact.exact_reflection_check(cfg, n, ls)
-    reports = {f"l={l}": _report_dict(rep) for l, rep in zip(ls, reps)}
+    reports = {f"l={l}": rep.to_dict() for l, rep in zip(ls, reps)}
     checks = {f"reflection_l{l}": rep.passed for l, rep in zip(ls, reps)}
     return {"reflection": reports}, {}, checks
 
@@ -313,8 +326,8 @@ def _run_exact_v(spec, cfg):
     rows = [(i + 1, v, float(v)) for i, v in enumerate(vs)]
     return (
         {"v_values": {str(i + 1): v for i, v in enumerate(vs)},
-         "martingale": _report_dict(mart),
-         "harmonicity": _report_dict(harm),
+         "martingale": mart.to_dict(),
+         "harmonicity": harm.to_dict(),
          "positivity": positive},
         {"v_exact": (("n", "v_exact", "v_float"), rows)},
         {"martingale": mart.passed, "harmonicity": harm.passed,
@@ -421,7 +434,7 @@ def _run_lclt(spec, cfg):
 
 
 def _run_transform(spec, cfg):
-    t_steps = int(spec.params.get("t_steps", 16))
+    t_steps = int(spec.params.get("t_steps", _TRANSFORM_DEFAULT_T_STEPS))
     paths = int(spec.params.get("paths", 2000))
     guard = spec.params.get("guard_m")
     res = transform.transform_paths_rejection(

@@ -133,7 +133,6 @@ class StepDistribution:
     kind: str
     mean: float
     variance: float
-    moment_order: float
     lattice: LatticeInfo | None = None
     # exact site -> mass table, lattice kinds only
     masses: dict | None = field(default=None, repr=False)
@@ -226,9 +225,7 @@ def make_distribution(kind: str, **params) -> StepDistribution:
         variance = float(params.get("variance", 1.0))
         if variance <= 0:
             raise ValueError(f"variance must be positive, got {variance}")
-        return StepDistribution(
-            kind=kind, mean=0.0, variance=variance, moment_order=math.inf
-        )
+        return StepDistribution(kind=kind, mean=0.0, variance=variance)
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
 
@@ -239,7 +236,6 @@ def make_distribution(kind: str, **params) -> StepDistribution:
         kind=kind,
         mean=float(mean),
         variance=float(var),
-        moment_order=math.inf,  # finite support: all moments finite
         lattice=_lattice_metadata(masses),
         masses=masses,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BLOCK_SALT, RandomStream, StepDistribution
-from .geometry import in_weyl
+from .geometry import in_weyl, vandermonde
 
 __all__ = [
     "WalkConfig",
@@ -76,16 +76,9 @@ class EstimateCI:
     mean: float
     stderr: float
     n_samples: int
-    confidence: float = 0.95
 
-    def halfwidth(self):
-        from scipy.stats import norm
-
-        return norm.ppf(0.5 + self.confidence / 2.0) * self.stderr
-
-    def covers(self, value, n_sigma=None):
-        width = self.halfwidth() if n_sigma is None else n_sigma * self.stderr
-        return abs(self.mean - value) <= width
+    def covers(self, value, n_sigma):
+        return abs(self.mean - value) <= n_sigma * self.stderr
 
 
 @dataclass
@@ -105,16 +98,6 @@ class WorkCounts:
 
 def _block_stream(cfg: WalkConfig, block_index: int) -> np.random.Generator:
     return RandomStream(cfg.master_seed, BLOCK_SALT + block_index).generator()
-
-
-def _vandermonde_rows(pos: np.ndarray) -> np.ndarray:
-    """Vandermonde product per row of a (m, k) position array."""
-    k = pos.shape[1]
-    out = np.ones(pos.shape[0])
-    for i in range(k):
-        for j in range(i + 1, k):
-            out *= pos[:, j] - pos[:, i]
-    return out
 
 
 def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size: int,
@@ -165,7 +148,8 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
             at_exit = path[exit_at, rows]
             tau[dead] = n + 1 + exit_at
             terminal[dead] = at_exit
-            delta[dead] = _vandermonde_rows(at_exit)
+            # Delta in float64, which int64 products would overflow at large k
+            delta[dead] = vandermonde(at_exit.astype(float))
             keep = np.ones(m, dtype=bool)
             keep[rows] = False
             alive_idx = alive_idx.compress(keep)
@@ -173,7 +157,7 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
         n += t
     if alive_idx.size:
         terminal[alive_idx] = pos
-        delta[alive_idx] = _vandermonde_rows(pos)
+        delta[alive_idx] = vandermonde(pos.astype(float))
     return tau, delta, terminal, snap
 
 

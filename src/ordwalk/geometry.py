@@ -1,16 +1,24 @@
 """Weyl-chamber predicate, Vandermonde product, exact determinant, reflection shift.
 
-All functions are pure and accept any sequence of k >= 2 coordinates.
-Exact integer/rational arithmetic is used whenever every coordinate is an
-int or a Fraction; float inputs take the floating-point path.
+The functions are pure and take configurations of k >= 2 coordinates.
+`vandermonde` takes its product along the last axis: a sequence gives an
+exact int/Fraction when every coordinate is an int or a Fraction, and a
+float otherwise; a numpy array gives one product per row, in the array's own
+dtype. `exact_det` is the Leibniz sum over `signed_permutations`, the sign
+table that the batched determinants of `lattice_exact` share.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations, permutations
 from numbers import Integral
+
+import numpy as np
 
 __all__ = [
     "in_weyl",
     "vandermonde",
+    "signed_permutations",
     "reflection_shift",
 ]
 
@@ -33,67 +41,31 @@ def in_weyl(x) -> bool:
 
 
 def vandermonde(x):
-    """Product over ordered pairs: prod_{i<j} (x_j - x_i).
+    """Product over ordered pairs: prod_{i<j} (x_j - x_i), along the last axis.
 
-    Returns an exact int/Fraction when all coordinates are exact, else a float.
+    An array gives one product per row in its own dtype; a sequence gives an
+    exact int/Fraction when all coordinates are exact, else a float.
     """
-    coords = _check_config(x)
-    if _is_exact(coords):
-        prod = 1
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                prod *= coords[j] - coords[i]
-        return prod
-    prod = 1.0
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            prod *= float(coords[j]) - float(coords[i])
-    return prod
+    if isinstance(x, np.ndarray):
+        coords = _check_config(x[..., i] for i in range(x.shape[-1]))
+    else:
+        coords = _check_config(x)
+        if not _is_exact(coords):
+            coords = [float(c) for c in coords]
+    return math.prod(coords[j] - coords[i] for i, j in combinations(range(len(coords)), 2))
 
 
-def _bareiss_det(rows):
-    """Fraction-free (Bareiss) determinant for exact entries."""
-    m = [list(r) for r in rows]
-    if any(isinstance(e, Fraction) for row in m for e in row):
-        m = [[Fraction(e) for e in row] for row in m]
-    k = len(m)
-    sign = 1
-    prev = 1
-    for col in range(k - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, k):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(col + 1, k):
-            for c in range(col + 1, k):
-                num = m[r][c] * m[col][col] - m[r][col] * m[col][c]
-                m[r][c] = num / prev if isinstance(num, Fraction) else num // prev
-        prev = m[col][col]
-    return sign * m[k - 1][k - 1]
+def signed_permutations(k: int):
+    """Yield (perm, sign) for every permutation of range(k), sign = (-1)^inversions."""
+    for perm in permutations(range(k)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        yield perm, -1 if inversions % 2 else 1
 
 
 def exact_det(rows):
-    """Exact determinant of a square matrix of int/Fraction entries.
-
-    Cofactor expansion for k <= 4, fraction-free elimination above.
-    """
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k <= 4:
-        det = 0
-        for j in range(k):
-            if rows[0][j] == 0:
-                continue
-            minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-            term = rows[0][j] * exact_det(minor)
-            det = det + term if j % 2 == 0 else det - term
-        return det
-    return _bareiss_det(rows)
+    """Exact determinant of a square matrix of int/Fraction entries (Leibniz sum)."""
+    return sum(sign * math.prod(rows[i][p] for i, p in enumerate(perm))
+               for perm, sign in signed_permutations(len(rows)))
 
 
 def reflection_shift(y):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import StepDistribution, UnsupportedOperationError
 from .engine import WalkConfig
-from .geometry import exact_det, reflection_shift, vandermonde
+from .geometry import exact_det, reflection_shift, signed_permutations, vandermonde
 
 __all__ = [
     "ExactKernel",
@@ -74,7 +74,6 @@ class IdentityViolationError(AssertionError):
 class ExactKernel:
     k: int
     n: int
-    denominator_base: int
     masses: dict = field(repr=False)  # config tuple -> Fraction
 
     def total_mass(self) -> Fraction:
@@ -254,7 +253,7 @@ def exact_survival_kernel(cfg: WalkConfig, n: int) -> ExactKernel:
     """Exact table of P_x(tau > n, X(n) = y) over ordered configurations."""
     survival, _ = _forward_tables(cfg, n)
     d = cfg.dist.denominator
-    return ExactKernel(cfg.k, n, d, _masses(survival[n], d ** (cfg.k * n)))
+    return ExactKernel(cfg.k, n, _masses(survival[n], d ** (cfg.k * n)))
 
 
 def exact_stopped_measure(cfg: WalkConfig, n: int) -> dict:
@@ -271,7 +270,7 @@ def exact_free_kernel(cfg: WalkConfig, n: int) -> ExactKernel:
     _check_capacity(cfg.dist, cfg.k, n)
     scale = cfg.dist.denominator ** (cfg.k * n)
     *_, box = _free_boxes(cfg.start, _step_law(cfg.dist), n, _int_dtype(scale))
-    return ExactKernel(cfg.k, n, cfg.dist.denominator, _masses(box, scale))
+    return ExactKernel(cfg.k, n, _masses(box, scale))
 
 
 def _single_walk_counts(dist: StepDistribution, n: int):
@@ -323,12 +322,6 @@ def _count_dtype(k: int, scale: int):
     return _int_dtype(2 * math.factorial(k) * scale)
 
 
-def _signed_permutations(k: int):
-    for perm in itertools.permutations(range(k)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        yield perm, -1 if inversions % 2 else 1
-
-
 def _weighted_dets(table, ys, zs, steps, weights):
     """sum_s weights[s] * det[C_{steps[s]}(y_j - zs[s, i])] for every site y.
 
@@ -347,7 +340,7 @@ def _weighted_dets(table, ys, zs, steps, weights):
         entry = [[flat.take(base + (ys[:, j] - z[:, i, None])) for j in range(k)]
                  for i in range(k)]
         det = 0
-        for perm, sign in _signed_permutations(k):
+        for perm, sign in signed_permutations(k):
             term = entry[0][perm[0]]
             for i in range(1, k):
                 term = term * entry[i][perm[i]]
@@ -469,10 +462,7 @@ def exact_reflection_check(cfg: WalkConfig, n: int, ls) -> list:
 
 def _delta_sum(configs, counts) -> int:
     """sum of count * Delta(z) over the rows z of configs, in Python ints."""
-    cols = configs.astype(object).T
-    delta = np.ones(len(configs), dtype=object)
-    for i, j in itertools.combinations(range(configs.shape[1]), 2):
-        delta *= cols[j] - cols[i]
+    delta = vandermonde(configs.astype(object))
     return sum(map(operator.mul, counts.tolist(), delta.tolist()))
 
 

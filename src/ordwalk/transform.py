@@ -8,7 +8,6 @@ transition density of ordered Brownian motions.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
 from scipy import stats
@@ -62,9 +61,7 @@ def _rademacher_v(x):
     """
     x = np.asarray(x, dtype=np.int64)
     c = np.cumsum(np.diff(x, axis=-1) % 2, axis=-1)
-    y = x + np.concatenate([np.zeros_like(x[..., :1]), c], axis=-1)
-    return math.prod(y[..., j] - y[..., i]
-                     for i, j in combinations(range(x.shape[-1]), 2))
+    return vandermonde(x + np.concatenate([np.zeros_like(x[..., :1]), c], axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 and the `exact_det` name that `lattice_exact` imports, and reads the horizon
 of `engine._simulate_block` from its second positional argument. A renamed
 hook, or a simulator that draws around `StepDistribution.sample_array`,
-would otherwise surface only in a traced benchmark run.
+would otherwise surface only in a traced benchmark run. Likewise every spec
+the workloads run must pass `validate_spec`.
 """
 
 import importlib.util
@@ -14,21 +15,31 @@ import numpy as np
 import pytest
 
 from ordwalk import engine, lattice_exact, transform
+from ordwalk.cli import validate_spec
 from ordwalk.distributions import make_distribution
 from ordwalk.engine import WalkConfig, WorkCounts
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_every_workload_spec_validates():
+    workloads = _load_bench("workloads")
+    items = [item for items in workloads.WORKLOADS.values() for item in items
+             if item.kind != workloads.GAP_SURVIVAL]
+    assert items
+    for index, item in enumerate(items):
+        assert validate_spec(item.spec_text(100 + index)).kind == item.kind
+
+
 def test_tracer_installs_and_uninstalls():
-    tracer = _load_spans().Tracer()
+    tracer = _load_bench("spans").Tracer()
     try:
         tracer.install()  # AttributeError if a hooked name is gone
         hooks = list(tracer._originals)
@@ -54,7 +65,7 @@ def test_traced_batch_survival_counts_the_untraced_work():
         int(np.minimum(engine._simulate_block(cfg, 32, b, size)[0], 32).sum())
         for b, size in enumerate(engine._block_sizes(paths)))
     assert work.path_steps == path_steps and work.paths == paths
-    tracer = _load_spans().Tracer()
+    tracer = _load_bench("spans").Tracer()
     try:
         tracer.install()
         traced = engine.batch_survival(cfg, horizons, paths)
@@ -69,7 +80,7 @@ def test_traced_batch_survival_counts_the_untraced_work():
 def test_traced_transformed_pair_paths_match_the_untraced():
     n, paths = 64, 3000
     untraced = transform.transformed_pair_paths((0, 1), n, paths, master_seed=4)
-    tracer = _load_spans().Tracer()
+    tracer = _load_bench("spans").Tracer()
     try:
         tracer.install()
         traced = transform.transformed_pair_paths((0, 1), n, paths, master_seed=4)
@@ -94,7 +105,7 @@ def test_forward_tables_count_the_alive_configurations(dist, start, n, alive):
 
 def test_traced_cell_steps_are_joint_steps_times_alive_configurations():
     cfg = WalkConfig(k=3, start=(0, 1, 2), dist=make_distribution("rademacher"))
-    tracer = _load_spans().Tracer()
+    tracer = _load_bench("spans").Tracer()
     try:
         tracer.install()
         lattice_exact.exact_survival_kernel(cfg, 7)

@@ -413,6 +413,40 @@ def test_validate_rejects_params_the_kind_does_not_read(kind, params, field):
     assert len(exc.value.errors) == 1
 
 
+@pytest.mark.parametrize("kind, params, field", [
+    ("dyson-compare", '{t: "abc"}', "params.t "),
+    ("dyson-compare", "{tv_threshold: [1]}", "params.tv_threshold"),
+    ("dyson-compare", "{t: true}", "params.t "),
+    ("dyson-compare", "{t: .inf}", "params.t "),
+    ("tail", "{exponent_tol: .nan}", "params.exponent_tol"),
+    ("tail", '{exponent_tol: "x"}', "params.exponent_tol"),
+    ("lclt", '{threshold: "1e-2"}', "params.threshold"),
+    ("dyson-compare", "{x_unit: [1, 0]}", "params.x_unit"),
+    ("dyson-compare", '{x_unit: "ab"}', "params.x_unit"),
+    ("dyson-compare", "{x_unit: [0, 1, 2]}", "params.x_unit"),
+    ("dyson-compare", "{x_unit: [false, true]}", "params.x_unit"),
+    ("transform", "{t_steps: 8, guard_m: 4}", "t_steps = 8"),
+    ("transform", "{guard_m: 8}", "t_steps = 16"),
+])
+def test_validate_rejects_params_the_run_cannot_use(kind, params, field):
+    # each of these specs used to pass validation and then exit 1 in the run
+    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1]}}\nparams: {params}\n"
+    with pytest.raises(SpecError, match=field) as exc:
+        validate_spec(doc)
+    assert len(exc.value.errors) == 1
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("dyson-compare", "{t: 1, x_unit: [-0.5, 0.5], tv_threshold: 0.1}"),
+    ("lclt", "{threshold: 1.0e-2}"),
+    ("transform", "{t_steps: 8, guard_m: 8}"),
+    ("transform", "{guard_m: 16}"),
+])
+def test_validate_accepts_numbers_and_a_guard_past_t_steps(kind, params):
+    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1]}}\nparams: {params}\n"
+    assert validate_spec(doc).kind == kind
+
+
 def test_validate_accepts_every_param_each_runner_reads(tmp_path):
     # every key a runner looks up must be in its kind's table entry
     class Recording(dict):

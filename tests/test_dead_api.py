@@ -1,5 +1,6 @@
 """Every public name of the package is used by the program, the benchmark or
-the acceptance criteria, and not only by unit tests."""
+the acceptance criteria, and not only by unit tests; every module-level
+import of the package is read by its module."""
 
 import ast
 from pathlib import Path
@@ -30,8 +31,8 @@ TEST_ONLY = {
 TREES = {path: ast.parse(path.read_text()) for path in USERS}
 
 
-def _exported(path):
-    for node in TREES[path].body:
+def _exported(tree):
+    for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
             return [elt.value for elt in node.value.elts]
@@ -68,7 +69,7 @@ def _references(path, module, name):
 
 
 PUBLIC = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
-          for name in _exported(path)]
+          for name in _exported(TREES[path])]
 
 
 @pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
@@ -82,3 +83,25 @@ def test_public_name_has_a_user(module, name):
 
 def test_test_only_names_are_public():
     assert set(TEST_ONLY) <= {f"{m}.{n}" for m, n in PUBLIC}
+
+
+def _unused_imports(tree):
+    """Names a module imports at its top level but never reads or exports."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - set(_exported(tree)))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_uses_every_import(path):
+    assert _unused_imports(TREES[path]) == []
+
+
+def test_unused_import_check_flags_an_orphan():
+    tree = ast.parse("import math\nfrom itertools import combinations\nmath.pi\n")
+    assert _unused_imports(tree) == ["combinations"]

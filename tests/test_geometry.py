@@ -1,6 +1,7 @@
 """Chamber predicates, Vandermonde forms, and the reflection shift."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ordwalk.geometry import (
     exact_det,
     in_weyl,
     reflection_shift,
+    signed_permutations,
     vandermonde,
 )
 
@@ -89,6 +91,29 @@ def test_exact_det_matches_numpy():
         m = rng.integers(-9, 10, size=(k, k))
         got = exact_det([[int(v) for v in row] for row in m])
         assert got == round(np.linalg.det(m))
+
+
+def test_exact_det_matches_numpy_at_k1():
+    assert exact_det([[-7]]) == round(np.linalg.det(np.array([[-7]]))) == -7
+
+
+def test_signed_permutation_signs_are_permutation_determinants():
+    for k in range(1, 6):
+        table = list(signed_permutations(k))
+        assert [perm for perm, _ in table] == list(permutations(range(k)))
+        for perm, sign in table:
+            assert sign == round(np.linalg.det(np.eye(k)[list(perm)]))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, object])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_vandermonde_rows_match_the_scalar_form(k, dtype):
+    rng = np.random.default_rng(k)
+    rows = rng.integers(-20, 21, size=(50, k))
+    arr = rows.astype(float) / 4 if dtype is np.float64 else rows.astype(dtype)
+    got = vandermonde(arr)
+    assert got.shape == (50,) and got.dtype == arr.dtype
+    assert got.tolist() == [vandermonde(tuple(row)) for row in arr.tolist()]
 
 
 def test_exact_det_fractions():
