@@ -131,13 +131,14 @@ def validate_spec(raw: str) -> ExperimentSpec:
         start = tuple(range(k))
     else:
         start = tuple(start)
-        try:
-            if any(isinstance(c, bool) for c in start):
-                raise TypeError("bool coordinate")
-            if not in_weyl(start):
-                errors.append("start not strictly ordered")
-        except (TypeError, ValueError):
+        if not all(map(_is_number, start)):
             errors.append(f"start coordinates not numeric: {start!r}")
+            start = tuple(range(k))
+        elif not all(map(math.isfinite, start)):
+            errors.append(f"start coordinates must be finite, got {start!r}")
+            start = tuple(range(k))
+        elif not in_weyl(start):
+            errors.append("start not strictly ordered")
 
     dist = walk.get("dist", "rademacher")
     if isinstance(dist, str):
@@ -176,9 +177,10 @@ def validate_spec(raw: str) -> ExperimentSpec:
                 errors.append(f"params.schedule has repeated horizons: {val!r}")
         elif key == "x_unit":
             if (not isinstance(val, list) or len(val) != k
-                    or not all(map(_is_number, val)) or not in_weyl(val)):
+                    or not all(_is_number(v) and math.isfinite(v) for v in val)
+                    or not in_weyl(val)):
                 errors.append(f"params.x_unit must list k={k} strictly increasing "
-                              f"numbers, got {val!r}")
+                              f"finite numbers, got {val!r}")
         elif key in _FLOAT_PARAMS and not (_is_number(val) and math.isfinite(val)):
             errors.append(f"params.{key} must be a finite number, got {val!r}")
         elif _is_number(val) and val <= 0:

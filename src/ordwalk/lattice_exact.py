@@ -543,17 +543,104 @@ def exact_harmonicity_check(cfg: WalkConfig, n: int, v_start=None) -> Verificati
 # ---------------------------------------------------------------------------
 
 
-def _gap_step_law(dist: StepDistribution):
-    """Law of the difference of two independent steps, as (offsets, probs)."""
+def _gap_law(dist: StepDistribution) -> dict:
+    """Law of the difference of two independent steps: {offset: Fraction}."""
     _require_lattice(dist)
     law = {}
     for s1, m1 in dist.masses.items():
         for s2, m2 in dist.masses.items():
             d = s2 - s1
             law[d] = law.get(d, Fraction(0)) + m1 * m2
+    return law
+
+
+def _gap_step_law(dist: StepDistribution):
+    """Law of the difference of two independent steps, as (offsets, probs)."""
+    law = _gap_law(dist)
     offsets = np.array(sorted(law), dtype=np.int64)
     probs = np.array([float(law[o]) for o in sorted(law)])
     return offsets, probs
+
+
+# A block's counts stay below this bound, so each count / den^r of a block
+# table is one float64 rounding, and none for a dyadic den.
+_EXACT_FLOAT_BOUND = 2 ** 53
+
+
+def _gap_blocks(dist: StepDistribution, gap: int, n: int):
+    """The killed gap chain's r-step blocks, r = 1..L, on the lattice of the
+    gap `gap`: the gaps first + span i, first the least positive one, span
+    the gcd of the gap step offsets. Cell i is alive while i >= 0.
+
+    Returns (span, first, hi, blocks): one step moves a cell by lo..hi, and
+    blocks[r - 1] = (kernel, band, exits). kernel is the r-fold step law on
+    displacements r lo..r hi. No path from a cell i >= r |lo| can exit within
+    r steps; below that lie the band cells, with band[i, j] =
+    P_i(tau > r, cell(r) = j) and exits[i] = E_i[gap(tau); tau <= r].
+
+    With den the common denominator of the gap law, L <= n is the largest r
+    with den^r < 2^53 (at least 1). All tables come from one integer count DP
+    of L steps, started from a point mass on each of the band cells of the
+    L-step block and on the first cell above them: after r sub-steps its
+    first r |lo| rows are the r-step band and row r |lo| is the r-fold kernel.
+    """
+    law = _gap_law(dist)
+    span = math.gcd(*law) or 1
+    first = (gap - 1) % span + 1
+    lo, hi = min(law) // span, max(law) // span
+    den = math.lcm(*(p.denominator for p in law.values()))
+    step = [int(law.get(span * (lo + j), 0) * den) for j in range(hi - lo + 1)]
+    size = 1
+    while size < n and den ** (size + 1) < _EXACT_FLOAT_BOUND:
+        size += 1
+    rows = size * -lo + 1
+    dtype = _int_dtype(den ** size * span * (1 - lo))  # bounds the counts and exits
+    state = np.eye(rows, dtype=dtype)  # state[i, j]: from cell i to cell j
+    exit_gaps = first + span * np.arange(lo, 0)
+    exits = np.zeros(rows, dtype=dtype)
+    blocks = []
+    for r in range(1, size + 1):
+        out = np.zeros((rows, state.shape[1] + hi - lo), dtype=dtype)  # cells lo..
+        for j, w in enumerate(step):
+            if w:
+                out[:, j:j + state.shape[1]] += w * state
+        exits = den * exits + out[:, :-lo] @ exit_gaps
+        state = out[:, -lo:]
+        b, scale = r * -lo, den ** r
+        blocks.append(tuple(np.asarray(a / scale, dtype=float) for a in (
+            state[b, :b + r * hi + 1], state[:b, :b + r * hi], exits[:b])))
+    return span, first, hi, blocks
+
+
+def _run_blocks(gap_blocks, mass: np.ndarray, cap: int, horizons):
+    """Advance the killed chain from the mass on cells 0.. to each horizon.
+
+    Each horizon ends a block, and blocks are L steps long but for the one
+    before a horizon. The cells above the band move by one convolution with
+    the kernel, the band by one product with its transfer matrix. At the end
+    of a block the mass on cells >= cap is summed into `truncated` and
+    dropped; the capped chain is a sub-process of the uncapped one, so this
+    bounds what it lost. Yields (h, mass, stopped, truncated) per horizon,
+    with stopped = E[gap(tau); tau <= h] of the kept mass.
+    """
+    *_, hi, blocks = gap_blocks
+    m, stopped, truncated = 0, 0.0, 0.0
+    for h in horizons:
+        while m < h:
+            r = min(len(blocks), h - m)
+            kernel, band, exits = blocks[r - 1]
+            b = min(len(band), mass.size)
+            if mass.size > b:
+                arrive = np.convolve(mass[b:], kernel)
+            else:
+                arrive = np.zeros(mass.size + r * hi)
+            arrive[:b + r * hi] += mass[:b] @ band[:b, :b + r * hi]
+            stopped += float(mass[:b] @ exits[:b])
+            if arrive.size > cap:
+                truncated += float(arrive[cap:].sum())
+                arrive = arrive[:cap]
+            mass, m = arrive, m + r
+        yield h, mass, stopped, truncated
 
 
 # The gap DP's window reaches this many gap standard deviations, sigma sqrt(n)
@@ -583,10 +670,13 @@ def killed_gap_chain(dist: StepDistribution, start_gap: int, horizons):
     The gap of two independent walks is itself a random walk; the ordering
     survives while the gap stays strictly positive. The gap only visits
     start_gap + span * j, with span the gcd of the gap step offsets (2 for
-    Rademacher), so the DP stores those gaps alone and advances them by one
-    convolution with the step law per step. Its window grows with the reach
-    and stops at _WINDOW_SIGMAS sigma sqrt(n) above the start gap (sigma^2
-    the gap step variance, n the last horizon); mass that would cross it is
+    Rademacher), so the DP stores those gaps alone. It advances them in
+    blocks of up to L steps (`_gap_blocks`: 26 for Rademacher, 13 for lazy
+    steps), each one convolution with the exact r-fold step law for the
+    cells that cannot exit within the block and one small matrix product for
+    the band below them. Its window grows with the reach and stops at
+    _WINDOW_SIGMAS sigma sqrt(n) above the start gap (sigma^2 the gap step
+    variance, n the last horizon); mass past it at the end of a block is
     summed as `truncated`, a hard bound on what the survival law lost.
 
     Returns (gaps, mass, table): mass[i] = P(tau > n, gap(n) = gaps[i]) on
@@ -594,39 +684,29 @@ def killed_gap_chain(dist: StepDistribution, start_gap: int, horizons):
     each horizon h to (P(tau > h), E[gap(tau) 1{tau <= h}], truncated mass
     to h). The gap at absorption equals Delta of the two-walker configuration
     at tau. Float64 is used because the target horizons (up to 2^14) are far
-    beyond exact-rational capacity. For Rademacher from gap 1 to 2^14 the
-    survival agrees with the uncapped undecimated DP within 1.4e-15 relative
-    at every horizon, and the truncated mass is 6e-34.
+    beyond exact-rational capacity. For Rademacher from gaps 1, 3, 5 and 9
+    the survival agrees with the exact reflection formula within 2.5e-15
+    relative at horizons up to 2^14, and from gap 1 the truncated mass to
+    2^14 is 5.2e-34. For lazy steps and for the masses 1/3, 2/3 on -2, 1 it
+    agrees with an exact integer DP within 2.7e-15 relative to n = 2000.
     """
     if start_gap <= 0:
         raise ValueError("start gap must be positive")
-    offsets, probs = _gap_step_law(dist)
-    span = int(np.gcd.reduce(offsets)) or 1
-    lo, hi = int(offsets[0]) // span, int(offsets[-1]) // span
-    kernel = np.zeros(hi - lo + 1)
-    kernel[offsets // span - lo] = probs
     horizons = sorted(int(h) for h in horizons)
     n = horizons[-1]
-    first = (start_gap - 1) % span + 1  # least positive gap on the start's lattice
+    chain = _gap_blocks(dist, start_gap, n)
+    span, first, _, _ = chain
     start = (start_gap - first) // span  # cell i holds gap first + span * i
+    offsets, probs = _gap_step_law(dist)
     sigma = math.sqrt(float(probs @ offsets.astype(float) ** 2))
     cap = start + math.ceil(_WINDOW_SIGMAS * sigma * math.sqrt(n) / span) + 1
-    exit_gaps = first + span * np.arange(lo, 0.0)  # cells lo..-1
     mass = np.zeros(start + 1)
     mass[start] = 1.0
-    stopped = truncated = 0.0
-    wanted = set(horizons)
-    table = {0: (1.0, 0.0, 0.0)}
-    for m in range(1, n + 1):
-        arrive = np.convolve(mass, kernel)  # arrive[j] is the mass at cell j + lo
-        stopped += float(arrive[:-lo] @ exit_gaps)
-        if arrive.size + lo > cap:
-            truncated += float(arrive[cap - lo:].sum())
-        mass = arrive[-lo:cap - lo]
-        if m in wanted:
-            table[m] = (float(mass.sum()), stopped, truncated)
+    table = {}
+    for h, mass, stopped, truncated in _run_blocks(chain, mass, cap, horizons):
+        table[h] = (float(mass.sum()), stopped, truncated)
     gaps = first + span * np.arange(mass.size)
-    return gaps, mass, {h: table[h] for h in horizons}
+    return gaps, mass, table
 
 
 def _gap_chain_dp(dist: StepDistribution, start_gap: int, horizons):
@@ -667,6 +747,25 @@ def gap_chain_survival(dist: StepDistribution, start_gap: int, horizons):
     """P(tau > n) for the two-walker chain at each horizon, by float64 DP."""
     table = _gap_chain_dp(dist, start_gap, horizons)
     return [(h, table[h][0]) for h in sorted(table)]
+
+
+def _survival_by_gap(dist: StepDistribution, gaps, n: int) -> np.ndarray:
+    """P_g(tau > n) for every gap g of `gaps`, all on one lattice, in one DP.
+
+    The gap law is symmetric, so the killed transition between the cells of
+    the lattice is a symmetric matrix Q, and P_g(tau > n) = (Q^n 1)[g] =
+    (1 Q^n)[g]: the mass at g after n steps of the chain started from mass 1
+    on every cell. Only cells up to G + n hi can reach the top cell G in n
+    steps, so the start stops there, and the mass the window drops above it
+    could not have come back to G: the pass truncates nothing it returns.
+    """
+    gaps = np.asarray(gaps, dtype=np.int64)
+    chain = _gap_blocks(dist, int(gaps[0]), n)
+    span, first, hi, _ = chain
+    cells = (gaps - first) // span
+    top = int(cells.max()) + n * hi
+    (_, mass, _, _), = _run_blocks(chain, np.ones(top + 1), top + 1, [n])
+    return mass[cells]
 
 
 def gap_chain_stopped_delta(dist: StepDistribution, start_gap: int, n: int):

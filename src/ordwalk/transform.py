@@ -25,8 +25,8 @@ from .lattice_exact import (
     _WINDOW_SIGMAS,
     _gap_dp_extent,
     _require_truncation_within,
+    _survival_by_gap,
     gap_chain_alive_distribution,
-    gap_chain_survival,
     killed_gap_chain,
 )
 
@@ -247,11 +247,11 @@ def _rejection_gap_law(dist, start_gap: int, t_steps: int, guard_m: int):
     `transform_paths_rejection` samples: (gaps, probs), by the gap DP.
 
     By the Markov property at t_steps, P(g_t = g | tau > m) is proportional to
-    P_g0(g_t = g, tau > t) P_g(tau > m - t).
+    P_g0(g_t = g, tau > t) P_g(tau > m - t), the second factor for every g
+    from one pass of the gap DP.
     """
     gaps, probs = gap_chain_alive_distribution(dist, start_gap, t_steps)
-    probs = probs * [gap_chain_survival(dist, int(g), [guard_m - t_steps])[0][1]
-                     for g in gaps]
+    probs = probs * _survival_by_gap(dist, gaps, guard_m - t_steps)
     return gaps, probs / probs.sum()
 
 

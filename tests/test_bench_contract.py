@@ -113,3 +113,20 @@ def test_traced_cell_steps_are_joint_steps_times_alive_configurations():
         tracer.uninstall()
     # 2^3 joint steps from each of 1 + 4 + ... + 84 = 210 alive configurations
     assert tracer.counts["lattice_exact.cell_steps"] == 8 * 210
+
+
+def test_traced_gap_survival_records_the_gap_dp_span_and_cell_steps():
+    # spans.py wraps lattice_exact._gap_chain_dp and counts gap_cell_steps
+    # from lattice_exact._gap_step_law(dist) read as (offsets, probs):
+    # n (start_gap + n max(offsets) + 1) cells at the last horizon n
+    rad = make_distribution("rademacher")
+    untraced = lattice_exact.gap_chain_survival(rad, 1, [16, 64])
+    tracer = _load_bench("spans").Tracer()
+    try:
+        tracer.install()
+        traced = lattice_exact.gap_chain_survival(rad, 1, [16, 64])
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.self_s["lattice_exact.gap_dp"] > 0
+    assert tracer.counts["lattice_exact.gap_cell_steps"] == 64 * (1 + 64 * 2 + 1)

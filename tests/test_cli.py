@@ -81,6 +81,19 @@ def test_validate_noninteger_lattice_start():
         validate_spec(bad)
 
 
+@pytest.mark.parametrize("walk", [
+    "{k: 2, start: [0.0, .inf], dist: gaussian}",
+    "{k: 2, start: [-.inf, 0.0], dist: gaussian}",
+    "{k: 2, start: [0.0, .nan], dist: gaussian}",
+    "{k: 2, start: [0, .inf], dist: rademacher}",
+])
+def test_validate_rejects_nonfinite_start(walk):
+    # an infinite gaussian start used to pass and run to "value": Infinity
+    with pytest.raises(SpecError, match="start coordinates must be finite") as exc:
+        validate_spec(f"kind: estimate-v\nwalk: {walk}\n")
+    assert len(exc.value.errors) == 1
+
+
 def test_spec_roundtrip():
     spec = validate_spec(GOOD_KM)
     assert validate_spec(serialize_spec(spec)) == spec
@@ -425,6 +438,7 @@ def test_validate_rejects_params_the_kind_does_not_read(kind, params, field):
     ("dyson-compare", '{x_unit: "ab"}', "params.x_unit"),
     ("dyson-compare", "{x_unit: [0, 1, 2]}", "params.x_unit"),
     ("dyson-compare", "{x_unit: [false, true]}", "params.x_unit"),
+    ("dyson-compare", "{x_unit: [0.0, .inf]}", "params.x_unit"),
     ("transform", "{t_steps: 8, guard_m: 4}", "t_steps = 8"),
     ("transform", "{guard_m: 8}", "t_steps = 16"),
 ])

@@ -220,7 +220,7 @@ def _reflection_survival(start_gap, n):
     skip-free and killed at 0, so P(tau > n) = P(1 - x <= W_n <= x).
     """
     x = (start_gap + 1) // 2
-    count = sum(math.comb(2 * n, n + j) for j in range(1 - x, x + 1))
+    count = sum(math.comb(2 * n, n + j) for j in range(max(1 - x, -n), x + 1))
     return Fraction(count, 4 ** n)
 
 
@@ -309,6 +309,80 @@ def test_gap_chain_wrappers_raise_on_truncation(monkeypatch, call):
     monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1.0)
     with pytest.raises(TruncationError, match="truncated mass bounding its error by"):
         call()
+
+
+# horizons off the block grid of both Rademacher (26 steps) and lazy (13)
+OFF_GRID = [1, 7, 16, 26, 27, 53, 100, 1000, 1 << 14]
+
+
+def test_blocked_gap_chain_matches_reflection_at_horizons_off_the_block_grid():
+    for start_gap in (1, 3, 5, 9):
+        table = lattice_exact.killed_gap_chain(RAD, start_gap, OFF_GRID)[2]
+        for h in OFF_GRID:
+            exact = float(_reflection_survival(start_gap, h))
+            assert abs(table[h][0] - exact) <= 1e-14 * exact, (start_gap, h)
+
+
+def test_gap_blocks_are_exact_and_as_long_as_the_float_bound_allows():
+    # den^L < 2^53: 4^26 for Rademacher, 16^13 for lazy steps
+    assert len(lattice_exact._gap_blocks(RAD, 1, 1 << 14)[-1]) == 26
+    assert len(lattice_exact._gap_blocks(LAZY, 1, 1 << 14)[-1]) == 13
+    assert len(lattice_exact._gap_blocks(RAD, 1, 5)[-1]) == 5  # no block past the horizon
+    kernel, band, exits = lattice_exact._gap_blocks(RAD, 1, 1 << 14)[-1][-1]
+    assert kernel.tolist() == [math.comb(52, j) / 2 ** 52 for j in range(53)]
+    # from cell 0 (gap 1) every exit lands on gap -1
+    assert exits[0] == -(1 - band[0].sum())
+
+
+def _exact_gap_chain(dist, start_gap, horizons):
+    """{h: (P(tau > h), E[gap(tau); tau <= h])} as Fractions, by an uncapped
+    integer count DP of the gap chain, one step at a time."""
+    law = lattice_exact._gap_law(dist)
+    span = math.gcd(*law)
+    lo, hi = min(law) // span, max(law) // span
+    den = math.lcm(*(p.denominator for p in law.values()))
+    first = (start_gap - 1) % span + 1
+    counts = np.zeros((start_gap - first) // span + 1, dtype=object)
+    counts[-1] = 1
+    stopped, table = 0, {}
+    for m in range(1, max(horizons) + 1):
+        out = np.zeros(counts.size + hi - lo, dtype=object)
+        for j in range(hi - lo + 1):
+            out[j:j + counts.size] += int(law.get(span * (lo + j), 0) * den) * counts
+        stopped = stopped * den + sum(int(c) * (first + span * cell)
+                                      for c, cell in zip(out[:-lo], range(lo, 0)))
+        counts = out[-lo:]
+        if m in horizons:
+            table[m] = (Fraction(int(counts.sum()), den ** m), Fraction(stopped, den ** m))
+    return table
+
+
+@pytest.mark.parametrize("dist, start_gap", [(LAZY, 1), (LAZY, 2), (THIRDS, 1), (THIRDS, 3)],
+                         ids=["lazy-1", "lazy-2", "thirds-1", "thirds-3"])
+def test_blocked_gap_chain_matches_an_exact_integer_dp(dist, start_gap):
+    # blocks of 13 (lazy) and 16 (THIRDS, den 9) steps; horizons around both
+    horizons = [1, 12, 13, 14, 16, 17, 26, 27, 100, 300]
+    exact = _exact_gap_chain(dist, start_gap, horizons)
+    table = lattice_exact.killed_gap_chain(dist, start_gap, horizons)[2]
+    for h in horizons:
+        alive, stopped = map(float, exact[h])
+        assert abs(table[h][0] - alive) <= 1e-14 * alive, h
+        assert abs(table[h][1] - stopped) <= 1e-14 * max(1.0, abs(stopped)), h
+
+
+def test_blocked_gap_chain_of_a_law_past_the_float_bound(monkeypatch):
+    # d = 2^33, so the gap law's denominator is 2^66: one-step blocks whose
+    # counts are Python ints
+    d = 2 ** 33
+    fine = make_distribution("custom_lattice", masses={
+        -1: Fraction(3, d), 0: 1 - Fraction(6, d), 1: Fraction(3, d)})
+    assert len(lattice_exact._gap_blocks(fine, 1, 5)[-1]) == 1
+    # d^(2n) is far past the rational DP's capacity guard at n = 5
+    monkeypatch.setattr(lattice_exact, "CAPACITY_BITS", 1000)
+    table = lattice_exact.killed_gap_chain(fine, 1, range(1, 6))[2]
+    for n in range(1, 6):
+        exact = float(exact_survival_kernel(WalkConfig(2, (0, 1), fine), n).total_mass())
+        assert abs(table[n][0] - exact) <= 1e-15 * exact
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,11 +9,17 @@ import pytest
 from scipy import integrate, stats
 
 import ordwalk.transform as tr
-from ordwalk import engine
+from ordwalk import engine, lattice_exact
 from ordwalk.distributions import make_distribution
 from ordwalk.engine import PartialResultError, WalkConfig
 from ordwalk.geometry import in_weyl, vandermonde
-from ordwalk.lattice_exact import TruncationError, exact_survival_kernel, exact_vn
+from ordwalk.lattice_exact import (
+    TruncationError,
+    exact_survival_kernel,
+    exact_vn,
+    gap_chain_alive_distribution,
+    gap_chain_survival,
+)
 
 RAD = make_distribution("rademacher")
 
@@ -335,6 +341,18 @@ def test_rejection_gap_law_is_the_exact_conditioned_law(start_gap, t, m):
     assert set(gaps.tolist()) == {g for g, p in law.items() if p > 0}
     for g, p in zip(gaps.tolist(), probs.tolist()):
         assert abs(p - float(law[g] / total)) <= 1e-14
+
+
+@pytest.mark.parametrize("dist", [RAD, make_distribution("lazy_lattice"),
+                                  make_distribution("custom_lattice",
+                                                    masses={-2: Fraction(1, 3), 1: Fraction(2, 3)})],
+                         ids=lambda d: d.kind)
+@pytest.mark.parametrize("start_gap, t, m", [(1, 16, 128), (2, 5, 40), (3, 0, 30), (1, 5, 5)])
+def test_survival_of_every_alive_gap_in_one_pass_matches_the_per_gap_dps(dist, start_gap, t, m):
+    gaps, _ = gap_chain_alive_distribution(dist, start_gap, t)
+    one_pass = lattice_exact._survival_by_gap(dist, gaps, m - t)
+    per_gap = np.array([gap_chain_survival(dist, int(g), [m - t])[0][1] for g in gaps])
+    assert np.all(np.abs(one_pass - per_gap) <= 1e-15 * per_gap)
 
 
 def _dyson_density(x, t, y):
