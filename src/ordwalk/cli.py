@@ -121,6 +121,9 @@ def validate_spec(raw: str) -> ExperimentSpec:
         errors.append(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
 
     walk = doc.get("walk") or {}
+    if not isinstance(walk, dict):
+        errors.append(f"walk must be a mapping of k, start and dist, got {walk!r}")
+        walk = {}
     k = walk.get("k")
     if not _is_int(k) or k < 2:
         errors.append(f"k must be an integer >= 2, got {k!r}")

@@ -22,7 +22,9 @@ __all__ = [
 ]
 
 _CONTINUOUS_KINDS = ("gaussian", "uniform", "laplace")
-_LATTICE_KINDS = ("rademacher", "lazy_lattice", "custom_lattice")
+# the keys each kind reads; make_distribution rejects any other
+_KIND_PARAMS = {"rademacher": (), "lazy_lattice": (), "custom_lattice": ("masses",),
+                **dict.fromkeys(_CONTINUOUS_KINDS, ("variance",))}
 
 # Philox stream registry. Every generator is keyed (master_seed, salt); the
 # salt ranges below are disjoint, so consumers of different ranges never share
@@ -204,32 +206,34 @@ def make_distribution(kind: str, **params) -> StepDistribution:
     custom_lattice takes masses={site: Fraction-like}, which must be
     nonnegative, sum to one and have mean zero.
     """
+    if not isinstance(kind, str) or kind not in _KIND_PARAMS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    for key in params:
+        if key not in _KIND_PARAMS[kind]:
+            raise ValueError(f"dist.{key} is not read by kind {kind}, which reads "
+                             f"{', '.join(_KIND_PARAMS[kind]) or 'nothing'}")
+    if kind in _CONTINUOUS_KINDS:
+        variance = float(params.get("variance", 1.0))
+        if not 0 < variance < math.inf:
+            raise ValueError(f"variance must be positive and finite, got {variance}")
+        return StepDistribution(kind=kind, mean=0.0, variance=variance)
     if kind == "rademacher":
         masses = {-1: Fraction(1, 2), 1: Fraction(1, 2)}
     elif kind == "lazy_lattice":
         masses = {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}
-    elif kind == "custom_lattice":
+    else:
         raw = params.get("masses")
-        if not raw:
-            raise ValueError("custom_lattice requires a masses mapping")
+        if not isinstance(raw, dict) or not raw:
+            raise ValueError(f"custom_lattice requires a masses mapping, got {raw!r}")
         masses = {int(site): Fraction(mass) for site, mass in raw.items()}
         if any(m < 0 for m in masses.values()):
             raise ValueError("custom_lattice masses must be nonnegative")
         total = sum(masses.values())
         if total != 1:
             raise ValueError(f"custom_lattice masses sum to {total}, expected 1")
-        mean, _ = _exact_moments(masses)
-        if mean != 0:
-            raise ValueError(f"custom_lattice mean is {mean}, expected 0")
-    elif kind in _CONTINUOUS_KINDS:
-        variance = float(params.get("variance", 1.0))
-        if variance <= 0:
-            raise ValueError(f"variance must be positive, got {variance}")
-        return StepDistribution(kind=kind, mean=0.0, variance=variance)
-    else:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-
     mean, var = _exact_moments(masses)
+    if mean != 0:
+        raise ValueError(f"custom_lattice mean is {mean}, expected 0")
     if var <= 0:
         raise ValueError(f"variance must be positive, got {var}")
     return StepDistribution(

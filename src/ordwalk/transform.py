@@ -10,7 +10,7 @@ transition density of ordered Brownian motions.
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import asymptotics, engine
 from .distributions import (
@@ -331,10 +331,12 @@ def dyson_gap_cdf(g0: float, t: float, g) -> np.ndarray:
     """
     g = np.maximum(np.asarray(g, dtype=float), 0.0)
     s = math.sqrt(2.0 * t)
-    norm = stats.norm
-    return (norm.cdf((g - g0) / s) - norm.cdf(-g0 / s)
-            + norm.cdf((g + g0) / s) - norm.cdf(g0 / s)
-            + s * s * (norm.pdf(g + g0, scale=s) - norm.pdf(g - g0, scale=s)) / g0)
+
+    def phi(x):  # norm.pdf(x, scale=s), as scipy.stats computes it
+        return np.exp(-(x / s) ** 2 / 2.0) / np.sqrt(2.0 * np.pi) / s
+    return (special.ndtr((g - g0) / s) - special.ndtr(-g0 / s)
+            + special.ndtr((g + g0) / s) - special.ndtr(g0 / s)
+            + s * s * (phi(g + g0) - phi(g - g0)) / g0)
 
 
 def dyson_compare(x_unit, t: float, n: int, paths: int,
@@ -361,7 +363,7 @@ def dyson_compare(x_unit, t: float, n: int, paths: int,
     counts, _ = np.histogram(rescaled, edges)
     emp = np.append(counts, paths - counts.sum()) / paths
     model = np.diff(dyson_gap_cdf(g0, t, np.append(edges, np.inf)))
-    ks = float(stats.kstest(rescaled, lambda g: dyson_gap_cdf(g0, t, g)).statistic)
+    ks = asymptotics._ks_statistic(rescaled, lambda g: dyson_gap_cdf(g0, t, g))
     return {
         "n": n,
         "steps": steps,

@@ -18,7 +18,6 @@ from .geometry import in_weyl, vandermonde
 
 __all__ = [
     "VEstimate",
-    "estimate_vn",
     "estimate_v",
     "v_from_schedule",
     "scaling_check",
@@ -34,12 +33,6 @@ class VEstimate:
     tail_diagnostic: float  # |change| over the last doubling, nan if untracked
     converged: bool = True
 
-    def __post_init__(self):
-        if self.value.n_samples < 1:
-            raise ValueError("estimate needs at least one sample")
-        if self.n_used < 0:
-            raise ValueError("truncation horizon must be >= 0")
-
 
 def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None = None):
     """V_n estimates at every horizon from one shared batch of paths.
@@ -48,6 +41,8 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None 
     contributes to every horizon >= tau, so all truncations are read off a
     single simulation pass. Its work is added to `work` if one is given.
     """
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
     horizons = sorted(int(h) for h in horizons)
     if not horizons:
         raise ValueError("horizon schedule must be nonempty")
@@ -73,24 +68,6 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None 
                          stderr=math.sqrt(var / paths), n_samples=paths)
         out.append((h, est))
     return out
-
-
-def estimate_vn(cfg: WalkConfig, n: int, paths: int) -> VEstimate:
-    """Estimate the truncation V_n(x) by Monte Carlo.
-
-    n = 0 returns Delta(x) exactly: no exit can have happened yet, so the
-    stopped term vanishes.
-    """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    delta_x = float(vandermonde(cfg.start))
-    if n == 0:
-        value = EstimateCI(mean=delta_x, stderr=0.0, n_samples=paths)
-        return VEstimate(x=tuple(cfg.start), n_used=0, value=value,
-                         tail_diagnostic=math.nan)
-    (_, est), = _vn_over_schedule(cfg, [n], paths)
-    return VEstimate(x=tuple(cfg.start), n_used=n, value=est,
-                     tail_diagnostic=math.nan)
 
 
 def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int) -> VEstimate:

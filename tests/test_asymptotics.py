@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from ordwalk.asymptotics import (
     _binned_model,
@@ -17,6 +17,7 @@ from ordwalk.asymptotics import (
     _gap_integrand,
     _gap_marginal_cdf,
     _k3_gap_density,
+    _ks_statistic,
     constant_K,
     endpoint_density_distance,
     local_clt_deviation,
@@ -27,6 +28,7 @@ from ordwalk.asymptotics import (
 from ordwalk.distributions import UnsupportedOperationError, make_distribution
 from ordwalk.engine import EstimateCI
 from ordwalk.lattice_exact import _single_walk_counts, gap_chain_survival, star_survival
+from ordwalk.transform import dyson_gap_cdf
 
 RAD = make_distribution("rademacher")
 LAZY = make_distribution("lazy_lattice")
@@ -230,6 +232,19 @@ def test_gap_marginal_cdf_k3_matches_quadrature(i, beta):
                                   opts={"epsabs": 1e-11, "epsrel": 1e-11})
         # the CDF is a trapezoid rule on a grid of step 0.0075
         assert cdf(g) == pytest.approx(mass / total, abs=1e-5)
+
+
+@pytest.mark.parametrize("n", [2000, 10_000, 20_000])
+@pytest.mark.parametrize("cdf", [
+    _gap_marginal_cdf(2, 1),
+    _gap_marginal_cdf(2, 2),
+    _gap_marginal_cdf(3, 1),
+    lambda g: dyson_gap_cdf(1.0, 0.5, g),
+], ids=["k2-beta1", "k2-beta2", "k3-beta1", "dyson"])
+def test_ks_statistic_is_the_kstest_statistic(cdf, n):
+    # scipy.stats stays out of the package and serves here as the reference
+    x = np.abs(np.random.default_rng(n).normal(1.5, 1.0, n))
+    assert _ks_statistic(x, cdf) == float(stats.kstest(x, cdf).statistic)
 
 
 def _binned_tv_reference(y, k, beta):

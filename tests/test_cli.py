@@ -94,6 +94,33 @@ def test_validate_rejects_nonfinite_start(walk):
     assert len(exc.value.errors) == 1
 
 
+def test_validate_rejects_a_walk_that_is_no_mapping():
+    # a list used to crash validate_spec with AttributeError; now it is read
+    # as an empty walk, which lacks k and start
+    with pytest.raises(SpecError) as exc:
+        validate_spec('{"kind": "tail", "walk": [1, 2]}')
+    assert exc.value.errors[0] == "walk must be a mapping of k, start and dist, got [1, 2]"
+
+
+@pytest.mark.parametrize("dist, message", [
+    ("{kind: [1]}", "unknown distribution kind"),
+    ("{kind: custom_lattice, masses: [1, 2]}", "masses mapping"),
+    ("{kind: gaussian, variance: .nan}", "positive and finite"),
+    ("{kind: uniform, variance: .inf}", "positive and finite"),
+    ("{kind: laplace, variance: -.inf}", "positive and finite"),
+    ("{kind: rademacher, variance: 2}", "dist.variance is not read by kind rademacher, "
+                                        "which reads nothing"),
+    ("{kind: gaussian, variance: 2, masses: {0: 1}}", "dist.masses is not read by kind "
+                                                      "gaussian, which reads variance"),
+])
+def test_validate_rejects_a_dist_the_kind_cannot_build(dist, message):
+    # each of these used to crash validate_spec or validate and run another walk
+    doc = f"kind: estimate-v\nwalk: {{k: 2, start: [0, 1], dist: {dist}}}\n"
+    with pytest.raises(SpecError, match=f"bad distribution: .*{message}") as exc:
+        validate_spec(doc)
+    assert len(exc.value.errors) == 1
+
+
 def test_spec_roundtrip():
     spec = validate_spec(GOOD_KM)
     assert validate_spec(serialize_spec(spec)) == spec

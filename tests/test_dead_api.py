@@ -3,6 +3,9 @@ the acceptance criteria, and not only by unit tests; every module-level
 import of the package is read by its module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,9 +25,6 @@ TEST_ONLY = {
         "float64 k=2 E[Delta(X(tau)); tau <= n], the V_n reference past exact capacity",
     "transform.dyson_gap_marginal":
         "ordered-BM gap density; its quadrature checks the closed-form dyson_gap_cdf",
-    "v_module.estimate_vn":
-        "Monte Carlo V_n at one horizon, with the exact n=0 case; estimate-v "
-        "reads the same estimates off one shared pass of _vn_over_schedule",
 }
 
 
@@ -105,3 +105,10 @@ def test_module_uses_every_import(path):
 def test_unused_import_check_flags_an_orphan():
     tree = ast.parse("import math\nfrom itertools import combinations\nmath.pi\n")
     assert _unused_imports(tree) == ["combinations"]
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # importing scipy.stats took about a third of a fresh `import ordwalk.cli`
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, ordwalk.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -62,6 +62,34 @@ def test_custom_lattice_rejects_bad_masses():
                           masses={-1: Fraction(3, 2), 1: Fraction(-1, 2), 0: 0})
 
 
+@pytest.mark.parametrize("masses", [[1, 2], "1: 1", None, {}])
+def test_custom_lattice_rejects_masses_that_are_no_mapping(masses):
+    # a list of masses used to raise AttributeError
+    with pytest.raises(ValueError, match="masses mapping"):
+        make_distribution("custom_lattice", masses=masses)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "laplace"])
+@pytest.mark.parametrize("variance", [math.nan, math.inf])
+def test_continuous_kinds_reject_a_variance_that_is_not_finite(kind, variance):
+    # only variance <= 0 used to be rejected, so both of these validated
+    with pytest.raises(ValueError, match="variance must be positive and finite"):
+        make_distribution(kind, variance=variance)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("rademacher", {"variance": 2}),
+    ("lazy_lattice", {"masses": {-1: 1, 1: 0}}),
+    ("custom_lattice", {"masses": {-1: Fraction(1, 2), 1: Fraction(1, 2)}, "variance": 1}),
+    ("gaussian", {"masses": {0: 1}}),
+    ("uniform", {"scale": 1.0}),
+])
+def test_kinds_reject_keys_they_do_not_read(kind, params):
+    # rademacher with variance 2 used to validate and run a unit-variance walk
+    with pytest.raises(ValueError, match=f"is not read by kind {kind}"):
+        make_distribution(kind, **params)
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         make_distribution("cauchy")

@@ -398,6 +398,16 @@ def test_gap_cdfs_have_unit_mass():
     assert float(tr.dyson_gap_cdf(0.5, 1.0, -1.0)) == 0.0
 
 
+@pytest.mark.parametrize("g0, t", [(1.0, 0.5), (0.0625, 1.0), (2.5, 0.1)])
+def test_dyson_gap_cdf_is_the_scipy_norm_expression(g0, t):
+    g = np.concatenate([np.linspace(0.0, 12.0, 20_001), [np.inf]])
+    s, norm = math.sqrt(2.0 * t), stats.norm
+    expected = (norm.cdf((g - g0) / s) - norm.cdf(-g0 / s)
+                + norm.cdf((g + g0) / s) - norm.cdf(g0 / s)
+                + s * s * (norm.pdf(g + g0, scale=s) - norm.pdf(g - g0, scale=s)) / g0)
+    assert np.array_equal(tr.dyson_gap_cdf(g0, t, g), expected)
+
+
 def test_dyson_compare_small():
     rep = tr.dyson_compare((0.0, 1.0), t=0.5, n=256, paths=20_000,
                            master_seed=0)

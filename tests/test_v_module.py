@@ -10,7 +10,6 @@ from ordwalk.engine import WalkConfig
 from ordwalk.lattice_exact import exact_vn
 from ordwalk.v_module import (
     estimate_v,
-    estimate_vn,
     scaling_check,
     snap_to_lattice,
 )
@@ -19,28 +18,22 @@ RAD = make_distribution("rademacher")
 CFG2 = WalkConfig(k=2, start=(0, 1), dist=RAD, master_seed=0)
 
 
-def test_vn_zero_horizon_is_delta_exact():
-    est = estimate_vn(CFG2, 0, paths=10)
-    assert est.value.mean == 1.0 and est.value.stderr == 0.0
-    assert est.n_used == 0 and math.isnan(est.tail_diagnostic)
-
-
 def test_vn_matches_exact_truncation():
     exact = exact_vn(CFG2, 6)
     for n in (1, 3, 6):
-        est = estimate_vn(CFG2, n, paths=100_000)
+        est = estimate_v(CFG2, [n], paths=100_000)
         assert est.value.covers(float(exact[n - 1]), n_sigma=4)
 
 
 def test_vn_one_step_example():
     # Delta(0,1) - E[Delta(X(tau)) 1{tau <= 1}] = 1 - (-1/4) = 5/4
-    est = estimate_vn(CFG2, 1, paths=200_000)
+    est = estimate_v(CFG2, [1], paths=200_000)
     assert est.value.covers(1.25, n_sigma=4)
 
 
 def test_vn_rejects_bad_args():
-    with pytest.raises(ValueError):
-        estimate_vn(CFG2, 2, paths=0)
+    with pytest.raises(ValueError, match="paths must be >= 1"):
+        estimate_v(CFG2, [2], paths=0)
 
 
 def test_estimate_v_schedule():
