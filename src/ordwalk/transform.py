@@ -10,7 +10,6 @@ transition density of ordered Brownian motions.
 import math
 
 import numpy as np
-from scipy import special
 
 from . import asymptotics, engine
 from .distributions import (
@@ -332,10 +331,11 @@ def dyson_gap_cdf(g0: float, t: float, g) -> np.ndarray:
     g = np.maximum(np.asarray(g, dtype=float), 0.0)
     s = math.sqrt(2.0 * t)
 
-    def phi(x):  # norm.pdf(x, scale=s), as scipy.stats computes it
+    def phi(x):  # the N(0, s^2) density
         return np.exp(-(x / s) ** 2 / 2.0) / np.sqrt(2.0 * np.pi) / s
-    return (special.ndtr((g - g0) / s) - special.ndtr(-g0 / s)
-            + special.ndtr((g + g0) / s) - special.ndtr(g0 / s)
+    Phi = asymptotics._norm_cdf
+    return (Phi((g - g0) / s) - Phi(-g0 / s)
+            + Phi((g + g0) / s) - Phi(g0 / s)
             + s * s * (phi(g + g0) - phi(g - g0)) / g0)
 
 

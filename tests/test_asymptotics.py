@@ -14,10 +14,12 @@ from ordwalk.asymptotics import (
     _binned_model,
     _binned_tv,
     _chamber_integral,
+    _erfc,
     _gap_integrand,
     _gap_marginal_cdf,
     _k3_gap_density,
     _ks_statistic,
+    _norm_cdf,
     constant_K,
     endpoint_density_distance,
     local_clt_deviation,
@@ -234,6 +236,73 @@ def test_gap_marginal_cdf_k3_matches_quadrature(i, beta):
         assert cdf(g) == pytest.approx(mass / total, abs=1e-5)
 
 
+# the edges of Cody's three ranges, their float neighbours, 0 and the infinities
+_BRANCH_EDGES = [e * sign for e in (0.46875, 4.0) for sign in (1.0, -1.0)]
+_ERFC_POINTS = np.concatenate([
+    np.linspace(-40.0, 40.0, 160_001), _BRANCH_EDGES,
+    np.nextafter(_BRANCH_EDGES, np.inf), np.nextafter(_BRANCH_EDGES, -np.inf),
+    [0.0, -0.0, np.inf, -np.inf]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ours, reference", [(_erfc, special.erfc), (_norm_cdf, special.ndtr)],
+                         ids=["erfc", "Phi"])
+def test_erfc_kernel_matches_scipy(ours, reference):
+    # scipy stays out of the package and serves here as the reference; near
+    # x = 26 its erfc is itself off by about 6e-14 relative (against mpmath)
+    got, want = ours(_ERFC_POINTS), reference(_ERFC_POINTS)
+    err = np.abs(got - want)
+    assert err.max() <= 1e-15
+    shown = want > 1e-300
+    assert (err[shown] / want[shown]).max() <= 1e-13
+
+
+def test_erfc_kernel_matches_libm_in_relative_terms():
+    # libm's erfc is within an ulp or so; without Cody's split of exp(-x^2)
+    # the kernel would be off by 5.7e-14 relative near x = 26
+    x = _ERFC_POINTS[np.isfinite(_ERFC_POINTS)]
+    want = np.array([math.erfc(v) for v in x.tolist()])
+    shown = want > 1e-300
+    assert (np.abs(_erfc(x) - want)[shown] / want[shown]).max() <= 4e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_erfc_kernel_at_the_ends():
+    assert _erfc(0.0) == 1.0 and _erfc(np.inf) == 0.0 and _erfc(-np.inf) == 2.0
+    assert _norm_cdf(-np.inf) == 0.0 and _norm_cdf(0.0) == 0.5 and _norm_cdf(np.inf) == 1.0
+    assert np.isnan(_erfc(np.nan)) and np.isnan(_norm_cdf([np.nan, 1.0])[0])
+    assert np.ndim(_erfc(1.0)) == 0 and _erfc(np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta, tol", [(1, 1e-15), (2, 5e-15)])
+def test_k2_gap_cdf_is_the_incomplete_gamma(beta, tol):
+    # P((beta + 1)/2, g^2/4) at shapes 1 and 3/2, in closed form. On this grid
+    # scipy's gammainc(3/2, .) is itself off by up to 4.1e-15 (near g = 2.5,
+    # against mpmath), the closed form by 1.1e-16, hence the looser tol at 3/2
+    g = np.concatenate([np.linspace(0.0, 60.0, 60_001), [np.inf]])
+    cdf = _gap_marginal_cdf(2, beta)
+    assert np.abs(cdf(g) - special.gammainc((beta + 1) / 2.0, g * g / 4.0)).max() <= tol
+    assert cdf(0.0) == 0.0 and cdf(np.inf) == 1.0
+    if beta == 2:  # erf(x) - 2 x exp(-x^2)/sqrt(pi), x = g/2, with libm's erf
+        libm = [math.erf(x) - 2.0 * x * math.exp(-x * x) / math.sqrt(math.pi)
+                for x in (g[:-1] / 2.0).tolist()]
+        assert np.abs(cdf(g[:-1]) - libm).max() <= 1e-15
+
+
+@pytest.mark.parametrize("beta", [0, 3, 4])
+def test_k2_gap_cdf_needs_beta_1_or_2(beta):
+    with pytest.raises(UnsupportedOperationError, match="beta 1 and 2"):
+        _gap_marginal_cdf(2, beta)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_k3_gap_cdf_is_the_cumulative_trapezoid(beta):
+    grid = np.linspace(0.0, 30.0, 4001)
+    cum = integrate.cumulative_trapezoid(_k3_gap_density(grid, beta), grid, initial=0.0)
+    assert np.array_equal(_gap_marginal_cdf(3, beta)(grid), cum / cum[-1])
+
+
 @pytest.mark.parametrize("n", [2000, 10_000, 20_000])
 @pytest.mark.parametrize("cdf", [
     _gap_marginal_cdf(2, 1),
@@ -244,6 +313,16 @@ def test_gap_marginal_cdf_k3_matches_quadrature(i, beta):
 def test_ks_statistic_is_the_kstest_statistic(cdf, n):
     # scipy.stats stays out of the package and serves here as the reference
     x = np.abs(np.random.default_rng(n).normal(1.5, 1.0, n))
+    assert _ks_statistic(x, cdf) == float(stats.kstest(x, cdf).statistic)
+
+
+@pytest.mark.parametrize("cdf", [
+    _gap_marginal_cdf(2, 1),
+    lambda g: dyson_gap_cdf(1.0, 0.5, g),
+], ids=["k2-beta1", "dyson"])
+def test_ks_statistic_on_repeated_values_is_the_kstest_statistic(cdf):
+    # rescaled lattice samples repeat, and the CDF is read once per value
+    x = np.random.default_rng(7).binomial(64, 0.4, 10_000) / 8.0
     assert _ks_statistic(x, cdf) == float(stats.kstest(x, cdf).statistic)
 
 

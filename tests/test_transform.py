@@ -405,7 +405,8 @@ def test_dyson_gap_cdf_is_the_scipy_norm_expression(g0, t):
     expected = (norm.cdf((g - g0) / s) - norm.cdf(-g0 / s)
                 + norm.cdf((g + g0) / s) - norm.cdf(g0 / s)
                 + s * s * (norm.pdf(g + g0, scale=s) - norm.pdf(g - g0, scale=s)) / g0)
-    assert np.array_equal(tr.dyson_gap_cdf(g0, t, g), expected)
+    # Phi is a numpy erfc now, not scipy's, so the last digit may move
+    assert np.abs(tr.dyson_gap_cdf(g0, t, g) - expected).max() <= 1e-15
 
 
 def test_dyson_compare_small():
