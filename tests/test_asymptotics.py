@@ -321,7 +321,7 @@ def test_ks_statistic_is_the_kstest_statistic(cdf, n):
     lambda g: dyson_gap_cdf(1.0, 0.5, g),
 ], ids=["k2-beta1", "dyson"])
 def test_ks_statistic_on_repeated_values_is_the_kstest_statistic(cdf):
-    # rescaled lattice samples repeat, and the CDF is read once per value
+    # rescaled lattice samples repeat: ties must count as kstest counts them
     x = np.random.default_rng(7).binomial(64, 0.4, 10_000) / 8.0
     assert _ks_statistic(x, cdf) == float(stats.kstest(x, cdf).statistic)
 
