@@ -5,8 +5,8 @@ a walk configuration, a master seed, and kind-specific parameters. Running a
 spec emits machine-readable JSON, CSV tables, a plain-text summary, and a
 manifest with a sha256 digest of every result file. All randomness flows
 from the master seed, so a rerun reproduces the result files byte for byte;
-wall-clock timing lives in a separate timing.json, which is the only
-nondeterministic output.
+wall-clock timing (and, for the Monte Carlo kinds, path-steps per second)
+lives in a separate timing.json, which is the only nondeterministic output.
 """
 
 import argparse
@@ -268,6 +268,7 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
+    """Write a header and rows: a sequence of tuples, or a 2-D numpy array."""
     def cell(v):
         if isinstance(v, Fraction):
             return f"{v.numerator}/{v.denominator}"
@@ -275,10 +276,17 @@ def _write_csv(path, header, rows):
             return _fmt_float(float(v))
         return str(v)
 
+    lines = [",".join(header) + "\n"]
+    kind = rows.dtype.kind if isinstance(rows, np.ndarray) else None
+    if kind in ("i", "u") or (kind == "f" and np.isfinite(rows).all()):
+        # the same text per cell as `cell`, one format call per row
+        spec = "{:.17g}" if kind == "f" else "{}"
+        line = (",".join([spec] * rows.shape[1]) + "\n").format
+        lines += [line(*row) for row in rows.tolist()]
+    else:
+        lines += [",".join(cell(v) for v in row) + "\n" for row in rows]
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+        fh.writelines(lines)
 
 
 def emit_report(out_dir: str, name: str, result: dict, tables: dict | None = None):
@@ -409,7 +417,6 @@ def _run_endpoint(spec, cfg):
     rep["acceptance_rate"] = rate
     rep["n"] = n
     rep["work"] = asdict(work)
-    rows = [tuple(row) for row in endpoints]
     header = tuple(f"y{i + 1}" for i in range(cfg.k))
     mean_ok = True
     if cfg.k == 2:
@@ -420,7 +427,7 @@ def _run_endpoint(spec, cfg):
                 cfg.dist, int(cfg.start[1] - cfg.start[0]), n)
             target_mean = float(gaps @ probs) / (math.sqrt(n) * sigma)
         mean_ok = abs(rep["gap_mean"][0] - target_mean) <= 3 * rep["gap_mean_stderr"][0]
-    return (rep, {"endpoints": (header, rows)}, {"gap_mean_3sigma": mean_ok})
+    return (rep, {"endpoints": (header, endpoints)}, {"gap_mean_3sigma": mean_ok})
 
 
 def _run_lclt(spec, cfg):
@@ -444,7 +451,7 @@ def _run_transform(spec, cfg):
     guard = spec.params.get("guard_m")
     res = transform.transform_paths_rejection(
         cfg, t_steps, paths, guard_m=int(guard) if guard else None)
-    rows = [tuple(row) for row in res["samples"]]
+    samples = res["samples"]
     header = tuple(f"x{i + 1}" for i in range(cfg.k))
     result = {a: b for a, b in res.items() if a != "samples"}
     checks = {"collected": True}
@@ -454,11 +461,11 @@ def _run_transform(spec, cfg):
             cfg.dist, int(cfg.start[1] - cfg.start[0]), t_steps, res["guard_m"])
         mean = float(gaps @ probs)
         sd = math.sqrt(max(float(gaps ** 2 @ probs) - mean ** 2, 0.0))
-        se = sd / math.sqrt(len(rows))
-        gap_mean = float(np.diff(res["samples"], axis=1).mean())
+        se = sd / math.sqrt(len(samples))
+        gap_mean = float(np.diff(samples, axis=1).mean())
         result.update(gap_mean=gap_mean, exact_gap_mean=mean, gap_mean_stderr=se)
         checks = {"gap_mean_4se": abs(gap_mean - mean) <= 4 * se}
-    return (result, {"transform_samples": (header, rows)}, checks)
+    return (result, {"transform_samples": (header, samples)}, checks)
 
 
 def _run_hermite(spec, cfg):
@@ -537,9 +544,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     files = []
     error = None
     code = 0
+    work = None
     try:
         cfg = spec.walk_config()
         result, tables, checks = _RUNNERS[spec.kind](spec, cfg)
+        work = result.get("work")
         files = emit_report(out, name, result, tables)
     except (FeasibilityError, PartialResultError) as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -575,8 +584,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
         error=error,
     )
     _write_json(os.path.join(out, "manifest.json"), asdict(manifest))
-    # wall-clock isolated from the deterministic outputs
-    _write_json(os.path.join(out, "timing.json"), {"wall_seconds": wall})
+    # wall-clock isolated from the deterministic outputs; a Monte Carlo run
+    # adds its path-steps per second of the run's wall time
+    timing = {"wall_seconds": wall}
+    if work is not None and wall > 0:
+        timing["path_steps_per_s"] = work["path_steps"] / wall
+    _write_json(os.path.join(out, "timing.json"), timing)
     return manifest, code
 
 

@@ -3,8 +3,9 @@
 Lattice kinds carry exact rational masses on integer sites together with the
 span/offset of the per-step lattice (support is a subset of offset + span*Z),
 and a step sampler compiled once from those masses: uniform integers on
-[0, d), cut from the stream's raw 64-bit words and mapped through an integer
-inverse-CDF table, so every draw has exactly the law's masses.
+[0, d), cut from the stream's raw 64-bit words and mapped to sites by integer
+comparisons with the slot ranges' ends (or a slot table), so every draw has
+exactly the law's masses.
 Continuous kinds only promise determinism per stream and the stored moments.
 """
 
@@ -34,8 +35,13 @@ _KIND_PARAMS = {"rademacher": (), "lazy_lattice": (), "custom_lattice": ("masses
 BLOCK_SALT = 0  # block b of an engine batch uses salt BLOCK_SALT + b (b < 2**60)
 TRANSFORMED_CHAIN_SALT = 3 * 2 ** 61  # k=2 transformed chain, gap and pair samplers
 
-# the sampler looks steps up in a table up to this common denominator and by
-# searchsorted above it; it refuses laws whose denominator reaches the last
+# the sampler finds the site of a slot by S - 1 compare-adds for a law of S
+# sites while (S - 1) times the output's itemsize is at most _COMPARE_MAX_BYTES
+# (timed crossovers against the table: between 5 and 6 sites in int16, 3 and
+# 4 in int32, 2 and 3 in int64); otherwise it looks steps up in a table up to
+# _TABLE_MAX_DENOMINATOR and by searchsorted above it; it refuses laws whose
+# denominator reaches _MAX_DENOMINATOR
+_COMPARE_MAX_BYTES = 8
 _TABLE_MAX_DENOMINATOR = 2 ** 16
 _MAX_DENOMINATOR = 2 ** 63
 
@@ -63,16 +69,19 @@ class LatticeSampler:
     rejects nothing. A draw of N steps is the first N kept lanes of the word
     stream, so a smaller draw from the same state is a prefix of a larger one.
 
-    For d <= 2**16 `table` maps every slot to its site; above that the site is
-    found by searchsorted over the slot ranges' ends. Sites are kept in the
-    smallest signed dtype that holds them, which makes the lookup and the
-    caller's add into int64 positions cheaper than with int64 steps.
+    A law with few sites finds the site of u as sites[0] + sum_j
+    (sites[j+1] - sites[j]) * [u >= ends[j]], S - 1 compare-adds for S sites
+    in the dtype the caller asks for (see `_COMPARE_MAX_BYTES`). Wider laws
+    look the site up: for d <= 2**16 `table` maps every slot to its site, and
+    above that searchsorted over the slot ranges' ends finds it. Sites are
+    kept in the smallest signed dtype that holds them.
     """
 
     denominator: int
     draw_dtype: type  # smallest unsigned dtype holding every draw, d - 1
     sites: np.ndarray  # ascending, smallest signed dtype holding them
     ends: np.ndarray  # first slot past each site's range but the last's, in draw_dtype
+    jumps: np.ndarray  # sites[j + 1] - sites[j], int64
     table: np.ndarray | None  # site per slot, or None above 2**16
 
     @classmethod
@@ -95,13 +104,25 @@ class LatticeSampler:
         table = np.repeat(site_arr, counts) if d <= _TABLE_MAX_DENOMINATOR else None
         return cls(denominator=d, draw_dtype=draw_dtype, sites=site_arr,
                    ends=np.cumsum(counts[:-1], dtype=np.uint64).astype(draw_dtype),
-                   table=table)
+                   jumps=np.diff(np.array(sites, dtype=np.int64)), table=table)
 
-    def sites_of(self, u):
-        """Site of each slot index in u (entries in [0, d))."""
+    def sites_of(self, u, dtype=None):
+        """Site of each slot index in u (entries in [0, d)), in `dtype`, which
+        must hold every site (default: the sites' own dtype)."""
+        dtype = self.sites.dtype if dtype is None else np.dtype(dtype)
+        if (self.sites.size - 1) * dtype.itemsize <= _COMPARE_MAX_BYTES:
+            # the adds wrap modulo 2**bits where a jump does not fit the
+            # dtype, and each sum is a site, which does: the result is exact
+            jumps = self.jumps.astype(dtype)
+            out = np.multiply(u >= self.ends[0], jumps[0], dtype=dtype)
+            out += self.sites[0]
+            for end, jump in zip(self.ends[1:], jumps[1:]):
+                out += (u >= end) if jump == 1 else np.multiply(u >= end, jump, dtype=dtype)
+            return out
         if self.table is not None:
-            return self.table.take(u)
-        return self.sites.take(np.searchsorted(self.ends, u, side="right"))
+            return self.table.take(u).astype(dtype, copy=False)
+        return self.sites.take(np.searchsorted(self.ends, u, side="right")).astype(
+            dtype, copy=False)
 
     def uniforms(self, bit_generator, size: int) -> np.ndarray:
         """`size` exact uniform integers on [0, d) from raw words, in stream order."""
@@ -124,10 +145,10 @@ class LatticeSampler:
         u = kept[0] if len(kept) == 1 else np.concatenate(kept)
         return u[:size]
 
-    def draw(self, rng: np.random.Generator, shape):
-        """Steps of the given int or tuple shape, filled in C order."""
+    def draw(self, rng: np.random.Generator, shape, dtype=None):
+        """Steps of the given int or tuple shape, filled in C order, in `dtype`."""
         size = math.prod(shape) if isinstance(shape, tuple) else int(shape)
-        return self.sites_of(self.uniforms(rng.bit_generator, size)).reshape(shape)
+        return self.sites_of(self.uniforms(rng.bit_generator, size), dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -162,16 +183,18 @@ class StepDistribution:
             raise UnsupportedOperationError(f"{self.kind} has no finite support")
         return tuple(sorted(self.masses))
 
-    def sample_array(self, rng: np.random.Generator, shape):
+    def sample_array(self, rng: np.random.Generator, shape, dtype=None):
         """Draw an array of i.i.d. steps, of an int or tuple shape, from `rng`.
 
-        Lattice kinds return integer sites from the compiled sampler, in the
-        smallest signed dtype that holds them; continuous kinds return float64.
+        Lattice kinds return integer sites from the compiled sampler, in
+        `dtype` (an integer dtype that holds every site) or by default in the
+        smallest signed dtype that holds them; continuous kinds ignore `dtype`
+        and return float64.
         Either way the steps fill the shape in C order from the stream, so a
         draw of fewer leading rows from the same state is a prefix.
         """
         if self.sampler is not None:
-            return self.sampler.draw(rng, shape)
+            return self.sampler.draw(rng, shape, dtype)
         if self.kind == "gaussian":
             steps = rng.standard_normal(shape)
             steps *= math.sqrt(self.variance)

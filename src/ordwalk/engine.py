@@ -15,6 +15,12 @@ shorter horizon replays the same paths. A path that exits inside a chunk
 still has its steps drawn to the end of that chunk; the traced count
 `distributions.draws` includes these steps past the exit, so it exceeds k
 times the path-steps.
+
+Lattice positions inside a block take the smallest of int16, int32 and int64
+that holds max|start| + horizon * max|site|, a bound on every position up to
+the horizon, and the sampler writes the steps in that dtype. The exit and
+terminal positions are kept as int64, and the stopped Vandermonde of every
+row is taken once per block from them.
 """
 
 import math
@@ -36,11 +42,12 @@ __all__ = [
 
 BLOCK_SIZE = 1 << 14
 # path-steps per chunk of a block: one draw call covers this many (path, step)
-# pairs, so a chunk's arrays stay near k * CHUNK_CELLS int64 cells
+# pairs, so a chunk's arrays stay near k * CHUNK_CELLS position cells
 CHUNK_CELLS = 1 << 14
 # a chunk's running sum adds whole time rows from this many cells per row up;
-# below it np.cumsum is faster (timed crossover between 320 and 448 cells)
-_WIDE_ROW_CELLS = 384
+# below it np.cumsum is faster (timed crossover for int16 positions between
+# 416 and 448 cells at k = 2 and 3)
+_WIDE_ROW_CELLS = 448
 
 
 class PartialResultError(RuntimeError):
@@ -100,6 +107,16 @@ def _block_stream(cfg: WalkConfig, block_index: int) -> np.random.Generator:
     return RandomStream(cfg.master_seed, BLOCK_SALT + block_index).generator()
 
 
+def _position_dtype(cfg: WalkConfig, horizon: int):
+    """Smallest of int16, int32 and int64 that holds every lattice position up
+    to the horizon, max|start| + horizon * max|site|; float64 for continuous laws."""
+    if not cfg.dist.is_lattice:
+        return np.float64
+    reach = (max(abs(int(c)) for c in cfg.start)
+             + horizon * max(abs(s) for s in cfg.dist.support()))
+    return next((t for t in (np.int16, np.int32) if reach <= np.iinfo(t).max), np.int64)
+
+
 def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size: int,
                     snap_step: int | None = None):
     """Simulate one block of paths up to min(tau, horizon).
@@ -107,36 +124,39 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     Returns (tau, delta_at_stop, terminal, snap) arrays; tau == horizon + 1
     encodes survival past the horizon. With snap_step in 0..horizon, snap
     holds every row's positions at that step (rows with tau <= snap_step keep
-    the start); otherwise snap is None. Lattice positions are int64,
-    continuous ones float64. The steps are drawn in chunks (module docstring).
+    the start); otherwise snap is None. Lattice terminals and snapshots are
+    int64 and continuous ones float64; inside the chunks lattice positions
+    take `_position_dtype`, which cannot overflow. The steps are drawn in
+    chunks (module docstring).
     """
     rng = _block_stream(cfg, block_index)
     k = cfg.k
-    dtype = np.int64 if cfg.dist.is_lattice else np.float64
+    dtype = _position_dtype(cfg, horizon)
+    out_dtype = np.int64 if cfg.dist.is_lattice else np.float64
     pos = np.tile(np.asarray(cfg.start, dtype=dtype), (block_size, 1))
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
-    delta = np.empty(block_size)
-    terminal = np.empty((block_size, k), dtype=dtype)
+    terminal = np.empty((block_size, k), dtype=out_dtype)
     alive_idx = np.arange(block_size)
-    snap = pos.copy() if snap_step is not None else None
+    snap = pos.astype(out_dtype) if snap_step is not None else None
     n = 0  # steps taken so far
     while n < horizon and alive_idx.size:
         m = alive_idx.size
         t = min(max(1, CHUNK_CELLS // m), horizon - n)
-        path = cfg.dist.sample_array(rng, (t, m, k)).astype(dtype, copy=False)
+        path = cfg.dist.sample_array(rng, (t, m, k), dtype)
         path[0] += pos
         # path[i] = positions after step n + i + 1, by the same sequential adds
         # either way: numpy's cumsum along axis 0 runs column by column, which
         # is slower than adding whole rows once rows are wide
         if m * k < _WIDE_ROW_CELLS:
-            np.cumsum(path, axis=0, out=path)
+            np.cumsum(path, axis=0, dtype=dtype, out=path)
         else:
             for i in range(1, t):
                 path[i] += path[i - 1]
         broken = path[:, :, 1] <= path[:, :, 0]
         for j in range(2, k):
             broken |= path[:, :, j] <= path[:, :, j - 1]
-        rows = np.flatnonzero(broken.any(axis=0))  # the paths that exit in this chunk
+        exits = broken.any(axis=0)
+        rows = np.flatnonzero(exits)  # the paths that exit in this chunk
         exit_at = broken[:, rows].argmax(axis=0)  # and the chunk step where they do
         if snap_step is not None and n < snap_step <= n + t:
             live = np.ones(m, dtype=bool)
@@ -145,19 +165,15 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
         pos = path[-1]
         if rows.size:
             dead = alive_idx[rows]
-            at_exit = path[exit_at, rows]
             tau[dead] = n + 1 + exit_at
-            terminal[dead] = at_exit
-            # Delta in float64, which int64 products would overflow at large k
-            delta[dead] = vandermonde(at_exit.astype(float))
-            keep = np.ones(m, dtype=bool)
-            keep[rows] = False
+            terminal[dead] = path[exit_at, rows]
+            keep = ~exits
             alive_idx = alive_idx.compress(keep)
             pos = pos.compress(keep, axis=0)
         n += t
-    if alive_idx.size:
-        terminal[alive_idx] = pos
-        delta[alive_idx] = vandermonde(pos.astype(float))
+    terminal[alive_idx] = pos
+    # Delta in float64, which int64 products would overflow at large k
+    delta = vandermonde(terminal.astype(np.float64, copy=False))
     return tau, delta, terminal, snap
 
 

@@ -215,6 +215,55 @@ params:
     assert m1.files == m2.files
     for fname in m1.files:
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+    # the run's throughput goes to timing.json, outside the digests
+    for out, manifest in ((out1, m1), (out2, m2)):
+        assert "timing.json" not in manifest.files
+        timing = json.loads((out / "timing.json").read_text())
+        work = json.loads((out / "tail.json").read_text())["work"]
+        assert timing["path_steps_per_s"] == work["path_steps"] / timing["wall_seconds"]
+
+
+_RAD2 = {"k": 2, "start": [0, 1], "dist": "rademacher"}
+
+
+@pytest.mark.parametrize("kind, walk, seed, params, files", [
+    pytest.param("tail", _RAD2, 3, {"horizons": [16, 64], "paths": 20000}, {
+        "summary.txt": "73e9593403a765f1355b29db3ee166106e83f86ff033ecc574dee59634c61a20",
+        "survival.csv": "0f16d9b5494e93211ce2e18dc99d325e18ff47f47d5a3b6226f28853dede4faf",
+        "tail.json": "f4ec0da8288ed2ba6c7807f8119b38ac71c6a790767e1eb321b2616760546670",
+    }, id="tail"),
+    pytest.param("estimate-v", {"k": 2, "start": [0.0, 1.0], "dist": "gaussian"}, 3,
+                 {"schedule": [16, 32], "paths": 20000}, {
+        "estimate_v.json": "49854343ae80196bfd421fb30a877b3c1a25420ba838c1ec9d4b4edaca27d5d2",
+        "summary.txt": "8b43fb36e417403e3046c818e3b42d1dbacf5a358d477800bc5c26512b5a7b5c",
+        "v_estimates.csv": "76bdf98b0d1f7889cd7bac1a40f4209cfb12e45efbd801c5323c0af738cc54c2",
+    }, id="estimate-v"),
+    pytest.param("endpoint", {"k": 2, "start": [0, 1], "dist": "lazy_lattice"}, 3,
+                 {"n": 64, "survivors": 500}, {
+        "endpoint.json": "0ef9f43b91520e6a38bd976542a099dd9cfbdb18f3e8d9639aa2b449ea8daea8",
+        "endpoints.csv": "2a49c12be0202494c8d2dca9b59bd8c0c38b90a8a3dd7c31fd2e18bd633d7e75",
+        "summary.txt": "31450640cecc986bca4eb6d3ff1ba7aef9c55209b9db7d35b02507e4b85c222d",
+    }, id="endpoint"),
+    pytest.param("transform", _RAD2, 3, {"t_steps": 4, "paths": 300}, {
+        "summary.txt": "c7e85b1303d02648ea0c57a57ec055d3d06592b8948d2c2dc92cdee4bfc23478",
+        "transform.json": "a21f6303b54f997a07a182ee174a5b29f6e42c0e541d7bafecf268edda39a7d1",
+        "transform_samples.csv": "94f2a93e99101f1ce2c483b3bb481343c6df01724873b8bbdcaf2c22fc58758f",
+    }, id="transform"),
+    pytest.param("endpoint", {"k": 3, "start": [0, 1, 2], "dist": "rademacher"}, 5,
+                 {"n": 64, "survivors": 10000, "max_attempts": 2000}, {
+        "partial_endpoint.csv": "d83f4e4e6f57c5bb16499db683fd5eec424081d9f8b27b393f1afb4ae6ccfa54",
+        "summary.txt": "8b099325b887242c971dd01942c60227038d9f6e0bc2bc29d0436d4d0b687a9a",
+    }, id="partial-endpoint"),
+])
+def test_run_digests_are_frozen(tmp_path, kind, walk, seed, params, files):
+    # digests written down from the per-cell CSV writer (float endpoints,
+    # integer transform samples, a partial sample) and the int64 simulator
+    doc = json.dumps({"kind": kind, "walk": walk, "seed": seed, "params": params})
+    manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert manifest.files == files
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    monte_carlo = kind != "transform" and manifest.error is None
+    assert ("path_steps_per_s" in timing) == monte_carlo
 
 
 def test_run_failed_check_exits_one(tmp_path):

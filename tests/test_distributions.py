@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordwalk import distributions
 from ordwalk.distributions import (
     RandomStream,
     UnsupportedOperationError,
@@ -395,6 +396,47 @@ def test_every_masked_lane_value_once_gives_exact_masses(masses):
     counts = {int(s): int((draws == s).sum()) for s in np.unique(draws)}
     want = {s: m for s, m in masses.items() if m > 0}
     assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
+
+
+def _custom(masses):
+    return make_distribution("custom_lattice", masses=masses)
+
+
+@pytest.mark.parametrize("dist, slots", [
+    # the laws of the sampler tests above, each slot 0..d-1
+    *((dist, None) for dist in (
+        make_distribution("rademacher"),
+        make_distribution("lazy_lattice"),
+        _custom({-2: Fraction(1, 8), 0: Fraction(3, 4), 2: Fraction(1, 8)}),
+        _custom(THIRDS),
+        _custom({-2: Fraction(1, 6), 0: Fraction(1, 2), 1: Fraction(1, 3), 5: Fraction(0)}),
+        _custom(D4099),
+        _custom({-3: Fraction(1, 49152), -2: Fraction(1, 14), -1: Fraction(1, 10),
+                 0: 1 - Fraction(1, 24576) - Fraction(1, 7) - Fraction(1, 5),
+                 1: Fraction(1, 10), 2: Fraction(1, 14), 3: Fraction(1, 49152)}),
+        _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 16)),
+        _symmetric(s1=Fraction(1, 5), s2=Fraction(1, 7), s3=Fraction(1, 3 * 2 ** 13), s4=0),
+        _custom({-300: Fraction(1, 2), 300: Fraction(1, 2)}),
+        # int8 sites whose jump of 200 wraps in int8
+        _custom({-100: Fraction(1, 2), 100: Fraction(1, 2)}),
+    )),
+    # d = 2**62: the slots at each end of every site's range
+    (_symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 62)),
+     [0, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 61 + 1, 2 ** 62 - 1]),
+])
+def test_compare_lookup_gives_the_table_and_searchsorted_sites(dist, slots, monkeypatch):
+    # force the compare-add lookup on and off: every slot maps to the same
+    # site in every dtype the block simulator asks for and in the default
+    sampler = dist.sampler
+    slots = np.arange(sampler.denominator) if slots is None else np.array(slots, dtype=np.uint64)
+    slots = slots.astype(sampler.draw_dtype)
+    for dtype in (None, np.int16, np.int32, np.int64):
+        found = []
+        for budget in (0, 1 << 30):
+            monkeypatch.setattr(distributions, "_COMPARE_MAX_BYTES", budget)
+            found.append(sampler.sites_of(slots, dtype))
+        assert found[0].dtype == found[1].dtype == np.dtype(dtype or sampler.sites.dtype)
+        assert np.array_equal(found[0], found[1])
 
 
 @pytest.mark.parametrize("kind", ["rademacher", "lazy_lattice", "gaussian"])

@@ -1,5 +1,8 @@
 """Path engine: exit detection, batch estimates, and block replay."""
 
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +200,54 @@ def test_running_sum_paths_give_the_same_block(kind, start, monkeypatch):
         monkeypatch.setattr(engine, "_WIDE_ROW_CELLS", wide)
         blocks.append(_simulate_block(cfg, 300, 1, 3000, 150))
     assert all(np.array_equal(x, y) for x, y in zip(*blocks))
+
+
+# d = 4099 is prime, so the sampler rejects about half of its lanes
+D4099 = {-1: Fraction(1000, 4099), 0: Fraction(2099, 4099), 1: Fraction(1000, 4099)}
+WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("kind, masses, start, horizon, snap_step, positions, digest", [
+    pytest.param("rademacher", None, (0, 1), 300, 150, np.int16,
+                 "ad61b8e526aada79ef0c34633297c74f61075282b7895c3fdd5923807b4bfd3c",
+                 id="rademacher-k2"),
+    pytest.param("rademacher", None, (0, 1, 2), 64, 10, np.int16,
+                 "18091cbb8323e4ec3b18dc2b7fdf62eddc870330aede4c74e6996c8b3953b848",
+                 id="rademacher-k3"),
+    pytest.param("lazy_lattice", None, (0, 1, 2), 64, 20, np.int16,
+                 "af6d18f7b127aadc1356f53a3e945fdb2ce08448d4e5c29c7327ea662ee1ba44",
+                 id="lazy-k3"),
+    pytest.param("custom_lattice", D4099, (0, 1), 200, 50, np.int16,
+                 "24c1998856c26962b3f251be3b8079a154128ada8f2b816d1f23eb15a483600f",
+                 id="d4099-k2"),
+    pytest.param("gaussian", None, (0.0, 1.0, 2.0), 64, 10, np.float64,
+                 "d254d09f2b50bf20fd3a5ad35e4ed48eeb17b8ca5301fdad2a117a3174665058",
+                 id="gaussian-k3"),
+    # paths that pass 2**15 - 1, so the positions need int32
+    pytest.param("rademacher", None, (2 ** 15 - 24, 2 ** 15 - 22), 300, 150, np.int32,
+                 "191b0db8cb30fb5dbb8edb22ec1c2d8a4fdca2ae796693e809f136536b559029",
+                 id="rademacher-int32"),
+    # paths that pass 2**31 - 1, so the positions need int64
+    pytest.param("custom_lattice", WIDE, (2 ** 31 - 1500, 2 ** 31 - 900), 40, 3, np.int64,
+                 "ba6282343d8ac10eb0b111b84880c10977fe9b38b62bc0ae8ee6e97347067a5a",
+                 id="wide-int64"),
+])
+def test_simulate_block_stream_is_frozen(kind, masses, start, horizon, snap_step,
+                                         positions, digest):
+    # sha256 of the (tau, delta, terminal, snap) bytes, written down from the
+    # simulator with int64 positions and a table lookup: the stream, the chunk
+    # schedule and every result stay the same bit for bit
+    dist = make_distribution(kind, **({"masses": masses} if masses else {}))
+    cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=8)
+    assert engine._position_dtype(cfg, horizon) is positions
+    out = _simulate_block(cfg, horizon, 2, 3000, snap_step)
+    h = hashlib.sha256()
+    for a in out:
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
+    narrower = {np.int32: np.int16, np.int64: np.int32}.get(positions)
+    if narrower is not None:
+        assert out[2].max() > np.iinfo(narrower).max
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
