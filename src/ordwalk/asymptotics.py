@@ -48,63 +48,17 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 # erfc and the normal CDF
 #
-# W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969; the
-# CALERF algorithm) on |x| <= 0.46875, 0.46875 < |x| <= 4 and |x| > 4, with
-# exp(-x^2) split as exp(-r^2) exp(-(x - r)(x + r)), r = trunc(16 x)/16, so
-# that the rounding of x^2 is not magnified by the exponential.
+# libm's erfc, one point at a time. Its cost per point does not matter here:
+# `_ks_statistic` calls a CDF once per distinct sample value, and rescaled
+# lattice samples repeat, so a report evaluates a few thousand points at most.
 
-_ERFC_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-           3.20937758913846947e03, 1.85777706184603153e-1)
-_ERFC_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-           2.84423683343917062e03)
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-           6.05183413124413191e-2, 2.33520497626869185e-3)
 _INV_SQRT_PI = 5.6418958354775628695e-1
-# from here on erfc(x) is below the least normal float64 and is taken as 0
-_ERFC_ZERO = 26.543
-
-
-def _rational(num, den, t):
-    """(num[-1] t^m + num[0] t^(m-1) + ... + num[m-1]) / (t^m + den[0]
-    t^(m-1) + ... + den[m-1]), m = len(den), nested as CALERF nests it."""
-    xnum, xden = num[-1] * t, t
-    for a, b in zip(num[:len(den) - 1], den[:-1]):
-        xnum = (xnum + a) * t
-        xden = (xden + b) * t
-    return (xnum + num[len(den) - 1]) / (xden + den[-1])
-
-
-def _exp_minus_square(y):
-    r = np.trunc(16.0 * y) / 16.0
-    return np.exp(-r * r) * np.exp(-(y - r) * (y + r))
+_erfc_points = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _erfc(x):
     """The complementary error function, elementwise; NaN stays NaN."""
-    x = np.asarray(x, dtype=float)
-    y = np.abs(x)
-    out = np.zeros_like(y)
-    small = y <= 0.46875
-    mid = ~small & (y <= 4.0)
-    tail = ~(small | mid | (y >= _ERFC_ZERO))  # NaN lands here and stays NaN
-    xs = x[small]
-    out[small] = 1.0 - xs * _rational(_ERFC_A, _ERFC_B, xs * xs)
-    ym = y[mid]
-    out[mid] = _rational(_ERFC_C, _ERFC_D, ym) * _exp_minus_square(ym)
-    yt = y[tail]
-    inv = 1.0 / (yt * yt)
-    out[tail] = ((_INV_SQRT_PI - inv * _rational(_ERFC_P, _ERFC_Q, inv)) / yt
-                 * _exp_minus_square(yt))
-    np.subtract(2.0, out, out=out, where=~small & (x < 0))
-    return out[()]
+    return np.asarray(_erfc_points(np.asarray(x, dtype=float)), dtype=float)[()]
 
 
 def _norm_cdf(x):
@@ -155,13 +109,17 @@ def _wls_loglog(ns, ps, ses):
     return slope, intercept, min(max(r2, 0.0), 1.0)
 
 
-def tail_fit(survival, sigma: float = 1.0, top_fraction: float = 0.5) -> TailFit:
+# the share of the horizon ladder, from the top, that enters the headline fit
+_TOP_FRACTION = 0.5
+
+
+def tail_fit(survival, sigma: float = 1.0) -> TailFit:
     """Fit P(tau > n) ~ A n^p from a survival curve.
 
     `survival` is a list of (n, estimate) pairs where estimate is either a
     probability or an object with .mean/.stderr. Time is rescaled by sigma^2
     so that non-unit-variance step laws compare against the unit-variance
-    limit theorem. Only the top `top_fraction` of the horizon ladder enters
+    limit theorem. Only the top `_TOP_FRACTION` of the horizon ladder enters
     the headline fit (finite-n bias lives at small n); the shift of the
     exponent against the all-points fit is reported as cut sensitivity.
     """
@@ -183,7 +141,7 @@ def tail_fit(survival, sigma: float = 1.0, top_fraction: float = 0.5) -> TailFit
     ns = np.asarray(ns)[order]
     ps = np.asarray(ps)[order]
     ses = np.asarray(ses)[order]
-    cut = max(0, min(len(ns) - 2, int(len(ns) * (1.0 - top_fraction))))
+    cut = max(0, min(len(ns) - 2, int(len(ns) * (1.0 - _TOP_FRACTION))))
     slope, intercept, r2 = _wls_loglog(ns[cut:], ps[cut:], ses[cut:])
     sens = math.nan
     if cut > 0:
@@ -288,10 +246,10 @@ def _k3_gap_density(g, beta):
 def _k2_gap_cdf_beta2(g):
     """P(3/2, x^2) = erf(x) - 2 x exp(-x^2) / sqrt(pi), x = |g|/2.
 
-    x stops at `_ERFC_ZERO`, past which the value is 1 in float64 anyway,
-    so that g = inf gives 1 and not inf * 0.
+    x stops at 30, past which the value is 1 in float64 anyway, so that
+    g = inf gives 1 and not inf * 0.
     """
-    x = np.minimum(np.abs(g) / 2.0, _ERFC_ZERO)
+    x = np.minimum(np.abs(g) / 2.0, 30.0)
     return 1.0 - _erfc(x) - 2.0 * _INV_SQRT_PI * x * np.exp(-x * x)
 
 
@@ -323,8 +281,14 @@ def _gap_marginal_cdf(k, beta):
 
 
 def _ks_statistic(x, cdf):
-    """One-sample two-sided KS statistic of x against `cdf`, as kstest has it."""
-    c = cdf(np.sort(x))
+    """One-sample two-sided KS statistic of x against `cdf`, as kstest has it.
+
+    `cdf` is called once, on the distinct values of the sorted sample, and
+    each value's result is repeated for its ties.
+    """
+    x = np.sort(x)
+    first = np.concatenate(([True], x[1:] != x[:-1]))
+    c = cdf(x[first])[np.cumsum(first) - 1]
     i = np.arange(len(c))
     return float(max(((i + 1) / len(c) - c).max(), (c - i / len(c)).max()))
 

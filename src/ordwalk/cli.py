@@ -209,8 +209,9 @@ def validate_spec(raw: str) -> ExperimentSpec:
                           out=str(out))
 
 
-def serialize_spec(spec: ExperimentSpec) -> str:
-    doc = {
+def _spec_doc(spec: ExperimentSpec) -> dict:
+    """The spec as the plain document that `serialize_spec` writes."""
+    return {
         "kind": spec.kind,
         "walk": {
             "k": spec.k,
@@ -222,7 +223,10 @@ def serialize_spec(spec: ExperimentSpec) -> str:
         "params": dict(spec.params),
         "out": spec.out,
     }
-    return yaml.safe_dump(doc, sort_keys=True)
+
+
+def serialize_spec(spec: ExperimentSpec) -> str:
+    return yaml.safe_dump(_spec_doc(spec), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +357,7 @@ def _run_estimate_v(spec, cfg):
     paths = int(spec.params.get("paths", 100000))
     work = engine.WorkCounts()
     table = v_module._vn_over_schedule(cfg, schedule, paths, work=work)
-    est = v_module.v_from_schedule(cfg, table)
+    est = v_module.v_from_schedule(table)
     rows = []
     prev = None
     for n, ci in table:
@@ -576,7 +580,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     files.append("summary.txt")
 
     manifest = RunManifest(
-        spec=yaml.safe_load(serialize_spec(spec)),
+        spec=_spec_doc(spec),
         version=__version__,
         checks=checks,
         files={f: _sha256(os.path.join(out, f)) for f in files},

@@ -82,7 +82,6 @@ class WalkConfig:
 class EstimateCI:
     mean: float
     stderr: float
-    n_samples: int
 
     def covers(self, value, n_sigma):
         return abs(self.mean - value) <= n_sigma * self.stderr
@@ -204,7 +203,7 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int, work: WorkCounts | Non
     for h, c in zip(horizons, counts):
         p = c / paths
         se = math.sqrt(p * (1.0 - p) / paths)
-        out.append((h, EstimateCI(mean=p, stderr=se, n_samples=paths)))
+        out.append((h, EstimateCI(mean=p, stderr=se)))
     return out
 
 

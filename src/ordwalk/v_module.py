@@ -27,7 +27,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VEstimate:
-    x: tuple
     n_used: int
     value: EstimateCI
     tail_diagnostic: float  # |change| over the last doubling, nan if untracked
@@ -64,8 +63,7 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None 
     for i, h in enumerate(horizons):
         mean_stopped = totals[i, 0] / paths
         var = max(totals[i, 1] / paths - mean_stopped ** 2, 0.0)
-        est = EstimateCI(mean=delta_x - mean_stopped,
-                         stderr=math.sqrt(var / paths), n_samples=paths)
+        est = EstimateCI(mean=delta_x - mean_stopped, stderr=math.sqrt(var / paths))
         out.append((h, est))
     return out
 
@@ -78,10 +76,10 @@ def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int) -> VEstimate:
     converged; that is a report, not a failure, since heavy-tailed step laws
     can converge arbitrarily slowly.
     """
-    return v_from_schedule(cfg, _vn_over_schedule(cfg, horizon_schedule, paths))
+    return v_from_schedule(_vn_over_schedule(cfg, horizon_schedule, paths))
 
 
-def v_from_schedule(cfg: WalkConfig, per_horizon) -> VEstimate:
+def v_from_schedule(per_horizon) -> VEstimate:
     """The V estimate of `estimate_v` read off a `_vn_over_schedule` table."""
     n_used, final = per_horizon[-1]
     if len(per_horizon) >= 2:
@@ -89,8 +87,8 @@ def v_from_schedule(cfg: WalkConfig, per_horizon) -> VEstimate:
     else:
         tail = math.nan
     converged = not (tail > 3.0 * final.stderr) if not math.isnan(tail) else True
-    return VEstimate(x=tuple(cfg.start), n_used=n_used, value=final,
-                     tail_diagnostic=tail, converged=converged)
+    return VEstimate(n_used=n_used, value=final, tail_diagnostic=tail,
+                     converged=converged)
 
 
 def snap_to_lattice(x, k: int):

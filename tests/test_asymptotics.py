@@ -52,10 +52,10 @@ def test_tail_fit_recovers_pure_power_law():
 
 
 def test_tail_fit_accepts_estimates_and_drops_zeros():
-    pts = [(16, EstimateCI(0.25, 0.01, 100)),
-           (64, EstimateCI(0.125, 0.01, 100)),
-           (256, EstimateCI(0.0625, 0.01, 100)),
-           (1024, EstimateCI(0.0, 0.0, 100))]
+    pts = [(16, EstimateCI(0.25, 0.01)),
+           (64, EstimateCI(0.125, 0.01)),
+           (256, EstimateCI(0.0625, 0.01)),
+           (1024, EstimateCI(0.0, 0.0))]
     fit = tail_fit(pts)
     assert fit.dropped == 1
     assert fit.exponent == pytest.approx(-0.5, abs=0.01)
@@ -236,7 +236,8 @@ def test_gap_marginal_cdf_k3_matches_quadrature(i, beta):
         assert cdf(g) == pytest.approx(mass / total, abs=1e-5)
 
 
-# the edges of Cody's three ranges, their float neighbours, 0 and the infinities
+# 0.46875 and 4, where rational erfc approximations such as Cody's switch
+# ranges, their float neighbours, 0 and the infinities
 _BRANCH_EDGES = [e * sign for e in (0.46875, 4.0) for sign in (1.0, -1.0)]
 _ERFC_POINTS = np.concatenate([
     np.linspace(-40.0, 40.0, 160_001), _BRANCH_EDGES,
@@ -257,13 +258,9 @@ def test_erfc_kernel_matches_scipy(ours, reference):
     assert (err[shown] / want[shown]).max() <= 1e-13
 
 
-def test_erfc_kernel_matches_libm_in_relative_terms():
-    # libm's erfc is within an ulp or so; without Cody's split of exp(-x^2)
-    # the kernel would be off by 5.7e-14 relative near x = 26
+def test_erfc_kernel_is_libm():
     x = _ERFC_POINTS[np.isfinite(_ERFC_POINTS)]
-    want = np.array([math.erfc(v) for v in x.tolist()])
-    shown = want > 1e-300
-    assert (np.abs(_erfc(x) - want)[shown] / want[shown]).max() <= 4e-15
+    assert np.array_equal(_erfc(x), [math.erfc(v) for v in x.tolist()])
 
 
 @pytest.mark.filterwarnings("error")
@@ -324,6 +321,18 @@ def test_ks_statistic_on_repeated_values_is_the_kstest_statistic(cdf):
     # rescaled lattice samples repeat: ties must count as kstest counts them
     x = np.random.default_rng(7).binomial(64, 0.4, 10_000) / 8.0
     assert _ks_statistic(x, cdf) == float(stats.kstest(x, cdf).statistic)
+
+
+def test_ks_statistic_calls_the_cdf_once_on_the_distinct_values():
+    x = np.random.default_rng(7).binomial(64, 0.4, 10_000) / 8.0
+    calls = []
+
+    def cdf(g):
+        calls.append(np.array(g))
+        return _gap_marginal_cdf(2, 1)(g)
+
+    _ks_statistic(x, cdf)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.unique(x))
 
 
 def _binned_tv_reference(y, k, beta):

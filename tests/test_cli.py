@@ -677,7 +677,7 @@ def test_tail_gates_a_packed_rademacher_start_on_the_exact_survival(tmp_path, mo
     def biased(cfg, horizons, paths, work=None):
         out = real(cfg, horizons, paths, work=work)
         shift = 5.0 * math.sqrt(p16 * (1.0 - p16) / paths)
-        return [(n, ci if n != 16 else engine.EstimateCI(p16 + shift, ci.stderr, paths))
+        return [(n, ci if n != 16 else engine.EstimateCI(p16 + shift, ci.stderr))
                 for n, ci in out]
 
     monkeypatch.setattr(engine, "batch_survival", biased)

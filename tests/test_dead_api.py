@@ -1,6 +1,7 @@
 """Every public name of the package is used by the program, the benchmark or
 the acceptance criteria, and not only by unit tests; every module-level
-import of the package is read by its module."""
+import of the package is read by its module, and every module-level private
+name by the program, the benchmark or some test."""
 
 import ast
 import os
@@ -14,9 +15,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ordwalk"
 USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"]
+# this file's own strings would count as reads of the names they spell
+READERS = [ast.parse(path.read_text()) for path in
+           sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+           + sorted((ROOT / "tests").glob("*.py")) if path != Path(__file__).resolve()]
 
 # public names that only unit tests call, and why each stays public
 TEST_ONLY = {
+    "cli.serialize_spec":
+        "a spec as YAML text, which validate_spec reads back as the same spec",
     "lattice_exact.exact_free_kernel":
         "exact free k-walk law; the killed kernels are checked against it",
     "lattice_exact.exact_stopped_measure":
@@ -105,6 +112,50 @@ def test_module_uses_every_import(path):
 def test_unused_import_check_flags_an_orphan():
     tree = ast.parse("import math\nfrom itertools import combinations\nmath.pi\n")
     assert _unused_imports(tree) == ["combinations"]
+
+
+def _private_definitions(tree):
+    """Names a module defines at its top level, by def, class or assignment,
+    that start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(tree):
+    """Names a file reads: loaded names, attributes, imported names and
+    identifier strings (bench/spans.py patches by attribute name)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def _unread_private_names(tree, readers):
+    return sorted(_private_definitions(tree) - set().union(*map(_reads, readers)))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_private_name_is_read(path):
+    assert _unread_private_names(TREES[path], READERS) == []
+
+
+def test_private_name_check_flags_an_orphan():
+    tree = ast.parse("_A, _B = 1, 2\n_C: int = 3\ndef _f():\n    return _A\n"
+                     "class _K:\n    pass\n__x__ = _K\n")
+    assert _unread_private_names(tree, [tree]) == ["_B", "_C", "_f"]
 
 
 def test_cli_import_loads_no_scipy_stats():

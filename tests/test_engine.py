@@ -67,8 +67,7 @@ def _stopped_vandermonde(cfg, n, blocks):
 def test_one_step_stopped_vandermonde():
     # the pair exits at step one only by swapping to gap -1, with mass 1/4
     contrib = _stopped_vandermonde(cfg2(), 1, blocks=12)
-    est = EstimateCI(mean=contrib.mean(), stderr=contrib.std() / np.sqrt(contrib.size),
-                     n_samples=contrib.size)
+    est = EstimateCI(mean=contrib.mean(), stderr=contrib.std() / np.sqrt(contrib.size))
     assert set(np.unique(contrib).tolist()) == {-1.0, 0.0}
     assert est.covers(-0.25, n_sigma=4)
 
@@ -114,7 +113,7 @@ def test_conditioned_endpoints_partial_result():
 
 
 def test_estimate_ci_covers():
-    est = EstimateCI(mean=1.0, stderr=0.1, n_samples=100)
+    est = EstimateCI(mean=1.0, stderr=0.1)
     assert est.covers(1.15, n_sigma=2)
     assert not est.covers(1.25, n_sigma=2)
     assert est.covers(1.25, n_sigma=3)
