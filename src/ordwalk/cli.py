@@ -66,6 +66,13 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _seed_error(seed):
+    """Why `seed` cannot be a master seed, or None: the Philox key keeps 64 bits."""
+    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
+        return f"seed must be an integer in [0, 2**64), got {seed!r}"
+    return None
+
+
 def _is_number(value):
     """An int or a float that is not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -161,8 +168,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
         errors.append(f"bad distribution: {exc}")
 
     seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        errors.append(f"seed must be a nonnegative integer, got {seed!r}")
+    if seed_error := _seed_error(seed):
+        errors.append(seed_error)
         seed = 0
     params = doc.get("params") or {}
     if not isinstance(params, dict):
@@ -453,11 +460,13 @@ def _run_transform(spec, cfg):
     t_steps = int(spec.params.get("t_steps", _TRANSFORM_DEFAULT_T_STEPS))
     paths = int(spec.params.get("paths", 2000))
     guard = spec.params.get("guard_m")
+    work = engine.WorkCounts()
     res = transform.transform_paths_rejection(
-        cfg, t_steps, paths, guard_m=int(guard) if guard else None)
+        cfg, t_steps, paths, guard_m=int(guard) if guard else None, work=work)
     samples = res["samples"]
     header = tuple(f"x{i + 1}" for i in range(cfg.k))
     result = {a: b for a, b in res.items() if a != "samples"}
+    result["work"] = asdict(work)
     checks = {"collected": True}
     if cfg.k == 2 and cfg.dist.is_lattice:
         # the exact mean of the gap at t_steps given survival to guard_m
@@ -603,6 +612,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
 def _load_spec_file(path, seed=None, out=None):
     with open(path) as fh:
         spec = validate_spec(fh.read())
+    if seed is not None and (seed_error := _seed_error(seed)):
+        raise SpecError([seed_error])
     if seed is not None or out is not None:
         from dataclasses import replace
         kw = {}

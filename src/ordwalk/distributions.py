@@ -4,8 +4,8 @@ Lattice kinds carry exact rational masses on integer sites together with the
 span/offset of the per-step lattice (support is a subset of offset + span*Z),
 and a step sampler compiled once from those masses: uniform integers on
 [0, d), cut from the stream's raw 64-bit words and mapped to sites by integer
-comparisons with the slot ranges' ends (or a slot table), so every draw has
-exactly the law's masses.
+comparisons with the slot ranges' ends, so every draw has exactly the law's
+masses.
 Continuous kinds only promise determinism per stream and the stored moments.
 """
 
@@ -35,14 +35,7 @@ _KIND_PARAMS = {"rademacher": (), "lazy_lattice": (), "custom_lattice": ("masses
 BLOCK_SALT = 0  # block b of an engine batch uses salt BLOCK_SALT + b (b < 2**60)
 TRANSFORMED_CHAIN_SALT = 3 * 2 ** 61  # k=2 transformed chain, gap and pair samplers
 
-# the sampler finds the site of a slot by S - 1 compare-adds for a law of S
-# sites while (S - 1) times the output's itemsize is at most _COMPARE_MAX_BYTES
-# (timed crossovers against the table: between 5 and 6 sites in int16, 3 and
-# 4 in int32, 2 and 3 in int64); otherwise it looks steps up in a table up to
-# _TABLE_MAX_DENOMINATOR and by searchsorted above it; it refuses laws whose
-# denominator reaches _MAX_DENOMINATOR
-_COMPARE_MAX_BYTES = 8
-_TABLE_MAX_DENOMINATOR = 2 ** 16
+# the exact sampler refuses laws whose denominator reaches this
 _MAX_DENOMINATOR = 2 ** 63
 
 
@@ -69,12 +62,8 @@ class LatticeSampler:
     rejects nothing. A draw of N steps is the first N kept lanes of the word
     stream, so a smaller draw from the same state is a prefix of a larger one.
 
-    A law with few sites finds the site of u as sites[0] + sum_j
-    (sites[j+1] - sites[j]) * [u >= ends[j]], S - 1 compare-adds for S sites
-    in the dtype the caller asks for (see `_COMPARE_MAX_BYTES`). Wider laws
-    look the site up: for d <= 2**16 `table` maps every slot to its site, and
-    above that searchsorted over the slot ranges' ends finds it. Sites are
-    kept in the smallest signed dtype that holds them.
+    The site of u is sites[0] + sum_j (sites[j+1] - sites[j]) * [u >= ends[j]],
+    S - 1 compare-adds for S sites in the dtype the caller asks for.
     """
 
     denominator: int
@@ -82,7 +71,6 @@ class LatticeSampler:
     sites: np.ndarray  # ascending, smallest signed dtype holding them
     ends: np.ndarray  # first slot past each site's range but the last's, in draw_dtype
     jumps: np.ndarray  # sites[j + 1] - sites[j], int64
-    table: np.ndarray | None  # site per slot, or None above 2**16
 
     @classmethod
     def compile(cls, masses):
@@ -100,29 +88,23 @@ class LatticeSampler:
         counts = [int(masses[s] * d) for s in sites]
         draw_dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                           if d - 1 <= np.iinfo(t).max)
-        site_arr = np.array(sites, dtype=step_dtype)
-        table = np.repeat(site_arr, counts) if d <= _TABLE_MAX_DENOMINATOR else None
-        return cls(denominator=d, draw_dtype=draw_dtype, sites=site_arr,
+        return cls(denominator=d, draw_dtype=draw_dtype,
+                   sites=np.array(sites, dtype=step_dtype),
                    ends=np.cumsum(counts[:-1], dtype=np.uint64).astype(draw_dtype),
-                   jumps=np.diff(np.array(sites, dtype=np.int64)), table=table)
+                   jumps=np.diff(np.array(sites, dtype=np.int64)))
 
     def sites_of(self, u, dtype=None):
         """Site of each slot index in u (entries in [0, d)), in `dtype`, which
         must hold every site (default: the sites' own dtype)."""
         dtype = self.sites.dtype if dtype is None else np.dtype(dtype)
-        if (self.sites.size - 1) * dtype.itemsize <= _COMPARE_MAX_BYTES:
-            # the adds wrap modulo 2**bits where a jump does not fit the
-            # dtype, and each sum is a site, which does: the result is exact
-            jumps = self.jumps.astype(dtype)
-            out = np.multiply(u >= self.ends[0], jumps[0], dtype=dtype)
-            out += self.sites[0]
-            for end, jump in zip(self.ends[1:], jumps[1:]):
-                out += (u >= end) if jump == 1 else np.multiply(u >= end, jump, dtype=dtype)
-            return out
-        if self.table is not None:
-            return self.table.take(u).astype(dtype, copy=False)
-        return self.sites.take(np.searchsorted(self.ends, u, side="right")).astype(
-            dtype, copy=False)
+        # the adds wrap modulo 2**bits where a jump does not fit the dtype,
+        # and each sum is a site, which does: the result is exact
+        jumps = self.jumps.astype(dtype)
+        out = np.multiply(u >= self.ends[0], jumps[0], dtype=dtype)
+        out += self.sites[0]
+        for end, jump in zip(self.ends[1:], jumps[1:]):
+            out += (u >= end) if jump == 1 else np.multiply(u >= end, jump, dtype=dtype)
+        return out
 
     def uniforms(self, bit_generator, size: int) -> np.ndarray:
         """`size` exact uniform integers on [0, d) from raw words, in stream order."""

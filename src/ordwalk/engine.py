@@ -1,8 +1,9 @@
 """Path simulation for k ordered walks, in blocks of paths.
 
 Paths are grouped into fixed-size blocks; each block owns a private
-counter-based stream keyed by (master_seed, block_index). Results are merged
-in block order, so a rerun reproduces every estimate bit for bit.
+counter-based stream keyed by (master_seed, block_index). Every consumer
+draws the blocks through `_blocks`, in block order, and merges results in
+that order, so a rerun reproduces every estimate bit for bit.
 
 A block advances in time-major chunks. With m paths alive, one
 `StepDistribution.sample_array` call draws the steps of the next
@@ -178,10 +179,22 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
 
 def _block_sizes(paths):
     """Sizes of the BLOCK_SIZE blocks that hold `paths` paths, in block order."""
-    sizes = [BLOCK_SIZE] * (paths // BLOCK_SIZE)
-    if paths % BLOCK_SIZE:
-        sizes.append(paths % BLOCK_SIZE)
-    return sizes
+    return [min(BLOCK_SIZE, paths - first) for first in range(0, paths, BLOCK_SIZE)]
+
+
+def _blocks(cfg: WalkConfig, horizon: int, paths: int, work: WorkCounts | None = None,
+            snap_step: int | None = None):
+    """Yield `_simulate_block` of each block of `paths` paths, in block order.
+
+    Each block's work to `horizon` is added to `work`, if one is given, as the
+    block is drawn; a consumer that stops early draws no further block.
+    """
+    for b, size in enumerate(_block_sizes(paths)):
+        block = _simulate_block(cfg, horizon, b, size, snap_step)
+        if work is not None:
+            work.add(block[0], horizon)
+        yield block
+        del block  # hold no block's arrays while the next block is simulated
 
 
 def batch_survival(cfg: WalkConfig, horizons, paths: int, work: WorkCounts | None = None):
@@ -194,10 +207,7 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int, work: WorkCounts | Non
     horizons = sorted(int(h) for h in horizons)
     max_h = horizons[-1]
     counts = np.zeros(len(horizons), dtype=np.int64)
-    for b, size in enumerate(_block_sizes(paths)):
-        tau = _simulate_block(cfg, max_h, b, size)[0]
-        if work is not None:
-            work.add(tau, max_h)
+    for tau, _, _, _ in _blocks(cfg, max_h, paths, work):
         counts += [(tau > h).sum() for h in horizons]
     out = []
     for h, c in zip(horizons, counts):
@@ -218,19 +228,14 @@ def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
     if target_samples < 1:
         raise ValueError("target_samples must be >= 1")
     collected = []
-    got = 0
-    attempted = 0
-    block = 0
-    while got < target_samples and attempted < max_attempts:
-        size = min(BLOCK_SIZE, max_attempts - attempted)
-        tau, _, terminal, _ = _simulate_block(cfg, n, block, size)
-        if work is not None:
-            work.add(tau, n)
+    got = attempted = 0
+    for tau, _, terminal, _ in _blocks(cfg, n, max_attempts, work):
         keep = terminal[tau > n] / math.sqrt(n)
         collected.append(keep)
         got += keep.shape[0]
-        attempted += size
-        block += 1
+        attempted += tau.size
+        if got >= target_samples:
+            break
     endpoints = np.concatenate(collected) if collected else np.empty((0, cfg.k))
     rate = got / attempted if attempted else 0.0
     if got < target_samples:

@@ -18,7 +18,7 @@ from .distributions import (
     UnsupportedOperationError,
     make_distribution,
 )
-from .engine import PartialResultError, WalkConfig
+from .engine import PartialResultError, WalkConfig, WorkCounts
 from .geometry import in_weyl, vandermonde
 from .lattice_exact import (
     _WINDOW_SIGMAS,
@@ -188,7 +188,7 @@ def transformed_gap_distribution(start_gap: int, n: int) -> tuple:
 
 
 def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
-                              guard_m=None):
+                              guard_m=None, work: WorkCounts | None = None):
     """Approximate the transformed law by conditioning on long survival.
 
     Simulates plain paths to 2m in engine blocks, keeps those still ordered
@@ -196,10 +196,13 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
     their positions at t_steps, in block order. The conditional law
     converges to the transform as m grows, with no explicit rate, so the
     report always includes a bias proxy: the binned TV distance between the
-    kept marginals under m and under 2m.
+    kept marginals under m and under 2m. The work of every attempted block,
+    run to 2m, is added to `work` if one is given.
     """
     if t_steps < 0:
         raise ValueError("t_steps must be >= 0")
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
     m = guard_m if guard_m is not None else max(8 * t_steps, 8)
     if m < t_steps:
         raise ValueError("guard horizon must be >= t_steps")
@@ -214,16 +217,15 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
 
     kept_m = []
     kept_2m = []
-    got = attempts = block = 0
+    got = attempts = 0
     max_attempts = int(paths / max(predicted_acceptance, 1e-6)) * 20 + 10000
-    while got < paths and attempts < max_attempts:
-        size = min(engine.BLOCK_SIZE, max_attempts - attempts)
-        tau, _, _, at_t = engine._simulate_block(cfg, 2 * m, block, size, t_steps)
+    for tau, _, _, at_t in engine._blocks(cfg, 2 * m, max_attempts, work, t_steps):
         kept_m.append(at_t[tau > m])
         kept_2m.append(at_t[tau > 2 * m])
         got += kept_m[-1].shape[0]
-        attempts += size
-        block += 1
+        attempts += tau.size
+        if got >= paths:
+            break
     samples = np.concatenate(kept_m)[:paths]
     at_2m = np.concatenate(kept_2m)
     rate = got / attempts

@@ -51,10 +51,7 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None 
         raise ValueError("horizons must be >= 1")
     max_h = horizons[-1]
     totals = np.zeros((len(horizons), 2))
-    for b, size in enumerate(engine._block_sizes(paths)):
-        tau, delta, _, _ = engine._simulate_block(cfg, max_h, b, size)
-        if work is not None:
-            work.add(tau, max_h)
+    for tau, delta, _, _ in engine._blocks(cfg, max_h, paths, work):
         for i, h in enumerate(horizons):
             contrib = np.where(tau <= h, delta, 0.0)
             totals[i] += contrib.sum(), (contrib ** 2).sum()

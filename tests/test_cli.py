@@ -246,7 +246,7 @@ _RAD2 = {"k": 2, "start": [0, 1], "dist": "rademacher"}
     }, id="endpoint"),
     pytest.param("transform", _RAD2, 3, {"t_steps": 4, "paths": 300}, {
         "summary.txt": "c7e85b1303d02648ea0c57a57ec055d3d06592b8948d2c2dc92cdee4bfc23478",
-        "transform.json": "a21f6303b54f997a07a182ee174a5b29f6e42c0e541d7bafecf268edda39a7d1",
+        "transform.json": "99a3b4c05587a364b9ccf0b2c88197a690cc0eb36b7f2ea9f4a34150f8380fec",
         "transform_samples.csv": "94f2a93e99101f1ce2c483b3bb481343c6df01724873b8bbdcaf2c22fc58758f",
     }, id="transform"),
     pytest.param("endpoint", {"k": 3, "start": [0, 1, 2], "dist": "rademacher"}, 5,
@@ -262,7 +262,7 @@ def test_run_digests_are_frozen(tmp_path, kind, walk, seed, params, files):
     manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
     assert manifest.files == files
     timing = json.loads((tmp_path / "timing.json").read_text())
-    monte_carlo = kind != "transform" and manifest.error is None
+    monte_carlo = manifest.error is None
     assert ("path_steps_per_s" in timing) == monte_carlo
 
 
@@ -367,6 +367,27 @@ def test_seed_override(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
     assert manifest["spec"]["seed"] == 9
+
+
+def test_validate_rejects_a_seed_the_philox_key_would_truncate():
+    # the stream keeps the low 64 bits of the seed: 2**64 + 1 would replay seed 1
+    validate_spec(GOOD_KM.replace("seed: 0", f"seed: {2 ** 64 - 1}"))
+    with pytest.raises(SpecError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        validate_spec(GOOD_KM.replace("seed: 0", f"seed: {2 ** 64}"))
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("seed", [-3, 2 ** 64])
+def test_seed_override_is_validated(tmp_path, capsys, command, seed):
+    (tmp_path / "specs").mkdir()
+    spec_path = tmp_path / "specs" / "km.yaml"
+    spec_path.write_text(GOOD_KM)
+    target = str(spec_path if command == "run" else tmp_path / "specs")
+    rc = main([command, target, "--out", str(tmp_path / "r"), "--seed", str(seed)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"seed must be an integer in [0, 2**64), got {seed}" in captured.out + captured.err
+    assert not (tmp_path / "r").exists()
 
 
 def _verdicts_with_pinned_moment(tmp_path, monkeypatch, doc, module, name, keys,
@@ -640,6 +661,26 @@ params: {n: 64, survivors: 200, max_attempts: 40000}
     assert report["work"] == _block_work(spec.walk_config(), 64, [engine.BLOCK_SIZE])
     gaps, mass, table = lattice_exact.killed_gap_chain(make_distribution("rademacher"), 1, [64])
     assert report["gap_dp"] == {"truncated_mass": table[64][2], "window_cells": mass.size}
+
+
+def test_transform_report_counts_the_work_of_the_blocks_it_drew(tmp_path):
+    doc = """
+kind: transform
+walk: {k: 3, start: [0, 1, 2], dist: rademacher}
+seed: 9
+params: {t_steps: 3, guard_m: 12, paths: 6000}
+"""
+    spec = validate_spec(doc)
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path))
+    assert code == 0, manifest.error
+    report = json.loads((tmp_path / "transform.json").read_text())
+    # the run draws full blocks until 6000 paths survive to m = 12
+    cfg, blocks, kept = spec.walk_config(), 0, 0
+    while kept < 6000:
+        kept += int((engine._simulate_block(cfg, 24, blocks, engine.BLOCK_SIZE)[0] > 12).sum())
+        blocks += 1
+    assert blocks > 1
+    assert report["work"] == _block_work(cfg, 24, [engine.BLOCK_SIZE] * blocks)
 
 
 def test_hermite_report_records_gap_dp_extent(tmp_path):

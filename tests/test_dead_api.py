@@ -158,6 +158,14 @@ def test_private_name_check_flags_an_orphan():
     assert _unread_private_names(tree, [tree]) == ["_B", "_C", "_f"]
 
 
+def test_only_engine_reads_how_blocks_are_cut_and_keyed():
+    # every block consumer iterates engine._blocks, so the block size, the
+    # block simulator and the sizes of a batch stay behind one module
+    internals = {"_simulate_block", "_block_sizes", "BLOCK_SIZE"}
+    readers = {path.stem for path in PACKAGE.glob("*.py") if _reads(TREES[path]) & internals}
+    assert readers == {"engine"}
+
+
 def test_cli_import_loads_no_scipy_stats():
     # scipy is a test dependency only: importing scipy.special and
     # scipy.integrate took about 0.6 s of a fresh `import ordwalk.cli`, and

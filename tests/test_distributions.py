@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordwalk import distributions
 from ordwalk.distributions import (
     RandomStream,
     UnsupportedOperationError,
@@ -216,7 +215,6 @@ def test_sampler_table_counts_are_exact_masses(kind, masses):
     d = make_distribution(kind, **({"masses": masses} if masses else {}))
     sampler = d.sampler
     assert sampler.denominator == d.denominator
-    assert sampler.table is not None and sampler.table.size == d.denominator
     counts = _slot_counts(sampler, np.arange(d.denominator))
     want = {s: m for s, m in d.masses.items() if m > 0}
     assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
@@ -234,21 +232,21 @@ def _symmetric(**mass_by_site):
 
 def test_sampler_draw_dtype_is_smallest_holding_every_draw():
     assert make_distribution("rademacher").sampler.draw_dtype is np.uint8
-    # d = 2**16 is the largest table law; its draws 0..65535 fit uint16
+    # d = 2**16 draws 0..65535, which fit uint16
     edge = _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 16))
     assert edge.denominator == 2 ** 16
-    assert edge.sampler.table is not None and edge.sampler.draw_dtype is np.uint16
+    assert edge.sampler.draw_dtype is np.uint16
     draws = edge.sample_array(RandomStream(1, 0).generator(), 4096)
     assert set(np.unique(draws).tolist()) <= {-1, 0, 1}
 
 
-def test_sampler_searchsorted_counts_are_exact_masses():
-    # d = lcm(7, 5, 3 * 2**13) = 860160 > 2**16 takes the searchsorted path;
-    # site +-4 has mass zero and must own no slot
+def test_sampler_wide_law_counts_are_exact_masses():
+    # d = lcm(7, 5, 3 * 2**13) = 860160 over nine sites; site +-4 has mass
+    # zero and must own no slot
     d = _symmetric(s1=Fraction(1, 5), s2=Fraction(1, 7),
                    s3=Fraction(1, 3 * 2 ** 13), s4=0)
     sampler = d.sampler
-    assert d.denominator == 860160 and sampler.table is None
+    assert d.denominator == 860160
     assert sampler.draw_dtype is np.uint32
     counts = _slot_counts(sampler, np.arange(d.denominator, dtype=sampler.draw_dtype))
     want = {s: m for s, m in d.masses.items() if m > 0}
@@ -361,11 +359,11 @@ def test_sampler_uint16_lanes_reject_above_d():
     assert rng.bit_generator.requests == [3]  # ceil(5 * 8192 / (4099 * 4))
 
 
-def test_sampler_uint32_lanes_take_the_searchsorted_path():
+def test_sampler_uint32_lanes_are_masked_and_rejected():
     d = _symmetric(s1=Fraction(1, 5), s2=Fraction(1, 7),
                    s3=Fraction(1, 3 * 2 ** 13), s4=0)
     sampler = d.sampler
-    assert d.denominator == 860160 and sampler.table is None
+    assert d.denominator == 860160
     assert sampler.draw_dtype is np.uint32
     # the mask is 2**20 - 1; site -3 owns slots 0..34 and site -2 the next 122880
     lanes = [0, 860159, 860160, 0xFFFFFFFF, (1 << 20) | 7, 35, 0, 0]
@@ -424,19 +422,25 @@ def _custom(masses):
     (_symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 62)),
      [0, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 61 + 1, 2 ** 62 - 1]),
 ])
-def test_compare_lookup_gives_the_table_and_searchsorted_sites(dist, slots, monkeypatch):
-    # force the compare-add lookup on and off: every slot maps to the same
-    # site in every dtype the block simulator asks for and in the default
+def test_compare_lookup_gives_the_table_and_searchsorted_sites(dist, slots):
+    # the compare-adds map every slot to the site that a slot table (or, for
+    # d = 2**62, searchsorted over the ranges' ends) gives, in every dtype the
+    # block simulator asks for and in the default
     sampler = dist.sampler
-    slots = np.arange(sampler.denominator) if slots is None else np.array(slots, dtype=np.uint64)
+    sites = sorted(dist.masses)
+    counts = [int(dist.masses[s] * sampler.denominator) for s in sites]
+    if slots is None:
+        slots = np.arange(sampler.denominator)
+        want = np.repeat(sites, counts)[slots]
+    else:
+        slots = np.array(slots, dtype=np.uint64)
+        ends = np.cumsum(counts[:-1], dtype=np.uint64)
+        want = np.array(sites)[np.searchsorted(ends, slots, side="right")]
     slots = slots.astype(sampler.draw_dtype)
     for dtype in (None, np.int16, np.int32, np.int64):
-        found = []
-        for budget in (0, 1 << 30):
-            monkeypatch.setattr(distributions, "_COMPARE_MAX_BYTES", budget)
-            found.append(sampler.sites_of(slots, dtype))
-        assert found[0].dtype == found[1].dtype == np.dtype(dtype or sampler.sites.dtype)
-        assert np.array_equal(found[0], found[1])
+        found = sampler.sites_of(slots, dtype)
+        assert found.dtype == np.dtype(dtype or sampler.sites.dtype)
+        assert found.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("kind", ["rademacher", "lazy_lattice", "gaussian"])

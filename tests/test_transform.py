@@ -310,6 +310,13 @@ def test_rejection_transform_keeps_the_engine_blocks_rows():
     assert out["n_at_2m"] == sum(map(len, rows_2m))
 
 
+def test_rejection_transform_refuses_an_empty_target():
+    # the block loop stops at the target, so no target must not draw a block
+    cfg = WalkConfig(2, (0, 1), RAD, master_seed=3)
+    with pytest.raises(ValueError, match="paths must be >= 1"):
+        tr.transform_paths_rejection(cfg, 4, 0)
+
+
 def test_rejection_transform_feasibility_guard():
     # K V(0,1,2) (2 * 128)^(-3/2) = 6.89e-5, below the 1e-4 floor
     cfg = WalkConfig(3, (0, 1, 2), RAD, master_seed=3)
