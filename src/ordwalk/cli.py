@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__, asymptotics, engine, lattice_exact, transform, v_module
-from .distributions import make_distribution
+from .distributions import make_distribution, seed_error
 from .engine import PartialResultError, WalkConfig
 from .geometry import in_weyl
 from .transform import FeasibilityError
@@ -64,13 +64,6 @@ _HORIZON_PARAMS = ("horizons", "schedule")
 def _is_int(value):
     """An int that is not a bool (bool subclasses int)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _seed_error(seed):
-    """Why `seed` cannot be a master seed, or None: the Philox key keeps 64 bits."""
-    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
-        return f"seed must be an integer in [0, 2**64), got {seed!r}"
-    return None
 
 
 def _is_number(value):
@@ -168,8 +161,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
         errors.append(f"bad distribution: {exc}")
 
     seed = doc.get("seed", 0)
-    if seed_error := _seed_error(seed):
-        errors.append(seed_error)
+    if error := seed_error(seed):
+        errors.append(error)
         seed = 0
     params = doc.get("params") or {}
     if not isinstance(params, dict):
@@ -612,8 +605,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
 def _load_spec_file(path, seed=None, out=None):
     with open(path) as fh:
         spec = validate_spec(fh.read())
-    if seed is not None and (seed_error := _seed_error(seed)):
-        raise SpecError([seed_error])
+    if seed is not None and (error := seed_error(seed)):
+        raise SpecError([error])
     if seed is not None or out is not None:
         from dataclasses import replace
         kw = {}

@@ -20,6 +20,7 @@ __all__ = [
     "LatticeSampler",
     "RandomStream",
     "make_distribution",
+    "seed_error",
 ]
 
 _CONTINUOUS_KINDS = ("gaussian", "uniform", "laplace")
@@ -250,6 +251,15 @@ def make_distribution(kind: str, **params) -> StepDistribution:
     )
 
 
+def seed_error(seed):
+    """Why `seed` cannot be a master seed, or None: it is one 64-bit word of
+    the Philox key, so a seed outside [0, 2**64) would alias one inside."""
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or not 0 <= seed < 2 ** 64):
+        return f"seed must be an integer in [0, 2**64), got {seed!r}"
+    return None
+
+
 @dataclass
 class RandomStream:
     """Counter-based stream: (master_seed, path_index) keys a Philox generator.
@@ -262,14 +272,13 @@ class RandomStream:
     path_index: int = 0
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if error := seed_error(self.master_seed):
+            raise ValueError(error)
+
     def generator(self) -> np.random.Generator:
         if self._gen is None:
             bitgen = np.random.Philox(
-                key=np.array(
-                    [self.master_seed & 0xFFFFFFFFFFFFFFFF,
-                     self.path_index & 0xFFFFFFFFFFFFFFFF],
-                    dtype=np.uint64,
-                )
-            )
+                key=np.array([self.master_seed, self.path_index], dtype=np.uint64))
             self._gen = np.random.Generator(bitgen)
         return self._gen

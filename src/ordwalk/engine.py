@@ -19,9 +19,13 @@ times the path-steps.
 
 Lattice positions inside a block take the smallest of int16, int32 and int64
 that holds max|start| + horizon * max|site|, a bound on every position up to
-the horizon, and the sampler writes the steps in that dtype. The exit and
-terminal positions are kept as int64, and the stopped Vandermonde of every
-row is taken once per block from them.
+the horizon, and the sampler writes the steps in that dtype. A block has two
+paths, which draw the same stream and give the same exit times. The stopped
+path, which only V by Monte Carlo asks for, keeps every row's position at
+min(tau, horizon) as int64 and takes the stopped Vandermonde of every row once
+per block. The lean path, which the tail, the endpoint and the transform take,
+keeps only the survivors' positions, in row order: an exit row is never
+gathered, and no Vandermonde is taken.
 """
 
 import math
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK_SALT, RandomStream, StepDistribution
+from .distributions import BLOCK_SALT, RandomStream, StepDistribution, seed_error
 from .geometry import in_weyl, vandermonde
 
 __all__ = [
@@ -77,6 +81,8 @@ class WalkConfig:
         if self.dist.is_lattice:
             if not all(float(c) == int(c) for c in self.start):
                 raise ValueError("lattice walks need integer start coordinates")
+        if error := seed_error(self.master_seed):
+            raise ValueError(error)
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ def _position_dtype(cfg: WalkConfig, horizon: int):
 
 
 def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size: int,
-                    snap_step: int | None = None):
+                    snap_step: int | None = None, stopped: bool = True):
     """Simulate one block of paths up to min(tau, horizon).
 
     Returns (tau, delta_at_stop, terminal, snap) arrays; tau == horizon + 1
@@ -128,6 +134,11 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     int64 and continuous ones float64; inside the chunks lattice positions
     take `_position_dtype`, which cannot overflow. The steps are drawn in
     chunks (module docstring).
+
+    With stopped=False the block takes the lean path and returns
+    (tau, survivors, snap): survivors holds the rows with tau > horizon, in
+    row order, equal to terminal[tau > horizon], and tau and snap are the
+    same arrays as on the stopped path.
     """
     rng = _block_stream(cfg, block_index)
     k = cfg.k
@@ -135,7 +146,8 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     out_dtype = np.int64 if cfg.dist.is_lattice else np.float64
     pos = np.tile(np.asarray(cfg.start, dtype=dtype), (block_size, 1))
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
-    terminal = np.empty((block_size, k), dtype=out_dtype)
+    if stopped:
+        terminal = np.empty((block_size, k), dtype=out_dtype)
     alive_idx = np.arange(block_size)
     snap = pos.astype(out_dtype) if snap_step is not None else None
     n = 0  # steps taken so far
@@ -166,11 +178,15 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
         if rows.size:
             dead = alive_idx[rows]
             tau[dead] = n + 1 + exit_at
-            terminal[dead] = path[exit_at, rows]
+            if stopped:
+                terminal[dead] = path[exit_at, rows]
             keep = ~exits
             alive_idx = alive_idx.compress(keep)
             pos = pos.compress(keep, axis=0)
         n += t
+    if not stopped:
+        # a copy, so no chunk's path array outlives the block
+        return tau, pos.astype(out_dtype), snap
     terminal[alive_idx] = pos
     # Delta in float64, which int64 products would overflow at large k
     delta = vandermonde(terminal.astype(np.float64, copy=False))
@@ -178,19 +194,22 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
 
 
 def _block_sizes(paths):
-    """Sizes of the BLOCK_SIZE blocks that hold `paths` paths, in block order."""
-    return [min(BLOCK_SIZE, paths - first) for first in range(0, paths, BLOCK_SIZE)]
+    """Sizes of the BLOCK_SIZE blocks that hold `paths` paths, in block order,
+    made one at a time: a rejection loop often stops long before its last."""
+    return (min(BLOCK_SIZE, paths - first) for first in range(0, paths, BLOCK_SIZE))
 
 
 def _blocks(cfg: WalkConfig, horizon: int, paths: int, work: WorkCounts | None = None,
-            snap_step: int | None = None):
+            snap_step: int | None = None, stopped: bool = False):
     """Yield `_simulate_block` of each block of `paths` paths, in block order.
 
-    Each block's work to `horizon` is added to `work`, if one is given, as the
-    block is drawn; a consumer that stops early draws no further block.
+    Blocks take the lean path unless `stopped` asks for the stopped positions
+    and Delta. Each block's work to `horizon` is added to `work`, if one is
+    given, as the block is drawn; a consumer that stops early draws no
+    further block.
     """
     for b, size in enumerate(_block_sizes(paths)):
-        block = _simulate_block(cfg, horizon, b, size, snap_step)
+        block = _simulate_block(cfg, horizon, b, size, snap_step, stopped)
         if work is not None:
             work.add(block[0], horizon)
         yield block
@@ -207,7 +226,7 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int, work: WorkCounts | Non
     horizons = sorted(int(h) for h in horizons)
     max_h = horizons[-1]
     counts = np.zeros(len(horizons), dtype=np.int64)
-    for tau, _, _, _ in _blocks(cfg, max_h, paths, work):
+    for tau, _, _ in _blocks(cfg, max_h, paths, work):
         counts += [(tau > h).sum() for h in horizons]
     out = []
     for h, c in zip(horizons, counts):
@@ -229,8 +248,8 @@ def conditioned_endpoints(cfg: WalkConfig, n: int, target_samples: int,
         raise ValueError("target_samples must be >= 1")
     collected = []
     got = attempted = 0
-    for tau, _, terminal, _ in _blocks(cfg, n, max_attempts, work):
-        keep = terminal[tau > n] / math.sqrt(n)
+    for tau, survivors, _ in _blocks(cfg, n, max_attempts, work):
+        keep = survivors / math.sqrt(n)
         collected.append(keep)
         got += keep.shape[0]
         attempted += tau.size

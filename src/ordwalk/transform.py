@@ -219,7 +219,7 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
     kept_2m = []
     got = attempts = 0
     max_attempts = int(paths / max(predicted_acceptance, 1e-6)) * 20 + 10000
-    for tau, _, _, at_t in engine._blocks(cfg, 2 * m, max_attempts, work, t_steps):
+    for tau, _, at_t in engine._blocks(cfg, 2 * m, max_attempts, work, t_steps):
         kept_m.append(at_t[tau > m])
         kept_2m.append(at_t[tau > 2 * m])
         got += kept_m[-1].shape[0]

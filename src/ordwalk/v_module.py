@@ -51,7 +51,7 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None 
         raise ValueError("horizons must be >= 1")
     max_h = horizons[-1]
     totals = np.zeros((len(horizons), 2))
-    for tau, delta, _, _ in engine._blocks(cfg, max_h, paths, work):
+    for tau, delta, _, _ in engine._blocks(cfg, max_h, paths, work, stopped=True):
         for i, h in enumerate(horizons):
             contrib = np.where(tau <= h, delta, 0.0)
             totals[i] += contrib.sum(), (contrib ** 2).sum()

@@ -166,6 +166,17 @@ def test_only_engine_reads_how_blocks_are_cut_and_keyed():
     assert readers == {"engine"}
 
 
+def test_only_v_module_asks_for_stopped_positions():
+    # the stopped path gathers every exit row and takes Delta per block; only
+    # V by Monte Carlo reads them, so every other consumer of engine._blocks
+    # takes the lean path (stopped is its sixth parameter)
+    askers = {path.stem for path in PACKAGE.glob("*.py") for node in ast.walk(TREES[path])
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_blocks"
+              and (len(node.args) > 5 or any(kw.arg == "stopped" for kw in node.keywords))}
+    assert askers == {"v_module"}
+
+
 def test_cli_import_loads_no_scipy_stats():
     # scipy is a test dependency only: importing scipy.special and
     # scipy.integrate took about 0.6 s of a fresh `import ordwalk.cli`, and

@@ -162,6 +162,14 @@ def test_stream_replay_is_identical():
     assert stream.generator() is stream.generator()
 
 
+@pytest.mark.parametrize("seed", [2 ** 64 + 1, -3])
+def test_stream_refuses_a_seed_the_philox_key_would_alias(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        RandomStream(seed, 0)
+    top = RandomStream(2 ** 64 - 1, 0).generator().bit_generator.state["state"]["key"]
+    assert top.tolist() == [2 ** 64 - 1, 0]
+
+
 def test_distinct_streams_differ():
     for kind in ("gaussian", "lazy_lattice"):
         base = _draws(kind, RandomStream(7, 0))

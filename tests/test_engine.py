@@ -44,6 +44,14 @@ def test_config_validation():
     WalkConfig(k=2, start=(0.5, 1.5), dist=make_distribution("gaussian"))
 
 
+@pytest.mark.parametrize("seed", [2 ** 64 + 1, -3])
+def test_config_refuses_a_seed_the_philox_key_would_alias(seed):
+    # the key holds the seed in one 64-bit word: 2**64 + 1 would replay seed 1
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        WalkConfig(k=2, start=(0, 1), dist=RAD, master_seed=seed)
+    assert WalkConfig(k=2, start=(0, 1), dist=RAD, master_seed=2 ** 64 - 1).master_seed
+
+
 def test_one_step_survival_three_quarters():
     [(h, est)] = batch_survival(cfg2(), [1], paths=200_000)
     assert h == 1
@@ -247,6 +255,49 @@ def test_simulate_block_stream_is_frozen(kind, masses, start, horizon, snap_step
     narrower = {np.int32: np.int16, np.int64: np.int32}.get(positions)
     if narrower is not None:
         assert out[2].max() > np.iinfo(narrower).max
+
+
+@pytest.mark.parametrize("kind, masses, start, horizon, snap_step", [
+    pytest.param("rademacher", None, (0, 1), 300, 150, id="rademacher-k2"),
+    pytest.param("rademacher", None, (0, 1, 2), 64, 10, id="rademacher-k3"),
+    pytest.param("lazy_lattice", None, (0, 1, 2), 64, 20, id="lazy-k3"),
+    pytest.param("custom_lattice", D4099, (0, 1), 200, 50, id="d4099-k2"),
+    pytest.param("gaussian", None, (0.0, 1.0, 2.0), 64, 10, id="gaussian-k3"),
+    pytest.param("rademacher", None, (2 ** 15 - 24, 2 ** 15 - 22), 300, 150,
+                 id="rademacher-int32"),
+    pytest.param("custom_lattice", WIDE, (2 ** 31 - 1500, 2 ** 31 - 900), 40, 3,
+                 id="wide-int64"),
+])
+def test_lean_block_keeps_the_stopped_blocks_tau_snap_and_survivors(kind, masses, start,
+                                                                      horizon, snap_step):
+    # the frozen stream cases on the lean path: the same tau and snapshot, and
+    # the survivors' rows of the stopped path's terminal, in row order
+    dist = make_distribution(kind, **({"masses": masses} if masses else {}))
+    cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=8)
+    for snap in (snap_step, None):
+        tau, _, terminal, snapped = _simulate_block(cfg, horizon, 2, 3000, snap)
+        lean_tau, survivors, lean_snap = _simulate_block(cfg, horizon, 2, 3000, snap,
+                                                         stopped=False)
+        assert np.array_equal(lean_tau, tau)
+        if snap is None:
+            assert snapped is None and lean_snap is None
+        else:
+            assert lean_snap.dtype == snapped.dtype and np.array_equal(lean_snap, snapped)
+        alive = tau > horizon
+        assert 0 < alive.sum() < tau.size
+        assert survivors.dtype == terminal.dtype
+        assert np.array_equal(survivors, terminal[alive])
+
+
+def test_blocks_take_the_lean_path_unless_asked_for_stopped_positions():
+    cfg = WalkConfig(k=3, start=(0, 1, 2), dist=RAD, master_seed=2)
+    lean = list(engine._blocks(cfg, 32, BLOCK_SIZE + 5))
+    full = list(engine._blocks(cfg, 32, BLOCK_SIZE + 5, stopped=True))
+    assert [len(b) for b in lean] == [3, 3] and [len(b) for b in full] == [4, 4]
+    for (tau, survivors, _), (full_tau, delta, terminal, _) in zip(lean, full):
+        assert np.array_equal(tau, full_tau)
+        assert np.array_equal(survivors, terminal[tau > 32])
+        assert delta.shape == tau.shape
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)

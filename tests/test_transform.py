@@ -175,6 +175,14 @@ def _bessel_chain_laws(w0, moves):
     return laws
 
 
+@pytest.mark.parametrize("seed", [2 ** 64 + 1, -3])
+def test_transformed_samplers_refuse_a_seed_the_philox_key_would_alias(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        tr.transformed_gap_paths(1, 8, 10, master_seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        tr.transformed_pair_paths((0, 1), 8, 10, master_seed=seed)
+
+
 @pytest.mark.parametrize("w0", [1, 2, 8])
 def test_move_law_is_the_bessel_chain_iterated(w0):
     # the reflection formula after m moves against the move-by-move chain
