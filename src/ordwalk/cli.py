@@ -1,6 +1,6 @@
 """Experiment orchestration: config parsing, dispatch, reports, manifests.
 
-A spec file (YAML, with JSON accepted as a subset) names an experiment kind,
+A spec file (JSON or YAML) names an experiment kind,
 a walk configuration, a master seed, and kind-specific parameters. Running a
 spec emits machine-readable JSON, CSV tables, a plain-text summary, and a
 manifest with a sha256 digest of every result file. All randomness flows
@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import yaml
 
 from . import __version__, asymptotics, engine, lattice_exact, transform, v_module
 from .distributions import make_distribution, seed_error
@@ -33,7 +32,6 @@ __all__ = [
     "RunManifest",
     "SpecError",
     "validate_spec",
-    "serialize_spec",
     "run_experiment",
     "emit_report",
     "main",
@@ -106,13 +104,32 @@ class RunManifest:
     error: str | None = None
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _parse_spec(raw: str):
+    """The document of a spec text: by `json` when the text is JSON, else by
+    PyYAML, which is imported only then.
+
+    A JSON text that spells NaN or Infinity is left to PyYAML, which reads
+    those tokens as strings, so validation rejects them as it does in YAML.
+    """
+    try:
+        return json.loads(raw, parse_constant=_reject_constant)
+    except ValueError:
+        pass
+    import yaml
+    try:
+        return yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise SpecError([f"unparseable config: {exc}"])
+
+
 def validate_spec(raw: str) -> ExperimentSpec:
     """Parse and validate a spec document, collecting every error at once."""
     errors = []
-    try:
-        doc = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise SpecError([f"unparseable config: {exc}"])
+    doc = _parse_spec(raw)
     if not isinstance(doc, dict):
         raise SpecError(["config must be a mapping"])
 
@@ -210,7 +227,7 @@ def validate_spec(raw: str) -> ExperimentSpec:
 
 
 def _spec_doc(spec: ExperimentSpec) -> dict:
-    """The spec as the plain document that `serialize_spec` writes."""
+    """The spec as a plain document, as the manifest records it."""
     return {
         "kind": spec.kind,
         "walk": {
@@ -223,10 +240,6 @@ def _spec_doc(spec: ExperimentSpec) -> dict:
         "params": dict(spec.params),
         "out": spec.out,
     }
-
-
-def serialize_spec(spec: ExperimentSpec) -> str:
-    return yaml.safe_dump(_spec_doc(spec), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -295,10 +295,22 @@ def exact_d_matrix(x, y, n: int, dist: StepDistribution, walks=None) -> Fraction
 
 
 def _candidate_sites(cfg: WalkConfig, n: int, walks):
-    """Ordered configurations on which either side could carry mass."""
+    """Ordered configurations on which either side could carry mass.
+
+    A step lies in lo + span Z, so walker i sits in x_i + m lo + span Z at
+    time m. A site y carries survival mass only if y_i = x_i + n lo mod span,
+    and a term det[p_{n-m}(y_j - z_i)] of either identity, with z_i =
+    x_i + m lo mod span, has a nonzero Leibniz product only if some
+    permutation s has y_s(i) = z_i + (n - m) lo = x_i + n lo mod span. So
+    both sides are zero unless the residues of y mod span are a permutation
+    of those of x + n lo.
+    """
     reach = walks[n].sparse()[0][:, 0].tolist()
     values = sorted({int(xi) + v for xi in cfg.start for v in reach})
-    return list(itertools.combinations(values, cfg.k))
+    span = walks[n].span
+    residues = sorted((int(xi) + reach[0]) % span for xi in cfg.start)
+    return [y for y in itertools.combinations(values, cfg.k)
+            if sorted(c % span for c in y) == residues]
 
 
 # Batched integer determinants. With d the common denominator of the step

@@ -207,8 +207,12 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
     if m < t_steps:
         raise ValueError("guard horizon must be >= t_steps")
     k = cfg.k
-    predicted_acceptance = min(1.0, asymptotics.constant_K(k) * float(vandermonde(cfg.start))
-                               * (2.0 * m * cfg.dist.variance) ** (-k * (k - 1) / 4.0))
+    # P_x(tau > m) ~ K V(x) (sigma^2 m)^(-k(k-1)/4). V is exact for Rademacher
+    # walkers; other laws take Delta(x), below V where walkers jump (lazy
+    # (0, 1, 2): V about 3.15, Delta 2)
+    v = _rademacher_v(cfg.start) if cfg.dist.kind == "rademacher" else vandermonde(cfg.start)
+    predicted_acceptance = min(1.0, asymptotics.constant_K(k) * float(v)
+                               * (m * cfg.dist.variance) ** (-k * (k - 1) / 4.0))
     if predicted_acceptance < 1e-4:
         raise FeasibilityError(
             f"predicted acceptance {predicted_acceptance:.3g} below 1e-4 at "

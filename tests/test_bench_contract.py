@@ -9,10 +9,12 @@ the workloads run must pass `validate_spec`.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from ordwalk import engine, lattice_exact, transform
 from ordwalk.cli import validate_spec
@@ -36,6 +38,18 @@ def test_every_workload_spec_validates():
     assert items
     for index, item in enumerate(items):
         assert validate_spec(item.spec_text(100 + index)).kind == item.kind
+
+
+def test_every_workload_spec_reads_the_same_as_yaml():
+    # the workloads' JSON specs parse by json; the same documents written as
+    # YAML parse by PyYAML, and must validate to the same specs
+    workloads = _load_bench("workloads")
+    texts = [item.spec_text(7) for items in workloads.WORKLOADS.values() for item in items
+             if item.kind != workloads.GAP_SURVIVAL]
+    for text in texts:
+        as_yaml = yaml.safe_dump(json.loads(text))
+        assert as_yaml != text
+        assert validate_spec(as_yaml) == validate_spec(text)
 
 
 def test_tracer_installs_and_uninstalls():

@@ -4,6 +4,7 @@ import of the package is read by its module, and every module-level private
 name by the program, the benchmark or some test."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -22,8 +23,6 @@ READERS = [ast.parse(path.read_text()) for path in
 
 # public names that only unit tests call, and why each stays public
 TEST_ONLY = {
-    "cli.serialize_spec":
-        "a spec as YAML text, which validate_spec reads back as the same spec",
     "lattice_exact.exact_free_kernel":
         "exact free k-walk law; the killed kernels are checked against it",
     "lattice_exact.exact_stopped_measure":
@@ -188,3 +187,15 @@ def test_cli_import_loads_no_scipy_stats():
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_json_spec_validation_loads_no_yaml():
+    # a JSON spec is parsed by json; PyYAML's import and scanner took about
+    # 17 ms of each fresh set-up, and JSON specs need neither
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    spec = json.dumps({"kind": "endpoint", "seed": 1, "params": {"n": 64, "survivors": 100},
+                       "walk": {"k": 2, "start": [0, 1], "dist": "rademacher"}})
+    code = ("import sys, ordwalk.cli\n"
+            "ordwalk.cli.validate_spec(sys.argv[1])\n"
+            "assert 'yaml' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, spec], env=env, check=True)

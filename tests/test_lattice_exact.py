@@ -404,6 +404,35 @@ def _batched_km_rhs(cfg, n):
     return sites, walks, [Fraction(int(r), scale) for r in rhs]
 
 
+@pytest.mark.parametrize("check, start, n, kept, reachable", [
+    ("km", (0, 1, 2), 7, 288, 680),
+    ("km", (0, 1), 10, 121, 231),
+    ("reflect", (0, 1, 2), 5, 126, 286),
+    ("reflect", (0, 1), 6, 49, 91),
+])
+def test_pruned_sites_are_zero_on_both_sides(monkeypatch, check, start, n, kept, reachable):
+    # _candidate_sites keeps the ordered sites of reachable values whose
+    # parities permute those of the Rademacher walkers; at every site it
+    # drops, the survival side and the full determinantal side are both 0
+    cfg = WalkConfig(k=len(start), start=start, dist=RAD)
+    walks = lattice_exact._single_walk_counts(RAD, n)
+    sites = lattice_exact._candidate_sites(cfg, n, walks)
+    reach = walks[n].sparse()[0][:, 0].tolist()
+    values = sorted({x + v for x in start for v in reach})
+    dropped = sorted(set(itertools.combinations(values, len(start))) - set(sites))
+    assert (len(sites), len(sites) + len(dropped)) == (kept, reachable)
+    sides = []
+    monkeypatch.setattr(lattice_exact, "_candidate_sites", lambda *_: dropped)
+    monkeypatch.setattr(lattice_exact, "_require_equal",
+                        lambda _, __, lhs, rhs, ___: sides.append(list(lhs) + list(rhs)))
+    if check == "km":
+        exact_km_check(cfg, n)
+    else:
+        exact_reflection_check(cfg, n, range(1, n + 1))
+    assert len(sides) == (1 if check == "km" else n)
+    assert all(v == 0 for side in sides for v in side)
+
+
 @pytest.mark.parametrize("dist", [RAD, LAZY, THIRDS, WIDE], ids=lambda d: d.kind
                          + str(d.denominator))
 @pytest.mark.parametrize("start,n", [((0, 1), 4), ((0, 2), 4), ((0, 1, 2), 3),

@@ -19,6 +19,7 @@ from ordwalk.lattice_exact import (
     exact_vn,
     gap_chain_alive_distribution,
     gap_chain_survival,
+    star_survival,
 )
 
 RAD = make_distribution("rademacher")
@@ -326,10 +327,21 @@ def test_rejection_transform_refuses_an_empty_target():
 
 
 def test_rejection_transform_feasibility_guard():
-    # K V(0,1,2) (2 * 128)^(-3/2) = 6.89e-5, below the 1e-4 floor
+    # K V(0,1,2) 1000^(-3/2) = 7.14e-5 with V = 16, below the 1e-4 floor
     cfg = WalkConfig(3, (0, 1, 2), RAD, master_seed=3)
-    with pytest.raises(tr.FeasibilityError, match="predicted acceptance 6.89e-05"):
-        tr.transform_paths_rejection(cfg, 4, 100, guard_m=128)
+    with pytest.raises(tr.FeasibilityError, match="predicted acceptance 7.14e-05"):
+        tr.transform_paths_rejection(cfg, 4, 100, guard_m=1000)
+
+
+def test_rejection_transform_runs_where_survival_is_feasible():
+    # P(tau > 104) = 2.08e-3 from (0,1,2); the prediction from Delta = 2 in
+    # place of V = 16, and 2m in place of m, read 9.4e-5 and refused the run
+    cfg = WalkConfig(3, (0, 1, 2), RAD, master_seed=5)
+    work = engine.WorkCounts()
+    out = tr.transform_paths_rejection(cfg, 13, 200, guard_m=104, work=work)
+    (_, p), = star_survival(3, [104])
+    assert out["samples"].shape == (200, 3)
+    assert abs(out["acceptance_rate"] - p) <= 4 * math.sqrt(p * (1 - p) / work.paths)
 
 
 def test_rejection_transform_partial_result(monkeypatch):
