@@ -464,14 +464,14 @@ def local_clt_deviation(dist: StepDistribution, n: int) -> dict:
     """
     if not dist.is_lattice:
         raise UnsupportedOperationError("local CLT diagnostic needs a lattice law")
-    if dist.lattice.offset != 0:
+    alpha = dist.lattice.span
+    if dist.lattice.lo % alpha:
         raise UnsupportedOperationError(
             f"{dist.kind} lives on a shifted sublattice (offset "
-            f"{dist.lattice.offset} mod {dist.lattice.span}); the plain "
+            f"{dist.lattice.lo % alpha} mod {alpha}); the plain "
             "local-CLT comparison applies to offset-0 supports only")
     if n < 2:
         raise ValueError("n must be >= 2")
-    alpha = dist.lattice.span
     sigma = math.sqrt(dist.variance)
     sites, masses = walk_pmf(dist, n)
     keep = sites % alpha == 0

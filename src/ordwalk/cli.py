@@ -51,6 +51,8 @@ _KIND_PARAMS = {
     "dyson-compare": ("t", "horizons", "paths", "x_unit", "tv_threshold"),
 }
 _KINDS = tuple(_KIND_PARAMS)
+# kinds whose runs need exact masses: validate_spec rejects a continuous law
+_LATTICE_KINDS = ("exact-km", "exact-reflect", "exact-v", "lclt")
 _REFLECT_DEFAULT_N = 4
 _TRANSFORM_DEFAULT_T_STEPS = 16
 # params read as integers, as floats, and params listing horizons
@@ -171,11 +173,17 @@ def validate_spec(raw: str) -> ExperimentSpec:
         dist_kind, dist_params = "rademacher", {}
     try:
         d = make_distribution(dist_kind, **dist_params)
+    except (ValueError, TypeError) as exc:
+        errors.append(f"bad distribution: {exc}")
+    else:
         if d.is_lattice and not all(
                 isinstance(c, int) or float(c) == int(c) for c in start):
             errors.append("lattice walks need integer start coordinates")
-    except (ValueError, TypeError) as exc:
-        errors.append(f"bad distribution: {exc}")
+        if kind in _LATTICE_KINDS and not d.is_lattice:
+            errors.append(f"kind {kind} needs a lattice law, got {dist_kind}")
+        elif kind == "lclt" and (offset := d.lattice.lo % d.lattice.span):
+            errors.append(f"kind lclt needs a support of offset 0 modulo its span; "
+                          f"{dist_kind} lives on {offset} + {d.lattice.span}Z")
 
     seed = doc.get("seed", 0)
     if error := seed_error(seed):
@@ -193,8 +201,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
                     or not all(_is_int(h) and h > 0 for h in val)):
                 errors.append(
                     f"params.{key} must list positive integers, got {val!r}")
-            elif key == "schedule" and len(set(val)) != len(val):
-                errors.append(f"params.schedule has repeated horizons: {val!r}")
+            elif len(set(val)) != len(val):
+                errors.append(f"params.{key} has repeated horizons: {val!r}")
         elif key == "x_unit":
             if (not isinstance(val, list) or len(val) != k
                     or not all(_is_number(v) and math.isfinite(v) for v in val)
@@ -218,12 +226,14 @@ def validate_spec(raw: str) -> ExperimentSpec:
             errors.append(f"params.guard_m must be >= t_steps = {t_steps}, "
                           f"got {params['guard_m']}")
     out = doc.get("out", "results")
+    if not isinstance(out, str) or not out:
+        errors.append(f"out must be a non-empty string, got {out!r}")
 
     if errors:
         raise SpecError(errors)
     return ExperimentSpec(kind=kind, k=k, start=start, dist_kind=dist_kind,
                           dist_params=dist_params, seed=seed, params=params,
-                          out=str(out))
+                          out=out)
 
 
 def _spec_doc(spec: ExperimentSpec) -> dict:
@@ -369,11 +379,10 @@ def _run_estimate_v(spec, cfg):
     schedule = spec.params.get("schedule", [16, 32, 64, 128])
     paths = int(spec.params.get("paths", 100000))
     work = engine.WorkCounts()
-    table = v_module._vn_over_schedule(cfg, schedule, paths, work=work)
-    est = v_module.v_from_schedule(table)
+    est = v_module.estimate_v(cfg, schedule, paths, work=work)
     rows = []
     prev = None
-    for n, ci in table:
+    for n, ci in est.per_horizon:
         diag = abs(ci.mean - prev) if prev is not None else math.nan
         rows.append((n, ci.mean, ci.stderr, diag))
         prev = ci.mean

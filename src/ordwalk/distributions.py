@@ -1,11 +1,12 @@
 """Centered step distributions and deterministic counter-based random streams.
 
-Lattice kinds carry exact rational masses on integer sites together with the
-span/offset of the per-step lattice (support is a subset of offset + span*Z),
-and a step sampler compiled once from those masses: uniform integers on
-[0, d), cut from the stream's raw 64-bit words and mapped to sites by integer
-comparisons with the slot ranges' ends, so every draw has exactly the law's
-masses.
+Lattice kinds carry exact rational masses on integer sites, the `Lattice`
+built from them once (the steps lo + span*j with their integer counts
+d*p(lo + span*j), d the masses' common denominator), which every exact layer
+reads, and a step sampler compiled once from that lattice: uniform integers
+on [0, d), cut from the stream's raw 64-bit words and mapped to sites by
+integer comparisons with the slot ranges' ends, so every draw has exactly the
+law's masses.
 Continuous kinds only promise determinism per stream and the stored moments.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "StepDistribution",
+    "Lattice",
     "LatticeSampler",
     "RandomStream",
     "make_distribution",
@@ -45,9 +47,29 @@ class UnsupportedOperationError(TypeError):
 
 
 @dataclass(frozen=True)
-class LatticeInfo:
+class Lattice:
+    """A law on lo + span*Z: the step lo + span*j has mass weights[j] / d,
+    with d = `denominator` the masses' common denominator and span the gcd of
+    the differences of the steps with mass. The first and last weights are
+    positive; sites of mass zero are dropped."""
+
+    lo: int
     span: int
-    offset: int  # representative of support modulo span
+    weights: tuple  # ints, d * p(lo + span*j)
+    denominator: int
+
+    @classmethod
+    def of(cls, masses):
+        """The lattice of a {site: Fraction} law with at least two sites of
+        positive mass."""
+        sites = [s for s, p in sorted(masses.items()) if p > 0]
+        lo = sites[0]
+        span = math.gcd(*(s - lo for s in sites))
+        d = math.lcm(*(p.denominator for p in masses.values()))
+        weights = [0] * ((sites[-1] - lo) // span + 1)
+        for s in sites:
+            weights[(s - lo) // span] = int(masses[s] * d)
+        return cls(lo=lo, span=span, weights=tuple(weights), denominator=d)
 
 
 @dataclass(frozen=True)
@@ -74,19 +96,19 @@ class LatticeSampler:
     jumps: np.ndarray  # sites[j + 1] - sites[j], int64
 
     @classmethod
-    def compile(cls, masses):
-        d = math.lcm(*(m.denominator for m in masses.values()))
+    def compile(cls, lattice: Lattice):
+        d = lattice.denominator
         if d >= _MAX_DENOMINATOR:
             raise ValueError(
                 f"common denominator {d} of the step masses is not below 2**63, "
                 "the bound of the exact integer step sampler")
-        sites = sorted(masses)
+        sites, counts = zip(*((lattice.lo + lattice.span * j, w)
+                              for j, w in enumerate(lattice.weights) if w))
         step_dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64)
                            if np.iinfo(t).min <= sites[0]
                            and sites[-1] <= np.iinfo(t).max), None)
         if step_dtype is None:
             raise ValueError(f"step sites {sites[0]}..{sites[-1]} do not fit in int64")
-        counts = [int(masses[s] * d) for s in sites]
         draw_dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                           if d - 1 <= np.iinfo(t).max)
         return cls(denominator=d, draw_dtype=draw_dtype,
@@ -137,18 +159,19 @@ class LatticeSampler:
 @dataclass(frozen=True)
 class StepDistribution:
     kind: str
-    mean: float
     variance: float
-    lattice: LatticeInfo | None = None
     # exact site -> mass table, lattice kinds only
     masses: dict | None = field(default=None, repr=False)
-    # compiled from masses once, at construction; lattice kinds only
+    # built from masses once, at construction; lattice kinds only
+    lattice: Lattice | None = field(default=None, init=False)
     sampler: LatticeSampler | None = field(default=None, init=False, repr=False,
                                            compare=False)
 
     def __post_init__(self):
         if self.masses is not None:
-            object.__setattr__(self, "sampler", LatticeSampler.compile(self.masses))
+            lattice = Lattice.of(self.masses)
+            object.__setattr__(self, "lattice", lattice)
+            object.__setattr__(self, "sampler", LatticeSampler.compile(lattice))
 
     @property
     def is_lattice(self) -> bool:
@@ -159,7 +182,7 @@ class StepDistribution:
         """Common denominator of the single-step masses (lattice kinds)."""
         if not self.is_lattice:
             raise UnsupportedOperationError(f"{self.kind} has no exact mass table")
-        return self.sampler.denominator
+        return self.lattice.denominator
 
     def support(self):
         if not self.is_lattice:
@@ -188,18 +211,6 @@ class StepDistribution:
         return rng.laplace(0.0, math.sqrt(self.variance / 2.0), shape)
 
 
-def _lattice_metadata(masses):
-    sites = sorted(masses)
-    nonzero = [s for s in sites if masses[s] > 0]
-    if len(nonzero) == 1:
-        raise ValueError("degenerate single-site law has zero variance")
-    span = 0
-    for s in nonzero[1:]:
-        span = math.gcd(span, s - nonzero[0])
-    offset = nonzero[0] % span
-    return LatticeInfo(span=span, offset=offset)
-
-
 def _exact_moments(masses):
     mean = sum(Fraction(s) * m for s, m in masses.items())
     var = sum(Fraction(s) ** 2 * m for s, m in masses.items()) - mean ** 2
@@ -222,7 +233,7 @@ def make_distribution(kind: str, **params) -> StepDistribution:
         variance = float(params.get("variance", 1.0))
         if not 0 < variance < math.inf:
             raise ValueError(f"variance must be positive and finite, got {variance}")
-        return StepDistribution(kind=kind, mean=0.0, variance=variance)
+        return StepDistribution(kind=kind, variance=variance)
     if kind == "rademacher":
         masses = {-1: Fraction(1, 2), 1: Fraction(1, 2)}
     elif kind == "lazy_lattice":
@@ -242,13 +253,7 @@ def make_distribution(kind: str, **params) -> StepDistribution:
         raise ValueError(f"custom_lattice mean is {mean}, expected 0")
     if var <= 0:
         raise ValueError(f"variance must be positive, got {var}")
-    return StepDistribution(
-        kind=kind,
-        mean=float(mean),
-        variance=float(var),
-        lattice=_lattice_metadata(masses),
-        masses=masses,
-    )
+    return StepDistribution(kind=kind, variance=float(var), masses=masses)
 
 
 def seed_error(seed):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import StepDistribution, UnsupportedOperationError
+from .distributions import Lattice, StepDistribution, UnsupportedOperationError
 from .engine import WalkConfig
 from .geometry import exact_det, reflection_shift, signed_permutations, vandermonde
 
@@ -178,26 +178,14 @@ def _pairs(configs, counts):
     return zip(map(tuple, configs.tolist()), counts.tolist())
 
 
-def _step_law(dist: StepDistribution):
-    """(lo, span, weights): the steps lo + span j, span the gcd of the step
-    differences, with the integer counts weights[j] = d p(lo + span j)."""
-    sites = [s for s, p in sorted(dist.masses.items()) if p > 0]
-    lo = sites[0]
-    span = math.gcd(*(s - lo for s in sites))
-    weights = [0] * ((sites[-1] - lo) // span + 1)
-    for s in sites:
-        weights[(s - lo) // span] = int(dist.masses[s] * dist.denominator)
-    return lo, span, weights
+def _start(x, lattice: Lattice, dtype) -> _Counts:
+    return _Counts(tuple(int(c) for c in x), lattice.span, np.ones((1,) * len(x), dtype=dtype))
 
 
-def _start(x, law, dtype) -> _Counts:
-    return _Counts(tuple(int(c) for c in x), law[1], np.ones((1,) * len(x), dtype=dtype))
-
-
-def _push(box: _Counts, law) -> _Counts:
+def _push(box: _Counts, lattice: Lattice) -> _Counts:
     """One free step of every walker: the counts at time m + 1 from those at
     m, by one convolution with the step weights along each axis in turn."""
-    lo, span, weights = law
+    weights = lattice.weights
     counts = box.counts
     for axis in range(counts.ndim):
         size = counts.shape[axis]
@@ -209,15 +197,15 @@ def _push(box: _Counts, law) -> _Counts:
             if w:
                 dst[j:j + size] += src if w == 1 else w * src
         counts = out
-    return _Counts(tuple(o + lo for o in box.origin), span, counts)
+    return _Counts(tuple(o + lattice.lo for o in box.origin), lattice.span, counts)
 
 
-def _free_boxes(x, law, n: int, dtype):
+def _free_boxes(x, lattice: Lattice, n: int, dtype):
     """The free counts from x at times 0, 1, ..., n."""
-    box = _start(x, law, dtype)
+    box = _start(x, lattice, dtype)
     yield box
     for _ in range(n):
-        box = _push(box, law)
+        box = _push(box, lattice)
         yield box
 
 
@@ -232,12 +220,12 @@ def _forward_tables(cfg: WalkConfig, n: int):
     """
     _require_lattice(cfg.dist)
     _check_capacity(cfg.dist, cfg.k, n)
-    law = _step_law(cfg.dist)
-    box = _start(cfg.start, law, _int_dtype(cfg.dist.denominator ** (cfg.k * n)))
+    lattice = cfg.dist.lattice
+    box = _start(cfg.start, lattice, _int_dtype(cfg.dist.denominator ** (cfg.k * n)))
     survival = [box]
     stopped = [box.sparse(~box.chamber())]  # empty: the start is ordered
     for _ in range(n):
-        box = _push(box, law)
+        box = _push(box, lattice)
         dead = ~box.chamber()
         stopped.append(box.sparse(dead))
         box.counts[dead] = 0
@@ -269,14 +257,14 @@ def exact_free_kernel(cfg: WalkConfig, n: int) -> ExactKernel:
     _require_lattice(cfg.dist)
     _check_capacity(cfg.dist, cfg.k, n)
     scale = cfg.dist.denominator ** (cfg.k * n)
-    *_, box = _free_boxes(cfg.start, _step_law(cfg.dist), n, _int_dtype(scale))
+    *_, box = _free_boxes(cfg.start, cfg.dist.lattice, n, _int_dtype(scale))
     return ExactKernel(cfg.k, n, _masses(box, scale))
 
 
 def _single_walk_counts(dist: StepDistribution, n: int):
     """[C_0, ..., C_n]: C_l the one-axis box of the counts d^l P_0(X(l) = v)
     of a single walk, the k = 1 case of the forward DP."""
-    return list(_free_boxes((0,), _step_law(dist), n, _int_dtype(dist.denominator ** n)))
+    return list(_free_boxes((0,), dist.lattice, n, _int_dtype(dist.denominator ** n)))
 
 
 def exact_d_matrix(x, y, n: int, dist: StepDistribution, walks=None) -> Fraction:
@@ -454,12 +442,11 @@ def exact_reflection_check(cfg: WalkConfig, n: int, ls) -> list:
     survival, stopped = _forward_tables(cfg, n)
     walks = _single_walk_counts(cfg.dist, n)
     sites = _candidate_sites(cfg, n, walks)
-    law = _step_law(cfg.dist)
     reports = []
     for l in ls:
         exits, counts = stopped[l]
         boundary_ties = sum(1 for z in exits.tolist() if not any(reflection_shift(z)))
-        fresh = _push(survival[l - 1], law)
+        fresh = _push(survival[l - 1], cfg.dist.lattice)
         fresh_exits, fresh_counts = fresh.sparse(~fresh.chamber())
         reflected = np.array([[a - b for a, b in zip(z, reflection_shift(z))]
                               for z in fresh_exits.tolist()], dtype=np.int64)
@@ -501,7 +488,7 @@ def exact_martingale_check(cfg: WalkConfig, n: int) -> VerificationReport:
     d = cfg.dist.denominator
     x = tuple(int(c) for c in cfg.start)
     delta_x = vandermonde(x)
-    boxes = _free_boxes(x, _step_law(cfg.dist), n, _int_dtype(d ** (cfg.k * n)))
+    boxes = _free_boxes(x, cfg.dist.lattice, n, _int_dtype(d ** (cfg.k * n)))
     next(boxes)  # time 0
     for m, box in enumerate(boxes, 1):
         total = _delta_sum(*box.sparse())
@@ -527,8 +514,8 @@ def exact_harmonicity_check(cfg: WalkConfig, n: int, v_start=None) -> Verificati
     if v_start is None:
         v_start = exact_vn(cfg, n + 1)
     d = cfg.dist.denominator
-    law = _step_law(cfg.dist)
-    one = _push(_start(x, law, _int_dtype(d ** cfg.k)), law)
+    lattice = cfg.dist.lattice
+    one = _push(_start(x, lattice, _int_dtype(d ** cfg.k)), lattice)
     neighbours = list(_pairs(*one.sparse(one.chamber())))  # (y, d^k P_x(X(1) = y))
 
     def shape(y):  # the class of y under translation
@@ -596,12 +583,11 @@ def _gap_blocks(dist: StepDistribution, gap: int, n: int):
     L-step block and on the first cell above them: after r sub-steps its
     first r |lo| rows are the r-step band and row r |lo| is the r-fold kernel.
     """
-    law = _gap_law(dist)
-    span = math.gcd(*law) or 1
+    law = Lattice.of(_gap_law(dist))
+    span, den, step = law.span, law.denominator, law.weights
     first = (gap - 1) % span + 1
-    lo, hi = min(law) // span, max(law) // span
-    den = math.lcm(*(p.denominator for p in law.values()))
-    step = [int(law.get(span * (lo + j), 0) * den) for j in range(hi - lo + 1)]
+    lo = law.lo // span  # the gap law is symmetric, so span divides lo
+    hi = lo + len(step) - 1
     size = 1
     while size < n and den ** (size + 1) < _EXACT_FLOAT_BOUND:
         size += 1

@@ -19,7 +19,6 @@ from .geometry import in_weyl, vandermonde
 __all__ = [
     "VEstimate",
     "estimate_v",
-    "v_from_schedule",
     "scaling_check",
     "snap_to_lattice",
 ]
@@ -30,7 +29,8 @@ class VEstimate:
     n_used: int
     value: EstimateCI
     tail_diagnostic: float  # |change| over the last doubling, nan if untracked
-    converged: bool = True
+    converged: bool
+    per_horizon: list  # (n, EstimateCI) of V_n at every horizon of the schedule
 
 
 def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None = None):
@@ -65,19 +65,17 @@ def _vn_over_schedule(cfg: WalkConfig, horizons, paths, work: WorkCounts | None 
     return out
 
 
-def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int) -> VEstimate:
-    """Estimate V(x) as V_{n_max} over a doubling schedule of horizons.
+def estimate_v(cfg: WalkConfig, horizon_schedule, paths: int,
+               work: WorkCounts | None = None) -> VEstimate:
+    """Estimate V(x) as V_{n_max} over a doubling schedule of horizons, from
+    one simulation pass whose work is added to `work` if one is given.
 
     The tail diagnostic is the absolute change of the estimate over the last
     schedule step. If it exceeds 3 stderr the estimate is flagged as not
     converged; that is a report, not a failure, since heavy-tailed step laws
     can converge arbitrarily slowly.
     """
-    return v_from_schedule(_vn_over_schedule(cfg, horizon_schedule, paths))
-
-
-def v_from_schedule(per_horizon) -> VEstimate:
-    """The V estimate of `estimate_v` read off a `_vn_over_schedule` table."""
+    per_horizon = _vn_over_schedule(cfg, horizon_schedule, paths, work=work)
     n_used, final = per_horizon[-1]
     if len(per_horizon) >= 2:
         tail = abs(final.mean - per_horizon[-2][1].mean)
@@ -85,7 +83,7 @@ def v_from_schedule(per_horizon) -> VEstimate:
         tail = math.nan
     converged = not (tail > 3.0 * final.stderr) if not math.isnan(tail) else True
     return VEstimate(n_used=n_used, value=final, tail_diagnostic=tail,
-                     converged=converged)
+                     converged=converged, per_horizon=per_horizon)
 
 
 def snap_to_lattice(x, k: int):

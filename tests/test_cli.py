@@ -52,7 +52,8 @@ def test_validate_json_subset():
 def test_json_reads_a_dotless_exponent_as_a_number():
     # JSON parses 1e-2 as a float; PyYAML's YAML 1.1 resolver reads it as a
     # string, so a YAML spec must still write 1.0e-2
-    doc = '{"kind": "lclt", "walk": {"k": 2, "start": [0, 1]}, "params": {"threshold": 1e-2}}'
+    doc = ('{"kind": "lclt", "walk": {"k": 2, "start": [0, 1], "dist": "lazy_lattice"}, '
+           '"params": {"threshold": 1e-2}}')
     assert validate_spec(doc).params == {"threshold": 0.01}
     with pytest.raises(SpecError, match="params.threshold must be a finite number, got '1e-2'"):
         validate_spec("kind: lclt\nwalk: {k: 2, start: [0, 1]}\nparams: {threshold: 1e-2}\n")
@@ -550,10 +551,15 @@ def test_validate_rejects_params_the_kind_does_not_read(kind, params, field):
     ("dyson-compare", "{x_unit: [0.0, .inf]}", "params.x_unit"),
     ("transform", "{t_steps: 8, guard_m: 4}", "t_steps = 8"),
     ("transform", "{guard_m: 8}", "t_steps = 16"),
+    # tail exited 1 on a repeated horizon; lclt and dyson-compare failed their trend check
+    ("tail", "{horizons: [64, 64]}", r"params.horizons has repeated horizons: \[64, 64\]"),
+    ("lclt", "{horizons: [256, 256]}", "params.horizons has repeated"),
+    ("dyson-compare", "{horizons: [64, 256, 64]}", "params.horizons has repeated"),
 ])
 def test_validate_rejects_params_the_run_cannot_use(kind, params, field):
     # each of these specs used to pass validation and then exit 1 in the run
-    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1]}}\nparams: {params}\n"
+    dist = "lazy_lattice" if kind == "lclt" else "rademacher"
+    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1], dist: {dist}}}\nparams: {params}\n"
     with pytest.raises(SpecError, match=field) as exc:
         validate_spec(doc)
     assert len(exc.value.errors) == 1
@@ -566,8 +572,41 @@ def test_validate_rejects_params_the_run_cannot_use(kind, params, field):
     ("transform", "{guard_m: 16}"),
 ])
 def test_validate_accepts_numbers_and_a_guard_past_t_steps(kind, params):
-    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1]}}\nparams: {params}\n"
+    dist = "lazy_lattice" if kind == "lclt" else "rademacher"
+    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1], dist: {dist}}}\nparams: {params}\n"
     assert validate_spec(doc).kind == kind
+
+
+@pytest.mark.parametrize("kind, dist, message", [
+    # exact masses are needed: each of these exited 1 in the run
+    ("exact-km", "gaussian", "kind exact-km needs a lattice law, got gaussian"),
+    ("exact-reflect", "uniform", "kind exact-reflect needs a lattice law"),
+    ("exact-v", "laplace", "kind exact-v needs a lattice law"),
+    ("lclt", "{kind: gaussian, variance: 2}", "kind lclt needs a lattice law"),
+    # lclt compares on offset 0 + span Z only
+    ("lclt", "rademacher", r"rademacher lives on 1 \+ 2Z"),
+    ("lclt", '{kind: custom_lattice, masses: {-3: "1/4", 1: "3/4"}}', r"lives on 1 \+ 4Z"),
+])
+def test_validate_rejects_a_law_the_kind_cannot_run(kind, dist, message):
+    doc = f"kind: {kind}\nwalk: {{k: 2, start: [0, 1], dist: {dist}}}\n"
+    with pytest.raises(SpecError, match=message) as exc:
+        validate_spec(doc)
+    assert len(exc.value.errors) == 1
+
+
+def test_validate_accepts_lclt_on_an_offset_zero_sublattice():
+    doc = ("kind: lclt\nwalk: {k: 2, start: [0, 2], dist: {kind: custom_lattice, "
+           'masses: {-2: "1/8", 0: "3/4", 2: "1/8"}}}\n')
+    assert validate_spec(doc).kind == "lclt"
+
+
+@pytest.mark.parametrize("out", ["null", "[a, b]", '""', "5"])
+def test_validate_rejects_an_out_that_is_no_directory_name(out):
+    # null used to write into a directory named None, [a, b] into "['a', 'b']"
+    with pytest.raises(SpecError, match="out must be a non-empty string") as exc:
+        validate_spec(f"{GOOD_KM}out: {out}\n")
+    assert len(exc.value.errors) == 1
+    assert validate_spec(f"{GOOD_KM}out: runs/km\n").out == "runs/km"
 
 
 def test_validate_accepts_every_param_each_runner_reads(tmp_path):

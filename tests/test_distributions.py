@@ -9,25 +9,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordwalk.distributions import (
+    Lattice,
     RandomStream,
     UnsupportedOperationError,
     make_distribution,
 )
+from ordwalk.lattice_exact import gap_chain_survival
 
 
 def test_rademacher_metadata():
     d = make_distribution("rademacher")
     assert d.support() == (-1, 1)
     assert d.masses == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
-    assert d.variance == 1.0 and d.mean == 0.0
-    assert d.lattice.span == 2 and d.lattice.offset == 1
+    assert d.variance == 1.0
+    assert d.lattice == Lattice(lo=-1, span=2, weights=(1, 1), denominator=2)
 
 
 def test_lazy_lattice_metadata():
     d = make_distribution("lazy_lattice")
     assert d.support() == (-1, 0, 1)
     assert d.variance == 0.5
-    assert d.lattice.span == 1 and d.lattice.offset == 0
+    assert d.lattice == Lattice(lo=-1, span=1, weights=(1, 2, 1), denominator=4)
 
 
 def test_uniform_metadata():
@@ -44,8 +46,8 @@ def test_custom_lattice_example():
     d = make_distribution(
         "custom_lattice",
         masses={-2: Fraction(1, 8), 0: Fraction(3, 4), 2: Fraction(1, 8)})
-    assert (d.mean, d.variance) == (0.0, 1.0)
-    assert d.lattice.span == 2 and d.lattice.offset == 0
+    assert d.variance == 1.0
+    assert d.lattice == Lattice(lo=-2, span=2, weights=(1, 6, 1), denominator=8)
 
 
 def test_custom_lattice_rejects_drift():
@@ -143,7 +145,29 @@ def test_custom_lattice_moments_property(raw):
         return
     d = make_distribution("custom_lattice", masses=merged)
     var = sum(Fraction(s) ** 2 * m for s, m in merged.items())
-    assert d.mean == 0.0 and d.variance == float(var) > 0
+    assert d.variance == float(var) > 0
+    # the lattice's steps and weights give back every mass, and nothing else
+    lat = d.lattice
+    steps = {lat.lo + lat.span * j: Fraction(w, lat.denominator)
+             for j, w in enumerate(lat.weights) if w}
+    assert steps == {s: m for s, m in merged.items() if m > 0}
+    assert lat.weights[0] > 0 and lat.weights[-1] > 0
+    assert lat.denominator == math.lcm(*(m.denominator for m in merged.values()))
+    assert lat.span == math.gcd(*(s - lat.lo for s in steps))
+
+
+def test_zero_mass_key_leaves_the_law_unchanged():
+    # an explicit site of mass zero at one end of the support is no step:
+    # the lattice, the sampled steps and the gap chain do not see it
+    plain = {-2: Fraction(1, 3), 1: Fraction(2, 3)}
+    padded = make_distribution("custom_lattice", masses={**plain, 200: Fraction(0)})
+    plain = make_distribution("custom_lattice", masses=plain)
+    assert padded.lattice == plain.lattice == Lattice(-2, 3, (1, 2), 3)
+    draws = [d.sample_array(RandomStream(4, 0).generator(), (64, 3)) for d in (plain, padded)]
+    assert draws[0].dtype == draws[1].dtype and np.array_equal(*draws)
+    horizons = [1, 16, 100]
+    assert (gap_chain_survival(padded, 1, horizons)
+            == gap_chain_survival(plain, 1, horizons))
 
 
 def _draws(kind, stream, calls=20):
