@@ -420,35 +420,25 @@ def endpoint_density_distance(samples, k: int, sigma: float = 1.0) -> dict:
 def walk_pmf(dist: StepDistribution, n: int):
     """PMF of the n-step single-walk sum by convolution doubling.
 
-    Returns (sites, masses), the masses as floats.
+    The sum lives on n lo + span Z, with lo and span those of the step
+    lattice; the convolutions run on its sites alone. Returns (sites,
+    masses), the masses as floats.
     """
     if not dist.is_lattice:
         raise UnsupportedOperationError("walk_pmf needs a lattice law")
     if n < 1:
         raise ValueError("n must be >= 1")
-    support = dist.support()
-    lo, hi = support[0], support[-1]
-    base = np.zeros(hi - lo + 1)
-    for s, mass in dist.masses.items():
-        base[s - lo] = float(mass)
-
+    lattice = dist.lattice
+    power = np.array([w / lattice.denominator for w in lattice.weights])
     result = None
-    result_off = 0
-    power = base
-    power_off = lo
     m = n
     while m:
         if m & 1:
-            if result is None:
-                result, result_off = power, power_off
-            else:
-                result = np.convolve(result, power)
-                result_off += power_off
+            result = power if result is None else np.convolve(result, power)
         m >>= 1
         if m:
             power = np.convolve(power, power)
-            power_off *= 2
-    sites = np.arange(result_off, result_off + len(result))
+    sites = n * lattice.lo + lattice.span * np.arange(len(result))
     return sites, result
 
 
@@ -474,9 +464,6 @@ def local_clt_deviation(dist: StepDistribution, n: int) -> dict:
         raise ValueError("n must be >= 2")
     sigma = math.sqrt(dist.variance)
     sites, masses = walk_pmf(dist, n)
-    keep = sites % alpha == 0
-    sites = sites[keep]
-    masses = masses[keep]
     scale = math.sqrt(n) * sigma
     gauss = np.exp(-0.5 * (sites / scale) ** 2) / math.sqrt(2.0 * math.pi)
     dev = np.abs(scale / alpha * masses - gauss)

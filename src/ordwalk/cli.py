@@ -396,9 +396,20 @@ def _run_estimate_v(spec, cfg):
         "positive_at_4_stderr": est.value.mean > 4 * est.value.stderr,
         "work": asdict(work),
     }
+    checks = {"positivity_4sigma": result["positive_at_4_stderr"]}
+    if cfg.k == 2 and cfg.dist.is_lattice:
+        # the exact V_n = Delta(x) - E[Delta(X(tau)); tau <= n] at every
+        # horizon, from one gap-chain DP; Delta(x) is the start gap. Each
+        # estimate must fall within 4 standard errors of it
+        gap = int(cfg.start[1] - cfg.start[0])
+        stopped = lattice_exact.gap_chain_stopped_delta(
+            cfg.dist, gap, [n for n, _ in est.per_horizon])
+        result["exact_v"] = [[n, gap - e] for n, e in stopped]
+        checks["exact_vn_4se"] = all(
+            ci.covers(v, 4) for (_, ci), (_, v) in zip(est.per_horizon, result["exact_v"]))
     return (result,
             {"v_estimates": (("n", "estimate", "stderr", "diagnostic"), rows)},
-            {"positivity_4sigma": result["positive_at_4_stderr"]})
+            checks)
 
 
 def _run_tail(spec, cfg):

@@ -36,6 +36,9 @@ _KIND_PARAMS = {"rademacher": (), "lazy_lattice": (), "custom_lattice": ("masses
 # (tail, estimate-v, endpoint, transform) draws block b of its paths from the
 # same engine stream, so runs of one walk at one master seed share paths.
 BLOCK_SALT = 0  # block b of an engine batch uses salt BLOCK_SALT + b (b < 2**60)
+# block b of a Gaussian engine batch draws the centres of mass of its rows,
+# which its gap-frame steps leave out, from salt CENTRE_SALT + b (b < 2**60)
+CENTRE_SALT = 2 ** 61
 TRANSFORMED_CHAIN_SALT = 3 * 2 ** 61  # k=2 transformed chain, gap and pair samplers
 
 # the exact sampler refuses laws whose denominator reaches this
@@ -183,11 +186,6 @@ class StepDistribution:
         if not self.is_lattice:
             raise UnsupportedOperationError(f"{self.kind} has no exact mass table")
         return self.lattice.denominator
-
-    def support(self):
-        if not self.is_lattice:
-            raise UnsupportedOperationError(f"{self.kind} has no finite support")
-        return tuple(sorted(self.masses))
 
     def sample_array(self, rng: np.random.Generator, shape, dtype=None):
         """Draw an array of i.i.d. steps, of an int or tuple shape, from `rng`.

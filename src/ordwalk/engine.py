@@ -8,14 +8,32 @@ that order, so a rerun reproduces every estimate bit for bit.
 A block advances in time-major chunks. With m paths alive, one
 `StepDistribution.sample_array` call draws the steps of the next
 t = max(1, CHUNK_CELLS // m) times (fewer at the horizon) for all m paths,
-as an array of shape (t, m, k); the positions are its cumulative sum along
-time, and each path's exit time is its first out-of-order step in the
+as an array of shape (t, m, w); the walk's state is its cumulative sum along
+time, and each path's exit time is its first step out of order in the
 chunk. The chunk length depends on m alone, never on the horizon or the
 snapshot step, so a block is a pure function of (seed, block index) and a
 shorter horizon replays the same paths. A path that exits inside a chunk
 still has its steps drawn to the end of that chunk; the traced count
-`distributions.draws` includes these steps past the exit, so it exceeds k
+`distributions.draws` includes these steps past the exit, so it exceeds w
 times the path-steps.
+
+The state of most laws is the k positions (w = k). A Gaussian walk runs in
+the gap frame instead (w = k - 1): the exit time and Delta read only the
+k - 1 gaps, and for Gaussian steps the centre of mass is independent of
+them. Its chunk draws k - 1 sigma-normals per path-step and turns them into
+gap increments with L, the lower-bidiagonal Cholesky factor of
+tridiag(-1, 2, -1) (L[j, j] = sqrt((j + 2)/(j + 1)), L[j + 1, j] =
+-sqrt((j + 1)/(j + 2))), and a path exits at its first gap <= 0. Positions
+are built only where the block reports them, at min(tau, horizon) and at
+the snapshot: the start's mean, plus the gaps' running sum less its row
+mean, plus a centre C(s) = sqrt(s/k) times a sigma-normal. The centres come
+from a stream of their own keyed by (seed, block index), one normal per row
+at the row's first reported time and, with a snapshot, one more per row for
+the independent increment to the second. So tau and the gaps replay at
+every horizon and snapshot, while positions, and the Delta taken from them,
+replay where a row's first reported time is the same: at every horizon
+without a snapshot, and from a snapshot step to a run whose horizon is that
+step.
 
 Lattice positions inside a block take the smallest of int16, int32 and int64
 that holds max|start| + horizon * max|site|, a bound on every position up to
@@ -33,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK_SALT, RandomStream, StepDistribution, seed_error
+from .distributions import (BLOCK_SALT, CENTRE_SALT, RandomStream, StepDistribution,
+                            seed_error)
 from .geometry import in_weyl, vandermonde
 
 __all__ = [
@@ -49,9 +68,9 @@ BLOCK_SIZE = 1 << 14
 # path-steps per chunk of a block: one draw call covers this many (path, step)
 # pairs, so a chunk's arrays stay near k * CHUNK_CELLS position cells
 CHUNK_CELLS = 1 << 14
-# a chunk's running sum adds whole time rows from this many cells per row up;
-# below it np.cumsum is faster (timed crossover for int16 positions between
-# 416 and 448 cells at k = 2 and 3)
+# a chunk's running sum adds whole time rows from this many cells per row (m
+# paths times the state's width) up; below it np.cumsum is faster (timed
+# crossover for int16 positions between 416 and 448 cells at k = 2 and 3)
 _WIDE_ROW_CELLS = 448
 
 
@@ -109,18 +128,43 @@ class WorkCounts:
         self.exits += int((tau <= horizon).sum())
 
 
-def _block_stream(cfg: WalkConfig, block_index: int) -> np.random.Generator:
-    return RandomStream(cfg.master_seed, BLOCK_SALT + block_index).generator()
+def _block_stream(cfg: WalkConfig, block_index: int, salt: int = BLOCK_SALT):
+    return RandomStream(cfg.master_seed, salt + block_index).generator()
 
 
 def _position_dtype(cfg: WalkConfig, horizon: int):
     """Smallest of int16, int32 and int64 that holds every lattice position up
-    to the horizon, max|start| + horizon * max|site|; float64 for continuous laws."""
-    if not cfg.dist.is_lattice:
+    to the horizon, max|start| + horizon * max|step|; float64 for continuous laws."""
+    lattice = cfg.dist.lattice
+    if lattice is None:
         return np.float64
-    reach = (max(abs(int(c)) for c in cfg.start)
-             + horizon * max(abs(s) for s in cfg.dist.support()))
+    top = lattice.lo + lattice.span * (len(lattice.weights) - 1)
+    reach = max(abs(int(c)) for c in cfg.start) + horizon * max(-lattice.lo, top)
     return next((t for t in (np.int16, np.int32) if reach <= np.iinfo(t).max), np.int64)
+
+
+def _gap_steps(steps):
+    """Turn the i.i.d. sigma-normals of steps[..., j], j < k - 1, into the
+    increments of the k - 1 gaps of k Gaussian walkers, in place: the rows
+    times L^T, L the Cholesky factor of the gap covariance tridiag(-1, 2, -1)."""
+    for j in range(steps.shape[-1] - 1, 0, -1):
+        steps[..., j] *= math.sqrt((j + 2) / (j + 1))
+        steps[..., j] -= math.sqrt(j / (j + 1)) * steps[..., j - 1]
+    steps[..., 0] *= math.sqrt(2.0)
+
+
+def _gap_positions(cfg: WalkConfig, gaps, centre):
+    """Rows of k positions with the given k - 1 gaps and centre offsets C:
+    the start's mean plus C, plus the gaps' running sum less its row mean."""
+    k = cfg.k
+    base = centre + math.fsum(map(float, cfg.start)) / k
+    for j in range(k - 1):
+        base -= (k - 1 - j) / k * gaps[:, j]
+    out = np.empty((len(gaps), k))
+    out[:, 0] = base
+    for j in range(k - 1):
+        np.add(out[:, j], gaps[:, j], out=out[:, j + 1])
+    return out
 
 
 def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size: int,
@@ -133,7 +177,7 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     the start); otherwise snap is None. Lattice terminals and snapshots are
     int64 and continuous ones float64; inside the chunks lattice positions
     take `_position_dtype`, which cannot overflow. The steps are drawn in
-    chunks (module docstring).
+    chunks, and a Gaussian walk's in the gap frame (module docstring).
 
     With stopped=False the block takes the lean path and returns
     (tau, survivors, snap): survivors holds the rows with tau > horizon, in
@@ -142,31 +186,44 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     """
     rng = _block_stream(cfg, block_index)
     k = cfg.k
-    dtype = _position_dtype(cfg, horizon)
+    gap_frame = cfg.dist.kind == "gaussian"
     out_dtype = np.int64 if cfg.dist.is_lattice else np.float64
-    pos = np.tile(np.asarray(cfg.start, dtype=dtype), (block_size, 1))
+    if gap_frame:
+        dtype, width = np.float64, k - 1
+        origin = np.diff(np.asarray(cfg.start, dtype=np.float64))
+    else:
+        dtype, width = _position_dtype(cfg, horizon), k
+        origin = np.asarray(cfg.start, dtype=dtype)
+    pos = np.tile(origin, (block_size, 1))
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
     if stopped:
-        terminal = np.empty((block_size, k), dtype=out_dtype)
+        terminal = np.empty((block_size, width), dtype=out_dtype)
     alive_idx = np.arange(block_size)
     snap = pos.astype(out_dtype) if snap_step is not None else None
     n = 0  # steps taken so far
     while n < horizon and alive_idx.size:
         m = alive_idx.size
         t = min(max(1, CHUNK_CELLS // m), horizon - n)
-        path = cfg.dist.sample_array(rng, (t, m, k), dtype)
+        path = cfg.dist.sample_array(rng, (t, m, width), dtype)
+        if gap_frame:
+            _gap_steps(path)
         path[0] += pos
-        # path[i] = positions after step n + i + 1, by the same sequential adds
+        # path[i] = the state after step n + i + 1, by the same sequential adds
         # either way: numpy's cumsum along axis 0 runs column by column, which
         # is slower than adding whole rows once rows are wide
-        if m * k < _WIDE_ROW_CELLS:
+        if m * width < _WIDE_ROW_CELLS:
             np.cumsum(path, axis=0, dtype=dtype, out=path)
         else:
             for i in range(1, t):
                 path[i] += path[i - 1]
-        broken = path[:, :, 1] <= path[:, :, 0]
-        for j in range(2, k):
-            broken |= path[:, :, j] <= path[:, :, j - 1]
+        if gap_frame:
+            broken = path[:, :, 0] <= 0
+            for j in range(1, width):
+                broken |= path[:, :, j] <= 0
+        else:
+            broken = path[:, :, 1] <= path[:, :, 0]
+            for j in range(2, k):
+                broken |= path[:, :, j] <= path[:, :, j - 1]
         exits = broken.any(axis=0)
         rows = np.flatnonzero(exits)  # the paths that exit in this chunk
         exit_at = broken[:, rows].argmax(axis=0)  # and the chunk step where they do
@@ -184,10 +241,32 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
             alive_idx = alive_idx.compress(keep)
             pos = pos.compress(keep, axis=0)
         n += t
+    if stopped:
+        terminal[alive_idx] = pos
+    if gap_frame:
+        # a row's centre is drawn at its first reported time: the snapshot
+        # step if the row is alive then, else min(tau, horizon); with a
+        # snapshot, an independent increment takes it on to min(tau, horizon)
+        last = np.minimum(tau, horizon)
+        at_snap = tau > snap_step if snap_step else np.zeros(block_size, dtype=bool)
+        first = np.where(at_snap, snap_step or 0, last)
+        centres = _block_stream(cfg, block_index, CENTRE_SALT)
+        centre = np.sqrt(first / k) * cfg.dist.sample_array(centres, block_size)
+        if snap is not None:
+            # rows that exit by the snapshot step, and every row at step 0,
+            # keep the start
+            snap_gaps = snap
+            snap = np.tile(np.asarray(cfg.start, dtype=np.float64), (block_size, 1))
+            snap[at_snap] = _gap_positions(cfg, snap_gaps[at_snap], centre[at_snap])
+        if snap_step:
+            centre += np.sqrt((last - first) / k) * cfg.dist.sample_array(centres, block_size)
+        if stopped:
+            terminal = _gap_positions(cfg, terminal, centre)
+        else:
+            pos = _gap_positions(cfg, pos, centre[alive_idx])
     if not stopped:
         # a copy, so no chunk's path array outlives the block
         return tau, pos.astype(out_dtype), snap
-    terminal[alive_idx] = pos
     # Delta in float64, which int64 products would overflow at large k
     delta = vandermonde(terminal.astype(np.float64, copy=False))
     return tau, delta, terminal, snap

@@ -766,16 +766,17 @@ def _survival_by_gap(dist: StepDistribution, gaps, n: int) -> np.ndarray:
     return mass[cells]
 
 
-def gap_chain_stopped_delta(dist: StepDistribution, start_gap: int, n: int):
-    """E[Delta(X(tau)) 1{tau <= n}] for the two-walker chain, by float64 DP."""
-    gaps, _, table = killed_gap_chain(dist, start_gap, [n])
-    _, stopped, truncated = table[n]
+def gap_chain_stopped_delta(dist: StepDistribution, start_gap: int, horizons):
+    """E[Delta(X(tau)) 1{tau <= h}] for the two-walker chain at each horizon h,
+    by one float64 DP. Returns [(h, value)] in increasing h."""
+    gaps, _, table = killed_gap_chain(dist, start_gap, horizons)
     # a truncated path may still exit, at a gap no lower than the least
     # positive gap of the lattice plus the least step
     deepest = -(int(gaps[0]) + int(_gap_step_law(dist)[0][0]))
-    _require_truncation_within(f"E[Delta(X(tau)); tau <= {n}]", stopped,
-                               deepest * truncated)
-    return stopped
+    for h, (_, stopped, truncated) in table.items():
+        _require_truncation_within(f"E[Delta(X(tau)); tau <= {h}]", stopped,
+                                   deepest * truncated)
+    return [(h, table[h][1]) for h in sorted(table)]
 
 
 # ---------------------------------------------------------------------------

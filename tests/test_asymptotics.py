@@ -431,12 +431,24 @@ def _assert_walk_pmf_is_the_exact_law(dist, n):
 def test_walk_pmf_exact_small():
     _assert_walk_pmf_is_the_exact_law(RAD, 2)
     sites, masses = walk_pmf(RAD, 2)
-    assert dict(zip(sites.tolist(), masses.tolist())) == {
-        -2: 0.25, -1: 0.0, 0: 0.5, 1: 0.0, 2: 0.25}
+    assert dict(zip(sites.tolist(), masses.tolist())) == {-2: 0.25, 0: 0.5, 2: 0.25}
 
 
 def test_walk_pmf_float_matches_exact():
     _assert_walk_pmf_is_the_exact_law(LAZY, 9)
+
+
+def test_walk_pmf_convolves_the_span_lattice_alone():
+    # a span-2 law: the sum of 4 steps lives on -8, -6, ..., 8, with the
+    # masses of convolving the unit-spaced array and its zeros
+    dist = make_distribution("custom_lattice",
+                             masses={-2: Fraction(1, 8), 0: Fraction(3, 4), 2: Fraction(1, 8)})
+    sites, masses = walk_pmf(dist, 4)
+    assert sites.tolist() == list(range(-8, 9, 2))
+    unit = np.array([1 / 8, 0.0, 3 / 4, 0.0, 1 / 8])
+    square = np.convolve(unit, unit)
+    assert masses.tolist() == np.convolve(square, square)[::2].tolist()
+    _assert_walk_pmf_is_the_exact_law(dist, 4)
 
 
 def test_walk_pmf_rejects_continuous():

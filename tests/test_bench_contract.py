@@ -91,6 +91,40 @@ def test_traced_batch_survival_counts_the_untraced_work():
     assert tracer.counts["engine.paths"] == paths
 
 
+def _chunk_cells(tau, horizon):
+    """Path-steps a block's chunks cover, from its exit times: with m paths
+    alive after n steps, the next chunk runs min(CHUNK_CELLS // m, horizon - n)
+    steps (at least one) for all m."""
+    n = cells = 0
+    while n < horizon and (m := int((tau > n).sum())):
+        t = min(max(1, engine.CHUNK_CELLS // m), horizon - n)
+        cells += t * m
+        n += t
+    return cells
+
+
+@pytest.mark.parametrize("k, snap_step", [(2, None), (3, 8)])
+def test_traced_gaussian_blocks_count_every_normal_drawn(k, snap_step):
+    # a Gaussian block draws k - 1 normals per chunk cell and one centre per
+    # row, and one more per row with a snapshot, all through sample_array
+    cfg = WalkConfig(k=k, start=tuple(float(i) for i in range(k)),
+                     dist=make_distribution("gaussian"), master_seed=3)
+    horizon, paths = 32, 20_000  # two blocks, the second partial
+    untraced = list(engine._blocks(cfg, horizon, paths, snap_step=snap_step, stopped=True))
+    tracer = _load_bench("spans").Tracer()
+    try:
+        tracer.install()
+        traced = list(engine._blocks(cfg, horizon, paths, snap_step=snap_step, stopped=True))
+    finally:
+        tracer.uninstall()
+    assert len(traced) == len(untraced) == 2
+    for got, want in zip(traced, untraced):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    cells = sum(_chunk_cells(block[0], horizon) for block in untraced)
+    centres = paths * (1 if snap_step is None else 2)
+    assert tracer.counts["distributions.draws"] == (k - 1) * cells + centres
+
+
 def test_traced_transformed_pair_paths_match_the_untraced():
     n, paths = 64, 3000
     untraced = transform.transformed_pair_paths((0, 1), n, paths, master_seed=4)

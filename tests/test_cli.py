@@ -247,9 +247,9 @@ _RAD2 = {"k": 2, "start": [0, 1], "dist": "rademacher"}
     }, id="tail"),
     pytest.param("estimate-v", {"k": 2, "start": [0.0, 1.0], "dist": "gaussian"}, 3,
                  {"schedule": [16, 32], "paths": 20000}, {
-        "estimate_v.json": "49854343ae80196bfd421fb30a877b3c1a25420ba838c1ec9d4b4edaca27d5d2",
+        "estimate_v.json": "79be5fe7d1f37e58237678af7fa200577c9e00fb59614db98e14d392cb32024a",
         "summary.txt": "8b43fb36e417403e3046c818e3b42d1dbacf5a358d477800bc5c26512b5a7b5c",
-        "v_estimates.csv": "76bdf98b0d1f7889cd7bac1a40f4209cfb12e45efbd801c5323c0af738cc54c2",
+        "v_estimates.csv": "ade58de3b0939fc5f662ca04a09b0a315f1e808b307993ba3029d68cdda30939",
     }, id="estimate-v"),
     pytest.param("endpoint", {"k": 2, "start": [0, 1], "dist": "lazy_lattice"}, 3,
                  {"n": 64, "survivors": 500}, {
@@ -783,3 +783,43 @@ def test_tail_has_no_exact_gate_without_the_star_formula(tmp_path, start, dist):
     spec = validate_spec(TAIL_K3.replace("START", start).replace("DIST", dist))
     manifest, _ = run_experiment(spec, out_dir=str(tmp_path))
     assert "exact_within_4sd" not in manifest.checks
+
+
+ESTIMATE_V_K2 = """
+kind: estimate-v
+walk: {k: 2, start: [0, 3], dist: DIST}
+seed: 3
+params: {schedule: [2, 4, 6], paths: 20000}
+"""
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "lazy_lattice"])
+def test_estimate_v_gates_a_k2_lattice_walk_on_the_exact_vn(tmp_path, monkeypatch, dist):
+    from ordwalk import v_module
+
+    spec = validate_spec(ESTIMATE_V_K2.replace("DIST", dist))
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path / "ok"))
+    report = json.loads((tmp_path / "ok" / "estimate_v.json").read_text())
+    exact = lattice_exact.exact_vn(spec.walk_config(), 6)
+    assert [n for n, _ in report["exact_v"]] == [2, 4, 6]
+    for n, v in report["exact_v"]:
+        assert v == pytest.approx(float(exact[n - 1]), abs=1e-12)
+    assert code == 0 and manifest.checks["exact_vn_4se"]
+    # an estimate 5 standard errors off at n = 4 fails the gate
+    real = v_module._vn_over_schedule
+
+    def biased(*args, **kwargs):
+        return [(n, ci if n != 4 else engine.EstimateCI(ci.mean + 5 * ci.stderr, ci.stderr))
+                for n, ci in real(*args, **kwargs)]
+
+    monkeypatch.setattr(v_module, "_vn_over_schedule", biased)
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path / "biased"))
+    assert code == 1 and not manifest.checks["exact_vn_4se"]
+
+
+@pytest.mark.parametrize("walk", ["{k: 3, start: [0, 1, 2], dist: rademacher}",
+                                  "{k: 2, start: [0.0, 1.0], dist: gaussian}"])
+def test_estimate_v_has_no_exact_gate_off_the_k2_lattice(tmp_path, walk):
+    doc = f"kind: estimate-v\nwalk: {walk}\nparams: {{schedule: [2, 4], paths: 500}}\n"
+    manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert set(manifest.checks) == {"positivity_4sigma"}

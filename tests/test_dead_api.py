@@ -27,8 +27,6 @@ TEST_ONLY = {
         "exact free k-walk law; the killed kernels are checked against it",
     "lattice_exact.exact_stopped_measure":
         "exact exit law P(tau = m, X(m) = z); checked for mass balance with survival",
-    "lattice_exact.gap_chain_stopped_delta":
-        "float64 k=2 E[Delta(X(tau)); tau <= n], the V_n reference past exact capacity",
     "transform.dyson_gap_marginal":
         "ordered-BM gap density; its quadrature checks the closed-form dyson_gap_cdf",
 }

@@ -19,7 +19,7 @@ from ordwalk.lattice_exact import gap_chain_survival
 
 def test_rademacher_metadata():
     d = make_distribution("rademacher")
-    assert d.support() == (-1, 1)
+    assert (d.lattice.lo, d.lattice.lo + d.lattice.span) == (-1, 1)
     assert d.masses == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
     assert d.variance == 1.0
     assert d.lattice == Lattice(lo=-1, span=2, weights=(1, 1), denominator=2)
@@ -27,7 +27,7 @@ def test_rademacher_metadata():
 
 def test_lazy_lattice_metadata():
     d = make_distribution("lazy_lattice")
-    assert d.support() == (-1, 0, 1)
+    assert (d.lattice.lo, len(d.lattice.weights)) == (-1, 3)
     assert d.variance == 0.5
     assert d.lattice == Lattice(lo=-1, span=1, weights=(1, 2, 1), denominator=4)
 
@@ -114,8 +114,7 @@ def test_step_pmf_values():
 def test_step_pmf_continuous_unsupported():
     gauss = make_distribution("gaussian")
     assert gauss.masses is None and not gauss.is_lattice
-    with pytest.raises(UnsupportedOperationError):
-        gauss.support()
+    assert gauss.lattice is None
     with pytest.raises(UnsupportedOperationError):
         gauss.denominator
 

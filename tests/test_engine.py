@@ -1,6 +1,7 @@
 """Path engine: exit detection, batch estimates, and block replay."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -227,8 +228,9 @@ WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
     pytest.param("custom_lattice", D4099, (0, 1), 200, 50, np.int16,
                  "24c1998856c26962b3f251be3b8079a154128ada8f2b816d1f23eb15a483600f",
                  id="d4099-k2"),
+    # written down from the gap-frame simulator, a stream of its own
     pytest.param("gaussian", None, (0.0, 1.0, 2.0), 64, 10, np.float64,
-                 "d254d09f2b50bf20fd3a5ad35e4ed48eeb17b8ca5301fdad2a117a3174665058",
+                 "9fdf93b2c50bcad03a36af58db97b658afe2d24d1e644815d8c5996bfd83d1cd",
                  id="gaussian-k3"),
     # paths that pass 2**15 - 1, so the positions need int32
     pytest.param("rademacher", None, (2 ** 15 - 24, 2 ** 15 - 22), 300, 150, np.int32,
@@ -310,3 +312,94 @@ def test_survival_matches_exact_rational_at_every_chunk_size(start, chunk, monke
     for n, est in batch_survival(cfg, range(1, 9), paths):
         p = float(exact_survival_kernel(cfg, n).total_mass())
         assert abs(est.mean - p) <= 4 * np.sqrt(p * (1 - p) / paths), (n, est.mean, p)
+
+
+def test_position_dtype_reads_the_lattice_not_keys_of_mass_zero():
+    # a key of mass zero is no step: the positions fit int16 with or without it
+    half = Fraction(1, 2)
+    with_key = make_distribution("custom_lattice", masses={-1: half, 1: half, 40000: 0})
+    cfgs = [WalkConfig(k=3, start=(0, 1, 2), dist=dist, master_seed=8)
+            for dist in (with_key, RAD)]
+    assert [engine._position_dtype(cfg, 64) for cfg in cfgs] == [np.int16, np.int16]
+    first, again = (_simulate_block(cfg, 64, 1, 3000, 10) for cfg in cfgs)
+    assert all(np.array_equal(x, y) for x, y in zip(first, again))
+
+
+def _phi(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("gap, variance", [(0.5, 1.0), (1.0, 1.0), (2.0, 2.5)])
+def test_gaussian_pair_survives_one_step_with_the_normal_chance(gap, variance):
+    # one step moves the gap by a N(0, 2 sigma^2) increment, so
+    # P(tau > 1) = Phi(g / (sigma sqrt 2))
+    cfg = WalkConfig(k=2, start=(0.0, gap),
+                     dist=make_distribution("gaussian", variance=variance), master_seed=7)
+    [(_, est)] = batch_survival(cfg, [1], paths=1 << 16)
+    assert est.covers(_phi(gap / math.sqrt(2.0 * variance)), n_sigma=4)
+
+
+def _per_walker_reference(start, variance, horizons, paths, seed):
+    """P(tau > n) and E[Delta(X(tau)); tau <= n], each with its standard error,
+    from k walkers that each take the running sum of their own normals."""
+    rng = np.random.default_rng(seed)
+    n = max(horizons)
+    steps = rng.standard_normal((n, paths, len(start))) * math.sqrt(variance)
+    walk = np.asarray(start) + np.cumsum(steps, axis=0)
+    out_of_order = (np.diff(walk, axis=2) <= 0).any(axis=2)
+    exited = out_of_order.any(axis=0)
+    tau = np.where(exited, out_of_order.argmax(axis=0) + 1, n + 1)
+    delta = vandermonde(walk[np.minimum(tau, n) - 1, np.arange(paths)])
+    return _survival_and_stopped_delta(tau, delta, horizons)
+
+
+def _survival_and_stopped_delta(tau, delta, horizons):
+    out = []
+    for h in horizons:
+        alive = tau > h
+        stopped = np.where(alive, 0.0, delta)
+        p = alive.mean()
+        out.append((p, math.sqrt(p * (1 - p) / tau.size),
+                    stopped.mean(), stopped.std() / math.sqrt(tau.size)))
+    return out
+
+
+@pytest.mark.parametrize("start", [(0.0, 1.0), (0.0, 1.0, 2.5)])
+def test_gaussian_blocks_match_independent_walkers(start):
+    # the gap-frame blocks against k walkers that each sum their own normals:
+    # P(tau > n) and E[Delta(X(tau)); tau <= n] agree within 4 combined se
+    horizons, variance = (2, 8, 24), 1.5
+    cfg = WalkConfig(k=len(start), start=start,
+                     dist=make_distribution("gaussian", variance=variance), master_seed=9)
+    blocks = list(engine._blocks(cfg, max(horizons), 1 << 16, stopped=True))
+    tau = np.concatenate([b[0] for b in blocks])
+    delta = np.concatenate([b[1] for b in blocks])
+    got = _survival_and_stopped_delta(tau, delta, horizons)
+    ref = _per_walker_reference(start, variance, horizons, 1 << 15, seed=10)
+    for h, (p, p_se, d, d_se), (q, q_se, e, e_se) in zip(horizons, got, ref):
+        assert abs(p - q) <= 4 * math.hypot(p_se, q_se), (h, p, q)
+        assert abs(d - e) <= 4 * math.hypot(d_se, e_se), (h, d, e)
+
+
+@pytest.mark.parametrize("start", [(0.0, 2.0), (0.0, 2.5, 5.0)])
+def test_gaussian_centre_of_survivors_is_a_free_brownian_centre(start):
+    # the centre of mass moves independently of the gaps, so given survival
+    # its displacement at s is still N(0, sigma^2 s / k): the survivors' row
+    # means have variance sigma^2 h / k, and the displacements at the
+    # snapshot and at the horizon have covariance sigma^2 snap / k
+    k, variance, horizon, snap_step = len(start), 2.0, 16, 6
+    cfg = WalkConfig(k=k, start=start, dist=make_distribution("gaussian", variance=variance),
+                     master_seed=12)
+    blocks = list(engine._blocks(cfg, horizon, 4 * BLOCK_SIZE, snap_step=snap_step))
+    alive = np.concatenate([tau > horizon for tau, _, _ in blocks])
+    end = np.concatenate([survivors.mean(axis=1) for _, survivors, _ in blocks])
+    snap = np.concatenate([s.mean(axis=1) for _, _, s in blocks])[alive]
+    end -= np.mean(start)
+    snap -= np.mean(start)
+    n = end.size
+    assert n > 2000
+    var_h = variance * horizon / k
+    assert abs(end.var() - var_h) <= 4 * var_h * math.sqrt(2.0 / (n - 1))
+    product = snap * end
+    cov = variance * snap_step / k
+    assert abs(product.mean() - cov) <= 4 * product.std() / math.sqrt(n)

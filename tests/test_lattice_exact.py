@@ -195,7 +195,7 @@ def test_gap_chain_matches_exact_kernel():
 def test_gap_chain_stopped_delta_matches_exact():
     for n in (1, 3, 5):
         exact = exact_vn(CFG2, n)[-1]
-        got = gap_chain_stopped_delta(RAD, 1, n)
+        [(_, got)] = gap_chain_stopped_delta(RAD, 1, [n])
         assert got == pytest.approx(1.0 - float(exact), abs=1e-12)
 
 
@@ -269,7 +269,7 @@ def test_decimated_gap_chain_matches_exact_kernels(dist, start_gap):
         kern = exact_survival_kernel(cfg, h)
         assert survival[h] == pytest.approx(float(kern.total_mass()), abs=1e-12)
         # Delta(x) = start_gap, so E[Delta(X(tau)); tau <= h] = start_gap - V_h
-        stopped = gap_chain_stopped_delta(dist, start_gap, h)
+        [(_, stopped)] = gap_chain_stopped_delta(dist, start_gap, [h])
         assert stopped == pytest.approx(start_gap - float(vs[h - 1]), abs=1e-12)
         by_gap = {}
         for (a, b), mass in kern.masses.items():
@@ -302,7 +302,7 @@ def test_gap_chain_window_is_capped_and_counts_the_truncated_mass(monkeypatch):
     lambda: gap_chain_survival(RAD, 1, [64, 256]),
     lambda: lattice_exact._gap_chain_dp(RAD, 1, [256]),
     lambda: gap_chain_alive_distribution(RAD, 1, 256),
-    lambda: gap_chain_stopped_delta(RAD, 1, 256),
+    lambda: gap_chain_stopped_delta(RAD, 1, [256]),
     lambda: transformed_gap_distribution(1, 256),
 ])
 def test_gap_chain_wrappers_raise_on_truncation(monkeypatch, call):

@@ -81,7 +81,8 @@ def _transform_step_law(x):
     """Exact one-step law p(x -> y) V(y) / V(x) of the k=2 Rademacher transform."""
     vx = int(tr._rademacher_v(x))
     law = {}
-    for a, b in product(RAD.support(), repeat=2):
+    steps = [RAD.lattice.lo + RAD.lattice.span * j for j in range(len(RAD.lattice.weights))]
+    for a, b in product(steps, repeat=2):
         y = (x[0] + a, x[1] + b)
         if in_weyl(y):
             law[y] = RAD.masses[a] * RAD.masses[b] * int(tr._rademacher_v(y)) / vx
