@@ -400,13 +400,20 @@ def _run_estimate_v(spec, cfg):
     if cfg.k == 2 and cfg.dist.is_lattice:
         # the exact V_n = Delta(x) - E[Delta(X(tau)); tau <= n] at every
         # horizon, from one gap-chain DP; Delta(x) is the start gap. Each
-        # estimate must fall within 4 standard errors of it
+        # estimate must fall within 4 exact standard errors of it, the sd of
+        # Delta(X(tau)) 1{tau <= n} from the DP's two moments, plus one
+        # path's exit, |Delta(X(tau))| / paths < width / paths: when exits
+        # are rare a single one is many standard errors
         gap = int(cfg.start[1] - cfg.start[0])
-        stopped = lattice_exact.gap_chain_stopped_delta(
+        lat = cfg.dist.lattice
+        width = lat.span * (len(lat.weights) - 1)
+        moments = lattice_exact.gap_chain_stopped_delta(
             cfg.dist, gap, [n for n, _ in est.per_horizon])
-        result["exact_v"] = [[n, gap - e] for n, e in stopped]
+        result["exact_v"] = [[n, gap - m1] for n, m1, _ in moments]
         checks["exact_vn_4se"] = all(
-            ci.covers(v, 4) for (_, ci), (_, v) in zip(est.per_horizon, result["exact_v"]))
+            abs(ci.mean - (gap - m1))
+            <= 4 * math.sqrt(max(m2 - m1 * m1, 0.0) / paths) + width / paths
+            for (_, ci), (_, m1, m2) in zip(est.per_horizon, moments))
     return (result,
             {"v_estimates": (("n", "estimate", "stderr", "diagnostic"), rows)},
             checks)

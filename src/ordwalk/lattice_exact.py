@@ -575,7 +575,8 @@ def _gap_blocks(dist: StepDistribution, gap: int, n: int):
     blocks[r - 1] = (kernel, band, exits). kernel is the r-fold step law on
     displacements r lo..r hi. No path from a cell i >= r |lo| can exit within
     r steps; below that lie the band cells, with band[i, j] =
-    P_i(tau > r, cell(r) = j) and exits[i] = E_i[gap(tau); tau <= r].
+    P_i(tau > r, cell(r) = j) and exits[i] = (E_i[gap(tau); tau <= r],
+    E_i[gap(tau)^2; tau <= r]).
 
     With den the common denominator of the gap law, L <= n is the largest r
     with den^r < 2^53 (at least 1). All tables come from one integer count DP
@@ -592,17 +593,19 @@ def _gap_blocks(dist: StepDistribution, gap: int, n: int):
     while size < n and den ** (size + 1) < _EXACT_FLOAT_BOUND:
         size += 1
     rows = size * -lo + 1
-    dtype = _int_dtype(den ** size * span * (1 - lo))  # bounds the counts and exits
+    # bounds the counts and both exit moments
+    dtype = _int_dtype(den ** size * (span * (1 - lo)) ** 2)
     state = np.eye(rows, dtype=dtype)  # state[i, j]: from cell i to cell j
     exit_gaps = first + span * np.arange(lo, 0)
-    exits = np.zeros(rows, dtype=dtype)
+    exit_moments = np.stack([exit_gaps, exit_gaps ** 2], axis=1).astype(dtype)
+    exits = np.zeros((rows, 2), dtype=dtype)
     blocks = []
     for r in range(1, size + 1):
         out = np.zeros((rows, state.shape[1] + hi - lo), dtype=dtype)  # cells lo..
         for j, w in enumerate(step):
             if w:
                 out[:, j:j + state.shape[1]] += w * state
-        exits = den * exits + out[:, :-lo] @ exit_gaps
+        exits = den * exits + out[:, :-lo] @ exit_moments
         state = out[:, -lo:]
         b, scale = r * -lo, den ** r
         blocks.append(tuple(np.asarray(a / scale, dtype=float) for a in (
@@ -618,11 +621,12 @@ def _run_blocks(gap_blocks, mass: np.ndarray, cap: int, horizons):
     the kernel, the band by one product with its transfer matrix. At the end
     of a block the mass on cells >= cap is summed into `truncated` and
     dropped; the capped chain is a sub-process of the uncapped one, so this
-    bounds what it lost. Yields (h, mass, stopped, truncated) per horizon,
-    with stopped = E[gap(tau); tau <= h] of the kept mass.
+    bounds what it lost. Yields (h, mass, stopped, stopped_sq, truncated) per
+    horizon, with stopped = E[gap(tau); tau <= h] and stopped_sq =
+    E[gap(tau)^2; tau <= h] of the kept mass.
     """
     *_, hi, blocks = gap_blocks
-    m, stopped, truncated = 0, 0.0, 0.0
+    m, moments, truncated = 0, np.zeros(2), 0.0
     for h in horizons:
         while m < h:
             r = min(len(blocks), h - m)
@@ -633,12 +637,13 @@ def _run_blocks(gap_blocks, mass: np.ndarray, cap: int, horizons):
             else:
                 arrive = np.zeros(mass.size + r * hi)
             arrive[:b + r * hi] += mass[:b] @ band[:b, :b + r * hi]
-            stopped += float(mass[:b] @ exits[:b])
+            moments += mass[:b] @ exits[:b]
             if arrive.size > cap:
                 truncated += float(arrive[cap:].sum())
                 arrive = arrive[:cap]
             mass, m = arrive, m + r
-        yield h, mass, stopped, truncated
+        stopped, stopped_sq = map(float, moments)
+        yield h, mass, stopped, stopped_sq, truncated
 
 
 # The gap DP's window reaches this many gap standard deviations, sigma sqrt(n)
@@ -680,12 +685,12 @@ def killed_gap_chain(dist: StepDistribution, start_gap: int, horizons):
     Returns (gaps, mass, table): mass[i] = P(tau > n, gap(n) = gaps[i]) on
     the positive gaps of the window at the last horizon n, and table maps
     each horizon h to (P(tau > h), E[gap(tau) 1{tau <= h}], truncated mass
-    to h). The gap at absorption equals Delta of the two-walker configuration
-    at tau. Float64 is used because the target horizons (up to 2^14) are far
-    beyond exact-rational capacity. For Rademacher from gaps 1, 3, 5 and 9
-    the survival agrees with the exact reflection formula within 2.5e-15
-    relative at horizons up to 2^14, and from gap 1 the truncated mass to
-    2^14 is 5.2e-34. For lazy steps and for the masses 1/3, 2/3 on -2, 1 it
+    to h, E[gap(tau)^2 1{tau <= h}]). The gap at absorption equals Delta of
+    the two-walker configuration at tau. Float64 is used because the target
+    horizons (up to 2^14) are far beyond exact-rational capacity. For
+    Rademacher from gaps 1, 3, 5 and 9 the survival agrees with the exact
+    reflection formula within 2.5e-15 relative at horizons up to 2^14, and
+    from gap 1 the truncated mass to 2^14 is 5.2e-34. For lazy steps and for the masses 1/3, 2/3 on -2, 1 it
     agrees with an exact integer DP within 2.7e-15 relative to n = 2000.
     """
     if start_gap <= 0:
@@ -701,19 +706,23 @@ def killed_gap_chain(dist: StepDistribution, start_gap: int, horizons):
     mass = np.zeros(start + 1)
     mass[start] = 1.0
     table = {}
-    for h, mass, stopped, truncated in _run_blocks(chain, mass, cap, horizons):
-        table[h] = (float(mass.sum()), stopped, truncated)
+    for h, mass, stopped, stopped_sq, truncated in _run_blocks(chain, mass, cap, horizons):
+        table[h] = (float(mass.sum()), stopped, truncated, stopped_sq)
     gaps = first + span * np.arange(mass.size)
     return gaps, mass, table
 
 
 def _gap_chain_dp(dist: StepDistribution, start_gap: int, horizons):
-    """Per horizon, (P(tau > h), E[gap(tau) 1{tau <= h}], truncated mass) of
-    the gap chain; raises TruncationError where the truncated mass exceeds
-    _TRUNCATION_RTOL of P(tau > h)."""
-    table = killed_gap_chain(dist, start_gap, horizons)[2]
-    for h, (alive, _, truncated) in table.items():
+    """`killed_gap_chain`'s table; raises TruncationError where the truncated
+    mass could move P(tau > h) or V_h = start_gap - E[gap(tau); tau <= h] by
+    more than _TRUNCATION_RTOL of its value. V_h >= P(tau > h) > 0."""
+    gaps, _, table = killed_gap_chain(dist, start_gap, horizons)
+    # a truncated path may still exit, at a gap no lower than the least
+    # positive gap of the lattice plus the least step
+    deepest = -(int(gaps[0]) + int(_gap_step_law(dist)[0][0]))
+    for h, (alive, stopped, truncated, _) in table.items():
         _require_truncation_within(f"P(tau > {h})", alive, truncated)
+        _require_truncation_within(f"V_{h}", start_gap - stopped, deepest * truncated)
     return table
 
 
@@ -726,7 +735,7 @@ def _alive_law(dist: StepDistribution, start_gap: int, n: int):
     """`gap_chain_alive_distribution`'s (gaps, probs), and the DP's extent:
     its truncated mass to n and the cells of its window at n."""
     gaps, mass, table = killed_gap_chain(dist, start_gap, [n])
-    alive, _, truncated = table[n]
+    alive, _, truncated, _ = table[n]
     _require_truncation_within(f"P(tau > {n})", alive, truncated)
     keep = mass > 0
     return gaps[keep], mass[keep] / alive, _gap_dp_extent(truncated, mass.size)
@@ -762,21 +771,16 @@ def _survival_by_gap(dist: StepDistribution, gaps, n: int) -> np.ndarray:
     span, first, hi, _ = chain
     cells = (gaps - first) // span
     top = int(cells.max()) + n * hi
-    (_, mass, _, _), = _run_blocks(chain, np.ones(top + 1), top + 1, [n])
+    (_, mass, *_), = _run_blocks(chain, np.ones(top + 1), top + 1, [n])
     return mass[cells]
 
 
 def gap_chain_stopped_delta(dist: StepDistribution, start_gap: int, horizons):
-    """E[Delta(X(tau)) 1{tau <= h}] for the two-walker chain at each horizon h,
-    by one float64 DP. Returns [(h, value)] in increasing h."""
-    gaps, _, table = killed_gap_chain(dist, start_gap, horizons)
-    # a truncated path may still exit, at a gap no lower than the least
-    # positive gap of the lattice plus the least step
-    deepest = -(int(gaps[0]) + int(_gap_step_law(dist)[0][0]))
-    for h, (_, stopped, truncated) in table.items():
-        _require_truncation_within(f"E[Delta(X(tau)); tau <= {h}]", stopped,
-                                   deepest * truncated)
-    return [(h, table[h][1]) for h in sorted(table)]
+    """The first two moments of Delta(X(tau)) 1{tau <= h} for the two-walker
+    chain at each horizon h, by one float64 DP. Returns [(h, E[Delta(X(tau));
+    tau <= h], E[Delta(X(tau))^2; tau <= h])] in increasing h."""
+    table = _gap_chain_dp(dist, start_gap, horizons)
+    return [(h, table[h][1], table[h][3]) for h in sorted(table)]
 
 
 # ---------------------------------------------------------------------------

@@ -817,6 +817,20 @@ def test_estimate_v_gates_a_k2_lattice_walk_on_the_exact_vn(tmp_path, monkeypatc
     assert code == 1 and not manifest.checks["exact_vn_4se"]
 
 
+@pytest.mark.parametrize("dist, gap", [("rademacher", 23), ("rademacher", 41),
+                                       ("rademacher", 301), ("lazy_lattice", 23)])
+@pytest.mark.parametrize("seed", range(5))
+def test_estimate_v_exact_gate_holds_from_far_starts(tmp_path, dist, gap, seed):
+    # default schedule [16, 32, 64, 128] and 1e5 paths. From gap 41 an exit
+    # by n = 32 has chance 6e-8, so the sample mostly sees none and its
+    # stderr is 0 while the exact V_32 exceeds 41; from gap 301 no exit is
+    # possible by n = 128, though mass crosses the DP window's cap
+    doc = (f"kind: estimate-v\nwalk: {{k: 2, start: [0, {gap}], dist: {dist}}}\n"
+           f"seed: {seed}\n")
+    manifest, code = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert code == 0 and manifest.checks["exact_vn_4se"]
+
+
 @pytest.mark.parametrize("walk", ["{k: 3, start: [0, 1, 2], dist: rademacher}",
                                   "{k: 2, start: [0.0, 1.0], dist: gaussian}"])
 def test_estimate_v_has_no_exact_gate_off_the_k2_lattice(tmp_path, walk):

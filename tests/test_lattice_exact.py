@@ -195,8 +195,10 @@ def test_gap_chain_matches_exact_kernel():
 def test_gap_chain_stopped_delta_matches_exact():
     for n in (1, 3, 5):
         exact = exact_vn(CFG2, n)[-1]
-        [(_, got)] = gap_chain_stopped_delta(RAD, 1, [n])
+        [(_, got, got_sq)] = gap_chain_stopped_delta(RAD, 1, [n])
         assert got == pytest.approx(1.0 - float(exact), abs=1e-12)
+        # from gap 1 every exit lands on gap -1
+        assert got_sq == pytest.approx(-got, abs=1e-15)
 
 
 def test_gap_chain_alive_distribution():
@@ -228,7 +230,7 @@ def test_gap_chain_matches_reflection_oracle_at_large_n():
     n = 1 << 14
     for start_gap in (1, 3, 5):
         gaps, mass, table = lattice_exact.killed_gap_chain(RAD, start_gap, [n])
-        alive, stopped, truncated = table[n]
+        alive, stopped, truncated, _ = table[n]
         exact = float(_reflection_survival(start_gap, n))
         assert abs(alive - exact) <= 1e-13 * exact
         assert dict(gap_chain_survival(RAD, start_gap, [n]))[n] == alive
@@ -269,7 +271,7 @@ def test_decimated_gap_chain_matches_exact_kernels(dist, start_gap):
         kern = exact_survival_kernel(cfg, h)
         assert survival[h] == pytest.approx(float(kern.total_mass()), abs=1e-12)
         # Delta(x) = start_gap, so E[Delta(X(tau)); tau <= h] = start_gap - V_h
-        [(_, stopped)] = gap_chain_stopped_delta(dist, start_gap, [h])
+        [(_, stopped, _)] = gap_chain_stopped_delta(dist, start_gap, [h])
         assert stopped == pytest.approx(start_gap - float(vs[h - 1]), abs=1e-12)
         by_gap = {}
         for (a, b), mass in kern.masses.items():
@@ -286,13 +288,13 @@ def test_gap_chain_window_is_capped_and_counts_the_truncated_mass(monkeypatch):
     horizons = [4, 16, 64, 256]
     monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1e9)
     uncapped = lattice_exact.killed_gap_chain(RAD, 1, horizons)[2]
-    assert all(truncated == 0.0 for _, _, truncated in uncapped.values())
+    assert all(truncated == 0.0 for _, _, truncated, _ in uncapped.values())
     monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1.0)
     gaps, _, capped = lattice_exact.killed_gap_chain(RAD, 1, horizons)
     assert gaps[-1] <= 1 + math.sqrt(2 * 256) + 2  # 1 sigma sqrt(n) above gap 1
     assert capped[256][2] > 1e-3
     for h in horizons:
-        alive, stopped, truncated = capped[h]
+        alive, stopped, truncated, _ = capped[h]
         assert abs(alive - uncapped[h][0]) <= truncated
         # every exit from an odd gap lands on gap -1: no mass goes missing
         assert alive - stopped + truncated == pytest.approx(1.0, abs=1e-14)
@@ -331,12 +333,13 @@ def test_gap_blocks_are_exact_and_as_long_as_the_float_bound_allows():
     kernel, band, exits = lattice_exact._gap_blocks(RAD, 1, 1 << 14)[-1][-1]
     assert kernel.tolist() == [math.comb(52, j) / 2 ** 52 for j in range(53)]
     # from cell 0 (gap 1) every exit lands on gap -1
-    assert exits[0] == -(1 - band[0].sum())
+    assert exits[0].tolist() == [-(1 - band[0].sum()), 1 - band[0].sum()]
 
 
 def _exact_gap_chain(dist, start_gap, horizons):
-    """{h: (P(tau > h), E[gap(tau); tau <= h])} as Fractions, by an uncapped
-    integer count DP of the gap chain, one step at a time."""
+    """{h: (P(tau > h), E[gap(tau); tau <= h], E[gap(tau)^2; tau <= h])} as
+    Fractions, by an uncapped integer count DP of the gap chain, one step at
+    a time."""
     law = lattice_exact._gap_law(dist)
     span = math.gcd(*law)
     lo, hi = min(law) // span, max(law) // span
@@ -344,16 +347,19 @@ def _exact_gap_chain(dist, start_gap, horizons):
     first = (start_gap - 1) % span + 1
     counts = np.zeros((start_gap - first) // span + 1, dtype=object)
     counts[-1] = 1
-    stopped, table = 0, {}
+    stopped, stopped_sq, table = 0, 0, {}
     for m in range(1, max(horizons) + 1):
         out = np.zeros(counts.size + hi - lo, dtype=object)
         for j in range(hi - lo + 1):
             out[j:j + counts.size] += int(law.get(span * (lo + j), 0) * den) * counts
         stopped = stopped * den + sum(int(c) * (first + span * cell)
                                       for c, cell in zip(out[:-lo], range(lo, 0)))
+        stopped_sq = stopped_sq * den + sum(int(c) * (first + span * cell) ** 2
+                                            for c, cell in zip(out[:-lo], range(lo, 0)))
         counts = out[-lo:]
         if m in horizons:
-            table[m] = (Fraction(int(counts.sum()), den ** m), Fraction(stopped, den ** m))
+            table[m] = (Fraction(int(counts.sum()), den ** m), Fraction(stopped, den ** m),
+                        Fraction(stopped_sq, den ** m))
     return table
 
 
@@ -365,9 +371,10 @@ def test_blocked_gap_chain_matches_an_exact_integer_dp(dist, start_gap):
     exact = _exact_gap_chain(dist, start_gap, horizons)
     table = lattice_exact.killed_gap_chain(dist, start_gap, horizons)[2]
     for h in horizons:
-        alive, stopped = map(float, exact[h])
+        alive, stopped, stopped_sq = map(float, exact[h])
         assert abs(table[h][0] - alive) <= 1e-14 * alive, h
         assert abs(table[h][1] - stopped) <= 1e-14 * max(1.0, abs(stopped)), h
+        assert abs(table[h][3] - stopped_sq) <= 1e-14 * max(1.0, stopped_sq), h
 
 
 def test_blocked_gap_chain_of_a_law_past_the_float_bound(monkeypatch):
