@@ -439,13 +439,23 @@ def _run_tail(spec, cfg):
     rows = [(n, ci.mean, ci.stderr) for n, ci in surv]
     tol = float(spec.params.get("exponent_tol", 0.15))
     checks = {"exponent_within_tol": abs(fit.exponent - theory) <= tol}
+    ns = [n for n, _ in surv]
     if cfg.dist.kind == "rademacher" and all(b - a == 1 for a, b in zip(cfg.start, cfg.start[1:])):
-        # from a packed start every horizon has the exact star survival; each
-        # estimate must fall within 4 binomial sd of it
-        exact = lattice_exact.star_survival(cfg.k, [n for n, _ in surv])
+        # from a packed start every horizon has the exact star survival
+        exact = lattice_exact.star_survival(cfg.k, ns)
+    elif cfg.k == 2 and cfg.dist.is_lattice:
+        # any other k=2 lattice walk has it from the gap-chain DP
+        exact = lattice_exact.gap_chain_survival(
+            cfg.dist, int(cfg.start[1] - cfg.start[0]), ns)
+    else:
+        exact = None
+    if exact is not None:
+        # each estimate must fall within 4 binomial sd of the exact value,
+        # plus one path: from a far start exits are rare, and a single one
+        # is many sd
         result["exact_survival"] = [[n, p] for n, p in exact]
         checks["exact_within_4sd"] = all(
-            abs(ci.mean - p) <= 4.0 * math.sqrt(p * (1.0 - p) / paths)
+            abs(ci.mean - p) <= 4.0 * math.sqrt(p * (1.0 - p) / paths) + 1.0 / paths
             for (_, ci), (_, p) in zip(surv, exact))
     return (result, {"survival": (("n", "p_survive", "stderr"), rows)}, checks)
 

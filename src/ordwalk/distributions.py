@@ -4,7 +4,8 @@ Lattice kinds carry exact rational masses on integer sites, the `Lattice`
 built from them once (the steps lo + span*j with their integer counts
 d*p(lo + span*j), d the masses' common denominator), which every exact layer
 reads, and a step sampler compiled once from that lattice: uniform integers
-on [0, d), cut from the stream's raw 64-bit words and mapped to sites by
+on [0, d), cut from the stream's raw 64-bit words (in byte lanes or wider,
+or one bit per draw when d = 2) and mapped to sites by
 integer comparisons with the slot ranges' ends, so every draw has exactly the
 law's masses.
 Continuous kinds only promise determinism per stream and the stored moments.
@@ -85,8 +86,10 @@ class LatticeSampler:
     masked to the bit length of d - 1 and kept if it is below d; lanes at or
     above d are rejected, and more words are drawn until the shape is full.
     So the kept lanes are exactly uniform on [0, d), and a power-of-two d
-    rejects nothing. A draw of N steps is the first N kept lanes of the word
-    stream, so a smaller draw from the same state is a prefix of a larger one.
+    rejects nothing. For d = 2 a lane is one bit instead (the low bit of the
+    low byte first), so a word gives 64 draws rather than 8. A draw of N
+    steps is the first N kept lanes of the word stream, so a smaller draw
+    from the same state is a prefix of a larger one.
 
     The site of u is sites[0] + sum_j (sites[j+1] - sites[j]) * [u >= ends[j]],
     S - 1 compare-adds for S sites in the dtype the caller asks for.
@@ -135,6 +138,10 @@ class LatticeSampler:
     def uniforms(self, bit_generator, size: int) -> np.ndarray:
         """`size` exact uniform integers on [0, d) from raw words, in stream order."""
         d = self.denominator
+        if d == 2:
+            # one-bit lanes: the words' bits, low bit of the low byte first
+            words = bit_generator.random_raw(-(-size // 64))
+            return np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
         mask = (1 << (d - 1).bit_length()) - 1
         lanes = 8 // np.dtype(self.draw_dtype).itemsize  # lanes per 64-bit word
         kept = []

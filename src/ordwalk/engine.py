@@ -8,14 +8,16 @@ that order, so a rerun reproduces every estimate bit for bit.
 A block advances in time-major chunks. With m paths alive, one
 `StepDistribution.sample_array` call draws the steps of the next
 t = max(1, CHUNK_CELLS // m) times (fewer at the horizon) for all m paths,
-as an array of shape (t, m, w); the walk's state is its cumulative sum along
-time, and each path's exit time is its first step out of order in the
-chunk. The chunk length depends on m alone, never on the horizon or the
-snapshot step, so a block is a pure function of (seed, block index) and a
-shorter horizon replays the same paths. A path that exits inside a chunk
-still has its steps drawn to the end of that chunk; the traced count
-`distributions.draws` includes these steps past the exit, so it exceeds w
-times the path-steps.
+as an array of shape (t, w, m), walker-major: cell (i, j, l) is the step of
+walker (or gap) j on alive path l at the chunk's step i, so each walker's m
+paths lie side by side. The walk's state, a (w, m) array, is its cumulative
+sum along time, and each path's exit time is its first step out of order in
+the chunk, found by compares of whole walker rows. The chunk length depends
+on m alone, never on the horizon or the snapshot step, so a block is a pure
+function of (seed, block index) and a shorter horizon replays the same
+paths. A path that exits inside a chunk still has its steps drawn to the end
+of that chunk; the traced count `distributions.draws` includes these steps
+past the exit, so it exceeds w times the path-steps.
 
 The state of most laws is the k positions (w = k). A Gaussian walk runs in
 the gap frame instead (w = k - 1): the exit time and Delta read only the
@@ -70,7 +72,8 @@ BLOCK_SIZE = 1 << 14
 CHUNK_CELLS = 1 << 14
 # a chunk's running sum adds whole time rows from this many cells per row (m
 # paths times the state's width) up; below it np.cumsum is faster (timed
-# crossover for int16 positions between 416 and 448 cells at k = 2 and 3)
+# crossover for int16 positions in (t, w, m) chunks: between 448 and 480
+# cells at k = 2 and 3; float64 gaps between 352 and 384 at k = 2 and 3)
 _WIDE_ROW_CELLS = 448
 
 
@@ -144,13 +147,14 @@ def _position_dtype(cfg: WalkConfig, horizon: int):
 
 
 def _gap_steps(steps):
-    """Turn the i.i.d. sigma-normals of steps[..., j], j < k - 1, into the
-    increments of the k - 1 gaps of k Gaussian walkers, in place: the rows
-    times L^T, L the Cholesky factor of the gap covariance tridiag(-1, 2, -1)."""
-    for j in range(steps.shape[-1] - 1, 0, -1):
-        steps[..., j] *= math.sqrt((j + 2) / (j + 1))
-        steps[..., j] -= math.sqrt(j / (j + 1)) * steps[..., j - 1]
-    steps[..., 0] *= math.sqrt(2.0)
+    """Turn the i.i.d. sigma-normals of steps[:, j], j < k - 1, into the
+    increments of the k - 1 gaps of k Gaussian walkers, in place: each
+    path-step's column times L^T, L the Cholesky factor of the gap covariance
+    tridiag(-1, 2, -1)."""
+    for j in range(steps.shape[1] - 1, 0, -1):
+        steps[:, j] *= math.sqrt((j + 2) / (j + 1))
+        steps[:, j] -= math.sqrt(j / (j + 1)) * steps[:, j - 1]
+    steps[:, 0] *= math.sqrt(2.0)
 
 
 def _gap_positions(cfg: WalkConfig, gaps, centre):
@@ -194,17 +198,17 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     else:
         dtype, width = _position_dtype(cfg, horizon), k
         origin = np.asarray(cfg.start, dtype=dtype)
-    pos = np.tile(origin, (block_size, 1))
+    pos = np.repeat(origin[:, None], block_size, axis=1)  # (width, alive paths)
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
     if stopped:
         terminal = np.empty((block_size, width), dtype=out_dtype)
     alive_idx = np.arange(block_size)
-    snap = pos.astype(out_dtype) if snap_step is not None else None
+    snap = None if snap_step is None else np.tile(origin.astype(out_dtype), (block_size, 1))
     n = 0  # steps taken so far
     while n < horizon and alive_idx.size:
         m = alive_idx.size
         t = min(max(1, CHUNK_CELLS // m), horizon - n)
-        path = cfg.dist.sample_array(rng, (t, m, width), dtype)
+        path = cfg.dist.sample_array(rng, (t, width, m), dtype)
         if gap_frame:
             _gap_steps(path)
         path[0] += pos
@@ -217,30 +221,31 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
             for i in range(1, t):
                 path[i] += path[i - 1]
         if gap_frame:
-            broken = path[:, :, 0] <= 0
+            broken = path[:, 0] <= 0
             for j in range(1, width):
-                broken |= path[:, :, j] <= 0
+                broken |= path[:, j] <= 0
         else:
-            broken = path[:, :, 1] <= path[:, :, 0]
+            broken = path[:, 1] <= path[:, 0]
             for j in range(2, k):
-                broken |= path[:, :, j] <= path[:, :, j - 1]
+                broken |= path[:, j] <= path[:, j - 1]
         exits = broken.any(axis=0)
         rows = np.flatnonzero(exits)  # the paths that exit in this chunk
         exit_at = broken[:, rows].argmax(axis=0)  # and the chunk step where they do
         if snap_step is not None and n < snap_step <= n + t:
             live = np.ones(m, dtype=bool)
             live[rows[exit_at < snap_step - n]] = False
-            snap[alive_idx[live]] = path[snap_step - n - 1, live]
+            snap[alive_idx[live]] = path[snap_step - n - 1][:, live].T
         pos = path[-1]
         if rows.size:
             dead = alive_idx[rows]
             tau[dead] = n + 1 + exit_at
             if stopped:
-                terminal[dead] = path[exit_at, rows]
+                terminal[dead] = path[exit_at, :, rows]
             keep = ~exits
             alive_idx = alive_idx.compress(keep)
-            pos = pos.compress(keep, axis=0)
+            pos = pos.compress(keep, axis=1)
         n += t
+    pos = pos.T  # the survivors' rows
     if stopped:
         terminal[alive_idx] = pos
     if gap_frame:
@@ -265,8 +270,8 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
         else:
             pos = _gap_positions(cfg, pos, centre[alive_idx])
     if not stopped:
-        # a copy, so no chunk's path array outlives the block
-        return tau, pos.astype(out_dtype), snap
+        # a C-ordered copy, so no chunk's path array outlives the block
+        return tau, pos.astype(out_dtype, order="C"), snap
     # Delta in float64, which int64 products would overflow at large k
     delta = vandermonde(terminal.astype(np.float64, copy=False))
     return tau, delta, terminal, snap

@@ -242,8 +242,8 @@ _RAD2 = {"k": 2, "start": [0, 1], "dist": "rademacher"}
 @pytest.mark.parametrize("kind, walk, seed, params, files", [
     pytest.param("tail", _RAD2, 3, {"horizons": [16, 64], "paths": 20000}, {
         "summary.txt": "73e9593403a765f1355b29db3ee166106e83f86ff033ecc574dee59634c61a20",
-        "survival.csv": "0f16d9b5494e93211ce2e18dc99d325e18ff47f47d5a3b6226f28853dede4faf",
-        "tail.json": "f4ec0da8288ed2ba6c7807f8119b38ac71c6a790767e1eb321b2616760546670",
+        "survival.csv": "dd52ee11ea02af24ee2330b3c7a90f1ba0fc1f7b93478496cb11dee5faacf52e",
+        "tail.json": "d9f0b85dc2b0a459a14d929b89f9b1d4c6f5428b16f92576918adfeb6f04c245",
     }, id="tail"),
     pytest.param("estimate-v", {"k": 2, "start": [0.0, 1.0], "dist": "gaussian"}, 3,
                  {"schedule": [16, 32], "paths": 20000}, {
@@ -253,24 +253,26 @@ _RAD2 = {"k": 2, "start": [0, 1], "dist": "rademacher"}
     }, id="estimate-v"),
     pytest.param("endpoint", {"k": 2, "start": [0, 1], "dist": "lazy_lattice"}, 3,
                  {"n": 64, "survivors": 500}, {
-        "endpoint.json": "0ef9f43b91520e6a38bd976542a099dd9cfbdb18f3e8d9639aa2b449ea8daea8",
-        "endpoints.csv": "2a49c12be0202494c8d2dca9b59bd8c0c38b90a8a3dd7c31fd2e18bd633d7e75",
+        "endpoint.json": "a0593657fdcfbe6fc04940fcd5e85b87a7864df2df65bc601d504b640f616157",
+        "endpoints.csv": "112ccdff3bb00f497abb07560265b5c1e847305eb3d9a94ff1d11f7a06f68ca3",
         "summary.txt": "31450640cecc986bca4eb6d3ff1ba7aef9c55209b9db7d35b02507e4b85c222d",
     }, id="endpoint"),
     pytest.param("transform", _RAD2, 3, {"t_steps": 4, "paths": 300}, {
         "summary.txt": "c7e85b1303d02648ea0c57a57ec055d3d06592b8948d2c2dc92cdee4bfc23478",
-        "transform.json": "99a3b4c05587a364b9ccf0b2c88197a690cc0eb36b7f2ea9f4a34150f8380fec",
-        "transform_samples.csv": "94f2a93e99101f1ce2c483b3bb481343c6df01724873b8bbdcaf2c22fc58758f",
+        "transform.json": "6127d835efecf04197f86b295b47b79b24840c9eb05b6c17c5dda650b8afbfdb",
+        "transform_samples.csv": "51c21b64068645e47432984c3224550b858a22a0d39c9e11f3f05957ad3c9037",
     }, id="transform"),
     pytest.param("endpoint", {"k": 3, "start": [0, 1, 2], "dist": "rademacher"}, 5,
                  {"n": 64, "survivors": 10000, "max_attempts": 2000}, {
-        "partial_endpoint.csv": "d83f4e4e6f57c5bb16499db683fd5eec424081d9f8b27b393f1afb4ae6ccfa54",
-        "summary.txt": "8b099325b887242c971dd01942c60227038d9f6e0bc2bc29d0436d4d0b687a9a",
+        "partial_endpoint.csv": "d2c1d4daea7d894c2a38a87628d7bdbd3d2a0c444f2c938e84175a50cc1cfc93",
+        "summary.txt": "ca48e7ea6abf7dff9dc098661fe699f46c7215923576e50ec879418ba04d25c0",
     }, id="partial-endpoint"),
 ])
 def test_run_digests_are_frozen(tmp_path, kind, walk, seed, params, files):
     # digests written down from the per-cell CSV writer (float endpoints,
-    # integer transform samples, a partial sample) and the int64 simulator
+    # integer transform samples, a partial sample) and the block simulator's
+    # walker-major chunks with one-bit Rademacher lanes; the k=2 Gaussian
+    # estimate-v run draws the same stream as in the (t, m, w) layout
     doc = json.dumps({"kind": kind, "walk": walk, "seed": seed, "params": params})
     manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
     assert manifest.files == files
@@ -783,6 +785,49 @@ def test_tail_has_no_exact_gate_without_the_star_formula(tmp_path, start, dist):
     spec = validate_spec(TAIL_K3.replace("START", start).replace("DIST", dist))
     manifest, _ = run_experiment(spec, out_dir=str(tmp_path))
     assert "exact_within_4sd" not in manifest.checks
+
+
+def _tail_k2(start, dist, seed=3, horizons=(4, 16, 64, 256)):
+    return validate_spec(json.dumps({
+        "kind": "tail", "walk": {"k": 2, "start": start, "dist": dist}, "seed": seed,
+        "params": {"horizons": list(horizons), "paths": 20000}}))
+
+
+@pytest.mark.parametrize("start, dist", [((0, 1), "lazy_lattice"), ((-2, 1), "rademacher")])
+def test_tail_gates_a_k2_lattice_walk_on_the_gap_chain_survival(tmp_path, monkeypatch,
+                                                                start, dist):
+    spec = _tail_k2(start, dist)
+    manifest, _ = run_experiment(spec, out_dir=str(tmp_path / "ok"))
+    report = json.loads((tmp_path / "ok" / "tail.json").read_text())
+    exact = lattice_exact.gap_chain_survival(make_distribution(dist), start[1] - start[0],
+                                             [4, 16, 64, 256])
+    assert report["exact_survival"] == [[n, p] for n, p in exact]
+    assert manifest.checks["exact_within_4sd"]
+    # an estimate 5 binomial sd above the exact P(tau > 16) fails the gate
+    real = engine.batch_survival
+    p16 = exact[1][1]
+
+    def biased(cfg, horizons, paths, work=None):
+        out = real(cfg, horizons, paths, work=work)
+        shift = 5.0 * math.sqrt(p16 * (1.0 - p16) / paths)
+        return [(n, ci if n != 16 else engine.EstimateCI(p16 + shift, ci.stderr))
+                for n, ci in out]
+
+    monkeypatch.setattr(engine, "batch_survival", biased)
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path / "biased"))
+    assert code == 1 and not manifest.checks["exact_within_4sd"]
+
+
+@pytest.mark.parametrize("start, dist, seed", [
+    ((0, 23), "lazy_lattice", 0), ((0, 41), "rademacher", 0),
+    # one of the 20000 paths exits by step 24 (lazy) or 40 (Rademacher), where
+    # 0.035 are expected: 5.2 binomial sd, which the gate's one path allows
+    ((0, 23), "lazy_lattice", 11), ((0, 41), "rademacher", 16),
+])
+def test_tail_exact_gate_holds_from_far_starts(tmp_path, start, dist, seed):
+    spec = _tail_k2(start, dist, seed, horizons=(16, 24, 40, 64, 256))
+    manifest, _ = run_experiment(spec, out_dir=str(tmp_path))
+    assert manifest.checks["exact_within_4sd"]
 
 
 ESTIMATE_V_K2 = """

@@ -347,24 +347,60 @@ def _words(lanes, dtype):
     return np.concatenate([lanes, np.zeros(pad, lanes.dtype)]).view("<u8")
 
 
+def _bit_words(bits):
+    """Raw words whose bits are `bits`, in order: bit i of word w is bit
+    64 w + i, the value 2**i in the word (so the low bit of the low byte
+    first), and zero bits to fill the last word."""
+    bits = np.asarray(bits, dtype=np.uint64)
+    bits = np.concatenate([bits, np.zeros(-bits.size % 64, np.uint64)]).reshape(-1, 64)
+    return (bits << np.arange(64, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def _lane_words(d, lanes):
+    """Raw words that hand the sampler of `d` the given lanes in order: one
+    bit per lane for d = 2, else lanes of its draw dtype."""
+    if d.denominator == 2:
+        return _bit_words(lanes)
+    return _words(lanes, d.sampler.draw_dtype)
+
+
 THIRDS = {-1: Fraction(1, 3), 0: Fraction(1, 3), 1: Fraction(1, 3)}
 # d = 4099 is prime, so its uint16 lanes are masked to 13 bits and about half rejected
 D4099 = {-1: Fraction(1000, 4099), 0: Fraction(2099, 4099), 1: Fraction(1000, 4099)}
 
 
+# 70 bits over two words, in no byte-periodic pattern, so a draw that read
+# the bits or bytes in another order would give other steps
+_BITS = [int(b) for b in format(0x9F4A_31C7_0B5E_D286, "064b")[::-1]] + [1, 0, 0, 1, 1, 0]
+
+
 @pytest.mark.parametrize("kind, masses, lanes, want", [
-    # d = 2: lanes masked to one bit, none rejected
-    ("rademacher", None, [0, 1, 2, 3, 254, 255, 6, 7], [-1, 1, -1, 1, -1, 1, -1, 1]),
+    # d = 2: one-bit lanes, the low bit of each word first, none rejected
+    ("rademacher", None, _BITS, [2 * b - 1 for b in _BITS]),
     # d = 4: lanes masked to two bits, none rejected
     ("lazy_lattice", None, [0, 1, 2, 3, 4, 5, 6, 0xFF], [-1, 0, 0, 1, -1, 0, 0, 1]),
 ])
 def test_sampler_power_of_two_lanes_are_masked_in_order(kind, masses, lanes, want):
     d = make_distribution(kind)
-    rng = _StubRng(_words(lanes, np.uint8))
-    assert d.sample_array(rng, 8).tolist() == want
-    assert rng.bit_generator.requests == [1]
-    rng = _StubRng(_words(lanes, np.uint8))
-    assert d.sample_array(rng, (2, 4)).tolist() == [want[:4], want[4:]]
+    n = len(want)
+    words = _lane_words(d, lanes)
+    rng = _StubRng(words)
+    assert d.sample_array(rng, n).tolist() == want
+    assert rng.bit_generator.requests == [len(words)]
+    rng = _StubRng(words)
+    assert d.sample_array(rng, (2, n // 2)).tolist() == [want[:n // 2], want[n // 2:]]
+
+
+@pytest.mark.parametrize("size, words", [(1, 1), (63, 1), (64, 1), (65, 2), (70, 2)])
+def test_rademacher_bits_ask_for_whole_words_and_give_a_prefix(size, words):
+    # a draw of N steps asks for ceil(N / 64) words in one request, and is the
+    # first N bits of the word stream: a prefix of any larger draw
+    d = make_distribution("rademacher")
+    rng = _StubRng(_bit_words(_BITS))
+    draws = d.sample_array(rng, size)
+    assert rng.bit_generator.requests == [words]
+    assert draws.dtype == np.int8
+    assert draws.tolist() == [2 * b - 1 for b in _BITS[:size]]
 
 
 def test_sampler_rejects_lanes_at_or_above_d_and_refills():
@@ -419,7 +455,7 @@ def test_every_masked_lane_value_once_gives_exact_masses(masses):
     sampler = d.sampler
     mask = (1 << (d.denominator - 1).bit_length()) - 1
     lanes = np.arange(mask + 1, dtype=np.uint64).astype(sampler.draw_dtype)
-    rng = _StubRng(_words(lanes, sampler.draw_dtype))
+    rng = _StubRng(_lane_words(d, lanes))
     draws = d.sample_array(rng, d.denominator)
     assert np.array_equal(draws, sampler.sites_of(np.arange(d.denominator)))
     counts = {int(s): int((draws == s).sum()) for s in np.unique(draws)}

@@ -210,6 +210,33 @@ def test_running_sum_paths_give_the_same_block(kind, start, monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(*blocks))
 
 
+@pytest.mark.parametrize("kind, start", [
+    ("rademacher", (0, 1, 2)),
+    ("lazy_lattice", (-3, 0, 2, 3)),
+])
+def test_a_chunk_is_walker_major(kind, start):
+    # step 1 of a block rebuilt from its raw words: the chunk's cell (0, i, j),
+    # lane i * m + j of the stream, is the step of walker i on path j. For
+    # Rademacher a lane is one bit (low bit first), for the lazy law (d = 4)
+    # the low two bits of a byte, slot u at site (u >= 1) + (u >= 3) - 1
+    dist = make_distribution(kind)
+    cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=13)
+    m, b = 3000, 1
+    raw = engine._block_stream(cfg, b).bit_generator.random_raw(cfg.k * m)
+    if kind == "rademacher":
+        bits = (raw[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        steps = 2 * bits.ravel()[:cfg.k * m].astype(np.int64) - 1
+    else:
+        u = raw.view(np.uint8)[:cfg.k * m] & 3
+        steps = (u >= 1).astype(np.int64) + (u >= 3) - 1
+    pos = np.asarray(start)[:, None] + steps.reshape(cfg.k, m)
+    alive = (np.diff(pos, axis=0) > 0).all(axis=0)
+    assert 0 < alive.sum() < m
+    tau, _, _, snap = _simulate_block(cfg, 8, b, m, snap_step=1)
+    assert np.array_equal(tau == 1, ~alive)
+    assert np.array_equal(snap, np.where(alive[:, None], pos.T, np.asarray(start)))
+
+
 # d = 4099 is prime, so the sampler rejects about half of its lanes
 D4099 = {-1: Fraction(1000, 4099), 0: Fraction(2099, 4099), 1: Fraction(1000, 4099)}
 WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
@@ -217,35 +244,35 @@ WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
 
 @pytest.mark.parametrize("kind, masses, start, horizon, snap_step, positions, digest", [
     pytest.param("rademacher", None, (0, 1), 300, 150, np.int16,
-                 "ad61b8e526aada79ef0c34633297c74f61075282b7895c3fdd5923807b4bfd3c",
+                 "e4f5440b9ba00364b84765feae17964077abe36378123fcc710ab0f96ff0ca5b",
                  id="rademacher-k2"),
     pytest.param("rademacher", None, (0, 1, 2), 64, 10, np.int16,
-                 "18091cbb8323e4ec3b18dc2b7fdf62eddc870330aede4c74e6996c8b3953b848",
+                 "891e64f229646e78d742e0c5509aa310706fa58c2f25b29fa879f5cd020e8bc2",
                  id="rademacher-k3"),
     pytest.param("lazy_lattice", None, (0, 1, 2), 64, 20, np.int16,
-                 "af6d18f7b127aadc1356f53a3e945fdb2ce08448d4e5c29c7327ea662ee1ba44",
+                 "75046867336a714299ee92edf5a1b42f4f2f2cd5827ee7e8ee6ce2c8656a07be",
                  id="lazy-k3"),
     pytest.param("custom_lattice", D4099, (0, 1), 200, 50, np.int16,
-                 "24c1998856c26962b3f251be3b8079a154128ada8f2b816d1f23eb15a483600f",
+                 "e2a98efef13839acc6667d3581d33206fcada311f8f96641ab2f3f65426a8499",
                  id="d4099-k2"),
-    # written down from the gap-frame simulator, a stream of its own
     pytest.param("gaussian", None, (0.0, 1.0, 2.0), 64, 10, np.float64,
-                 "9fdf93b2c50bcad03a36af58db97b658afe2d24d1e644815d8c5996bfd83d1cd",
+                 "bac61bc702432e49f2ea2489e962f1d80c67be0a1610d45c2882f835855325f3",
                  id="gaussian-k3"),
     # paths that pass 2**15 - 1, so the positions need int32
     pytest.param("rademacher", None, (2 ** 15 - 24, 2 ** 15 - 22), 300, 150, np.int32,
-                 "191b0db8cb30fb5dbb8edb22ec1c2d8a4fdca2ae796693e809f136536b559029",
+                 "ca44fb9c416ef3353a129d4a878e0cf633cfcd6e31214b56f3e7de8d9a88dc3d",
                  id="rademacher-int32"),
     # paths that pass 2**31 - 1, so the positions need int64
     pytest.param("custom_lattice", WIDE, (2 ** 31 - 1500, 2 ** 31 - 900), 40, 3, np.int64,
-                 "ba6282343d8ac10eb0b111b84880c10977fe9b38b62bc0ae8ee6e97347067a5a",
+                 "3feb3d5214a7444f53f251de01571bf682d2c278497b17b49c598cfd7876b0e8",
                  id="wide-int64"),
 ])
 def test_simulate_block_stream_is_frozen(kind, masses, start, horizon, snap_step,
                                          positions, digest):
     # sha256 of the (tau, delta, terminal, snap) bytes, written down from the
-    # simulator with int64 positions and a table lookup: the stream, the chunk
-    # schedule and every result stay the same bit for bit
+    # walker-major (t, w, m) chunks of test_a_chunk_is_walker_major, with
+    # one-bit Rademacher lanes and a Gaussian walk in the gap frame: the
+    # stream, the chunk schedule and every result stay the same bit for bit
     dist = make_distribution(kind, **({"masses": masses} if masses else {}))
     cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=8)
     assert engine._position_dtype(cfg, horizon) is positions
