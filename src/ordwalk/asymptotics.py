@@ -37,8 +37,8 @@ __all__ = [
 def __getattr__(name):
     # `bench/spans.py` patches `asymptotics.integrate` to count quad calls, of
     # which there are none; scipy is imported for that patch alone. The
-    # ROADMAP carry-over "Next benchmark change" drops the patch, and this
-    # hook and the `cache_path` writes go with it.
+    # benchmark change of ROADMAP direction 5 drops the patch, and this hook
+    # and the `cache_path` writes go with it.
     if name == "integrate":
         from scipy import integrate
         return integrate

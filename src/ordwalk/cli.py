@@ -407,13 +407,13 @@ def _run_estimate_v(spec, cfg):
         gap = int(cfg.start[1] - cfg.start[0])
         lat = cfg.dist.lattice
         width = lat.span * (len(lat.weights) - 1)
-        moments = lattice_exact.gap_chain_stopped_delta(
-            cfg.dist, gap, [n for n, _ in est.per_horizon])
-        result["exact_v"] = [[n, gap - m1] for n, m1, _ in moments]
+        dp = lattice_exact._gap_chain_dp(cfg.dist, gap, [n for n, _ in est.per_horizon])
+        result["exact_v"] = [[n, gap - p.stopped] for n, p in dp.items()]
         checks["exact_vn_4se"] = all(
-            abs(ci.mean - (gap - m1))
-            <= 4 * math.sqrt(max(m2 - m1 * m1, 0.0) / paths) + width / paths
-            for (_, ci), (_, m1, m2) in zip(est.per_horizon, moments))
+            abs(ci.mean - (gap - p.stopped))
+            <= 4 * math.sqrt(max(p.stopped_sq - p.stopped * p.stopped, 0.0) / paths)
+            + width / paths
+            for (_, ci), p in zip(est.per_horizon, dp.values()))
     return (result,
             {"v_estimates": (("n", "estimate", "stderr", "diagnostic"), rows)},
             checks)
@@ -477,8 +477,9 @@ def _run_endpoint(spec, cfg):
         target_mean = math.sqrt(math.pi)
         if cfg.dist.is_lattice:
             # the exact finite-n mean of the conditioned gap, not its limit
-            gaps, probs, rep["gap_dp"] = lattice_exact._alive_law(
-                cfg.dist, int(cfg.start[1] - cfg.start[0]), n)
+            p = lattice_exact._gap_chain_dp(cfg.dist, int(cfg.start[1] - cfg.start[0]), [n])[n]
+            gaps, probs = p.law()
+            rep["gap_dp"] = p.extent()
             target_mean = float(gaps @ probs) / (math.sqrt(n) * sigma)
         mean_ok = abs(rep["gap_mean"][0] - target_mean) <= 3 * rep["gap_mean_stderr"][0]
     return (rep, {"endpoints": (header, endpoints)}, {"gap_mean_3sigma": mean_ok})

@@ -17,6 +17,17 @@ object arrays above that bound, so no count is ever rounded, and no float
 enters; Fractions appear only in what the API returns. The Karlin-McGregor
 and reflection checks compare integers, times d^(k n), with the determinants
 of all sites taken at once from the single-walk count tables.
+
+For k = 2 the gap of the two walkers is itself a killed random walk, which
+a float64 DP follows to horizons far past that capacity (2^14 and beyond).
+`_gap_chain_dp` is its one checked entry: one pass gives, per horizon, the
+survival, the first two moments of the gap at absorption (so V_n) and the
+alive gap law, and fails with TruncationError where its capped window lost
+enough mass to move a result. Survival, V_n, the conditioned gap law and the
+transformed gap law are read from it; `_survival_by_gap` runs the same blocks
+from every gap at once and truncates nothing it returns. `star_survival`
+gives P(tau > n) of k Rademacher walkers from the packed start in closed
+form, at any horizon.
 """
 
 import itertools
@@ -24,6 +35,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +58,7 @@ __all__ = [
     "exact_vn",
     "exact_martingale_check",
     "exact_harmonicity_check",
-    "killed_gap_chain",
     "gap_chain_survival",
-    "gap_chain_stopped_delta",
     "gap_chain_alive_distribution",
     "star_survival",
 ]
@@ -553,6 +563,7 @@ def _gap_law(dist: StepDistribution) -> dict:
     return law
 
 
+# read only by the benchmark's tracer, to count the gap DP's cells
 def _gap_step_law(dist: StepDistribution):
     """Law of the difference of two independent steps, as (offsets, probs)."""
     law = _gap_law(dist)
@@ -667,8 +678,32 @@ def _require_truncation_within(what: str, value: float, bound: float):
             f"{_TRUNCATION_RTOL:g} of the value")
 
 
-def killed_gap_chain(dist: StepDistribution, start_gap: int, horizons):
-    """Float64 DP of the killed two-walker gap chain.
+class _GapPass(NamedTuple):
+    """The killed gap chain at one horizon h: alive = P(tau > h), stopped =
+    E[gap(tau); tau <= h], stopped_sq = E[gap(tau)^2; tau <= h], the mass
+    the window truncated by h, and mass[i] = P(tau > h, gap(h) = gaps[i]) on
+    the positive gaps of the window at h."""
+
+    alive: float
+    stopped: float
+    stopped_sq: float
+    truncated: float
+    gaps: np.ndarray
+    mass: np.ndarray
+
+    def law(self):
+        """The gap at h conditioned on survival: (gaps, probs), probs summing
+        to one, on the gaps it can hold."""
+        keep = self.mass > 0
+        return self.gaps[keep], self.mass[keep] / self.alive
+
+    def extent(self) -> dict:
+        """What a report records of the capped DP behind a result."""
+        return {"truncated_mass": self.truncated, "window_cells": self.mass.size}
+
+
+def _gap_chain_dp(dist: StepDistribution, start_gap: int, horizons):
+    """Float64 DP of the killed two-walker gap chain: {h: _GapPass}.
 
     The gap of two independent walks is itself a random walk; the ordering
     survives while the gap stays strictly positive. The gap only visits
@@ -682,63 +717,39 @@ def killed_gap_chain(dist: StepDistribution, start_gap: int, horizons):
     variance, n the last horizon); mass past it at the end of a block is
     summed as `truncated`, a hard bound on what the survival law lost.
 
-    Returns (gaps, mass, table): mass[i] = P(tau > n, gap(n) = gaps[i]) on
-    the positive gaps of the window at the last horizon n, and table maps
-    each horizon h to (P(tau > h), E[gap(tau) 1{tau <= h}], truncated mass
-    to h, E[gap(tau)^2 1{tau <= h}]). The gap at absorption equals Delta of
+    Raises TruncationError where the truncated mass could move P(tau > h) or
+    V_h = start_gap - E[gap(tau); tau <= h] by more than _TRUNCATION_RTOL of
+    its value; V_h >= P(tau > h) > 0. The gap at absorption equals Delta of
     the two-walker configuration at tau. Float64 is used because the target
     horizons (up to 2^14) are far beyond exact-rational capacity. For
     Rademacher from gaps 1, 3, 5 and 9 the survival agrees with the exact
     reflection formula within 2.5e-15 relative at horizons up to 2^14, and
-    from gap 1 the truncated mass to 2^14 is 5.2e-34. For lazy steps and for the masses 1/3, 2/3 on -2, 1 it
-    agrees with an exact integer DP within 2.7e-15 relative to n = 2000.
+    from gap 1 the truncated mass to 2^14 is 5.2e-34. For lazy steps and for
+    the masses 1/3, 2/3 on -2, 1 it agrees with an exact integer DP within
+    2.7e-15 relative to n = 2000.
     """
     if start_gap <= 0:
         raise ValueError("start gap must be positive")
     horizons = sorted(int(h) for h in horizons)
     n = horizons[-1]
     chain = _gap_blocks(dist, start_gap, n)
-    span, first, _, _ = chain
+    span, first, hi, _ = chain
     start = (start_gap - first) // span  # cell i holds gap first + span * i
-    offsets, probs = _gap_step_law(dist)
-    sigma = math.sqrt(float(probs @ offsets.astype(float) ** 2))
+    sigma = math.sqrt(2.0 * dist.variance)  # of the gap step
     cap = start + math.ceil(_WINDOW_SIGMAS * sigma * math.sqrt(n) / span) + 1
+    # a truncated path may still exit, at a gap no lower than the least
+    # positive gap of the lattice plus the least step, -span hi
+    deepest = span * hi - first
     mass = np.zeros(start + 1)
     mass[start] = 1.0
-    table = {}
+    passes = {}
     for h, mass, stopped, stopped_sq, truncated in _run_blocks(chain, mass, cap, horizons):
-        table[h] = (float(mass.sum()), stopped, truncated, stopped_sq)
-    gaps = first + span * np.arange(mass.size)
-    return gaps, mass, table
-
-
-def _gap_chain_dp(dist: StepDistribution, start_gap: int, horizons):
-    """`killed_gap_chain`'s table; raises TruncationError where the truncated
-    mass could move P(tau > h) or V_h = start_gap - E[gap(tau); tau <= h] by
-    more than _TRUNCATION_RTOL of its value. V_h >= P(tau > h) > 0."""
-    gaps, _, table = killed_gap_chain(dist, start_gap, horizons)
-    # a truncated path may still exit, at a gap no lower than the least
-    # positive gap of the lattice plus the least step
-    deepest = -(int(gaps[0]) + int(_gap_step_law(dist)[0][0]))
-    for h, (alive, stopped, truncated, _) in table.items():
+        alive = float(mass.sum())
         _require_truncation_within(f"P(tau > {h})", alive, truncated)
         _require_truncation_within(f"V_{h}", start_gap - stopped, deepest * truncated)
-    return table
-
-
-def _gap_dp_extent(truncated: float, window_cells: int) -> dict:
-    """What a report records of the capped gap DP behind a result."""
-    return {"truncated_mass": truncated, "window_cells": window_cells}
-
-
-def _alive_law(dist: StepDistribution, start_gap: int, n: int):
-    """`gap_chain_alive_distribution`'s (gaps, probs), and the DP's extent:
-    its truncated mass to n and the cells of its window at n."""
-    gaps, mass, table = killed_gap_chain(dist, start_gap, [n])
-    alive, _, truncated, _ = table[n]
-    _require_truncation_within(f"P(tau > {n})", alive, truncated)
-    keep = mass > 0
-    return gaps[keep], mass[keep] / alive, _gap_dp_extent(truncated, mass.size)
+        passes[h] = _GapPass(alive, stopped, stopped_sq, truncated,
+                             first + span * np.arange(mass.size), mass)
+    return passes
 
 
 def gap_chain_alive_distribution(dist: StepDistribution, start_gap: int, n: int):
@@ -747,13 +758,12 @@ def gap_chain_alive_distribution(dist: StepDistribution, start_gap: int, n: int)
     Returns (gaps, probs) with probs summing to one; useful as a noise-free
     reference for the conditioned endpoint distribution of two walkers.
     """
-    return _alive_law(dist, start_gap, n)[:2]
+    return _gap_chain_dp(dist, start_gap, [n])[n].law()
 
 
 def gap_chain_survival(dist: StepDistribution, start_gap: int, horizons):
     """P(tau > n) for the two-walker chain at each horizon, by float64 DP."""
-    table = _gap_chain_dp(dist, start_gap, horizons)
-    return [(h, table[h][0]) for h in sorted(table)]
+    return [(h, p.alive) for h, p in _gap_chain_dp(dist, start_gap, horizons).items()]
 
 
 def _survival_by_gap(dist: StepDistribution, gaps, n: int) -> np.ndarray:
@@ -773,14 +783,6 @@ def _survival_by_gap(dist: StepDistribution, gaps, n: int) -> np.ndarray:
     top = int(cells.max()) + n * hi
     (_, mass, *_), = _run_blocks(chain, np.ones(top + 1), top + 1, [n])
     return mass[cells]
-
-
-def gap_chain_stopped_delta(dist: StepDistribution, start_gap: int, horizons):
-    """The first two moments of Delta(X(tau)) 1{tau <= h} for the two-walker
-    chain at each horizon h, by one float64 DP. Returns [(h, E[Delta(X(tau));
-    tau <= h], E[Delta(X(tau))^2; tau <= h])] in increasing h."""
-    table = _gap_chain_dp(dist, start_gap, horizons)
-    return [(h, table[h][1], table[h][3]) for h in sorted(table)]
 
 
 # ---------------------------------------------------------------------------

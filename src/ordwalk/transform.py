@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from . import asymptotics, engine
+from . import asymptotics, engine, lattice_exact
 from .distributions import (
     TRANSFORMED_CHAIN_SALT,
     RandomStream,
@@ -20,14 +20,7 @@ from .distributions import (
 )
 from .engine import PartialResultError, WalkConfig, WorkCounts
 from .geometry import in_weyl, vandermonde
-from .lattice_exact import (
-    _WINDOW_SIGMAS,
-    _gap_dp_extent,
-    _require_truncation_within,
-    _survival_by_gap,
-    gap_chain_alive_distribution,
-    killed_gap_chain,
-)
+from .lattice_exact import _WINDOW_SIGMAS, _require_truncation_within, _survival_by_gap
 
 __all__ = [
     "FeasibilityError",
@@ -164,18 +157,17 @@ def transformed_pair_paths(start, n: int, paths: int,
 
 def _transformed_gap_law(start_gap: int, n: int):
     """`transformed_gap_distribution`'s (gaps, probs), and the extent of the
-    killed gap DP behind it (lattice_exact._gap_dp_extent)."""
+    killed gap DP behind it (`_GapPass.extent`)."""
     if start_gap < 1:
         raise ValueError("start gap must be >= 1")
-    gaps, mass, table = killed_gap_chain(make_distribution("rademacher"), start_gap, [n])
+    p = lattice_exact._gap_chain_dp(make_distribution("rademacher"), start_gap, [n])[n]
     v0 = float(_rademacher_v((0, start_gap)))
-    truncated = table[n][2]
     # a truncated path ends at a gap of at most start_gap + 2n, where V <= gap + 1
     _require_truncation_within(f"transformed gap law mass at n={n}", 1.0,
-                               truncated * (start_gap + 2 * n + 1) / v0)
-    probs = mass * _rademacher_v(np.stack([np.zeros_like(gaps), gaps], axis=1)) / v0
+                               p.truncated * (start_gap + 2 * n + 1) / v0)
+    probs = p.mass * _rademacher_v(np.stack([np.zeros_like(p.gaps), p.gaps], axis=1)) / v0
     keep = probs > 0
-    return gaps[keep], probs[keep], _gap_dp_extent(truncated, mass.size)
+    return p.gaps[keep], probs[keep], p.extent()
 
 
 def transformed_gap_distribution(start_gap: int, n: int) -> tuple:
@@ -255,7 +247,7 @@ def _rejection_gap_law(dist, start_gap: int, t_steps: int, guard_m: int):
     P_g0(g_t = g, tau > t) P_g(tau > m - t), the second factor for every g
     from one pass of the gap DP.
     """
-    gaps, probs = gap_chain_alive_distribution(dist, start_gap, t_steps)
+    gaps, probs = lattice_exact._gap_chain_dp(dist, start_gap, [t_steps])[t_steps].law()
     probs = probs * _survival_by_gap(dist, gaps, guard_m - t_steps)
     return gaps, probs / probs.sum()
 

@@ -712,8 +712,8 @@ params: {n: 64, survivors: 200, max_attempts: 40000}
     report = json.loads((tmp_path / "endpoint.json").read_text())
     # 200 survivors of n = 64 take the first block alone (P(tau > 64) ~ 0.1)
     assert report["work"] == _block_work(spec.walk_config(), 64, [engine.BLOCK_SIZE])
-    gaps, mass, table = lattice_exact.killed_gap_chain(make_distribution("rademacher"), 1, [64])
-    assert report["gap_dp"] == {"truncated_mass": table[64][2], "window_cells": mass.size}
+    p = lattice_exact._gap_chain_dp(make_distribution("rademacher"), 1, [64])[64]
+    assert report["gap_dp"] == {"truncated_mass": p.truncated, "window_cells": p.mass.size}
 
 
 def test_transform_report_counts_the_work_of_the_blocks_it_drew(tmp_path):
@@ -745,8 +745,51 @@ params: {n: 64, paths: 200}
     manifest, code = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
     assert code == 0, manifest.error
     report = json.loads((tmp_path / "hermite.json").read_text())
-    gaps, mass, table = lattice_exact.killed_gap_chain(make_distribution("rademacher"), 1, [64])
-    assert report["gap_dp"] == {"truncated_mass": table[64][2], "window_cells": mass.size}
+    p = lattice_exact._gap_chain_dp(make_distribution("rademacher"), 1, [64])[64]
+    assert report["gap_dp"] == {"truncated_mass": p.truncated, "window_cells": p.mass.size}
+
+
+def _k2_lattice_spec(kind, params, start=(0, 1)):
+    return validate_spec(json.dumps({
+        "kind": kind, "walk": {"k": 2, "start": list(start), "dist": "rademacher"},
+        "seed": 5, "params": params}))
+
+
+@pytest.mark.parametrize("kind, params, start", [
+    ("tail", {"horizons": [4, 16], "paths": 2000}, (-2, 1)),  # no star formula
+    ("estimate-v", {"schedule": [4, 8], "paths": 2000}, (0, 1)),
+    ("endpoint", {"n": 16, "survivors": 100}, (0, 1)),
+    ("transform", {"t_steps": 2, "paths": 100}, (0, 1)),
+    ("hermite", {"n": 16, "paths": 100}, (0, 1)),
+], ids=["tail", "estimate-v", "endpoint", "transform", "hermite"])
+def test_every_k2_lattice_run_reads_the_gap_dp_through_its_one_entry(tmp_path, monkeypatch,
+                                                                     kind, params, start):
+    # the tracer wraps lattice_exact._gap_chain_dp, so a run that reached the
+    # gap DP some other way would leave its cells out of the traced counts
+    calls = []
+    real = lattice_exact._gap_chain_dp
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_exact, "_gap_chain_dp", counting)
+    manifest, _ = run_experiment(_k2_lattice_spec(kind, params, start), out_dir=str(tmp_path))
+    assert manifest.error is None
+    assert calls and all(gap == start[1] - start[0] for _, gap in calls)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("estimate-v", {"schedule": [16, 64], "paths": 2000}),
+    ("endpoint", {"n": 64, "survivors": 100}),
+], ids=["estimate-v", "endpoint"])
+def test_a_run_whose_gap_dp_truncates_too_much_fails(tmp_path, monkeypatch, kind, params):
+    monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1.0)
+    manifest, code = run_experiment(_k2_lattice_spec(kind, params), out_dir=str(tmp_path))
+    assert code == 1
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert written["error"].startswith("TruncationError: ")
+    assert "truncated mass bounding its error by" in written["error"]
 
 
 TAIL_K3 = """

@@ -163,6 +163,20 @@ def test_only_engine_reads_how_blocks_are_cut_and_keyed():
     assert readers == {"engine"}
 
 
+def test_every_gap_dp_caller_goes_through_the_one_module_attribute():
+    # the k=2 gap DP's blocks stay behind lattice_exact, and its one checked
+    # entry is looked up on the module, so a wrapper put there (the tracer's)
+    # sees every call; a from-import would bind the unwrapped function
+    internals = {"_gap_blocks", "_run_blocks"}
+    readers = {path.stem for path in PACKAGE.glob("*.py") if _reads(TREES[path]) & internals}
+    assert readers == {"lattice_exact"}
+    bound = {(path.stem, alias.name) for path in PACKAGE.glob("*.py")
+             for node in ast.walk(TREES[path]) if isinstance(node, ast.ImportFrom)
+             for alias in node.names
+             if alias.name == "_gap_chain_dp" or alias.name.startswith("gap_chain_")}
+    assert bound == set()
+
+
 def test_only_v_module_asks_for_stopped_positions():
     # the stopped path gathers every exit row and takes Delta per block; only
     # V by Monte Carlo reads them, so every other consumer of engine._blocks

@@ -27,11 +27,10 @@ from ordwalk.lattice_exact import (
     exact_survival_kernel,
     exact_vn,
     gap_chain_alive_distribution,
-    gap_chain_stopped_delta,
     gap_chain_survival,
     star_survival,
 )
-from ordwalk.transform import transformed_gap_distribution
+from ordwalk.transform import _rejection_gap_law, transformed_gap_distribution
 
 RAD = make_distribution("rademacher")
 LAZY = make_distribution("lazy_lattice")
@@ -195,10 +194,10 @@ def test_gap_chain_matches_exact_kernel():
 def test_gap_chain_stopped_delta_matches_exact():
     for n in (1, 3, 5):
         exact = exact_vn(CFG2, n)[-1]
-        [(_, got, got_sq)] = gap_chain_stopped_delta(RAD, 1, [n])
-        assert got == pytest.approx(1.0 - float(exact), abs=1e-12)
+        p = lattice_exact._gap_chain_dp(RAD, 1, [n])[n]
+        assert p.stopped == pytest.approx(1.0 - float(exact), abs=1e-12)
         # from gap 1 every exit lands on gap -1
-        assert got_sq == pytest.approx(-got, abs=1e-15)
+        assert p.stopped_sq == pytest.approx(-p.stopped, abs=1e-15)
 
 
 def test_gap_chain_alive_distribution():
@@ -229,18 +228,17 @@ def _reflection_survival(start_gap, n):
 def test_gap_chain_matches_reflection_oracle_at_large_n():
     n = 1 << 14
     for start_gap in (1, 3, 5):
-        gaps, mass, table = lattice_exact.killed_gap_chain(RAD, start_gap, [n])
-        alive, stopped, truncated, _ = table[n]
+        p = lattice_exact._gap_chain_dp(RAD, start_gap, [n])[n]
         exact = float(_reflection_survival(start_gap, n))
-        assert abs(alive - exact) <= 1e-13 * exact
-        assert dict(gap_chain_survival(RAD, start_gap, [n]))[n] == alive
+        assert abs(p.alive - exact) <= 1e-13 * exact
+        assert dict(gap_chain_survival(RAD, start_gap, [n]))[n] == p.alive
         if start_gap == 1:
             (_, star), = star_survival(2, [n])
-            assert abs(star - alive) <= 1e-12 * alive
+            assert abs(star - p.alive) <= 1e-12 * p.alive
         # optional stopping of the gap martingale: a truncated path ends at a
         # gap of at most start_gap + 2n
-        bound = truncated * (start_gap + 2 * n)
-        assert abs(float(gaps @ mass) + stopped - start_gap) <= 1e-12 + bound
+        bound = p.truncated * (start_gap + 2 * n)
+        assert abs(float(p.gaps @ p.mass) + p.stopped - start_gap) <= 1e-12 + bound
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -271,7 +269,7 @@ def test_decimated_gap_chain_matches_exact_kernels(dist, start_gap):
         kern = exact_survival_kernel(cfg, h)
         assert survival[h] == pytest.approx(float(kern.total_mass()), abs=1e-12)
         # Delta(x) = start_gap, so E[Delta(X(tau)); tau <= h] = start_gap - V_h
-        [(_, stopped, _)] = gap_chain_stopped_delta(dist, start_gap, [h])
+        stopped = lattice_exact._gap_chain_dp(dist, start_gap, [h])[h].stopped
         assert stopped == pytest.approx(start_gap - float(vs[h - 1]), abs=1e-12)
         by_gap = {}
         for (a, b), mass in kern.masses.items():
@@ -287,24 +285,26 @@ def test_decimated_gap_chain_matches_exact_kernels(dist, start_gap):
 def test_gap_chain_window_is_capped_and_counts_the_truncated_mass(monkeypatch):
     horizons = [4, 16, 64, 256]
     monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1e9)
-    uncapped = lattice_exact.killed_gap_chain(RAD, 1, horizons)[2]
-    assert all(truncated == 0.0 for _, _, truncated, _ in uncapped.values())
+    uncapped = lattice_exact._gap_chain_dp(RAD, 1, horizons)
+    assert all(p.truncated == 0.0 for p in uncapped.values())
+    # the capped pass, with the truncation checks that would reject it off
     monkeypatch.setattr(lattice_exact, "_WINDOW_SIGMAS", 1.0)
-    gaps, _, capped = lattice_exact.killed_gap_chain(RAD, 1, horizons)
-    assert gaps[-1] <= 1 + math.sqrt(2 * 256) + 2  # 1 sigma sqrt(n) above gap 1
-    assert capped[256][2] > 1e-3
+    monkeypatch.setattr(lattice_exact, "_TRUNCATION_RTOL", math.inf)
+    capped = lattice_exact._gap_chain_dp(RAD, 1, horizons)
+    assert capped[256].gaps[-1] <= 1 + math.sqrt(2 * 256) + 2  # 1 sigma sqrt(n) above gap 1
+    assert capped[256].truncated > 1e-3
     for h in horizons:
-        alive, stopped, truncated, _ = capped[h]
-        assert abs(alive - uncapped[h][0]) <= truncated
+        p = capped[h]
+        assert abs(p.alive - uncapped[h].alive) <= p.truncated
         # every exit from an odd gap lands on gap -1: no mass goes missing
-        assert alive - stopped + truncated == pytest.approx(1.0, abs=1e-14)
+        assert p.alive - p.stopped + p.truncated == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("call", [
     lambda: gap_chain_survival(RAD, 1, [64, 256]),
     lambda: lattice_exact._gap_chain_dp(RAD, 1, [256]),
     lambda: gap_chain_alive_distribution(RAD, 1, 256),
-    lambda: gap_chain_stopped_delta(RAD, 1, [256]),
+    lambda: _rejection_gap_law(RAD, 1, 256, 512),
     lambda: transformed_gap_distribution(1, 256),
 ])
 def test_gap_chain_wrappers_raise_on_truncation(monkeypatch, call):
@@ -319,10 +319,10 @@ OFF_GRID = [1, 7, 16, 26, 27, 53, 100, 1000, 1 << 14]
 
 def test_blocked_gap_chain_matches_reflection_at_horizons_off_the_block_grid():
     for start_gap in (1, 3, 5, 9):
-        table = lattice_exact.killed_gap_chain(RAD, start_gap, OFF_GRID)[2]
+        table = lattice_exact._gap_chain_dp(RAD, start_gap, OFF_GRID)
         for h in OFF_GRID:
             exact = float(_reflection_survival(start_gap, h))
-            assert abs(table[h][0] - exact) <= 1e-14 * exact, (start_gap, h)
+            assert abs(table[h].alive - exact) <= 1e-14 * exact, (start_gap, h)
 
 
 def test_gap_blocks_are_exact_and_as_long_as_the_float_bound_allows():
@@ -369,12 +369,12 @@ def test_blocked_gap_chain_matches_an_exact_integer_dp(dist, start_gap):
     # blocks of 13 (lazy) and 16 (THIRDS, den 9) steps; horizons around both
     horizons = [1, 12, 13, 14, 16, 17, 26, 27, 100, 300]
     exact = _exact_gap_chain(dist, start_gap, horizons)
-    table = lattice_exact.killed_gap_chain(dist, start_gap, horizons)[2]
+    table = lattice_exact._gap_chain_dp(dist, start_gap, horizons)
     for h in horizons:
         alive, stopped, stopped_sq = map(float, exact[h])
-        assert abs(table[h][0] - alive) <= 1e-14 * alive, h
-        assert abs(table[h][1] - stopped) <= 1e-14 * max(1.0, abs(stopped)), h
-        assert abs(table[h][3] - stopped_sq) <= 1e-14 * max(1.0, stopped_sq), h
+        assert abs(table[h].alive - alive) <= 1e-14 * alive, h
+        assert abs(table[h].stopped - stopped) <= 1e-14 * max(1.0, abs(stopped)), h
+        assert abs(table[h].stopped_sq - stopped_sq) <= 1e-14 * max(1.0, stopped_sq), h
 
 
 def test_blocked_gap_chain_of_a_law_past_the_float_bound(monkeypatch):
@@ -386,10 +386,10 @@ def test_blocked_gap_chain_of_a_law_past_the_float_bound(monkeypatch):
     assert len(lattice_exact._gap_blocks(fine, 1, 5)[-1]) == 1
     # d^(2n) is far past the rational DP's capacity guard at n = 5
     monkeypatch.setattr(lattice_exact, "CAPACITY_BITS", 1000)
-    table = lattice_exact.killed_gap_chain(fine, 1, range(1, 6))[2]
+    table = lattice_exact._gap_chain_dp(fine, 1, range(1, 6))
     for n in range(1, 6):
         exact = float(exact_survival_kernel(WalkConfig(2, (0, 1), fine), n).total_mass())
-        assert abs(table[n][0] - exact) <= 1e-15 * exact
+        assert abs(table[n].alive - exact) <= 1e-15 * exact
 
 
 @settings(max_examples=15, deadline=None)

@@ -42,9 +42,8 @@ def test_estimate_v_schedule():
     assert not math.isnan(est.tail_diagnostic)
     # limit V for gap 1 is 2; the n=32 truncation sits close below it
     # (exact rationals hit the capacity guard at n=32, so use the gap DP)
-    from ordwalk.lattice_exact import gap_chain_stopped_delta
-    [(_, stopped32, _)] = gap_chain_stopped_delta(RAD, 1, [32])
-    exact32 = 1.0 - stopped32
+    from ordwalk.lattice_exact import _gap_chain_dp
+    exact32 = 1.0 - _gap_chain_dp(RAD, 1, [32])[32].stopped
     assert est.value.covers(exact32, n_sigma=4)
     assert est.value.mean < 2.1
 
