@@ -152,7 +152,7 @@ class LatticeSampler:
             u = words.view(self.draw_dtype)
             u &= mask
             if mask + 1 != d:
-                u = u[u < d]
+                u = u.take(np.flatnonzero(u < d))  # faster than a boolean mask
             kept.append(u)
             need -= u.size
             if need <= 0:

@@ -11,8 +11,12 @@ t = max(1, CHUNK_CELLS // m) times (fewer at the horizon) for all m paths,
 as an array of shape (t, w, m), walker-major: cell (i, j, l) is the step of
 walker (or gap) j on alive path l at the chunk's step i, so each walker's m
 paths lie side by side. The walk's state, a (w, m) array, is its cumulative
-sum along time, and each path's exit time is its first step out of order in
-the chunk, found by compares of whole walker rows. The chunk length depends
+sum along time. Compares of whole walker rows flag, as a (t, m) array, each
+path's steps out of order in the chunk, and a path's exit time is its first
+flagged step: argmax down the column of each exiting path where few exit,
+and where many do, t minus the max down every column of the flags times the
+countdown (t, t - 1, ..., 1), one multiply and one reduction over contiguous
+time rows (`_exit_steps`). The chunk length depends
 on m alone, never on the horizon or the snapshot step, so a block is a pure
 function of (seed, block index) and a shorter horizon replays the same
 paths. A path that exits inside a chunk still has its steps drawn to the end
@@ -75,6 +79,11 @@ CHUNK_CELLS = 1 << 14
 # crossover for int16 positions in (t, w, m) chunks: between 448 and 480
 # cells at k = 2 and 3; float64 gaps between 352 and 384 at k = 2 and 3)
 _WIDE_ROW_CELLS = 448
+# a chunk takes its exit steps by one max over its (t, m) cells, not by argmax
+# down each exit's column, when it has more than one exit per this many cells
+# (timed crossover in 2^14-cell chunks: between 1/96 and 1/48 of the cells at
+# t = 2 to 32, near 1/128 at t = 128 and 1/32 at t = 1)
+_MAX_EXIT_CELLS = 64
 
 
 class PartialResultError(RuntimeError):
@@ -171,6 +180,26 @@ def _gap_positions(cfg: WalkConfig, gaps, centre):
     return out
 
 
+def _exit_steps(broken, rows):
+    """The first True step of each listed column of the (t, m) chunk `broken`,
+    equal to broken[:, rows].argmax(axis=0).
+
+    argmax down the gathered columns costs about 10 ns per exit; with more
+    than one exit per _MAX_EXIT_CELLS cells, one multiply by the countdown
+    (t, t - 1, ..., 1) and one max over the contiguous time rows is cheaper:
+    a column's first True step i scores the largest value, t - i. A chunk of
+    one step has every exit at step 0.
+    """
+    t, m = broken.shape
+    if t == 1:
+        return np.zeros(rows.size, dtype=np.intp)
+    if rows.size * _MAX_EXIT_CELLS <= t * m:
+        return broken[:, rows].argmax(axis=0)
+    countdown = np.arange(t, 0, -1, dtype=np.min_scalar_type(t))
+    score = (broken * countdown[:, None]).max(axis=0)
+    return t - score[rows].astype(np.intp)
+
+
 def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size: int,
                     snap_step: int | None = None, stopped: bool = True):
     """Simulate one block of paths up to min(tau, horizon).
@@ -230,7 +259,7 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
                 broken |= path[:, j] <= path[:, j - 1]
         exits = broken.any(axis=0)
         rows = np.flatnonzero(exits)  # the paths that exit in this chunk
-        exit_at = broken[:, rows].argmax(axis=0)  # and the chunk step where they do
+        exit_at = _exit_steps(broken, rows)  # and the chunk step where they do
         if snap_step is not None and n < snap_step <= n + t:
             live = np.ones(m, dtype=bool)
             live[rows[exit_at < snap_step - n]] = False
@@ -241,9 +270,11 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
             tau[dead] = n + 1 + exit_at
             if stopped:
                 terminal[dead] = path[exit_at, :, rows]
-            keep = ~exits
-            alive_idx = alive_idx.compress(keep)
-            pos = pos.compress(keep, axis=1)
+            # one index of the survivors for both takes (a boolean compress
+            # finds it anew on every call)
+            keep = np.flatnonzero(~exits)
+            alive_idx = alive_idx.take(keep)
+            pos = pos.take(keep, axis=1)
         n += t
     pos = pos.T  # the survivors' rows
     if stopped:

@@ -70,9 +70,25 @@ def _rademacher_v(x):
 # (Koenig, O'Connell & Roch, EJP 7, 2002). Its law after M moves from w0 is
 # the reflection formula P(w) = [p_M(w - w0) - p_M(w + w0)] w / w0, w >= 1,
 # with p_M the M-step simple-random-walk pmf, so each path needs one draw.
+# The laws of all the distinct move counts of a run make one table, a row per
+# move count, built in slices of at most _LAW_SLICE_CELLS cells, and each path
+# inverts its uniform on its own row: the numpy calls grow with the slices
+# and the window widths, not with the move counts.
 
-def _move_law(w0: int, m: int) -> tuple:
-    """Law of w after m moves of the chain from w0: (w, probs) on w >= 1.
+# cells of one slice of the move-law table (a slice holds one row where a row
+# is wider), so the table's arrays stay small however many move counts a run has
+_LAW_SLICE_CELLS = 1 << 14
+
+
+def _move_laws(w0: int, ms: np.ndarray):
+    """Laws of w after each of the ascending move counts ms of the chain from
+    w0, in slices of the table with one row per move count.
+
+    Yields (rows, w, probs) per slice: `rows` is the slice of ms it holds,
+    and row i of the two (len, n) arrays, n the slice's widest window, is the
+    law after ms[rows][i] moves, probs[i, j] the mass of w = w[i, j], zero
+    where w < 1 and past the row's own window. Both arrays are the caller's
+    to overwrite; the generator drops them before it builds the next slice.
 
     With X ~ Bin(m, 1/2), w = w0 + 2X - m, p_m(w - w0) = P(X = x) and
     p_m(w + w0) = P(X = x + w0). The law is kept on x within
@@ -84,42 +100,88 @@ def _move_law(w0: int, m: int) -> tuple:
     exp(-2 d^2 / m) on a side at distance d, and w / w0 <= 1 + m / w0, so the
     mass the law misplaces (cells outside, reflections past its end and the
     normalisation) is at most 3 (1 + m / w0) times the two tails; it must
-    stay within _TRUNCATION_RTOL.
+    stay within _TRUNCATION_RTOL for every m, checked before the first slice.
+
+    A slice holds at most _LAW_SLICE_CELLS cells (one row, where a row is
+    wider). Every row takes the float64 operations of its law built alone:
+    its normalising sum runs over its own window only, and the zeros past the
+    window move neither the reflection nor a running sum of probs.
     """
-    half = math.ceil(_WINDOW_SIGMAS / 2 * math.sqrt(m)) + 1
-    lo, hi = max(m // 2 - half, 0), min(m // 2 + half, m)
-    tails = ((math.exp(-2 * (m / 2 - lo + 1) ** 2 / m) if lo > 0 else 0.0)
-             + (math.exp(-2 * (hi + 1 - m / 2) ** 2 / m) if hi < m else 0.0))
-    _require_truncation_within(f"transformed gap law mass after {m} moves", 1.0,
-                               3 * (1 + m / w0) * tails)
-    x = np.arange(lo, hi + 1)
-    pmf = np.ones(x.size)
-    pmf[1:] = (m - x[:-1]) / (x[:-1] + 1)
-    np.cumprod(pmf, out=pmf)
-    pmf /= pmf.sum()
-    pmf[:max(x.size - w0, 0)] -= pmf[w0:]
-    w = w0 - m + 2 * x
-    keep = w >= 1
-    return w[keep], pmf[keep] * w[keep] / w0
+    ms = np.asarray(ms, dtype=np.int64)
+    if not ms.size:
+        return
+    half = np.ceil(_WINDOW_SIGMAS / 2 * np.sqrt(ms)).astype(np.int64) + 1
+    lo, hi = np.maximum(ms // 2 - half, 0), np.minimum(ms // 2 + half, ms)
+    m1 = np.maximum(ms, 1)  # a tail is taken only where m >= 1
+    tails = (np.where(lo > 0, np.exp(-2 * (ms / 2 - lo + 1) ** 2 / m1), 0.0)
+             + np.where(hi < ms, np.exp(-2 * (hi + 1 - ms / 2) ** 2 / m1), 0.0))
+    bound = 3 * (1 + ms / w0) * tails
+    worst = int(np.argmax(bound))
+    _require_truncation_within(f"transformed gap law mass after {ms[worst]} moves", 1.0,
+                               float(bound[worst]))
+    widths = hi - lo + 1
+    step = max(1, _LAW_SLICE_CELLS // int(widths.max()))
+    for s in range(0, ms.size, step):
+        rows = slice(s, min(s + step, ms.size))
+        m = ms[rows, None]
+        x = lo[rows, None] + np.arange(widths[rows].max())
+        pmf = np.ones(x.shape)
+        ratio = np.subtract(m, x[:, :-1], out=pmf[:, 1:])  # exact in float64
+        ratio /= x[:, :-1] + 1
+        np.cumprod(pmf, axis=1, out=pmf)
+        np.copyto(pmf, 0.0, where=x > hi[rows, None])  # 0 past each row's window
+        # numpy's pairwise sum groups its terms by their count, so each run of
+        # rows of one width sums over that width, as a law built alone does
+        width = widths[rows]
+        cuts = np.flatnonzero(np.diff(width)) + 1
+        for a, b in zip(np.append(0, cuts).tolist(), np.append(cuts, width.size).tolist()):
+            pmf[a:b] /= pmf[a:b, :width[a]].sum(axis=1, keepdims=True)
+        pmf[:, :max(pmf.shape[1] - w0, 0)] -= pmf[:, w0:]
+        # w = w0 - m + 2 x and probs = pmf w / w0, both in place: a slice
+        # holds two arrays of its size between its steps
+        w = np.multiply(x, 2, out=x)
+        w += w0 - m
+        pmf *= w
+        pmf /= w0
+        np.copyto(pmf, 0.0, where=w < 1)
+        yield rows, w, pmf
+        del x, w, pmf, ratio  # free this slice before the next is built
 
 
 def _transformed_gaps(start_gap: int, moves: np.ndarray, rng) -> np.ndarray:
     """Gaps after moves[i] moves of the transformed gap chain on path i.
 
-    The paths are grouped by their number of moves m. Each group inverts one
-    uniform per path through the CDF of `_move_law(w0, m)`, and w maps back
-    to the gap by g = 2 w - (V(start_gap) - start_gap).
+    The paths are sorted by their number of moves m, and each slice of
+    `_move_laws(w0, distinct m)` serves the paths of its rows: a path inverts
+    one uniform through the CDF of its own row, the first cell whose running
+    mass reaches the uniform times the row's total (searchsorted side="left",
+    by one vectorised binary search over the slice). w maps back to the gap
+    by g = 2 w - (V(start_gap) - start_gap).
     """
     v0 = int(_rademacher_v((0, start_gap)))
     # a target in (0, total] lands on a cell of positive mass
     target = 1.0 - rng.random(moves.size)
     order = np.argsort(moves, kind="stable")
-    distinct, first = np.unique(moves[order], return_index=True)
+    distinct, first, row = np.unique(moves[order], return_index=True, return_inverse=True)
+    first = np.append(first, moves.size)
     out = np.empty(moves.size, dtype=np.int64)
-    for m, paths in zip(distinct.tolist(), np.split(order, first[1:])):
-        w, probs = _move_law(v0 // 2, m)
-        cdf = np.cumsum(probs)
-        out[paths] = w[np.searchsorted(cdf, target[paths] * cdf[-1])]
+    for rows, w, probs in _move_laws(v0 // 2, distinct):
+        at = slice(first[rows.start], first[rows.stop])
+        paths, r = order[at], row[at] - rows.start
+        # a row's cells with w < 1 hold 0, so its running sum matches the
+        # running sum over its kept cells alone, bit for bit
+        cdf = np.cumsum(probs, axis=1, out=probs)
+        n = cdf.shape[1]
+        goal = target[paths] * cdf[r, -1]
+        # count the cells of each path's row whose running mass is below its
+        # goal; the last cell, the row's total, never is
+        flat, base = cdf.ravel(), r * n
+        below = np.zeros(paths.size, dtype=np.int64)
+        for step in [1 << j for j in reversed(range((n - 1).bit_length()))]:
+            probe = below + step
+            below = np.where(flat[base + np.minimum(probe, n) - 1] < goal, probe, below)
+        out[paths] = w[r, below]
+        del w, probs, cdf  # free this slice before the next is built
     return 2 * out - (v0 - start_gap)
 
 
@@ -216,8 +278,9 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
     got = attempts = 0
     max_attempts = int(paths / max(predicted_acceptance, 1e-6)) * 20 + 10000
     for tau, _, at_t in engine._blocks(cfg, 2 * m, max_attempts, work, t_steps):
-        kept_m.append(at_t[tau > m])
-        kept_2m.append(at_t[tau > 2 * m])
+        # take by index: faster than a boolean row mask on a mostly rejected block
+        kept_m.append(at_t.take(np.flatnonzero(tau > m), axis=0))
+        kept_2m.append(at_t.take(np.flatnonzero(tau > 2 * m), axis=0))
         got += kept_m[-1].shape[0]
         attempts += tau.size
         if got >= paths:

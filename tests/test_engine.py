@@ -242,7 +242,7 @@ D4099 = {-1: Fraction(1000, 4099), 0: Fraction(2099, 4099), 1: Fraction(1000, 40
 WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
 
 
-@pytest.mark.parametrize("kind, masses, start, horizon, snap_step, positions, digest", [
+FROZEN_STREAMS = [
     pytest.param("rademacher", None, (0, 1), 300, 150, np.int16,
                  "e4f5440b9ba00364b84765feae17964077abe36378123fcc710ab0f96ff0ca5b",
                  id="rademacher-k2"),
@@ -266,7 +266,11 @@ WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
     pytest.param("custom_lattice", WIDE, (2 ** 31 - 1500, 2 ** 31 - 900), 40, 3, np.int64,
                  "3feb3d5214a7444f53f251de01571bf682d2c278497b17b49c598cfd7876b0e8",
                  id="wide-int64"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, masses, start, horizon, snap_step, positions, digest",
+                         FROZEN_STREAMS)
 def test_simulate_block_stream_is_frozen(kind, masses, start, horizon, snap_step,
                                          positions, digest):
     # sha256 of the (tau, delta, terminal, snap) bytes, written down from the
@@ -284,6 +288,45 @@ def test_simulate_block_stream_is_frozen(kind, masses, start, horizon, snap_step
     narrower = {np.int32: np.int16, np.int64: np.int32}.get(positions)
     if narrower is not None:
         assert out[2].max() > np.iinfo(narrower).max
+
+
+def test_the_frozen_streams_take_both_exit_step_branches(monkeypatch):
+    # the digests above pin the exit steps taken by argmax and by one max
+    taken = set()
+    exit_steps = engine._exit_steps
+
+    def spy(broken, rows):
+        if len(broken) > 1:
+            taken.add("max" if rows.size * engine._MAX_EXIT_CELLS > broken.size else "argmax")
+        return exit_steps(broken, rows)
+    monkeypatch.setattr(engine, "_exit_steps", spy)
+    for case in FROZEN_STREAMS:
+        kind, masses, start, horizon, snap_step = case.values[:5]
+        dist = make_distribution(kind, **({"masses": masses} if masses else {}))
+        cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=8)
+        _simulate_block(cfg, horizon, 2, 3000, snap_step)
+    assert taken == {"argmax", "max"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.integers(1, 64), m=st.integers(1, 400), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exit_steps_are_the_first_broken_steps(t, m, share, seed):
+    # a chunk's broken flags: a column that exits is broken at its first
+    # step and at random after it; both ways of taking the exit steps give
+    # argmax down each exiting column, as intp for the time arithmetic
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, t, m)
+    broken = (rng.random((t, m)) < 0.5) & (np.arange(t)[:, None] > first)
+    broken[first, np.arange(m)] = True
+    broken &= rng.random(m) < share
+    rows = np.flatnonzero(broken.any(axis=0))
+    want = broken[:, rows].argmax(axis=0)
+    for cells in (0, 1 << 40):  # every chunk below, every chunk above the crossover
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_MAX_EXIT_CELLS", cells)
+            got = engine._exit_steps(broken, rows)
+        assert got.dtype == np.intp and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind, masses, start, horizon, snap_step", [

@@ -185,11 +185,23 @@ def test_transformed_samplers_refuse_a_seed_the_philox_key_would_alias(seed):
         tr.transformed_pair_paths((0, 1), 8, 10, master_seed=seed)
 
 
+def _move_laws_by_m(w0, ms):
+    """`tr._move_laws` row by row: m -> (w, probs) on the cells with mass."""
+    ms = np.asarray(ms)
+    laws = {}
+    for rows, w, probs in tr._move_laws(w0, ms):
+        for m, w_row, p_row in zip(ms[rows].tolist(), w, probs):
+            laws[m] = w_row[p_row > 0], p_row[p_row > 0]
+    return laws
+
+
 @pytest.mark.parametrize("w0", [1, 2, 8])
 def test_move_law_is_the_bessel_chain_iterated(w0):
     # the reflection formula after m moves against the move-by-move chain
-    for m, law in enumerate(_bessel_chain_laws(w0, 30)):
-        w, probs = tr._move_law(w0, m)
+    chain = _bessel_chain_laws(w0, 30)
+    table = _move_laws_by_m(w0, range(len(chain)))
+    for m, law in enumerate(chain):
+        w, probs = table[m]
         assert w.tolist() == sorted(law)
         assert max(abs(p - float(law[x])) for x, p in zip(w.tolist(), probs.tolist())) <= 1e-15
 
@@ -202,8 +214,9 @@ def test_move_law_mixture_is_the_transformed_gap_law(start_gap):
     for n in (64, 100, 256, 1000):
         gaps, exact = tr.transformed_gap_distribution(start_gap, n)
         mixture = np.zeros(start_gap + 2 * n + 1)  # every gap n steps reach
+        table = _move_laws_by_m(v0 // 2, range(n + 1))
         for m in range(n + 1):
-            w, probs = tr._move_law(v0 // 2, m)
+            w, probs = table[m]
             g = 2 * w - (v0 - start_gap)
             mixture[g] += probs / probs.sum() * (math.comb(n, m) / 2 ** n)
         mixture[gaps] -= exact
@@ -212,9 +225,69 @@ def test_move_law_mixture_is_the_transformed_gap_law(start_gap):
 
 def test_move_law_fails_loudly_on_a_narrow_window(monkeypatch):
     monkeypatch.setattr(tr, "_WINDOW_SIGMAS", 2.0)
-    tr._move_law(1, 0)
+    list(tr._move_laws(1, np.array([0])))
     with pytest.raises(TruncationError, match="after 400 moves"):
-        tr._move_law(1, 400)
+        list(tr._move_laws(1, np.array([0, 400])))
+
+
+def _one_move_law(w0, m):
+    # one move count's law on its own, the reference for the batched table
+    half = math.ceil(lattice_exact._WINDOW_SIGMAS / 2 * math.sqrt(m)) + 1
+    x = np.arange(max(m // 2 - half, 0), min(m // 2 + half, m) + 1)
+    pmf = np.ones(x.size)
+    pmf[1:] = (m - x[:-1]) / (x[:-1] + 1)
+    np.cumprod(pmf, out=pmf)
+    pmf /= pmf.sum()
+    pmf[:max(x.size - w0, 0)] -= pmf[w0:]
+    w = w0 - m + 2 * x
+    keep = w >= 1
+    return w[keep], pmf[keep] * w[keep] / w0
+
+
+def _gaps_one_move_count_at_a_time(start_gap, moves, rng):
+    # one law and one searchsorted per distinct move count
+    v0 = int(tr._rademacher_v((0, start_gap)))
+    target = 1.0 - rng.random(moves.size)
+    out = np.empty(moves.size, dtype=np.int64)
+    for m in np.unique(moves).tolist():
+        paths = np.flatnonzero(moves == m)
+        w, probs = _one_move_law(v0 // 2, m)
+        cdf = np.cumsum(probs)
+        out[paths] = w[np.searchsorted(cdf, target[paths] * cdf[-1], side="left")]
+    return 2 * out - (v0 - start_gap)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 256, 1024, 4096])
+@pytest.mark.parametrize("start_gap", [1, 3, 16, 32])
+def test_transformed_gaps_are_the_per_move_count_inversion(start_gap, n):
+    # the sliced table and its binary search pick the very cells that each
+    # move count's own law and CDF pick, path by path
+    for seed in (0, 1, 2):
+        moves = np.random.default_rng(seed).binomial(n, 0.5, 2000)
+        got = tr._transformed_gaps(start_gap, moves, np.random.default_rng([seed, 1]))
+        want = _gaps_one_move_count_at_a_time(start_gap, moves,
+                                              np.random.default_rng([seed, 1]))
+        assert np.array_equal(got, want), (start_gap, n, seed)
+
+
+def test_transformed_gap_paths_of_no_paths_is_empty():
+    assert tr.transformed_gap_paths(3, 64, 0).shape == (0,)
+    assert list(tr._move_laws(1, np.array([], dtype=np.int64))) == []
+
+
+@pytest.mark.parametrize("ms", [np.arange(1001), np.arange(60_000, 70_000, 7), np.array([0]),
+                                np.unique(np.random.default_rng(3).binomial(4096, 0.5, 4000))])
+def test_move_law_slices_stay_within_their_cells(ms):
+    # the table is never built whole: every slice holds at most 2**14 cells,
+    # and the slices cover the move counts in order
+    assert tr._LAW_SLICE_CELLS == 2 ** 14
+    spans = []
+    for rows, w, probs in tr._move_laws(2, ms):
+        assert w.shape == probs.shape and len(probs) == rows.stop - rows.start
+        assert probs.size <= 2 ** 14
+        spans.append((rows.start, rows.stop))
+    assert spans[0][0] == 0 and spans[-1][1] == ms.size
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
 
 def test_transformed_pair_paths_consistent_with_gap_chain():
