@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,28 +37,44 @@ __all__ = [
     "main",
 ]
 
-# the params each kind's runner reads; validate_spec rejects any other key
+# the params each kind's runner reads, with their defaults; validate_spec
+# rejects any other key. A None default is worked out by the runner: l, every
+# exit time 1..n; max_attempts, 200 per survivor; guard_m, 8 t_steps
 _KIND_PARAMS = {
-    "exact-km": ("n",),
-    "exact-reflect": ("n", "l"),
-    "exact-v": ("n",),
-    "estimate-v": ("schedule", "paths"),
-    "tail": ("horizons", "paths", "exponent_tol"),
-    "endpoint": ("n", "survivors", "max_attempts"),
-    "lclt": ("horizons", "threshold"),
-    "transform": ("t_steps", "paths", "guard_m"),
-    "hermite": ("n", "paths"),
-    "dyson-compare": ("t", "horizons", "paths", "x_unit", "tv_threshold"),
+    "exact-km": {"n": 6},
+    "exact-reflect": {"n": 4, "l": None},
+    "exact-v": {"n": 6},
+    "estimate-v": {"schedule": [16, 32, 64, 128], "paths": 100000},
+    "tail": {"horizons": [64, 128, 256, 512, 1024, 2048, 4096], "paths": 1000000,
+             "exponent_tol": 0.15},
+    "endpoint": {"n": 1024, "survivors": 20000, "max_attempts": None},
+    "lclt": {"horizons": [256, 4096], "threshold": 0.01},
+    "transform": {"t_steps": 16, "paths": 2000, "guard_m": None},
+    "hermite": {"n": 4096, "paths": 20000},
+    "dyson-compare": {"t": 1.0, "horizons": [256, 1024], "paths": 50000,
+                      "x_unit": [0, 1], "tv_threshold": 0.05},
 }
 _KINDS = tuple(_KIND_PARAMS)
-# kinds whose runs need exact masses: validate_spec rejects a continuous law
-_LATTICE_KINDS = ("exact-km", "exact-reflect", "exact-v", "lclt")
-_REFLECT_DEFAULT_N = 4
-_TRANSFORM_DEFAULT_T_STEPS = 16
+# the law a kind's run needs, where it needs one: exact masses, or the exact
+# k=2 Rademacher transformed chain; validate_spec rejects any other
+_LATTICE, _K2_RADEMACHER = "lattice", "k=2 rademacher"
+_KIND_LAWS = {"exact-km": _LATTICE, "exact-reflect": _LATTICE, "exact-v": _LATTICE,
+              "lclt": _LATTICE, "hermite": _K2_RADEMACHER,
+              "dyson-compare": _K2_RADEMACHER}
 # params read as integers, as floats, and params listing horizons
 _INT_PARAMS = ("n", "l", "paths", "survivors", "max_attempts", "t_steps", "guard_m")
 _FLOAT_PARAMS = ("t", "exponent_tol", "threshold", "tv_threshold")
 _HORIZON_PARAMS = ("horizons", "schedule")
+
+
+def _law_error(kind, k, dist):
+    """Why a run of `kind` cannot take k walkers of law `dist`, or None."""
+    need = _KIND_LAWS.get(kind)
+    if need == _LATTICE and not dist.is_lattice:
+        return f"kind {kind} needs a lattice law, got {dist.kind}"
+    if need == _K2_RADEMACHER and (k, dist.kind) != (2, "rademacher"):
+        return f"kind {kind} needs k=2 rademacher walkers, got k={k} {dist.kind}"
+    return None
 
 
 def _is_int(value):
@@ -179,8 +195,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
         if d.is_lattice and not all(
                 isinstance(c, int) or float(c) == int(c) for c in start):
             errors.append("lattice walks need integer start coordinates")
-        if kind in _LATTICE_KINDS and not d.is_lattice:
-            errors.append(f"kind {kind} needs a lattice law, got {dist_kind}")
+        if error := _law_error(kind, k, d):
+            errors.append(error)
         elif kind == "lclt" and (offset := d.lattice.lo % d.lattice.span):
             errors.append(f"kind lclt needs a support of offset 0 modulo its span; "
                           f"{dist_kind} lives on {offset} + {d.lattice.span}Z")
@@ -203,6 +219,13 @@ def validate_spec(raw: str) -> ExperimentSpec:
                     f"params.{key} must list positive integers, got {val!r}")
             elif len(set(val)) != len(val):
                 errors.append(f"params.{key} has repeated horizons: {val!r}")
+            elif key == "horizons" and len(val) < 2:
+                # tail fits a slope; lclt and dyson-compare check a trend
+                errors.append(f"params.horizons must list at least 2 horizons, "
+                              f"got {val!r}")
+            elif kind == "lclt" and min(val) < 2:
+                errors.append(f"params.horizons must list horizons >= 2 for kind "
+                              f"lclt, got {val!r}")
         elif key == "x_unit":
             if (not isinstance(val, list) or len(val) != k
                     or not all(_is_number(v) and math.isfinite(v) for v in val)
@@ -216,15 +239,16 @@ def validate_spec(raw: str) -> ExperimentSpec:
         if kind in _KIND_PARAMS and key not in _KIND_PARAMS[kind]:
             errors.append(f"params.{key} is not read by kind {kind}, which reads "
                           f"{', '.join(_KIND_PARAMS[kind])}")
-    if kind == "exact-reflect" and _is_int(params.get("l")):
-        n = params.get("n", _REFLECT_DEFAULT_N)
-        if _is_int(n) and not 1 <= params["l"] <= n:
-            errors.append(f"params.l must lie in 1..n = 1..{n}, got {params['l']}")
-    if kind == "transform" and _is_int(params.get("guard_m")):
-        t_steps = params.get("t_steps", _TRANSFORM_DEFAULT_T_STEPS)
-        if _is_int(t_steps) and params["guard_m"] < t_steps:
-            errors.append(f"params.guard_m must be >= t_steps = {t_steps}, "
-                          f"got {params['guard_m']}")
+    # the cross-field checks read a param as the run will: given, or its default
+    merged = {**_KIND_PARAMS.get(kind, {}), **params}
+    if kind == "exact-reflect" and _is_int(merged["l"]) and _is_int(merged["n"]):
+        if not 1 <= merged["l"] <= merged["n"]:
+            errors.append(f"params.l must lie in 1..n = 1..{merged['n']}, "
+                          f"got {merged['l']}")
+    if kind == "transform" and _is_int(merged["guard_m"]) and _is_int(merged["t_steps"]):
+        if merged["guard_m"] < merged["t_steps"]:
+            errors.append(f"params.guard_m must be >= t_steps = {merged['t_steps']}, "
+                          f"got {merged['guard_m']}")
     out = doc.get("out", "results")
     if not isinstance(out, str) or not out:
         errors.append(f"out must be a non-empty string, got {out!r}")
@@ -339,24 +363,22 @@ def emit_report(out_dir: str, name: str, result: dict, tables: dict | None = Non
 # ---------------------------------------------------------------------------
 # experiment kinds
 
-def _run_exact_km(spec, cfg):
-    n = int(spec.params.get("n", 6))
-    rep = lattice_exact.exact_km_check(cfg, n)
+def _run_exact_km(params, cfg):
+    rep = lattice_exact.exact_km_check(cfg, params["n"])
     return {"km": rep.to_dict()}, {}, {"km_identity": rep.passed}
 
 
-def _run_exact_reflect(spec, cfg):
-    n = int(spec.params.get("n", _REFLECT_DEFAULT_N))
-    ls = spec.params.get("l")
-    ls = [int(ls)] if ls is not None else list(range(1, n + 1))
+def _run_exact_reflect(params, cfg):
+    n, l = params["n"], params["l"]
+    ls = [l] if l is not None else list(range(1, n + 1))
     reps = lattice_exact.exact_reflection_check(cfg, n, ls)
     reports = {f"l={l}": rep.to_dict() for l, rep in zip(ls, reps)}
     checks = {f"reflection_l{l}": rep.passed for l, rep in zip(ls, reps)}
     return {"reflection": reports}, {}, checks
 
 
-def _run_exact_v(spec, cfg):
-    n = int(spec.params.get("n", 6))
+def _run_exact_v(params, cfg):
+    n = params["n"]
     # one forward pass to n + 1 gives V_1..V_n and the V_{n+1}(x) of the harmonicity check
     v_start = lattice_exact.exact_vn(cfg, n + 1)
     vs = v_start[:n]
@@ -375,11 +397,10 @@ def _run_exact_v(spec, cfg):
     )
 
 
-def _run_estimate_v(spec, cfg):
-    schedule = spec.params.get("schedule", [16, 32, 64, 128])
-    paths = int(spec.params.get("paths", 100000))
+def _run_estimate_v(params, cfg):
+    paths = params["paths"]
     work = engine.WorkCounts()
-    est = v_module.estimate_v(cfg, schedule, paths, work=work)
+    est = v_module.estimate_v(cfg, params["schedule"], paths, work=work)
     rows = []
     prev = None
     for n, ci in est.per_horizon:
@@ -419,11 +440,10 @@ def _run_estimate_v(spec, cfg):
             checks)
 
 
-def _run_tail(spec, cfg):
-    horizons = spec.params.get("horizons", [64, 128, 256, 512, 1024, 2048, 4096])
-    paths = int(spec.params.get("paths", 1000000))
+def _run_tail(params, cfg):
+    paths = params["paths"]
     work = engine.WorkCounts()
-    surv = engine.batch_survival(cfg, horizons, paths, work=work)
+    surv = engine.batch_survival(cfg, params["horizons"], paths, work=work)
     fit = asymptotics.tail_fit(surv, sigma=math.sqrt(cfg.dist.variance))
     theory = -cfg.k * (cfg.k - 1) / 4.0
     result = {
@@ -437,8 +457,7 @@ def _run_tail(spec, cfg):
         "work": asdict(work),
     }
     rows = [(n, ci.mean, ci.stderr) for n, ci in surv]
-    tol = float(spec.params.get("exponent_tol", 0.15))
-    checks = {"exponent_within_tol": abs(fit.exponent - theory) <= tol}
+    checks = {"exponent_within_tol": abs(fit.exponent - theory) <= params["exponent_tol"]}
     ns = [n for n, _ in surv]
     if cfg.dist.kind == "rademacher" and all(b - a == 1 for a, b in zip(cfg.start, cfg.start[1:])):
         # from a packed start every horizon has the exact star survival
@@ -460,10 +479,9 @@ def _run_tail(spec, cfg):
     return (result, {"survival": (("n", "p_survive", "stderr"), rows)}, checks)
 
 
-def _run_endpoint(spec, cfg):
-    n = int(spec.params.get("n", 1024))
-    target = int(spec.params.get("survivors", 20000))
-    max_attempts = int(spec.params.get("max_attempts", 200 * target))
+def _run_endpoint(params, cfg):
+    n, target = params["n"], params["survivors"]
+    max_attempts = params["max_attempts"] or 200 * target
     work = engine.WorkCounts()
     endpoints, rate = engine.conditioned_endpoints(cfg, n, target, max_attempts, work=work)
     sigma = math.sqrt(cfg.dist.variance)
@@ -485,12 +503,11 @@ def _run_endpoint(spec, cfg):
     return (rep, {"endpoints": (header, endpoints)}, {"gap_mean_3sigma": mean_ok})
 
 
-def _run_lclt(spec, cfg):
-    ns = spec.params.get("horizons", [256, 4096])
-    reports = [asymptotics.local_clt_deviation(cfg.dist, int(n)) for n in ns]
+def _run_lclt(params, cfg):
+    reports = [asymptotics.local_clt_deviation(cfg.dist, n) for n in params["horizons"]]
     decreasing = all(a["sup_deviation"] > b["sup_deviation"]
                      for a, b in zip(reports, reports[1:]))
-    threshold = float(spec.params.get("threshold", 1e-2))
+    threshold = params["threshold"]
     final_ok = reports[-1]["sup_deviation"] < threshold
     rows = [(r["n"], r["sup_deviation"], r["argmax_site"], r["total_mass"])
             for r in reports]
@@ -500,13 +517,11 @@ def _run_lclt(spec, cfg):
             {"decreasing": decreasing, "final_below_threshold": final_ok})
 
 
-def _run_transform(spec, cfg):
-    t_steps = int(spec.params.get("t_steps", _TRANSFORM_DEFAULT_T_STEPS))
-    paths = int(spec.params.get("paths", 2000))
-    guard = spec.params.get("guard_m")
+def _run_transform(params, cfg):
+    t_steps = params["t_steps"]
     work = engine.WorkCounts()
     res = transform.transform_paths_rejection(
-        cfg, t_steps, paths, guard_m=int(guard) if guard else None, work=work)
+        cfg, t_steps, params["paths"], guard_m=params["guard_m"], work=work)
     samples = res["samples"]
     header = tuple(f"x{i + 1}" for i in range(cfg.k))
     result = {a: b for a, b in res.items() if a != "samples"}
@@ -525,13 +540,11 @@ def _run_transform(spec, cfg):
     return (result, {"transform_samples": (header, samples)}, checks)
 
 
-def _run_hermite(spec, cfg):
-    if cfg.k != 2 or cfg.dist.kind != "rademacher":
-        raise FeasibilityError(
-            "exact transformed chain is available for k=2 rademacher only")
-    n = int(spec.params.get("n", 4096))
-    paths = int(spec.params.get("paths", 20000))
-    y = transform.transformed_pair_paths(cfg.start, n, paths,
+def _run_hermite(params, cfg):
+    if error := _law_error("hermite", cfg.k, cfg.dist):  # a spec built in code
+        raise FeasibilityError(error)
+    n = params["n"]
+    y = transform.transformed_pair_paths(cfg.start, n, params["paths"],
                                          master_seed=cfg.master_seed)
     rep = transform.hermite_distance(y / math.sqrt(n), 2)
     rep["n"] = n
@@ -545,18 +558,14 @@ def _run_hermite(spec, cfg):
     return (rep, {}, {"gap_sq_mean_3sigma": m2_ok})
 
 
-def _run_dyson(spec, cfg):
-    if cfg.k != 2 or cfg.dist.kind != "rademacher":
-        raise FeasibilityError("dyson-compare runs on the k=2 rademacher chain")
-    t = float(spec.params.get("t", 1.0))
-    ns = spec.params.get("horizons", [256, 1024])
-    paths = int(spec.params.get("paths", 50000))
-    x_unit = spec.params.get("x_unit", [0, 1])
-    reports = [transform.dyson_compare(tuple(x_unit), t, int(n), paths,
-                                       master_seed=cfg.master_seed)
-               for n in ns]
+def _run_dyson(params, cfg):
+    if error := _law_error("dyson-compare", cfg.k, cfg.dist):  # a spec built in code
+        raise FeasibilityError(error)
+    reports = [transform.dyson_compare(tuple(params["x_unit"]), params["t"], n,
+                                       params["paths"], master_seed=cfg.master_seed)
+               for n in params["horizons"]]
     decreasing = all(a["tv"] > b["tv"] for a, b in zip(reports, reports[1:]))
-    final_ok = reports[-1]["tv"] < float(spec.params.get("tv_threshold", 0.05))
+    final_ok = reports[-1]["tv"] < params["tv_threshold"]
     rows = [(r["n"], r["tv"], r["ks"], r["gap_mean"]) for r in reports]
     return ({"reports": reports, "decreasing": decreasing,
              "final_below_threshold": final_ok},
@@ -604,7 +613,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     work = None
     try:
         cfg = spec.walk_config()
-        result, tables, checks = _RUNNERS[spec.kind](spec, cfg)
+        params = {**_KIND_PARAMS[spec.kind], **spec.params}
+        result, tables, checks = _RUNNERS[spec.kind](params, cfg)
         work = result.get("work")
         files = emit_report(out, name, result, tables)
     except (FeasibilityError, PartialResultError) as exc:
@@ -658,15 +668,8 @@ def _load_spec_file(path, seed=None, out=None):
         spec = validate_spec(fh.read())
     if seed is not None and (error := seed_error(seed)):
         raise SpecError([error])
-    if seed is not None or out is not None:
-        from dataclasses import replace
-        kw = {}
-        if seed is not None:
-            kw["seed"] = seed
-        if out is not None:
-            kw["out"] = out
-        spec = replace(spec, **kw)
-    return spec
+    overrides = {"seed": seed, "out": out}
+    return replace(spec, **{key: val for key, val in overrides.items() if val is not None})
 
 
 def main(argv=None) -> int:
@@ -682,6 +685,7 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="check a spec without running it")
     p_val.add_argument("spec_file")
+    p_val.set_defaults(seed=None, out=None)
 
     p_suite = sub.add_parser("suite", help="run every spec in a directory")
     p_suite.add_argument("spec_dir")
@@ -690,26 +694,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            spec = _load_spec_file(args.spec_file)
-        except SpecError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 1
-        print(f"ok: {spec.kind} (k={spec.k}, dist={spec.dist_kind})")
-        return 0
-
-    if args.command == "run":
+    if args.command in ("validate", "run"):
         try:
             spec = _load_spec_file(args.spec_file, args.seed, args.out)
         except SpecError as exc:
             for err in exc.errors:
                 print(f"error: {err}", file=sys.stderr)
             return 1
+        if args.command == "validate":
+            print(f"ok: {spec.kind} (k={spec.k}, dist={spec.dist_kind})")
+            return 0
         manifest, code = run_experiment(spec)
-        out = args.out or spec.out
-        with open(os.path.join(out, "summary.txt")) as fh:
+        with open(os.path.join(spec.out, "summary.txt")) as fh:
             print(fh.read(), end="")
         return code
 

@@ -9,7 +9,7 @@ import pytest
 
 import numpy as np
 
-from ordwalk import asymptotics, engine, lattice_exact, transform
+from ordwalk import asymptotics, cli, engine, lattice_exact, transform
 from ordwalk.cli import (
     _KIND_PARAMS,
     SpecError,
@@ -300,16 +300,18 @@ params:
 
 
 def test_run_refusal_exits_two(tmp_path):
+    # K V(0,1,2) 1000^(-3/2) = 7.14e-5, below the transform's 1e-4 floor
     doc = """
-kind: hermite
+kind: transform
 walk:
   k: 3
   start: [0, 1, 2]
   dist: rademacher
-seed: 0
+seed: 3
 params:
-  n: 64
+  t_steps: 4
   paths: 100
+  guard_m: 1000
 """
     manifest, code = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
     assert code == 2
@@ -526,7 +528,7 @@ def test_validate_accepts_positive_horizon_lists():
 @pytest.mark.parametrize("kind, params, field", [
     ("endpoint", "{n: 64, survivor: 100}", "params.survivor"),
     ("exact-km", "{n: 4, paths: 10}", "params.paths"),
-    ("tail", "{horizons: [16], schedule: [16]}", "params.schedule"),
+    ("tail", "{horizons: [16, 64], schedule: [16]}", "params.schedule"),
     ("exact-reflect", "{n: 4, l: 9}", "params.l"),
     ("exact-reflect", "{l: 5}", r"1\.\.4"),
     ("exact-reflect", "{n: 3, l: 4}", r"1\.\.3"),
@@ -611,12 +613,20 @@ def test_validate_rejects_an_out_that_is_no_directory_name(out):
     assert validate_spec(f"{GOOD_KM}out: runs/km\n").out == "runs/km"
 
 
-def test_validate_accepts_every_param_each_runner_reads(tmp_path):
-    # every key a runner looks up must be in its kind's table entry
+def test_validate_accepts_every_param_each_runner_reads(tmp_path, monkeypatch):
+    # every key a runner looks up in the params it is handed must be in its
+    # kind's table entry, and it reads them all
     class Recording(dict):
-        def get(self, key, default=None):
+        def __getitem__(self, key):
             read.add(key)
-            return super().get(key, default)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            raise AssertionError(f"a runner reads params.{key} with a default")
+
+    for kind, runner in cli._RUNNERS.items():
+        monkeypatch.setitem(cli._RUNNERS, kind,
+                            lambda params, cfg, runner=runner: runner(Recording(params), cfg))
 
     small = {"exact-km": "{n: 2}", "exact-reflect": "{n: 2, l: 2}",
              "exact-v": "{n: 2}", "estimate-v": "{schedule: [2, 4], paths: 100}",
@@ -634,10 +644,71 @@ def test_validate_accepts_every_param_each_runner_reads(tmp_path):
                              f"params: {params}\n")
         assert set(spec.params) == set(_KIND_PARAMS[kind])
         read = set()
-        object.__setattr__(spec, "params", Recording(spec.params))
         manifest, _ = run_experiment(spec, out_dir=str(tmp_path / kind))
         assert manifest.error is None, (kind, manifest.error)
         assert read == set(_KIND_PARAMS[kind]), kind
+
+
+# each kind's Monte Carlo sample size, cut to keep a run short
+_FEW_PATHS = {"estimate-v": {"paths": 2000}, "tail": {"paths": 2000},
+              "endpoint": {"survivors": 200}, "transform": {"paths": 200},
+              "hermite": {"paths": 200}, "dyson-compare": {"paths": 200}}
+
+
+@pytest.mark.parametrize("kind", _KIND_PARAMS)
+def test_spelled_out_defaults_write_the_same_files(tmp_path, kind):
+    # a spec that writes out every default the table gives must validate and
+    # run as the spec that leaves them out: a default that breaks the
+    # validator's own rules (a repeated horizon, a float where an integer is
+    # read) shows here
+    small = _FEW_PATHS.get(kind, {})
+    spelled = {**{key: val for key, val in _KIND_PARAMS[kind].items() if val is not None},
+               **small}
+    assert spelled != small
+    dist = "lazy_lattice" if kind == "lclt" else "rademacher"
+    files = []
+    for params in (small, spelled):
+        spec = validate_spec(json.dumps({"kind": kind, "seed": 5, "params": params,
+                                         "walk": {"k": 2, "start": [0, 1], "dist": dist}}))
+        manifest, _ = run_experiment(spec, out_dir=str(tmp_path / str(len(files))))
+        assert manifest.error is None, manifest.error
+        files.append(manifest.files)
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("kind", ["hermite", "dyson-compare"])
+@pytest.mark.parametrize("k, dist", [(3, "rademacher"), (2, "lazy_lattice")])
+def test_the_transformed_chain_runs_on_k2_rademacher_only(tmp_path, kind, k, dist):
+    # validate used to accept these specs, which the run then refused (exit 2)
+    doc = json.dumps({"kind": kind, "params": {"paths": 100},
+                      "walk": {"k": k, "start": list(range(k)), "dist": dist}})
+    with pytest.raises(SpecError, match=f"kind {kind} needs k=2 rademacher walkers, "
+                                        f"got k={k} {dist}") as exc:
+        validate_spec(doc)
+    assert len(exc.value.errors) == 1
+    # a spec built in code, past the validator, is still refused
+    spec = cli.ExperimentSpec(kind=kind, k=k, start=tuple(range(k)), dist_kind=dist,
+                              params={"paths": 100})
+    manifest, code = run_experiment(spec, out_dir=str(tmp_path))
+    assert code == 2 and "FeasibilityError: kind" in manifest.error
+
+
+@pytest.mark.parametrize("kind, horizons, message", [
+    # tail ran its simulation and then exited 1 in its fit
+    ("tail", "[64]", "must list at least 2 horizons"),
+    # lclt exited 1 on a one-step walk
+    ("lclt", "[1, 16]", "must list horizons >= 2 for kind lclt"),
+    # one horizon passed the trend check, `all` over no pairs
+    ("lclt", "[256]", "must list at least 2 horizons"),
+    ("dyson-compare", "[256]", "must list at least 2 horizons"),
+])
+def test_validate_rejects_horizon_lists_the_run_cannot_use(kind, horizons, message):
+    dist = "lazy_lattice" if kind == "lclt" else "rademacher"
+    doc = (f"kind: {kind}\nwalk: {{k: 2, start: [0, 1], dist: {dist}}}\n"
+           f"params: {{horizons: {horizons}}}\n")
+    with pytest.raises(SpecError, match=message) as exc:
+        validate_spec(doc)
+    assert len(exc.value.errors) == 1
 
 
 def test_estimate_v_run_simulates_once(tmp_path, monkeypatch):
