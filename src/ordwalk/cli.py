@@ -249,6 +249,12 @@ def validate_spec(raw: str) -> ExperimentSpec:
         if merged["guard_m"] < merged["t_steps"]:
             errors.append(f"params.guard_m must be >= t_steps = {merged['t_steps']}, "
                           f"got {merged['guard_m']}")
+    if kind == "dyson-compare" and _is_number(t := merged["t"]) and 0 < t < math.inf:
+        # the transformed chain runs floor(t n) steps at horizon n
+        horizons = merged["horizons"] if isinstance(merged["horizons"], list) else []
+        if still := [n for n in horizons if _is_int(n) and 0 < n and int(t * n) < 1]:
+            errors.append(f"params.t = {t} runs no step (floor(t n) = 0) "
+                          f"at horizons {still}")
     out = doc.get("out", "results")
     if not isinstance(out, str) or not out:
         errors.append(f"out must be a non-empty string, got {out!r}")

@@ -1,4 +1,4 @@
-"""Centered step distributions and deterministic counter-based random streams.
+"""Centered step distributions and deterministic keyed random streams.
 
 Lattice kinds carry exact rational masses on integer sites, the `Lattice`
 built from them once (the steps lo + span*j with their integer counts
@@ -31,7 +31,7 @@ _CONTINUOUS_KINDS = ("gaussian", "uniform", "laplace")
 _KIND_PARAMS = {"rademacher": (), "lazy_lattice": (), "custom_lattice": ("masses",),
                 **dict.fromkeys(_CONTINUOUS_KINDS, ("variance",))}
 
-# Philox stream registry. Every generator is keyed (master_seed, salt); the
+# Stream registry. Every generator is keyed (master_seed, salt); the
 # salt ranges below are disjoint, so consumers of different ranges never share
 # a key. Within one range the key is shared on purpose: every plain-walk run
 # (tail, estimate-v, endpoint, transform) draws block b of its paths from the
@@ -262,8 +262,8 @@ def make_distribution(kind: str, **params) -> StepDistribution:
 
 
 def seed_error(seed):
-    """Why `seed` cannot be a master seed, or None: it is one 64-bit word of
-    the Philox key, so a seed outside [0, 2**64) would alias one inside."""
+    """Why `seed` cannot be a master seed, or None: a seed is one 64-bit word
+    in specs, manifests and the stream's SeedSequence entropy."""
     if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
             or not 0 <= seed < 2 ** 64):
         return f"seed must be an integer in [0, 2**64), got {seed!r}"
@@ -272,10 +272,12 @@ def seed_error(seed):
 
 @dataclass
 class RandomStream:
-    """Counter-based stream: (master_seed, path_index) keys a Philox generator.
+    """Keyed stream: an SFC64 generator seeded by the SeedSequence of
+    master_seed with path_index, the salt, as its spawn key.
 
     Replaying a stream with the same key reproduces the identical sequence;
-    distinct keys give statistically independent streams.
+    distinct keys give statistically independent streams. (An entropy list
+    [seed, salt] would give (2**32, 5) and (0, 1 + 5 * 2**32) one stream.)
     """
 
     master_seed: int
@@ -288,7 +290,7 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            bitgen = np.random.Philox(
-                key=np.array([self.master_seed, self.path_index], dtype=np.uint64))
+            bitgen = np.random.SFC64(
+                np.random.SeedSequence(self.master_seed, spawn_key=(self.path_index,)))
             self._gen = np.random.Generator(bitgen)
         return self._gen

@@ -1,13 +1,13 @@
 """Path simulation for k ordered walks, in blocks of paths.
 
 Paths are grouped into fixed-size blocks; each block owns a private
-counter-based stream keyed by (master_seed, block_index). Every consumer
+stream keyed by (master_seed, block_index). Every consumer
 draws the blocks through `_blocks`, in block order, and merges results in
 that order, so a rerun reproduces every estimate bit for bit.
 
-A block advances in time-major chunks. With m paths alive, one
-`StepDistribution.sample_array` call draws the steps of the next
-t = max(1, CHUNK_CELLS // m) times (fewer at the horizon) for all m paths,
+A block advances in time-major chunks. With m paths alive after n steps, one
+`StepDistribution.sample_array` call draws the steps of the next t = max(1,
+CHUNK_CELLS // m, min(4 CHUNK_CELLS // m, n)) times (fewer at the horizon),
 as an array of shape (t, w, m), walker-major: cell (i, j, l) is the step of
 walker (or gap) j on alive path l at the chunk's step i, so each walker's m
 paths lie side by side. The walk's state, a (w, m) array, is its cumulative
@@ -16,8 +16,8 @@ path's steps out of order in the chunk, and a path's exit time is its first
 flagged step: argmax down the column of each exiting path where few exit,
 and where many do, t minus the max down every column of the flags times the
 countdown (t, t - 1, ..., 1), one multiply and one reduction over contiguous
-time rows (`_exit_steps`). The chunk length depends
-on m alone, never on the horizon or the snapshot step, so a block is a pure
+time rows (`_exit_steps`). The chunk length depends on (n, m)
+alone, never on the horizon or the snapshot step, so a block is a pure
 function of (seed, block index) and a shorter horizon replays the same
 paths. A path that exits inside a chunk still has its steps drawn to the end
 of that chunk; the traced count `distributions.draws` includes these steps
@@ -236,7 +236,9 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     n = 0  # steps taken so far
     while n < horizon and alive_idx.size:
         m = alive_idx.size
-        t = min(max(1, CHUNK_CELLS // m), horizon - n)
+        # up to 4x longer once the block is old: a chunk costs about 25 numpy
+        # calls, and at k = 2 a path alive at step n seldom exits in its next n
+        t = min(max(1, CHUNK_CELLS // m, min(4 * CHUNK_CELLS // m, n)), horizon - n)
         path = cfg.dist.sample_array(rng, (t, width, m), dtype)
         if gap_frame:
             _gap_steps(path)

@@ -93,11 +93,12 @@ def test_traced_batch_survival_counts_the_untraced_work():
 
 def _chunk_cells(tau, horizon):
     """Path-steps a block's chunks cover, from its exit times: with m paths
-    alive after n steps, the next chunk runs min(CHUNK_CELLS // m, horizon - n)
-    steps (at least one) for all m."""
+    alive after n steps, the next chunk runs max(1, CHUNK_CELLS // m,
+    min(4 CHUNK_CELLS // m, n)) steps, cut at the horizon, for all m."""
     n = cells = 0
     while n < horizon and (m := int((tau > n).sum())):
-        t = min(max(1, engine.CHUNK_CELLS // m), horizon - n)
+        cap = min(4 * engine.CHUNK_CELLS // m, n)
+        t = min(max(1, engine.CHUNK_CELLS // m, cap), horizon - n)
         cells += t * m
         n += t
     return cells

@@ -188,6 +188,46 @@ def test_only_v_module_asks_for_stopped_positions():
     assert askers == {"v_module"}
 
 
+def _numpy_random_users(tree):
+    """Qualified names of the scopes that call into numpy.random (a bit
+    generator, a Generator, a SeedSequence or the global state) or import
+    from it; "<module>" is the top level."""
+    users = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        func = getattr(node, "func", None)
+        if ((isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+             and func.value.attr == "random"
+             and getattr(func.value.value, "id", None) in ("np", "numpy"))
+                or isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+                or isinstance(node, ast.Import)
+                and any(a.name == "numpy.random" for a in node.names)):
+            users.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return users
+
+
+def test_only_random_stream_builds_a_generator():
+    # every stream is keyed by (seed, salt) in one place, so no layer draws
+    # from a generator outside the salt registry
+    found = {(path.stem, scope) for path in PACKAGE.glob("*.py")
+             for scope in _numpy_random_users(TREES[path])}
+    assert found == {("distributions", "RandomStream.generator")}
+
+
+def test_numpy_random_check_flags_a_stray_generator():
+    tree = ast.parse("import numpy as np\nfrom numpy.random import SFC64\n"
+                     "class K:\n    def f(self):\n        return np.random.Philox(1)\n"
+                     "def g():\n    np.random.default_rng(2).random(3)\n"
+                     "def h(rng: np.random.Generator):\n    return rng.random(3)\n")
+    assert _numpy_random_users(tree) == {"<module>", "K.f", "g"}
+
+
 def test_cli_import_loads_no_scipy_stats():
     # scipy is a test dependency only: importing scipy.special and
     # scipy.integrate took about 0.6 s of a fresh `import ordwalk.cli`, and

@@ -189,8 +189,17 @@ def test_stream_replay_is_identical():
 def test_stream_refuses_a_seed_the_philox_key_would_alias(seed):
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         RandomStream(seed, 0)
-    top = RandomStream(2 ** 64 - 1, 0).generator().bit_generator.state["state"]["key"]
-    assert top.tolist() == [2 ** 64 - 1, 0]
+    # the generator is seeded by the seed and the salt themselves
+    top = RandomStream(2 ** 64 - 1, 2 ** 61 + 5).generator().bit_generator.seed_seq
+    assert (top.entropy, top.spawn_key) == (2 ** 64 - 1, (2 ** 61 + 5,))
+
+
+def test_seed_and_salt_words_do_not_run_together():
+    # [seed, salt] as one entropy list would key both of these by the 32-bit
+    # words [0, 1, 5]; the salt as the spawn key keeps them apart
+    one = RandomStream(2 ** 32, 5).generator().bit_generator.random_raw(4)
+    other = RandomStream(0, 1 + 5 * 2 ** 32).generator().bit_generator.random_raw(4)
+    assert not np.array_equal(one, other)
 
 
 def test_distinct_streams_differ():

@@ -47,7 +47,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("seed", [2 ** 64 + 1, -3])
 def test_config_refuses_a_seed_the_philox_key_would_alias(seed):
-    # the key holds the seed in one 64-bit word: 2**64 + 1 would replay seed 1
+    # a seed is one 64-bit word (the name recalls the Philox key that held it)
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         WalkConfig(k=2, start=(0, 1), dist=RAD, master_seed=seed)
     assert WalkConfig(k=2, start=(0, 1), dist=RAD, master_seed=2 ** 64 - 1).master_seed
@@ -148,6 +148,44 @@ def test_simulate_block_replay_property(seed, horizon, block):
             assert np.array_equal(first[3][survived], terminal_short[survived])
 
 
+@pytest.mark.parametrize("kind, start, horizon, snap_step", [
+    ("rademacher", (0, 1), 300, 150),
+    ("lazy_lattice", (0, 1, 2), 64, None),
+    ("gaussian", (0.0, 1.0), 200, 10),
+    ("gaussian", (0.0, 1.0, 2.0), 64, 10),
+])
+def test_chunks_grow_with_the_blocks_age(kind, start, horizon, snap_step, monkeypatch):
+    # with m paths alive after n steps, a chunk runs max(1, CHUNK_CELLS // m,
+    # min(4 CHUNK_CELLS // m, n)) steps, cut at the horizon: read off the
+    # (t, w, m) draws of a block against its own exit times
+    dist = make_distribution(kind)
+    cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=5)
+    shapes = []
+    draw = type(dist).sample_array
+
+    def spy(self, rng, shape, dtype=None):
+        if isinstance(shape, tuple) and len(shape) == 3:
+            shapes.append(shape)
+        return draw(self, rng, shape, dtype)
+    monkeypatch.setattr(type(dist), "sample_array", spy)
+    grown = {}
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(engine, "CHUNK_CELLS", chunk)
+        shapes.clear()
+        tau = _simulate_block(cfg, horizon, 1, 3000, snap_step)[0]
+        n = grown[chunk] = 0
+        for t, w, m in shapes:
+            assert w == len(start) - (kind == "gaussian")
+            assert m == (tau > n).sum()
+            assert t == min(max(1, chunk // m, min(4 * chunk // m, n)), horizon - n)
+            grown[chunk] += max(1, chunk // m) < t < horizon - n
+            n += t
+        assert n == horizon or not (tau > n).any()
+    # a k=2 block's paths live long: at the default size, some chunk is
+    # longer than CHUNK_CELLS // m and shorter than the horizon left
+    assert grown[CHUNK_SIZES[1]] or len(start) > 2
+
+
 @pytest.mark.parametrize("kind, start, dtype", [
     ("rademacher", (0, 1, 2), np.int64),
     ("lazy_lattice", (0, 1), np.int64),
@@ -244,27 +282,27 @@ WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
 
 FROZEN_STREAMS = [
     pytest.param("rademacher", None, (0, 1), 300, 150, np.int16,
-                 "e4f5440b9ba00364b84765feae17964077abe36378123fcc710ab0f96ff0ca5b",
+                 "4d8bce6277d8921795b8a0fa1ed548e0fa3e7e0a96a88754819fd80a4ab4401f",
                  id="rademacher-k2"),
     pytest.param("rademacher", None, (0, 1, 2), 64, 10, np.int16,
-                 "891e64f229646e78d742e0c5509aa310706fa58c2f25b29fa879f5cd020e8bc2",
+                 "8fff9fa6d7be0c9b7d81a946981c3e2d9a266f49c7c9151f3f90323e335edac4",
                  id="rademacher-k3"),
     pytest.param("lazy_lattice", None, (0, 1, 2), 64, 20, np.int16,
-                 "75046867336a714299ee92edf5a1b42f4f2f2cd5827ee7e8ee6ce2c8656a07be",
+                 "36388ba68283d8df572c7f7940f6dbdba74155e28551b32800ccb13710bdd69a",
                  id="lazy-k3"),
     pytest.param("custom_lattice", D4099, (0, 1), 200, 50, np.int16,
-                 "e2a98efef13839acc6667d3581d33206fcada311f8f96641ab2f3f65426a8499",
+                 "456e0805d8e80e0657eddaa6bd3996d26b133c423ddb8992c15f819b207f03da",
                  id="d4099-k2"),
     pytest.param("gaussian", None, (0.0, 1.0, 2.0), 64, 10, np.float64,
-                 "bac61bc702432e49f2ea2489e962f1d80c67be0a1610d45c2882f835855325f3",
+                 "267ae4533a9fb5dca9112325bbcdfa7cebc937597818321fc8112d917ecd427b",
                  id="gaussian-k3"),
     # paths that pass 2**15 - 1, so the positions need int32
     pytest.param("rademacher", None, (2 ** 15 - 24, 2 ** 15 - 22), 300, 150, np.int32,
-                 "ca44fb9c416ef3353a129d4a878e0cf633cfcd6e31214b56f3e7de8d9a88dc3d",
+                 "59131209cb85096bda8dcc0b71a8d6281f4189d87ed9bc28384a49ae6aade7ed",
                  id="rademacher-int32"),
     # paths that pass 2**31 - 1, so the positions need int64
     pytest.param("custom_lattice", WIDE, (2 ** 31 - 1500, 2 ** 31 - 900), 40, 3, np.int64,
-                 "3feb3d5214a7444f53f251de01571bf682d2c278497b17b49c598cfd7876b0e8",
+                 "64097211df52dc2f0a611bbcdd89ec6ad1be890afdf13ce3da3f26c7a90b2870",
                  id="wide-int64"),
 ]
 
@@ -275,8 +313,9 @@ def test_simulate_block_stream_is_frozen(kind, masses, start, horizon, snap_step
                                          positions, digest):
     # sha256 of the (tau, delta, terminal, snap) bytes, written down from the
     # walker-major (t, w, m) chunks of test_a_chunk_is_walker_major, with
-    # one-bit Rademacher lanes and a Gaussian walk in the gap frame: the
-    # stream, the chunk schedule and every result stay the same bit for bit
+    # one-bit Rademacher lanes, a Gaussian walk in the gap frame, SFC64
+    # streams and chunks that grow with the block's age: the stream, the
+    # chunk schedule and every result stay the same bit for bit
     dist = make_distribution(kind, **({"masses": masses} if masses else {}))
     cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=8)
     assert engine._position_dtype(cfg, horizon) is positions
