@@ -336,10 +336,10 @@ def _write_csv(path, header, rows):
     lines = [",".join(header) + "\n"]
     kind = rows.dtype.kind if isinstance(rows, np.ndarray) else None
     if kind in ("i", "u") or (kind == "f" and np.isfinite(rows).all()):
-        # the same text per cell as `cell`, one format call per row
-        spec = "{:.17g}" if kind == "f" else "{}"
-        line = (",".join([spec] * rows.shape[1]) + "\n").format
-        lines += [line(*row) for row in rows.tolist()]
+        # the same text per cell as `cell`, from one % over the whole table
+        spec = "%.17g" if kind == "f" else "%d"
+        line = ",".join([spec] * rows.shape[1]) + "\n"
+        lines.append(line * rows.shape[0] % tuple(rows.ravel().tolist()))
     else:
         lines += [",".join(cell(v) for v in row) + "\n" for row in rows]
     with open(path, "w") as fh:

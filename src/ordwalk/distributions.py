@@ -92,11 +92,14 @@ class LatticeSampler:
     from the same state is a prefix of a larger one.
 
     The site of u is sites[0] + sum_j (sites[j+1] - sites[j]) * [u >= ends[j]],
-    S - 1 compare-adds for S sites in the dtype the caller asks for.
+    one compare-add per site of positive mass but the first, in the dtype the
+    caller asks for; its slot (s - lo) / span takes the jumps over span from
+    0, and for d = 2 is u itself. The block simulator draws slots.
     """
 
     denominator: int
     draw_dtype: type  # smallest unsigned dtype holding every draw, d - 1
+    span: int  # the lattice's: sites[j] - sites[0] is a multiple of it
     sites: np.ndarray  # ascending, smallest signed dtype holding them
     ends: np.ndarray  # first slot past each site's range but the last's, in draw_dtype
     jumps: np.ndarray  # sites[j + 1] - sites[j], int64
@@ -117,20 +120,24 @@ class LatticeSampler:
             raise ValueError(f"step sites {sites[0]}..{sites[-1]} do not fit in int64")
         draw_dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                           if d - 1 <= np.iinfo(t).max)
-        return cls(denominator=d, draw_dtype=draw_dtype,
+        return cls(denominator=d, draw_dtype=draw_dtype, span=lattice.span,
                    sites=np.array(sites, dtype=step_dtype),
                    ends=np.cumsum(counts[:-1], dtype=np.uint64).astype(draw_dtype),
                    jumps=np.diff(np.array(sites, dtype=np.int64)))
 
-    def sites_of(self, u, dtype=None):
+    def sites_of(self, u, dtype=None, slots=False):
         """Site of each slot index in u (entries in [0, d)), in `dtype`, which
-        must hold every site (default: the sites' own dtype)."""
+        must hold every site (default: the sites' own dtype); with slots=True
+        the site's lattice slot (s - lo) / span instead, for d = 2 u itself."""
         dtype = self.sites.dtype if dtype is None else np.dtype(dtype)
+        if slots and self.denominator == 2:
+            return u.astype(dtype)
         # the adds wrap modulo 2**bits where a jump does not fit the dtype,
-        # and each sum is a site, which does: the result is exact
-        jumps = self.jumps.astype(dtype)
+        # and each sum is a site or slot, which does: the result is exact
+        jumps = (self.jumps // self.span if slots else self.jumps).astype(dtype)
         out = np.multiply(u >= self.ends[0], jumps[0], dtype=dtype)
-        out += self.sites[0]
+        if not slots:
+            out += self.sites[0]
         for end, jump in zip(self.ends[1:], jumps[1:]):
             out += (u >= end) if jump == 1 else np.multiply(u >= end, jump, dtype=dtype)
         return out
@@ -160,10 +167,10 @@ class LatticeSampler:
         u = kept[0] if len(kept) == 1 else np.concatenate(kept)
         return u[:size]
 
-    def draw(self, rng: np.random.Generator, shape, dtype=None):
-        """Steps of the given int or tuple shape, filled in C order, in `dtype`."""
+    def draw(self, rng: np.random.Generator, shape, dtype=None, slots=False):
+        """Steps (or slots) of the given int or tuple shape, in C order, in `dtype`."""
         size = math.prod(shape) if isinstance(shape, tuple) else int(shape)
-        return self.sites_of(self.uniforms(rng.bit_generator, size), dtype).reshape(shape)
+        return self.sites_of(self.uniforms(rng.bit_generator, size), dtype, slots).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -194,18 +201,19 @@ class StepDistribution:
             raise UnsupportedOperationError(f"{self.kind} has no exact mass table")
         return self.lattice.denominator
 
-    def sample_array(self, rng: np.random.Generator, shape, dtype=None):
+    def sample_array(self, rng: np.random.Generator, shape, dtype=None, slots=False):
         """Draw an array of i.i.d. steps, of an int or tuple shape, from `rng`.
 
         Lattice kinds return integer sites from the compiled sampler, in
         `dtype` (an integer dtype that holds every site) or by default in the
-        smallest signed dtype that holds them; continuous kinds ignore `dtype`
-        and return float64.
+        smallest signed dtype that holds them; with slots=True, the lattice
+        slots (s - lo) / span of the same draws instead, in `dtype`.
+        Continuous kinds ignore `dtype` and `slots` and return float64.
         Either way the steps fill the shape in C order from the stream, so a
         draw of fewer leading rows from the same state is a prefix.
         """
         if self.sampler is not None:
-            return self.sampler.draw(rng, shape, dtype)
+            return self.sampler.draw(rng, shape, dtype, slots)
         if self.kind == "gaussian":
             steps = rng.standard_normal(shape)
             steps *= math.sqrt(self.variance)

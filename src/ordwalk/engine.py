@@ -41,15 +41,20 @@ replay where a row's first reported time is the same: at every horizon
 without a snapshot, and from a snapshot step to a run whose horizon is that
 step.
 
-Lattice positions inside a block take the smallest of int16, int32 and int64
-that holds max|start| + horizon * max|site|, a bound on every position up to
-the horizon, and the sampler writes the steps in that dtype. A block has two
-paths, which draw the same stream and give the same exit times. The stopped
-path, which only V by Monte Carlo asks for, keeps every row's position at
-min(tau, horizon) as int64 and takes the stopped Vandermonde of every row once
-per block. The lean path, which the tail, the endpoint and the transform take,
-keeps only the survivors' positions, in row order: an exit row is never
-gathered, and no Vandermonde is taken.
+A lattice walk runs in slot units: the sampler hands over each step's
+slot j = (s - lo) / span, and walker w starts from a_w, with a_0 = 0 and
+a_w = a_{w-1} + ceil((x_w - x_{w-1}) / span). All walkers drift by lo per
+step, so with Y_w = a_w plus the sum of w's slots, X_w <= X_{w-1} exactly
+when Y_w <= Y_{w-1}. Chunks take the smallest of int16, int32 and int64
+that holds a_{k-1} + horizon * (S - 1) for a law of S slots, and the
+positions x + lo i + span (Y - a) after i steps are rebuilt in int64, in
+place, only for the rows a block reports. A block has two paths, which draw
+the same stream and give the same exit times. The stopped path, which only
+V by Monte Carlo asks for, keeps every row's position at min(tau, horizon)
+as int64 and takes the stopped Vandermonde of every row once per block. The
+lean path, which the tail, the endpoint and the transform take, keeps only
+the survivors' positions, in row order: an exit row is never gathered, and
+no Vandermonde is taken.
 """
 
 import math
@@ -144,15 +149,30 @@ def _block_stream(cfg: WalkConfig, block_index: int, salt: int = BLOCK_SALT):
     return RandomStream(cfg.master_seed, salt + block_index).generator()
 
 
-def _position_dtype(cfg: WalkConfig, horizon: int):
-    """Smallest of int16, int32 and int64 that holds every lattice position up
-    to the horizon, max|start| + horizon * max|step|; float64 for continuous laws."""
+def _slot_origin(cfg: WalkConfig):
+    """The lattice walkers' start a in slot units (module docstring)."""
+    gaps = np.diff(np.asarray(cfg.start, dtype=np.int64))
+    return np.cumsum([0, *(-(-gaps // cfg.dist.lattice.span))])
+
+
+def _chunk_dtype(cfg: WalkConfig, horizon: int):
+    """Smallest of int16, int32 and int64 that holds a lattice chunk's slot
+    counts up to the horizon, a_{k-1} + horizon * (S - 1); else float64."""
     lattice = cfg.dist.lattice
     if lattice is None:
         return np.float64
-    top = lattice.lo + lattice.span * (len(lattice.weights) - 1)
-    reach = max(abs(int(c)) for c in cfg.start) + horizon * max(-lattice.lo, top)
+    reach = _slot_origin(cfg)[-1] + horizon * (len(lattice.weights) - 1)
     return next((t for t in (np.int16, np.int32) if reach <= np.iinfo(t).max), np.int64)
+
+
+def _slot_positions(cfg: WalkConfig, rows, steps):
+    """Turn int64 rows of slot counts Y, each after `steps` steps (one count
+    or one per row), into positions x + lo * steps + span * (Y - a), in place."""
+    lattice = cfg.dist.lattice
+    rows *= lattice.span
+    rows += np.asarray(cfg.start, dtype=np.int64) - lattice.span * _slot_origin(cfg)
+    rows += lattice.lo * np.reshape(steps, (-1, 1))
+    return rows
 
 
 def _gap_steps(steps):
@@ -208,9 +228,10 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     encodes survival past the horizon. With snap_step in 0..horizon, snap
     holds every row's positions at that step (rows with tau <= snap_step keep
     the start); otherwise snap is None. Lattice terminals and snapshots are
-    int64 and continuous ones float64; inside the chunks lattice positions
-    take `_position_dtype`, which cannot overflow. The steps are drawn in
-    chunks, and a Gaussian walk's in the gap frame (module docstring).
+    int64 and continuous ones float64; inside the chunks a lattice walk's
+    slot counts take `_chunk_dtype`, which cannot overflow. The steps are
+    drawn in chunks, a lattice walk's in slot units and a Gaussian walk's in
+    the gap frame (module docstring).
 
     With stopped=False the block takes the lean path and returns
     (tau, survivors, snap): survivors holds the rows with tau > horizon, in
@@ -220,13 +241,13 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     rng = _block_stream(cfg, block_index)
     k = cfg.k
     gap_frame = cfg.dist.kind == "gaussian"
-    out_dtype = np.int64 if cfg.dist.is_lattice else np.float64
+    slots = cfg.dist.is_lattice
+    out_dtype = np.int64 if slots else np.float64
+    dtype, width = _chunk_dtype(cfg, horizon), k - gap_frame
     if gap_frame:
-        dtype, width = np.float64, k - 1
         origin = np.diff(np.asarray(cfg.start, dtype=np.float64))
     else:
-        dtype, width = _position_dtype(cfg, horizon), k
-        origin = np.asarray(cfg.start, dtype=dtype)
+        origin = np.asarray(_slot_origin(cfg) if slots else cfg.start, dtype=dtype)
     pos = np.repeat(origin[:, None], block_size, axis=1)  # (width, alive paths)
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
     if stopped:
@@ -239,7 +260,7 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
         # up to 4x longer once the block is old: a chunk costs about 25 numpy
         # calls, and at k = 2 a path alive at step n seldom exits in its next n
         t = min(max(1, CHUNK_CELLS // m, min(4 * CHUNK_CELLS // m, n)), horizon - n)
-        path = cfg.dist.sample_array(rng, (t, width, m), dtype)
+        path = cfg.dist.sample_array(rng, (t, width, m), dtype, slots=slots)
         if gap_frame:
             _gap_steps(path)
         path[0] += pos
@@ -281,6 +302,14 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     pos = pos.T  # the survivors' rows
     if stopped:
         terminal[alive_idx] = pos
+    if slots:
+        # snapshot rows that exit by the snapshot step kept the slot origin
+        if snap is not None:
+            _slot_positions(cfg, snap, snap_step * (tau > snap_step))
+        if not stopped:
+            # a C-ordered copy, so no chunk's path array outlives the block
+            return tau, _slot_positions(cfg, pos.astype(out_dtype, order="C"), horizon), snap
+        _slot_positions(cfg, terminal, np.minimum(tau, horizon))
     if gap_frame:
         # a row's centre is drawn at its first reported time: the snapshot
         # step if the row is alive then, else min(tau, horizon); with a
@@ -344,7 +373,8 @@ def batch_survival(cfg: WalkConfig, horizons, paths: int, work: WorkCounts | Non
     max_h = horizons[-1]
     counts = np.zeros(len(horizons), dtype=np.int64)
     for tau, _, _ in _blocks(cfg, max_h, paths, work):
-        counts += [(tau > h).sum() for h in horizons]
+        # every horizon's count of tau > h from one sort
+        counts += tau.size - np.searchsorted(np.sort(tau), horizons, side="right")
     out = []
     for h, c in zip(horizons, counts):
         p = c / paths

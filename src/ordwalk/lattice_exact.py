@@ -30,6 +30,7 @@ gives P(tau > n) of k Rademacher walkers from the packed start in closed
 form, at any horizon.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -594,15 +595,21 @@ def _gap_blocks(dist: StepDistribution, gap: int, n: int):
     of L steps, started from a point mass on each of the band cells of the
     L-step block and on the first cell above them: after r sub-steps its
     first r |lo| rows are the r-step band and row r |lo| is the r-fold kernel.
+    They read (gap law, first, L) alone: built once per key, shared read-only.
     """
     law = Lattice.of(_gap_law(dist))
+    size = 1
+    while size < n and law.denominator ** (size + 1) < _EXACT_FLOAT_BOUND:
+        size += 1
+    return _gap_block_tables(law, (gap - 1) % law.span + 1, size)
+
+
+@functools.lru_cache(maxsize=32)
+def _gap_block_tables(law: Lattice, first: int, size: int):
+    """`_gap_blocks` of the gap law `law` on the gaps first + span i, L = size."""
     span, den, step = law.span, law.denominator, law.weights
-    first = (gap - 1) % span + 1
     lo = law.lo // span  # the gap law is symmetric, so span divides lo
     hi = lo + len(step) - 1
-    size = 1
-    while size < n and den ** (size + 1) < _EXACT_FLOAT_BOUND:
-        size += 1
     rows = size * -lo + 1
     # bounds the counts and both exit moments
     dtype = _int_dtype(den ** size * (span * (1 - lo)) ** 2)
@@ -621,7 +628,9 @@ def _gap_blocks(dist: StepDistribution, gap: int, n: int):
         b, scale = r * -lo, den ** r
         blocks.append(tuple(np.asarray(a / scale, dtype=float) for a in (
             state[b, :b + r * hi + 1], state[:b, :b + r * hi], exits[:b])))
-    return span, first, hi, blocks
+    for table in itertools.chain.from_iterable(blocks):
+        table.flags.writeable = False
+    return span, first, hi, tuple(blocks)
 
 
 def _run_blocks(gap_blocks, mass: np.ndarray, cap: int, horizons):

@@ -10,6 +10,7 @@ the workloads run must pass `validate_spec`.
 
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,32 @@ def test_traced_gaussian_blocks_count_every_normal_drawn(k, snap_step):
     cells = sum(_chunk_cells(block[0], horizon) for block in untraced)
     centres = paths * (1 if snap_step is None else 2)
     assert tracer.counts["distributions.draws"] == (k - 1) * cells + centres
+
+
+@pytest.mark.parametrize("masses, k, snap_step", [
+    (None, 2, None),
+    (None, 3, 8),
+    ({-1: Fraction(1000, 4099), 0: Fraction(2099, 4099), 1: Fraction(1000, 4099)}, 3, None),
+])
+def test_traced_lattice_blocks_count_every_slot_drawn(masses, k, snap_step):
+    # a lattice block draws k slots per chunk cell through sample_array and
+    # nothing else: its snapshot and positions are rebuilt from slot counts
+    dist = (make_distribution("rademacher") if masses is None
+            else make_distribution("custom_lattice", masses=masses))
+    cfg = WalkConfig(k=k, start=tuple(range(k)), dist=dist, master_seed=3)
+    horizon, paths = 32, 20_000  # two blocks, the second partial
+    untraced = list(engine._blocks(cfg, horizon, paths, snap_step=snap_step, stopped=True))
+    tracer = _load_bench("spans").Tracer()
+    try:
+        tracer.install()
+        traced = list(engine._blocks(cfg, horizon, paths, snap_step=snap_step, stopped=True))
+    finally:
+        tracer.uninstall()
+    assert len(traced) == len(untraced) == 2
+    for got, want in zip(traced, untraced):
+        assert all(a is b or np.array_equal(a, b) for a, b in zip(got, want))
+    cells = sum(_chunk_cells(block[0], horizon) for block in untraced)
+    assert tracer.counts["distributions.draws"] == k * cells
 
 
 def test_traced_transformed_pair_paths_match_the_untraced():

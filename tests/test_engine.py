@@ -163,10 +163,10 @@ def test_chunks_grow_with_the_blocks_age(kind, start, horizon, snap_step, monkey
     shapes = []
     draw = type(dist).sample_array
 
-    def spy(self, rng, shape, dtype=None):
+    def spy(self, rng, shape, dtype=None, **kw):
         if isinstance(shape, tuple) and len(shape) == 3:
             shapes.append(shape)
-        return draw(self, rng, shape, dtype)
+        return draw(self, rng, shape, dtype, **kw)
     monkeypatch.setattr(type(dist), "sample_array", spy)
     grown = {}
     for chunk in CHUNK_SIZES:
@@ -281,52 +281,54 @@ WIDE = {-300: Fraction(1, 2), 300: Fraction(1, 2)}
 
 
 FROZEN_STREAMS = [
-    pytest.param("rademacher", None, (0, 1), 300, 150, np.int16,
+    pytest.param("rademacher", None, (0, 1), 300, 150, np.int16, None,
                  "4d8bce6277d8921795b8a0fa1ed548e0fa3e7e0a96a88754819fd80a4ab4401f",
                  id="rademacher-k2"),
-    pytest.param("rademacher", None, (0, 1, 2), 64, 10, np.int16,
+    pytest.param("rademacher", None, (0, 1, 2), 64, 10, np.int16, None,
                  "8fff9fa6d7be0c9b7d81a946981c3e2d9a266f49c7c9151f3f90323e335edac4",
                  id="rademacher-k3"),
-    pytest.param("lazy_lattice", None, (0, 1, 2), 64, 20, np.int16,
+    pytest.param("lazy_lattice", None, (0, 1, 2), 64, 20, np.int16, None,
                  "36388ba68283d8df572c7f7940f6dbdba74155e28551b32800ccb13710bdd69a",
                  id="lazy-k3"),
-    pytest.param("custom_lattice", D4099, (0, 1), 200, 50, np.int16,
+    pytest.param("custom_lattice", D4099, (0, 1), 200, 50, np.int16, None,
                  "456e0805d8e80e0657eddaa6bd3996d26b133c423ddb8992c15f819b207f03da",
                  id="d4099-k2"),
-    pytest.param("gaussian", None, (0.0, 1.0, 2.0), 64, 10, np.float64,
+    pytest.param("gaussian", None, (0.0, 1.0, 2.0), 64, 10, np.float64, None,
                  "267ae4533a9fb5dca9112325bbcdfa7cebc937597818321fc8112d917ecd427b",
                  id="gaussian-k3"),
-    # paths that pass 2**15 - 1, so the positions need int32
-    pytest.param("rademacher", None, (2 ** 15 - 24, 2 ** 15 - 22), 300, 150, np.int32,
+    # positions that pass 2**15 - 1, from int16 chunks of slot counts
+    pytest.param("rademacher", None, (2 ** 15 - 24, 2 ** 15 - 22), 300, 150, np.int16,
+                 np.int16,
                  "59131209cb85096bda8dcc0b71a8d6281f4189d87ed9bc28384a49ae6aade7ed",
                  id="rademacher-int32"),
-    # paths that pass 2**31 - 1, so the positions need int64
-    pytest.param("custom_lattice", WIDE, (2 ** 31 - 1500, 2 ** 31 - 900), 40, 3, np.int64,
+    # positions that pass 2**31 - 1, from int16 chunks of slot counts
+    pytest.param("custom_lattice", WIDE, (2 ** 31 - 1500, 2 ** 31 - 900), 40, 3, np.int16,
+                 np.int32,
                  "64097211df52dc2f0a611bbcdd89ec6ad1be890afdf13ce3da3f26c7a90b2870",
                  id="wide-int64"),
 ]
 
 
-@pytest.mark.parametrize("kind, masses, start, horizon, snap_step, positions, digest",
+@pytest.mark.parametrize("kind, masses, start, horizon, snap_step, chunks, passes, digest",
                          FROZEN_STREAMS)
 def test_simulate_block_stream_is_frozen(kind, masses, start, horizon, snap_step,
-                                         positions, digest):
+                                         chunks, passes, digest):
     # sha256 of the (tau, delta, terminal, snap) bytes, written down from the
     # walker-major (t, w, m) chunks of test_a_chunk_is_walker_major, with
     # one-bit Rademacher lanes, a Gaussian walk in the gap frame, SFC64
     # streams and chunks that grow with the block's age: the stream, the
-    # chunk schedule and every result stay the same bit for bit
+    # chunk schedule and every result stay the same bit for bit, in chunks
+    # of slot counts, whose dtype does not read the start
     dist = make_distribution(kind, **({"masses": masses} if masses else {}))
     cfg = WalkConfig(k=len(start), start=start, dist=dist, master_seed=8)
-    assert engine._position_dtype(cfg, horizon) is positions
+    assert engine._chunk_dtype(cfg, horizon) is chunks
     out = _simulate_block(cfg, horizon, 2, 3000, snap_step)
     h = hashlib.sha256()
     for a in out:
         h.update(a.tobytes())
     assert h.hexdigest() == digest
-    narrower = {np.int32: np.int16, np.int64: np.int32}.get(positions)
-    if narrower is not None:
-        assert out[2].max() > np.iinfo(narrower).max
+    if passes is not None:
+        assert out[2].dtype == np.int64 and out[2].max() > np.iinfo(passes).max
 
 
 def test_the_frozen_streams_take_both_exit_step_branches(monkeypatch):
@@ -424,14 +426,79 @@ def test_survival_matches_exact_rational_at_every_chunk_size(start, chunk, monke
 
 
 def test_position_dtype_reads_the_lattice_not_keys_of_mass_zero():
-    # a key of mass zero is no step: the positions fit int16 with or without it
+    # a key of mass zero is no step: the slot counts fit int16 with or without it
     half = Fraction(1, 2)
     with_key = make_distribution("custom_lattice", masses={-1: half, 1: half, 40000: 0})
     cfgs = [WalkConfig(k=3, start=(0, 1, 2), dist=dist, master_seed=8)
             for dist in (with_key, RAD)]
-    assert [engine._position_dtype(cfg, 64) for cfg in cfgs] == [np.int16, np.int16]
+    assert [engine._chunk_dtype(cfg, 64) for cfg in cfgs] == [np.int16, np.int16]
     first, again = (_simulate_block(cfg, 64, 1, 3000, 10) for cfg in cfgs)
     assert all(np.array_equal(x, y) for x, y in zip(first, again))
+
+
+def _site_frame_block(cfg, horizon, block_index, block_size, snap_step):
+    """_simulate_block walked in sites: the same stream and chunk schedule,
+    every drawn slot index turned into its site by `sites_of`, and the
+    positions summed in int64."""
+    sampler, k = cfg.dist.sampler, cfg.k
+    rng = engine._block_stream(cfg, block_index)
+    pos = np.tile(np.asarray(cfg.start, dtype=np.int64), (block_size, 1))
+    snap = None if snap_step is None else pos.copy()
+    tau = np.full(block_size, horizon + 1)
+    alive = np.arange(block_size)
+    n = 0
+    while n < horizon and alive.size:
+        m = alive.size
+        cells = engine.CHUNK_CELLS
+        t = min(max(1, cells // m, min(4 * cells // m, n)), horizon - n)
+        u = sampler.uniforms(rng.bit_generator, t * k * m).reshape(t, k, m)
+        walk = pos[alive].T + np.cumsum(sampler.sites_of(u, np.int64), axis=0)
+        broken = (np.diff(walk, axis=1) <= 0).any(axis=1)  # (t, m)
+        exits = broken.any(axis=0)
+        first = np.where(exits, broken.argmax(axis=0), t)
+        if snap is not None and n < snap_step <= n + t:
+            live = first >= snap_step - n
+            snap[alive[live]] = walk[snap_step - n - 1][:, live].T
+        tau[alive[exits]] = n + 1 + first[exits]
+        pos[alive] = walk[np.minimum(first, t - 1), :, np.arange(m)]
+        alive = alive[~exits]
+        n += t
+    return tau, vandermonde(pos.astype(np.float64)), pos, snap
+
+
+# laws with span > 1 (d = 2 among them), an interior slot of mass zero, and d = 4099
+SLOT_LAWS = [RAD, make_distribution("lazy_lattice"),
+             make_distribution("custom_lattice", masses={-3: Fraction(1, 2), 3: Fraction(1, 2)}),
+             make_distribution("custom_lattice", masses={-3: Fraction(2, 3), 6: Fraction(1, 3)}),
+             make_distribution("custom_lattice",
+                               masses={-4: Fraction(1, 4), -2: 0, 0: Fraction(1, 4),
+                                       2: Fraction(1, 2)}),
+             make_distribution("custom_lattice", masses=D4099)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(SLOT_LAWS), lo=st.integers(-40, 40),
+       gaps=st.lists(st.integers(1, 13), min_size=1, max_size=3),
+       horizon=st.integers(1, 80), snap=st.one_of(st.none(), st.integers(0, 80)),
+       chunk=st.sampled_from(CHUNK_SIZES), seed=st.integers(0, 2 ** 32 - 1))
+def test_slot_chunks_walk_the_sites_they_stand_for(law, lo, gaps, horizon, snap, chunk,
+                                                   seed):
+    # a lattice block sums slot counts from the slot origin; what it reports
+    # is what walking the drawn sites from the start gives, on both paths
+    start = tuple(lo + sum(gaps[:i]) for i in range(len(gaps) + 1))
+    cfg = WalkConfig(k=len(start), start=start, dist=law, master_seed=seed)
+    snap_step = None if snap is None else min(snap, horizon)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "CHUNK_CELLS", chunk)
+        want = _site_frame_block(cfg, horizon, 1, 300, snap_step)
+        got = _simulate_block(cfg, horizon, 1, 300, snap_step)
+        lean_tau, survivors, lean_snap = _simulate_block(cfg, horizon, 1, 300, snap_step,
+                                                         stopped=False)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+    assert np.array_equal(lean_tau, want[0])
+    assert np.array_equal(survivors, want[2][want[0] > horizon])
+    assert (lean_snap is None and snap is None) or np.array_equal(lean_snap, want[3])
 
 
 def _phi(x):

@@ -336,6 +336,20 @@ def test_gap_blocks_are_exact_and_as_long_as_the_float_bound_allows():
     assert exits[0].tolist() == [-(1 - band[0].sum()), 1 - band[0].sum()]
 
 
+def test_gap_blocks_are_built_once_per_law_residue_and_length():
+    # the tables read only the gap law, the least positive gap of the start's
+    # residue and the block length: another gap of the same residue, another
+    # horizon past L and another instance of the law share one read-only set
+    tables = lattice_exact._gap_blocks(RAD, 1, 1 << 14)
+    assert lattice_exact._gap_blocks(make_distribution("rademacher"), 5, 1 << 12) is tables
+    assert lattice_exact._gap_blocks(RAD, 2, 1 << 14)[1] == 2
+    assert lattice_exact._gap_blocks(RAD, 1, 5) is not tables  # L = 5 keys its own
+    for block in tables[-1]:
+        for table in block:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+
 def _exact_gap_chain(dist, start_gap, horizons):
     """{h: (P(tau > h), E[gap(tau); tau <= h], E[gap(tau)^2; tau <= h])} as
     Fractions, by an uncapped integer count DP of the gap chain, one step at
