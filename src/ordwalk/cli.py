@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, asymptotics, engine, lattice_exact, transform, v_module
 from .distributions import make_distribution, seed_error
-from .engine import PartialResultError, WalkConfig
+from .engine import PartialResultError, WalkConfig, is_integral
 from .geometry import in_weyl
 from .transform import FeasibilityError
 
@@ -192,8 +192,7 @@ def validate_spec(raw: str) -> ExperimentSpec:
     except (ValueError, TypeError) as exc:
         errors.append(f"bad distribution: {exc}")
     else:
-        if d.is_lattice and not all(
-                isinstance(c, int) or float(c) == int(c) for c in start):
+        if d.is_lattice and not all(map(is_integral, start)):
             errors.append("lattice walks need integer start coordinates")
         if error := _law_error(kind, k, d):
             errors.append(error)

@@ -5,9 +5,8 @@ built from them once (the steps lo + span*j with their integer counts
 d*p(lo + span*j), d the masses' common denominator), which every exact layer
 reads, and a step sampler compiled once from that lattice: uniform integers
 on [0, d), cut from the stream's raw 64-bit words (in byte lanes or wider,
-or one bit per draw when d = 2) and mapped to sites by
-integer comparisons with the slot ranges' ends, so every draw has exactly the
-law's masses.
+or one bit per draw when d = 2) and mapped to slots j by integer comparisons
+with the slot ranges' ends, so every draw has exactly the law's masses.
 Continuous kinds only promise determinism per stream and the stored moments.
 """
 
@@ -78,8 +77,9 @@ class Lattice:
 
 @dataclass(frozen=True)
 class LatticeSampler:
-    """Exact step sampler: a uniform integer u on [0, d) picks the site whose
-    slot range holds it; site s owns m_s * d consecutive slots.
+    """Exact step sampler in slot units: a uniform integer u on [0, d) picks
+    the slot j of the step lo + span * j whose range holds it; slot j owns
+    d * p(lo + span * j) consecutive values of u.
 
     The uniforms come from the generator's raw 64-bit words, each cut into
     lanes of `draw_dtype` (little-endian: the low byte first). A lane is
@@ -91,18 +91,15 @@ class LatticeSampler:
     steps is the first N kept lanes of the word stream, so a smaller draw
     from the same state is a prefix of a larger one.
 
-    The site of u is sites[0] + sum_j (sites[j+1] - sites[j]) * [u >= ends[j]],
-    one compare-add per site of positive mass but the first, in the dtype the
-    caller asks for; its slot (s - lo) / span takes the jumps over span from
-    0, and for d = 2 is u itself. The block simulator draws slots.
+    The slot of u is sum_i jumps[i] * [u >= ends[i]], one compare-add per
+    slot of positive mass but the first, in the dtype the caller asks for;
+    for d = 2 it is u itself.
     """
 
     denominator: int
     draw_dtype: type  # smallest unsigned dtype holding every draw, d - 1
-    span: int  # the lattice's: sites[j] - sites[0] is a multiple of it
-    sites: np.ndarray  # ascending, smallest signed dtype holding them
-    ends: np.ndarray  # first slot past each site's range but the last's, in draw_dtype
-    jumps: np.ndarray  # sites[j + 1] - sites[j], int64
+    ends: np.ndarray  # first draw past each slot's range but the last's, in draw_dtype
+    jumps: np.ndarray  # slot differences of consecutive slots of positive mass, int64
 
     @classmethod
     def compile(cls, lattice: Lattice):
@@ -111,33 +108,23 @@ class LatticeSampler:
             raise ValueError(
                 f"common denominator {d} of the step masses is not below 2**63, "
                 "the bound of the exact integer step sampler")
-        sites, counts = zip(*((lattice.lo + lattice.span * j, w)
-                              for j, w in enumerate(lattice.weights) if w))
-        step_dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64)
-                           if np.iinfo(t).min <= sites[0]
-                           and sites[-1] <= np.iinfo(t).max), None)
-        if step_dtype is None:
-            raise ValueError(f"step sites {sites[0]}..{sites[-1]} do not fit in int64")
+        hi = lattice.lo + lattice.span * (len(lattice.weights) - 1)
+        if not -2 ** 63 <= lattice.lo <= hi < 2 ** 63:
+            raise ValueError(f"step sites {lattice.lo}..{hi} do not fit in int64")
+        slots, counts = zip(*((j, w) for j, w in enumerate(lattice.weights) if w))
         draw_dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                           if d - 1 <= np.iinfo(t).max)
-        return cls(denominator=d, draw_dtype=draw_dtype, span=lattice.span,
-                   sites=np.array(sites, dtype=step_dtype),
+        return cls(denominator=d, draw_dtype=draw_dtype,
                    ends=np.cumsum(counts[:-1], dtype=np.uint64).astype(draw_dtype),
-                   jumps=np.diff(np.array(sites, dtype=np.int64)))
+                   jumps=np.diff(slots))
 
-    def sites_of(self, u, dtype=None, slots=False):
-        """Site of each slot index in u (entries in [0, d)), in `dtype`, which
-        must hold every site (default: the sites' own dtype); with slots=True
-        the site's lattice slot (s - lo) / span instead, for d = 2 u itself."""
-        dtype = self.sites.dtype if dtype is None else np.dtype(dtype)
-        if slots and self.denominator == 2:
+    def slots_of(self, u, dtype):
+        """Slot of each draw in u (entries in [0, d)), in `dtype`, which must
+        hold the last slot."""
+        if self.denominator == 2:
             return u.astype(dtype)
-        # the adds wrap modulo 2**bits where a jump does not fit the dtype,
-        # and each sum is a site or slot, which does: the result is exact
-        jumps = (self.jumps // self.span if slots else self.jumps).astype(dtype)
-        out = np.multiply(u >= self.ends[0], jumps[0], dtype=dtype)
-        if not slots:
-            out += self.sites[0]
+        first, jumps = u >= self.ends[0], self.jumps
+        out = first.astype(dtype) if jumps[0] == 1 else np.multiply(first, jumps[0], dtype=dtype)
         for end, jump in zip(self.ends[1:], jumps[1:]):
             out += (u >= end) if jump == 1 else np.multiply(u >= end, jump, dtype=dtype)
         return out
@@ -167,10 +154,10 @@ class LatticeSampler:
         u = kept[0] if len(kept) == 1 else np.concatenate(kept)
         return u[:size]
 
-    def draw(self, rng: np.random.Generator, shape, dtype=None, slots=False):
-        """Steps (or slots) of the given int or tuple shape, in C order, in `dtype`."""
+    def draw(self, rng: np.random.Generator, shape, dtype):
+        """Slots of the given int or tuple shape, in C order, in `dtype`."""
         size = math.prod(shape) if isinstance(shape, tuple) else int(shape)
-        return self.sites_of(self.uniforms(rng.bit_generator, size), dtype, slots).reshape(shape)
+        return self.slots_of(self.uniforms(rng.bit_generator, size), dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -201,19 +188,17 @@ class StepDistribution:
             raise UnsupportedOperationError(f"{self.kind} has no exact mass table")
         return self.lattice.denominator
 
-    def sample_array(self, rng: np.random.Generator, shape, dtype=None, slots=False):
+    def sample_array(self, rng: np.random.Generator, shape, dtype=np.int64):
         """Draw an array of i.i.d. steps, of an int or tuple shape, from `rng`.
 
-        Lattice kinds return integer sites from the compiled sampler, in
-        `dtype` (an integer dtype that holds every site) or by default in the
-        smallest signed dtype that holds them; with slots=True, the lattice
-        slots (s - lo) / span of the same draws instead, in `dtype`.
-        Continuous kinds ignore `dtype` and `slots` and return float64.
+        Lattice kinds return each step's slot (s - lo) / span from the
+        compiled sampler, in `dtype` (an integer dtype that holds the last
+        slot). Continuous kinds ignore `dtype` and return float64 steps.
         Either way the steps fill the shape in C order from the stream, so a
         draw of fewer leading rows from the same state is a prefix.
         """
         if self.sampler is not None:
-            return self.sampler.draw(rng, shape, dtype, slots)
+            return self.sampler.draw(rng, shape, dtype)
         if self.kind == "gaussian":
             steps = rng.standard_normal(shape)
             steps *= math.sqrt(self.variance)

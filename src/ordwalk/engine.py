@@ -41,22 +41,24 @@ replay where a row's first reported time is the same: at every horizon
 without a snapshot, and from a snapshot step to a run whose horizon is that
 step.
 
-A lattice walk runs in slot units: the sampler hands over each step's
-slot j = (s - lo) / span, and walker w starts from a_w, with a_0 = 0 and
-a_w = a_{w-1} + ceil((x_w - x_{w-1}) / span). All walkers drift by lo per
-step, so with Y_w = a_w plus the sum of w's slots, X_w <= X_{w-1} exactly
-when Y_w <= Y_{w-1}. Chunks take the smallest of int16, int32 and int64
-that holds a_{k-1} + horizon * (S - 1) for a law of S slots, and the
+A lattice walk runs in slot units: the sampler hands over only each step's
+slot j = (s - lo) / span, never its site, and walker w starts from a_w, with
+a_0 = 0 and a_w = a_{w-1} + ceil((x_w - x_{w-1}) / span). All walkers drift
+by lo per step, so with Y_w = a_w plus the sum of w's slots, X_w <= X_{w-1}
+exactly when Y_w <= Y_{w-1}. Chunks take the smallest of int16, int32 and
+int64 that holds a_{k-1} + horizon * (S - 1) for a law of S slots, and the
 positions x + lo i + span (Y - a) after i steps are rebuilt in int64, in
-place, only for the rows a block reports. A block has two paths, which draw
-the same stream and give the same exit times. The stopped path, which only
-V by Monte Carlo asks for, keeps every row's position at min(tau, horizon)
-as int64 and takes the stopped Vandermonde of every row once per block. The
-lean path, which the tail, the endpoint and the transform take, keeps only
-the survivors' positions, in row order: an exit row is never gathered, and
-no Vandermonde is taken.
+place, only for the rows a block reports; a walk whose slot counts or
+positions could reach 2**63 is refused before its first chunk. A block has
+two paths, which draw the same stream and give the same exit times. The
+stopped path, which only V by Monte Carlo asks for, keeps every row's
+position at min(tau, horizon) as int64 and takes the stopped Vandermonde of
+every row once per block. The lean path, which the tail, the endpoint and
+the transform take, keeps only the survivors' positions, in row order: an
+exit row is never gathered, and no Vandermonde is taken.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,6 +102,12 @@ class PartialResultError(RuntimeError):
         self.acceptance_rate = acceptance_rate
 
 
+def is_integral(c):
+    """Whether the number c is an integer: exact for ints and np.integer,
+    which float(c) would round above 2**53."""
+    return isinstance(c, (int, np.integer)) or float(c).is_integer()
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     k: int
@@ -114,9 +122,8 @@ class WalkConfig:
             raise ValueError("start must have k coordinates")
         if not in_weyl(self.start):
             raise ValueError("start must lie strictly ordered in the Weyl chamber")
-        if self.dist.is_lattice:
-            if not all(float(c) == int(c) for c in self.start):
-                raise ValueError("lattice walks need integer start coordinates")
+        if self.dist.is_lattice and not all(map(is_integral, self.start)):
+            raise ValueError("lattice walks need integer start coordinates")
         if error := seed_error(self.master_seed):
             raise ValueError(error)
 
@@ -150,19 +157,27 @@ def _block_stream(cfg: WalkConfig, block_index: int, salt: int = BLOCK_SALT):
 
 
 def _slot_origin(cfg: WalkConfig):
-    """The lattice walkers' start a in slot units (module docstring)."""
-    gaps = np.diff(np.asarray(cfg.start, dtype=np.int64))
-    return np.cumsum([0, *(-(-gaps // cfg.dist.lattice.span))])
+    """The lattice walkers' start a in slot units (module docstring), in Python ints."""
+    x, span = [int(c) for c in cfg.start], cfg.dist.lattice.span
+    return [0, *itertools.accumulate(-(-(b - a) // span) for a, b in zip(x, x[1:]))]
 
 
 def _chunk_dtype(cfg: WalkConfig, horizon: int):
     """Smallest of int16, int32 and int64 that holds a lattice chunk's slot
-    counts up to the horizon, a_{k-1} + horizon * (S - 1); else float64."""
+    counts up to the horizon, a_{k-1} + horizon * (S - 1), else float64; refuses
+    a walk whose slot counts or positions, up to max |x_i| + horizon *
+    max(|lo|, |hi|), may reach 2**63."""
     lattice = cfg.dist.lattice
     if lattice is None:
         return np.float64
-    reach = _slot_origin(cfg)[-1] + horizon * (len(lattice.weights) - 1)
-    return next((t for t in (np.int16, np.int32) if reach <= np.iinfo(t).max), np.int64)
+    top = len(lattice.weights) - 1
+    reach = _slot_origin(cfg)[-1] + horizon * top
+    far = (max(abs(int(c)) for c in cfg.start)
+           + horizon * max(-lattice.lo, lattice.lo + lattice.span * top))
+    if max(reach, far) >= 2 ** 63:
+        raise ValueError(f"a lattice walk from {cfg.start} may reach 2**63 within "
+                         f"{horizon} steps, past its int64 positions and slot counts")
+    return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
 
 
 def _slot_positions(cfg: WalkConfig, rows, steps):
@@ -170,7 +185,7 @@ def _slot_positions(cfg: WalkConfig, rows, steps):
     or one per row), into positions x + lo * steps + span * (Y - a), in place."""
     lattice = cfg.dist.lattice
     rows *= lattice.span
-    rows += np.asarray(cfg.start, dtype=np.int64) - lattice.span * _slot_origin(cfg)
+    rows += np.asarray(cfg.start, dtype=np.int64) - lattice.span * np.array(_slot_origin(cfg))
     rows += lattice.lo * np.reshape(steps, (-1, 1))
     return rows
 
@@ -229,25 +244,25 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     holds every row's positions at that step (rows with tau <= snap_step keep
     the start); otherwise snap is None. Lattice terminals and snapshots are
     int64 and continuous ones float64; inside the chunks a lattice walk's
-    slot counts take `_chunk_dtype`, which cannot overflow. The steps are
-    drawn in chunks, a lattice walk's in slot units and a Gaussian walk's in
-    the gap frame (module docstring).
+    slot counts take `_chunk_dtype`, which refuses a walk that could
+    overflow them. The steps are drawn in chunks, a lattice walk's in slot
+    units and a Gaussian walk's in the gap frame (module docstring).
 
     With stopped=False the block takes the lean path and returns
     (tau, survivors, snap): survivors holds the rows with tau > horizon, in
-    row order, equal to terminal[tau > horizon], and tau and snap are the
-    same arrays as on the stopped path.
+    row order, equal to terminal[tau > horizon], C-ordered in memory of its
+    own; tau and snap are the same arrays as on the stopped path.
     """
     rng = _block_stream(cfg, block_index)
     k = cfg.k
     gap_frame = cfg.dist.kind == "gaussian"
-    slots = cfg.dist.is_lattice
-    out_dtype = np.int64 if slots else np.float64
+    lattice = cfg.dist.is_lattice
+    out_dtype = np.int64 if lattice else np.float64
     dtype, width = _chunk_dtype(cfg, horizon), k - gap_frame
     if gap_frame:
         origin = np.diff(np.asarray(cfg.start, dtype=np.float64))
     else:
-        origin = np.asarray(_slot_origin(cfg) if slots else cfg.start, dtype=dtype)
+        origin = np.asarray(_slot_origin(cfg) if lattice else cfg.start, dtype=dtype)
     pos = np.repeat(origin[:, None], block_size, axis=1)  # (width, alive paths)
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
     if stopped:
@@ -260,7 +275,7 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
         # up to 4x longer once the block is old: a chunk costs about 25 numpy
         # calls, and at k = 2 a path alive at step n seldom exits in its next n
         t = min(max(1, CHUNK_CELLS // m, min(4 * CHUNK_CELLS // m, n)), horizon - n)
-        path = cfg.dist.sample_array(rng, (t, width, m), dtype, slots=slots)
+        path = cfg.dist.sample_array(rng, (t, width, m), dtype)
         if gap_frame:
             _gap_steps(path)
         path[0] += pos
@@ -299,18 +314,18 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
             alive_idx = alive_idx.take(keep)
             pos = pos.take(keep, axis=1)
         n += t
-    pos = pos.T  # the survivors' rows
+    pos = pos.T  # the survivors' rows, a view of the last chunk
     if stopped:
         terminal[alive_idx] = pos
-    if slots:
+    if lattice:
         # snapshot rows that exit by the snapshot step kept the slot origin
         if snap is not None:
             _slot_positions(cfg, snap, snap_step * (tau > snap_step))
-        if not stopped:
-            # a C-ordered copy, so no chunk's path array outlives the block
-            return tau, _slot_positions(cfg, pos.astype(out_dtype, order="C"), horizon), snap
-        _slot_positions(cfg, terminal, np.minimum(tau, horizon))
-    if gap_frame:
+        if stopped:
+            _slot_positions(cfg, terminal, np.minimum(tau, horizon))
+        else:
+            pos = _slot_positions(cfg, pos.astype(out_dtype, order="C"), horizon)
+    elif gap_frame:
         # a row's centre is drawn at its first reported time: the snapshot
         # step if the row is alive then, else min(tau, horizon); with a
         # snapshot, an independent increment takes it on to min(tau, horizon)
@@ -332,8 +347,8 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
         else:
             pos = _gap_positions(cfg, pos, centre[alive_idx])
     if not stopped:
-        # a C-ordered copy, so no chunk's path array outlives the block
-        return tau, pos.astype(out_dtype, order="C"), snap
+        # uniform and Laplace survivors still view the last chunk: copy them out
+        return tau, pos if lattice or gap_frame else pos.copy(), snap
     # Delta in float64, which int64 products would overflow at large k
     delta = vandermonde(terminal.astype(np.float64, copy=False))
     return tau, delta, terminal, snap

@@ -356,6 +356,36 @@ def test_main_validate_and_run(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_run_refuses_a_lattice_walk_whose_positions_could_pass_int64(tmp_path, capsys):
+    # 1024-steps from within 1024 of 2**63 would wrap the int64 positions
+    # and report a row out of order
+    spec_path = tmp_path / "far.json"
+    spec_path.write_text(json.dumps({
+        "kind": "transform", "seed": 1,
+        "walk": {"k": 3, "start": [9223372036854771712, 9223372036854773760,
+                                   9223372036854774784],
+                 "dist": {"kind": "custom_lattice", "masses": {"-1024": 0.5, "1024": 0.5}}},
+        "params": {"t_steps": 4, "paths": 50}}))
+    assert main(["validate", str(spec_path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "r")]) == 1
+    out = capsys.readouterr().out
+    assert "transform: FAIL" in out and "reach 2**63" in out and "int64" in out
+    assert not (tmp_path / "r" / "transform_samples.csv").exists()
+
+
+def test_validate_and_run_agree_on_integer_starts_past_2_53(tmp_path, capsys):
+    # 2**53 + 1 is an integer, though float() rounds it to 2**53
+    spec_path = tmp_path / "tail.json"
+    spec_path.write_text(json.dumps({
+        "kind": "tail",
+        "walk": {"k": 2, "start": [9007199254740993, 9007199254740994], "dist": "rademacher"},
+        "params": {"horizons": [16, 64], "paths": 1000}}))
+    assert main(["validate", str(spec_path)]) == 0
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "r")]) == 0
+    assert "tail: PASS" in capsys.readouterr().out
+
+
 def test_main_validate_bad_spec(tmp_path, capsys):
     spec_path = tmp_path / "bad.yaml"
     spec_path.write_text("kind: nonsense\nwalk: {k: 2, start: [0, 1]}\n")

@@ -209,10 +209,23 @@ def test_distinct_streams_differ():
         assert not np.array_equal(base, _draws(kind, RandomStream(8, 0)))
 
 
+def _sites(d, slots):
+    """The sites lo + span * slot of the slots a lattice law's sampler draws."""
+    return d.lattice.lo + d.lattice.span * np.asarray(slots, dtype=np.int64)
+
+
+def _slot_table(d):
+    """Slot of each draw 0..d-1, built from the law's masses: slot j owns
+    d * p(lo + span * j) consecutive draws, in ascending order."""
+    sites = sorted(s for s, m in d.masses.items() if m > 0)
+    counts = [int(d.masses[s] * d.denominator) for s in sites]
+    return np.repeat([(s - d.lattice.lo) // d.lattice.span for s in sites], counts)
+
+
 def test_sampled_mean_lazy():
     d = make_distribution("lazy_lattice")
     rng = RandomStream(11, 0).generator()
-    draws = d.sample_array(rng, 1_000_000)
+    draws = _sites(d, d.sample_array(rng, 1_000_000))
     sigma = math.sqrt(d.variance)
     assert abs(draws.mean()) < 4 * sigma / 1000
 
@@ -221,7 +234,7 @@ def test_sampled_histogram_matches_pmf():
     d = make_distribution("lazy_lattice")
     rng = RandomStream(13, 0).generator()
     n = 1_000_000
-    draws = d.sample_array(rng, n)
+    draws = _sites(d, d.sample_array(rng, n))
     for site, mass in d.masses.items():
         p = float(mass)
         freq = (draws == site).mean()
@@ -238,8 +251,9 @@ def test_stream_autocorrelation():
         assert abs(r) < 5 / math.sqrt(len(x))
 
 
-def _slot_counts(sampler, slots):
-    sites = sampler.sites_of(slots)
+def _site_counts(d, u):
+    """How many of the draws u the sampler of d maps to each site."""
+    sites = _sites(d, d.sampler.slots_of(u, np.int64))
     return {int(s): int((sites == s).sum()) for s in np.unique(sites)}
 
 
@@ -255,7 +269,7 @@ def test_sampler_table_counts_are_exact_masses(kind, masses):
     d = make_distribution(kind, **({"masses": masses} if masses else {}))
     sampler = d.sampler
     assert sampler.denominator == d.denominator
-    counts = _slot_counts(sampler, np.arange(d.denominator))
+    counts = _site_counts(d, np.arange(d.denominator))
     want = {s: m for s, m in d.masses.items() if m > 0}
     assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
 
@@ -276,7 +290,7 @@ def test_sampler_draw_dtype_is_smallest_holding_every_draw():
     edge = _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 16))
     assert edge.denominator == 2 ** 16
     assert edge.sampler.draw_dtype is np.uint16
-    draws = edge.sample_array(RandomStream(1, 0).generator(), 4096)
+    draws = _sites(edge, edge.sample_array(RandomStream(1, 0).generator(), 4096))
     assert set(np.unique(draws).tolist()) <= {-1, 0, 1}
 
 
@@ -288,11 +302,11 @@ def test_sampler_wide_law_counts_are_exact_masses():
     sampler = d.sampler
     assert d.denominator == 860160
     assert sampler.draw_dtype is np.uint32
-    counts = _slot_counts(sampler, np.arange(d.denominator, dtype=sampler.draw_dtype))
+    counts = _site_counts(d, np.arange(d.denominator, dtype=sampler.draw_dtype))
     want = {s: m for s, m in d.masses.items() if m > 0}
     assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
     draws = d.sample_array(RandomStream(3, 0).generator(), (1000, 3))
-    assert draws.dtype == np.int8 and set(np.unique(draws).tolist()) <= set(want)
+    assert draws.dtype == np.int64 and set(np.unique(_sites(d, draws)).tolist()) <= set(want)
 
 
 def test_sampler_refuses_denominator_at_int64_bound():
@@ -300,9 +314,9 @@ def test_sampler_refuses_denominator_at_int64_bound():
         _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 63))
     d = _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 62))
     assert d.denominator == 2 ** 62 and d.sampler.draw_dtype is np.uint64
-    slots = np.array([0, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 61 + 1,
-                      2 ** 62 - 1], dtype=np.uint64)
-    assert d.sampler.sites_of(slots).tolist() == [-1, -1, 0, 0, 1, 1]
+    u = np.array([0, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 61 + 1,
+                  2 ** 62 - 1], dtype=np.uint64)
+    assert _sites(d, d.sampler.slots_of(u, np.int64)).tolist() == [-1, -1, 0, 0, 1, 1]
 
 
 def test_sampler_is_compiled_once_per_law():
@@ -313,13 +327,15 @@ def test_sampler_is_compiled_once_per_law():
     assert make_distribution("gaussian").sampler is None
 
 
-def test_lattice_draws_use_smallest_site_dtype():
+def test_lattice_draws_take_the_asked_dtype_and_refuse_sites_past_int64():
     rad = make_distribution("rademacher")
     draws = rad.sample_array(RandomStream(5, 0).generator(), (16, 3))
-    assert draws.dtype == np.int8 and set(np.unique(draws).tolist()) <= {-1, 1}
+    assert draws.dtype == np.int64 and set(np.unique(draws).tolist()) <= {0, 1}
     wide = make_distribution("custom_lattice",
                              masses={-300: Fraction(1, 2), 300: Fraction(1, 2)})
-    assert wide.sample_array(RandomStream(5, 0).generator(), 8).dtype == np.int16
+    narrow = wide.sample_array(RandomStream(5, 0).generator(), 8, np.int16)
+    assert narrow.dtype == np.int16
+    assert np.array_equal(narrow, wide.sample_array(RandomStream(5, 0).generator(), 8))
     with pytest.raises(ValueError, match="int64"):
         make_distribution("custom_lattice",
                           masses={-2 ** 70: Fraction(1, 2), 2 ** 70: Fraction(1, 2)})
@@ -394,10 +410,11 @@ def test_sampler_power_of_two_lanes_are_masked_in_order(kind, masses, lanes, wan
     n = len(want)
     words = _lane_words(d, lanes)
     rng = _StubRng(words)
-    assert d.sample_array(rng, n).tolist() == want
+    assert _sites(d, d.sample_array(rng, n)).tolist() == want
     assert rng.bit_generator.requests == [len(words)]
     rng = _StubRng(words)
-    assert d.sample_array(rng, (2, n // 2)).tolist() == [want[:n // 2], want[n // 2:]]
+    assert _sites(d, d.sample_array(rng, (2, n // 2))).tolist() == [want[:n // 2],
+                                                                    want[n // 2:]]
 
 
 @pytest.mark.parametrize("size, words", [(1, 1), (63, 1), (64, 1), (65, 2), (70, 2)])
@@ -408,8 +425,9 @@ def test_rademacher_bits_ask_for_whole_words_and_give_a_prefix(size, words):
     rng = _StubRng(_bit_words(_BITS))
     draws = d.sample_array(rng, size)
     assert rng.bit_generator.requests == [words]
-    assert draws.dtype == np.int8
-    assert draws.tolist() == [2 * b - 1 for b in _BITS[:size]]
+    # the drawn bit is the slot
+    assert draws.dtype == np.int64
+    assert draws.tolist() == _BITS[:size]
 
 
 def test_sampler_rejects_lanes_at_or_above_d_and_refills():
@@ -418,7 +436,7 @@ def test_sampler_rejects_lanes_at_or_above_d_and_refills():
     # (0xFF masks to 3), and the refill's word 3 supplies the last two
     lanes = [0, 1, 2, 3, 4, 5, 6, 7] + [0xFF] * 8 + [2, 0xFB, 1, 0, 0, 0, 0, 0]
     rng = _StubRng(_words(lanes, np.uint8))
-    draws = d.sample_array(rng, (2, 4))
+    draws = _sites(d, d.sample_array(rng, (2, 4)))
     assert draws.tolist() == [[-1, 0, 1, -1], [0, 1, 1, 0]]
     # 8 draws at acceptance 3/4 ask for ceil(8 * 4 / (3 * 8)) = 2 words, then 1
     assert rng.bit_generator.requests == [2, 1]
@@ -428,10 +446,10 @@ def test_sampler_uint16_lanes_reject_above_d():
     d = make_distribution("custom_lattice", masses=D4099)
     sampler = d.sampler
     assert d.denominator == 4099 and sampler.draw_dtype is np.uint16
-    # slots 0..999 are site -1, 1000..3098 site 0, 3099..4098 site 1
+    # draws 0..999 are site -1, 1000..3098 site 0, 3099..4098 site 1
     lanes = [0, 4098, 4099, 8191, 0xFFFF, 0x2000 | 999, 1000, 0xE000 | 3099] + [1] * 4
     rng = _StubRng(_words(lanes, np.uint16))
-    assert d.sample_array(rng, 5).tolist() == [-1, 1, -1, 0, 1]
+    assert _sites(d, d.sample_array(rng, 5)).tolist() == [-1, 1, -1, 0, 1]
     assert rng.bit_generator.requests == [3]  # ceil(5 * 8192 / (4099 * 4))
 
 
@@ -441,10 +459,10 @@ def test_sampler_uint32_lanes_are_masked_and_rejected():
     sampler = d.sampler
     assert d.denominator == 860160
     assert sampler.draw_dtype is np.uint32
-    # the mask is 2**20 - 1; site -3 owns slots 0..34 and site -2 the next 122880
+    # the mask is 2**20 - 1; site -3 owns draws 0..34 and site -2 the next 122880
     lanes = [0, 860159, 860160, 0xFFFFFFFF, (1 << 20) | 7, 35, 0, 0]
     rng = _StubRng(_words(lanes, np.uint32))
-    assert d.sample_array(rng, (2, 2)).tolist() == [[-3, 3], [-3, -2]]
+    assert _sites(d, d.sample_array(rng, (2, 2))).tolist() == [[-3, 3], [-3, -2]]
 
 
 @pytest.mark.parametrize("masses", [
@@ -459,14 +477,15 @@ def test_sampler_uint32_lanes_are_masked_and_rejected():
 ])
 def test_every_masked_lane_value_once_gives_exact_masses(masses):
     # lanes running once through every masked value 0..mask keep exactly the
-    # d slots 0..d-1, in order, so site s gets m_s * d of them
+    # d draws 0..d-1, in order, so site s gets m_s * d of them
     d = make_distribution("custom_lattice", masses=masses)
     sampler = d.sampler
     mask = (1 << (d.denominator - 1).bit_length()) - 1
     lanes = np.arange(mask + 1, dtype=np.uint64).astype(sampler.draw_dtype)
     rng = _StubRng(_lane_words(d, lanes))
-    draws = d.sample_array(rng, d.denominator)
-    assert np.array_equal(draws, sampler.sites_of(np.arange(d.denominator)))
+    slots = d.sample_array(rng, d.denominator)
+    assert np.array_equal(slots, _slot_table(d))
+    draws = _sites(d, slots)
     counts = {int(s): int((draws == s).sum()) for s in np.unique(draws)}
     want = {s: m for s, m in masses.items() if m > 0}
     assert {s: Fraction(c, d.denominator) for s, c in counts.items()} == want
@@ -477,7 +496,7 @@ def _custom(masses):
 
 
 @pytest.mark.parametrize("dist, slots", [
-    # the laws of the sampler tests above, each slot 0..d-1
+    # the laws of the sampler tests above, each draw 0..d-1
     *((dist, None) for dist in (
         make_distribution("rademacher"),
         make_distribution("lazy_lattice"),
@@ -491,32 +510,33 @@ def _custom(masses):
         _symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 16)),
         _symmetric(s1=Fraction(1, 5), s2=Fraction(1, 7), s3=Fraction(1, 3 * 2 ** 13), s4=0),
         _custom({-300: Fraction(1, 2), 300: Fraction(1, 2)}),
-        # int8 sites whose jump of 200 wraps in int8
+        # sites 200 apart, one slot apart
         _custom({-100: Fraction(1, 2), 100: Fraction(1, 2)}),
     )),
-    # d = 2**62: the slots at each end of every site's range
+    # d = 2**62: the draws at each end of every site's range
     (_symmetric(s1=Fraction(1, 2) - Fraction(1, 2 ** 62)),
      [0, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 61 + 1, 2 ** 62 - 1]),
 ])
 def test_compare_lookup_gives_the_table_and_searchsorted_sites(dist, slots):
-    # the compare-adds map every slot to the site that a slot table (or, for
-    # d = 2**62, searchsorted over the ranges' ends) gives, in every dtype the
-    # block simulator asks for and in the default
-    sampler = dist.sampler
+    # the compare-adds map every draw u (the listed ones, else 0..d-1) to the
+    # slot of the site that a table (or, for d = 2**62, searchsorted over the
+    # ranges' ends) gives, in every dtype the block simulator asks for:
+    # lo + span * slot is that site
+    sampler, u = dist.sampler, slots
     sites = sorted(dist.masses)
     counts = [int(dist.masses[s] * sampler.denominator) for s in sites]
-    if slots is None:
-        slots = np.arange(sampler.denominator)
-        want = np.repeat(sites, counts)[slots]
+    if u is None:
+        u = np.arange(sampler.denominator)
+        want = np.repeat(sites, counts)[u]
     else:
-        slots = np.array(slots, dtype=np.uint64)
+        u = np.array(u, dtype=np.uint64)
         ends = np.cumsum(counts[:-1], dtype=np.uint64)
-        want = np.array(sites)[np.searchsorted(ends, slots, side="right")]
-    slots = slots.astype(sampler.draw_dtype)
-    for dtype in (None, np.int16, np.int32, np.int64):
-        found = sampler.sites_of(slots, dtype)
-        assert found.dtype == np.dtype(dtype or sampler.sites.dtype)
-        assert found.tolist() == want.tolist()
+        want = np.array(sites)[np.searchsorted(ends, u, side="right")]
+    u = u.astype(sampler.draw_dtype)
+    for dtype in (np.int16, np.int32, np.int64):
+        found = sampler.slots_of(u, dtype)
+        assert found.dtype == np.dtype(dtype)
+        assert _sites(dist, found).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("kind", ["rademacher", "lazy_lattice", "gaussian"])

@@ -163,10 +163,10 @@ def test_chunks_grow_with_the_blocks_age(kind, start, horizon, snap_step, monkey
     shapes = []
     draw = type(dist).sample_array
 
-    def spy(self, rng, shape, dtype=None, **kw):
+    def spy(self, rng, shape, dtype=np.int64):
         if isinstance(shape, tuple) and len(shape) == 3:
             shapes.append(shape)
-        return draw(self, rng, shape, dtype, **kw)
+        return draw(self, rng, shape, dtype)
     monkeypatch.setattr(type(dist), "sample_array", spy)
     grown = {}
     for chunk in CHUNK_SIZES:
@@ -413,6 +413,49 @@ def test_blocks_take_the_lean_path_unless_asked_for_stopped_positions():
         assert delta.shape == tau.shape
 
 
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian", "uniform", "laplace"])
+def test_lean_survivors_are_c_ordered_and_own_their_memory(kind):
+    # lattice survivors are rebuilt from slot counts and Gaussian ones from
+    # gaps; uniform and Laplace ones are copied off the last chunk: none is a
+    # view that keeps a chunk's path array alive
+    cfg = WalkConfig(k=3, start=(0, 2, 4), dist=make_distribution(kind), master_seed=4)
+    tau, survivors, _ = _simulate_block(cfg, 16, 1, 300, stopped=False)
+    assert survivors.shape == ((tau > 16).sum(), 3) and len(survivors) > 0
+    assert survivors.flags.c_contiguous and survivors.base is None
+
+
+def test_lattice_walks_that_could_pass_int64_are_refused():
+    # positions up to max |x_i| + horizon * max(|lo|, |hi|) and slot counts
+    # up to a_{k-1} + horizon * (S - 1) are int64; a walk that could take
+    # either to 2**63 is refused, and one a step short of it walks exactly
+    half = Fraction(1, 2)
+    law = make_distribution("custom_lattice", masses={-1024: half, 1024: half})
+    cfg = WalkConfig(k=2, start=(2 ** 63 - 1 - 4 * 1024 - 3000, 2 ** 63 - 1 - 4 * 1024),
+                     dist=law, master_seed=3)
+    assert engine._chunk_dtype(cfg, 4) is np.int16
+    got = _simulate_block(cfg, 4, 1, 300, 2)
+    want = _site_frame_block(cfg, 4, 1, 300, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        _simulate_block(cfg, 5, 1, 300)
+    # positions far from 2**63, slot counts past it
+    far = WalkConfig(k=2, start=(-5 * 10 ** 18, 5 * 10 ** 18),
+                     dist=make_distribution("lazy_lattice"))
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        engine._chunk_dtype(far, 1)
+
+
+@pytest.mark.parametrize("start", [(2 ** 53 + 1, 2 ** 53 + 2),
+                                   (np.int64(2 ** 53 + 1), np.int64(2 ** 53 + 2))])
+def test_integer_starts_past_2_53_are_integers(start):
+    # float(c) rounds 2**53 + 1 to 2**53; integrality is read exactly
+    cfg = WalkConfig(k=2, start=start, dist=RAD)
+    tau, survivors, _ = _simulate_block(cfg, 4, 0, 64, stopped=False)
+    assert survivors.min() >= 2 ** 53 - 3 and survivors.max() <= 2 ** 53 + 6
+    with pytest.raises(ValueError, match="integer start"):
+        WalkConfig(k=2, start=(0.5, 2.0), dist=RAD)
+
+
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize("start", [(0, 1), (0, 1, 2)])
 def test_survival_matches_exact_rational_at_every_chunk_size(start, chunk, monkeypatch):
@@ -438,9 +481,13 @@ def test_position_dtype_reads_the_lattice_not_keys_of_mass_zero():
 
 def _site_frame_block(cfg, horizon, block_index, block_size, snap_step):
     """_simulate_block walked in sites: the same stream and chunk schedule,
-    every drawn slot index turned into its site by `sites_of`, and the
-    positions summed in int64."""
-    sampler, k = cfg.dist.sampler, cfg.k
+    every drawn uniform turned into its site by a table built from the law's
+    masses (site s owns d * p(s) consecutive draws, in ascending order), and
+    the positions summed in int64."""
+    dist, k = cfg.dist, cfg.k
+    sampler = dist.sampler
+    sites = sorted(s for s, p in dist.masses.items() if p > 0)
+    table = np.repeat(sites, [int(dist.masses[s] * dist.denominator) for s in sites])
     rng = engine._block_stream(cfg, block_index)
     pos = np.tile(np.asarray(cfg.start, dtype=np.int64), (block_size, 1))
     snap = None if snap_step is None else pos.copy()
@@ -452,7 +499,7 @@ def _site_frame_block(cfg, horizon, block_index, block_size, snap_step):
         cells = engine.CHUNK_CELLS
         t = min(max(1, cells // m, min(4 * cells // m, n)), horizon - n)
         u = sampler.uniforms(rng.bit_generator, t * k * m).reshape(t, k, m)
-        walk = pos[alive].T + np.cumsum(sampler.sites_of(u, np.int64), axis=0)
+        walk = pos[alive].T + np.cumsum(table[u], axis=0)
         broken = (np.diff(walk, axis=1) <= 0).any(axis=1)  # (t, m)
         exits = broken.any(axis=0)
         first = np.where(exits, broken.argmax(axis=0), t)
