@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__, asymptotics, engine, lattice_exact, transform, v_module
 from .distributions import make_distribution, seed_error
-from .engine import PartialResultError, WalkConfig, is_integral
+from .engine import PartialResultError, WalkConfig, int64_error, is_integral
 from .geometry import in_weyl
 from .transform import FeasibilityError
 
@@ -37,31 +38,6 @@ __all__ = [
     "main",
 ]
 
-# the params each kind's runner reads, with their defaults; validate_spec
-# rejects any other key. A None default is worked out by the runner: l, every
-# exit time 1..n; max_attempts, 200 per survivor; guard_m, 8 t_steps
-_KIND_PARAMS = {
-    "exact-km": {"n": 6},
-    "exact-reflect": {"n": 4, "l": None},
-    "exact-v": {"n": 6},
-    "estimate-v": {"schedule": [16, 32, 64, 128], "paths": 100000},
-    "tail": {"horizons": [64, 128, 256, 512, 1024, 2048, 4096], "paths": 1000000,
-             "exponent_tol": 0.15},
-    "endpoint": {"n": 1024, "survivors": 20000, "max_attempts": None},
-    "lclt": {"horizons": [256, 4096], "threshold": 0.01},
-    "transform": {"t_steps": 16, "paths": 2000, "guard_m": None},
-    "hermite": {"n": 4096, "paths": 20000},
-    "dyson-compare": {"t": 1.0, "horizons": [256, 1024], "paths": 50000,
-                      "x_unit": [0, 1], "tv_threshold": 0.05},
-}
-_KINDS = tuple(_KIND_PARAMS)
-# the law a kind's run needs, where it needs one: exact masses, or the exact
-# k=2 Rademacher transformed chain; validate_spec rejects any other
-_LATTICE, _K2_RADEMACHER = "lattice", "k=2 rademacher"
-_KIND_LAWS = {"exact-km": _LATTICE, "exact-reflect": _LATTICE, "exact-v": _LATTICE,
-              "lclt": _LATTICE, "hermite": _K2_RADEMACHER,
-              "dyson-compare": _K2_RADEMACHER}
-# params read as integers, as floats, and params listing horizons
 _INT_PARAMS = ("n", "l", "paths", "survivors", "max_attempts", "t_steps", "guard_m")
 _FLOAT_PARAMS = ("t", "exponent_tol", "threshold", "tv_threshold")
 _HORIZON_PARAMS = ("horizons", "schedule")
@@ -69,11 +45,16 @@ _HORIZON_PARAMS = ("horizons", "schedule")
 
 def _law_error(kind, k, dist):
     """Why a run of `kind` cannot take k walkers of law `dist`, or None."""
-    need = _KIND_LAWS.get(kind)
-    if need == _LATTICE and not dist.is_lattice:
+    law = _KINDS[kind].law
+    if law in ("lattice", "lattice on span Z") and not dist.is_lattice:
         return f"kind {kind} needs a lattice law, got {dist.kind}"
-    if need == _K2_RADEMACHER and (k, dist.kind) != (2, "rademacher"):
+    if law == "lattice on span Z" and (offset := dist.lattice.lo % dist.lattice.span):
+        return (f"kind {kind} needs a support of offset 0 modulo its span; "
+                f"{dist.kind} lives on {offset} + {dist.lattice.span}Z")
+    if law == "k=2 rademacher" and (k, dist.kind) != (2, "rademacher"):
         return f"kind {kind} needs k=2 rademacher walkers, got k={k} {dist.kind}"
+    if law == "k <= 3" and k > 3:
+        return f"kind {kind} needs k <= 3 walkers (gap marginals of its limit law), got k={k}"
     return None
 
 
@@ -152,7 +133,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
         raise SpecError(["config must be a mapping"])
 
     kind = doc.get("kind")
-    if kind not in _KINDS:
+    record = _KINDS.get(kind) if isinstance(kind, str) else None
+    if record is None:
         errors.append(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
 
     walk = doc.get("walk") or {}
@@ -194,11 +176,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
     else:
         if d.is_lattice and not all(map(is_integral, start)):
             errors.append("lattice walks need integer start coordinates")
-        if error := _law_error(kind, k, d):
+        if record and (error := _law_error(kind, k, d)):
             errors.append(error)
-        elif kind == "lclt" and (offset := d.lattice.lo % d.lattice.span):
-            errors.append(f"kind lclt needs a support of offset 0 modulo its span; "
-                          f"{dist_kind} lives on {offset} + {d.lattice.span}Z")
 
     seed = doc.get("seed", 0)
     if error := seed_error(seed):
@@ -235,11 +214,11 @@ def validate_spec(raw: str) -> ExperimentSpec:
             errors.append(f"params.{key} must be a finite number, got {val!r}")
         elif _is_number(val) and val <= 0:
             errors.append(f"params.{key} must be positive, got {val}")
-        if kind in _KIND_PARAMS and key not in _KIND_PARAMS[kind]:
+        if record and key not in record.params:
             errors.append(f"params.{key} is not read by kind {kind}, which reads "
-                          f"{', '.join(_KIND_PARAMS[kind])}")
+                          f"{', '.join(record.params)}")
     # the cross-field checks read a param as the run will: given, or its default
-    merged = {**_KIND_PARAMS.get(kind, {}), **params}
+    merged = {**(record.params if record else {}), **params}
     if kind == "exact-reflect" and _is_int(merged["l"]) and _is_int(merged["n"]):
         if not 1 <= merged["l"] <= merged["n"]:
             errors.append(f"params.l must lie in 1..n = 1..{merged['n']}, "
@@ -258,6 +237,10 @@ def validate_spec(raw: str) -> ExperimentSpec:
     if not isinstance(out, str) or not out:
         errors.append(f"out must be a non-empty string, got {out!r}")
 
+    # the walk's int64 bound reads horizons from params that passed every check
+    if not errors and record.horizon and (error := int64_error(
+            WalkConfig(k=k, start=start, dist=d), record.horizon(merged))):
+        errors.append(error)
     if errors:
         raise SpecError(errors)
     return ExperimentSpec(kind=kind, k=k, start=start, dist_kind=dist_kind,
@@ -546,8 +529,6 @@ def _run_transform(params, cfg):
 
 
 def _run_hermite(params, cfg):
-    if error := _law_error("hermite", cfg.k, cfg.dist):  # a spec built in code
-        raise FeasibilityError(error)
     n = params["n"]
     y = transform.transformed_pair_paths(cfg.start, n, params["paths"],
                                          master_seed=cfg.master_seed)
@@ -564,8 +545,6 @@ def _run_hermite(params, cfg):
 
 
 def _run_dyson(params, cfg):
-    if error := _law_error("dyson-compare", cfg.k, cfg.dist):  # a spec built in code
-        raise FeasibilityError(error)
     reports = [transform.dyson_compare(tuple(params["x_unit"]), params["t"], n,
                                        params["paths"], master_seed=cfg.master_seed)
                for n in params["horizons"]]
@@ -578,17 +557,31 @@ def _run_dyson(params, cfg):
             {"tv_decreasing": decreasing, "final_below_threshold": final_ok})
 
 
-_RUNNERS = {
-    "exact-km": _run_exact_km,
-    "exact-reflect": _run_exact_reflect,
-    "exact-v": _run_exact_v,
-    "estimate-v": _run_estimate_v,
-    "tail": _run_tail,
-    "endpoint": _run_endpoint,
-    "lclt": _run_lclt,
-    "transform": _run_transform,
-    "hermite": _run_hermite,
-    "dyson-compare": _run_dyson,
+# every run kind, in the order `validate` lists them: its runner; the params it
+# reads, with their defaults (None is worked out by the runner: l, every exit
+# time 1..n; max_attempts, 200 per survivor; guard_m, `transform._guard_horizon`);
+# the law it needs (`_law_error`); and the steps it walks from the start
+_Kind = namedtuple("_Kind", "run params law horizon")
+_KINDS = {
+    "exact-km": _Kind(_run_exact_km, {"n": 6}, "lattice", lambda p: p["n"]),
+    "exact-reflect": _Kind(_run_exact_reflect, {"n": 4, "l": None}, "lattice",
+                           lambda p: p["n"]),
+    "exact-v": _Kind(_run_exact_v, {"n": 6}, "lattice", lambda p: p["n"] + 1),
+    "estimate-v": _Kind(_run_estimate_v, {"schedule": [16, 32, 64, 128], "paths": 100000},
+                        None, lambda p: max(p["schedule"])),
+    "tail": _Kind(_run_tail, {"horizons": [64, 128, 256, 512, 1024, 2048, 4096],
+                              "paths": 1000000, "exponent_tol": 0.15},
+                  None, lambda p: max(p["horizons"])),
+    "endpoint": _Kind(_run_endpoint, {"n": 1024, "survivors": 20000, "max_attempts": None},
+                      "k <= 3", lambda p: p["n"]),
+    "lclt": _Kind(_run_lclt, {"horizons": [256, 4096], "threshold": 0.01}, "lattice on span Z",
+                  lambda p: max(p["horizons"])),
+    "transform": _Kind(_run_transform, {"t_steps": 16, "paths": 2000, "guard_m": None}, None,
+                       lambda p: 2 * transform._guard_horizon(p["t_steps"], p["guard_m"])),
+    "hermite": _Kind(_run_hermite, {"n": 4096, "paths": 20000}, "k=2 rademacher", None),
+    "dyson-compare": _Kind(_run_dyson, {"t": 1.0, "horizons": [256, 1024], "paths": 50000,
+                                        "x_unit": [0, 1], "tv_threshold": 0.05},
+                           "k=2 rademacher", None),
 }
 
 
@@ -604,8 +597,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     """Run one experiment; returns (manifest, exit_code).
 
     Exit code 0: every asserted check passed. 1: a check failed or a module
-    raised. 2: refusal (infeasible budget) or partial results; the samples a
-    partial run collected are written to partial_<kind>.csv.
+    raised. 2: refusal (a law the kind cannot run, an infeasible budget) or
+    partial results, whose samples are written to partial_<kind>.csv.
     """
     out = out_dir or spec.out
     os.makedirs(out, exist_ok=True)
@@ -618,8 +611,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     work = None
     try:
         cfg = spec.walk_config()
-        params = {**_KIND_PARAMS[spec.kind], **spec.params}
-        result, tables, checks = _RUNNERS[spec.kind](params, cfg)
+        record = _KINDS[spec.kind]
+        params = {**record.params, **spec.params}
+        # what `validate` refuses, refused before any work for a spec built in code
+        if refusal := _law_error(spec.kind, cfg.k, cfg.dist):
+            raise FeasibilityError(refusal)
+        if record.horizon and (refusal := int64_error(cfg, record.horizon(params))):
+            raise ValueError(refusal)
+        result, tables, checks = record.run(params, cfg)
         work = result.get("work")
         files = emit_report(out, name, result, tables)
     except (FeasibilityError, PartialResultError) as exc:

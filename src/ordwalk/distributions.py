@@ -109,8 +109,9 @@ class LatticeSampler:
                 f"common denominator {d} of the step masses is not below 2**63, "
                 "the bound of the exact integer step sampler")
         hi = lattice.lo + lattice.span * (len(lattice.weights) - 1)
-        if not -2 ** 63 <= lattice.lo <= hi < 2 ** 63:
-            raise ValueError(f"step sites {lattice.lo}..{hi} do not fit in int64")
+        if not -2 ** 63 <= lattice.lo <= hi < 2 ** 63 or hi - lattice.lo >= 2 ** 63:
+            raise ValueError(f"step sites {lattice.lo}..{hi} do not fit in int64 "
+                             f"with a spread below 2**63")
         slots, counts = zip(*((j, w) for j, w in enumerate(lattice.weights) if w))
         draw_dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                           if d - 1 <= np.iinfo(t).max)

@@ -73,6 +73,7 @@ __all__ = [
     "EstimateCI",
     "WorkCounts",
     "PartialResultError",
+    "int64_error",
     "batch_survival",
     "conditioned_endpoints",
 ]
@@ -162,21 +163,31 @@ def _slot_origin(cfg: WalkConfig):
     return [0, *itertools.accumulate(-(-(b - a) // span) for a, b in zip(x, x[1:]))]
 
 
+def int64_error(cfg: WalkConfig, horizon: int):
+    """Why a walk cannot run `horizon` steps in int64, or None: a lattice walk
+    whose slot counts, up to a_{k-1} + horizon * (S - 1), or positions, up to
+    max |x_i| + horizon * max(|lo|, |hi|), may reach 2**63."""
+    lattice = cfg.dist.lattice
+    if lattice is None:
+        return None
+    top = len(lattice.weights) - 1
+    far = (max(abs(int(c)) for c in cfg.start)
+           + horizon * max(-lattice.lo, lattice.lo + lattice.span * top))
+    if max(_slot_origin(cfg)[-1] + horizon * top, far) >= 2 ** 63:
+        return (f"a lattice walk from {cfg.start} may reach 2**63 within "
+                f"{horizon} steps, past its int64 positions and slot counts")
+    return None
+
+
 def _chunk_dtype(cfg: WalkConfig, horizon: int):
     """Smallest of int16, int32 and int64 that holds a lattice chunk's slot
-    counts up to the horizon, a_{k-1} + horizon * (S - 1), else float64; refuses
-    a walk whose slot counts or positions, up to max |x_i| + horizon *
-    max(|lo|, |hi|), may reach 2**63."""
+    counts up to the horizon, else float64; raises what `int64_error` finds."""
     lattice = cfg.dist.lattice
     if lattice is None:
         return np.float64
-    top = len(lattice.weights) - 1
-    reach = _slot_origin(cfg)[-1] + horizon * top
-    far = (max(abs(int(c)) for c in cfg.start)
-           + horizon * max(-lattice.lo, lattice.lo + lattice.span * top))
-    if max(reach, far) >= 2 ** 63:
-        raise ValueError(f"a lattice walk from {cfg.start} may reach 2**63 within "
-                         f"{horizon} steps, past its int64 positions and slot counts")
+    if error := int64_error(cfg, horizon):
+        raise ValueError(error)
+    reach = _slot_origin(cfg)[-1] + horizon * (len(lattice.weights) - 1)
     return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
 
 

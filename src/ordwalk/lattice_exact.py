@@ -193,21 +193,25 @@ def _start(x, lattice: Lattice, dtype) -> _Counts:
     return _Counts(tuple(int(c) for c in x), lattice.span, np.ones((1,) * len(x), dtype=dtype))
 
 
+def _convolve(counts: np.ndarray, weights, axis: int) -> np.ndarray:
+    """Integer counts convolved with integer weights along one axis, in their dtype."""
+    size = counts.shape[axis]
+    shape = list(counts.shape)
+    shape[axis] += len(weights) - 1
+    out = np.zeros(shape, dtype=counts.dtype)
+    src, dst = counts.swapaxes(0, axis), out.swapaxes(0, axis)
+    for j, w in enumerate(weights):
+        if w:
+            dst[j:j + size] += src if w == 1 else w * src
+    return out
+
+
 def _push(box: _Counts, lattice: Lattice) -> _Counts:
     """One free step of every walker: the counts at time m + 1 from those at
     m, by one convolution with the step weights along each axis in turn."""
-    weights = lattice.weights
     counts = box.counts
     for axis in range(counts.ndim):
-        size = counts.shape[axis]
-        shape = list(counts.shape)
-        shape[axis] += len(weights) - 1
-        out = np.zeros(shape, dtype=counts.dtype)
-        src, dst = counts.swapaxes(0, axis), out.swapaxes(0, axis)
-        for j, w in enumerate(weights):
-            if w:
-                dst[j:j + size] += src if w == 1 else w * src
-        counts = out
+        counts = _convolve(counts, lattice.weights, axis)
     return _Counts(tuple(o + lattice.lo for o in box.origin), lattice.span, counts)
 
 
@@ -614,15 +618,13 @@ def _gap_block_tables(law: Lattice, first: int, size: int):
     # bounds the counts and both exit moments
     dtype = _int_dtype(den ** size * (span * (1 - lo)) ** 2)
     state = np.eye(rows, dtype=dtype)  # state[i, j]: from cell i to cell j
-    exit_gaps = first + span * np.arange(lo, 0)
-    exit_moments = np.stack([exit_gaps, exit_gaps ** 2], axis=1).astype(dtype)
+    # in Python ints: the square of a wide law's exit gap passes int64
+    exit_moments = np.array([[g, g * g] for g in range(first + span * lo, first, span)],
+                            dtype=dtype)
     exits = np.zeros((rows, 2), dtype=dtype)
     blocks = []
     for r in range(1, size + 1):
-        out = np.zeros((rows, state.shape[1] + hi - lo), dtype=dtype)  # cells lo..
-        for j, w in enumerate(step):
-            if w:
-                out[:, j:j + state.shape[1]] += w * state
+        out = _convolve(state, step, 1)  # cells lo..
         exits = den * exits + out[:, :-lo] @ exit_moments
         state = out[:, -lo:]
         b, scale = r * -lo, den ** r

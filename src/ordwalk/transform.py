@@ -241,6 +241,11 @@ def transformed_gap_distribution(start_gap: int, n: int) -> tuple:
     return _transformed_gap_law(start_gap, n)[:2]
 
 
+def _guard_horizon(t_steps: int, guard_m=None) -> int:
+    """The rejection transform's guard horizon: guard_m, by default 8 t_steps, at least 8."""
+    return guard_m if guard_m is not None else max(8 * t_steps, 8)
+
+
 def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
                               guard_m=None, work: WorkCounts | None = None):
     """Approximate the transformed law by conditioning on long survival.
@@ -257,7 +262,7 @@ def transform_paths_rejection(cfg: WalkConfig, t_steps: int, paths: int,
         raise ValueError("t_steps must be >= 0")
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    m = guard_m if guard_m is not None else max(8 * t_steps, 8)
+    m = _guard_horizon(t_steps, guard_m)
     if m < t_steps:
         raise ValueError("guard horizon must be >= t_steps")
     k = cfg.k

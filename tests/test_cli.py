@@ -11,7 +11,6 @@ import numpy as np
 
 from ordwalk import asymptotics, cli, engine, lattice_exact, transform
 from ordwalk.cli import (
-    _KIND_PARAMS,
     SpecError,
     _fmt_float,
     _to_json,
@@ -91,6 +90,14 @@ def test_validate_rejects_garbage():
         validate_spec("just a string")
     with pytest.raises(SpecError):
         validate_spec("kind: [unclosed")
+
+
+@pytest.mark.parametrize("kind", ["[1]", "{a: 1}", "null"])
+def test_validate_rejects_a_kind_that_is_no_name(kind):
+    # a list or mapping kind crashed validate_spec with TypeError (unhashable)
+    with pytest.raises(SpecError, match="unknown kind") as exc:
+        validate_spec(f"{{kind: {kind}, walk: {{k: 2, start: [0, 1]}}, params: {{n: 2}}}}")
+    assert len(exc.value.errors) == 1
 
 
 def test_validate_noninteger_lattice_start():
@@ -356,22 +363,49 @@ def test_main_validate_and_run(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def _far_transform(shift=0):
+    """The transform spec of 1024-steps from within 1024 of 2**63, its start
+    moved by `shift`."""
+    return {"kind": "transform", "seed": 1,
+            "walk": {"k": 3, "start": [9223372036854771712 + shift,
+                                       9223372036854773760 + shift,
+                                       9223372036854774784 + shift],
+                     "dist": {"kind": "custom_lattice",
+                              "masses": {"-1024": 0.5, "1024": 0.5}}},
+            "params": {"t_steps": 4, "paths": 50}}
+
+
+def _built_in_code(doc):
+    """The spec of a document, built without `validate_spec`."""
+    walk, dist = doc["walk"], doc["walk"]["dist"]
+    dist = {"kind": dist} if isinstance(dist, str) else dist
+    return cli.ExperimentSpec(
+        kind=doc["kind"], k=walk["k"], start=tuple(walk["start"]), dist_kind=dist["kind"],
+        dist_params={a: b for a, b in dist.items() if a != "kind"},
+        seed=doc.get("seed", 0), params=doc.get("params", {}))
+
+
 def test_run_refuses_a_lattice_walk_whose_positions_could_pass_int64(tmp_path, capsys):
-    # 1024-steps from within 1024 of 2**63 would wrap the int64 positions
-    # and report a row out of order
+    # 64 steps (twice the guard horizon 32) of 1024 from within 1024 of 2**63
+    # would wrap the int64 positions and report a row out of order
     spec_path = tmp_path / "far.json"
-    spec_path.write_text(json.dumps({
-        "kind": "transform", "seed": 1,
-        "walk": {"k": 3, "start": [9223372036854771712, 9223372036854773760,
-                                   9223372036854774784],
-                 "dist": {"kind": "custom_lattice", "masses": {"-1024": 0.5, "1024": 0.5}}},
-        "params": {"t_steps": 4, "paths": 50}}))
-    assert main(["validate", str(spec_path)]) == 0
-    capsys.readouterr()
-    assert main(["run", str(spec_path), "--out", str(tmp_path / "r")]) == 1
-    out = capsys.readouterr().out
-    assert "transform: FAIL" in out and "reach 2**63" in out and "int64" in out
+    spec_path.write_text(json.dumps(_far_transform()))
+    assert main(["validate", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert "reach 2**63 within 64 steps" in err and "int64" in err
+    # a spec built in code is refused before its first block
+    manifest, code = run_experiment(_built_in_code(_far_transform()), out_dir=str(tmp_path / "r"))
+    assert code == 1 and "reach 2**63" in manifest.error
     assert not (tmp_path / "r" / "transform_samples.csv").exists()
+    # one step short of the bound, the walk validates and runs: its top walker
+    # may reach 2**63 - 1
+    short = _far_transform(-63 * 1024 - 1)
+    assert short["walk"]["start"][-1] + 64 * 1024 == 2 ** 63 - 1
+    spec_path.write_text(json.dumps(short))
+    assert main(["validate", str(spec_path)]) == 0
+    manifest, code = run_experiment(validate_spec(json.dumps(short)), out_dir=str(tmp_path / "s"))
+    assert code == 0 and manifest.error is None
+    assert (tmp_path / "s" / "transform_samples.csv").exists()
 
 
 def test_validate_and_run_agree_on_integer_starts_past_2_53(tmp_path, capsys):
@@ -650,7 +684,7 @@ def test_validate_rejects_an_out_that_is_no_directory_name(out):
 
 def test_validate_accepts_every_param_each_runner_reads(tmp_path, monkeypatch):
     # every key a runner looks up in the params it is handed must be in its
-    # kind's table entry, and it reads them all
+    # kind's record, and it reads them all
     class Recording(dict):
         def __getitem__(self, key):
             read.add(key)
@@ -659,9 +693,9 @@ def test_validate_accepts_every_param_each_runner_reads(tmp_path, monkeypatch):
         def get(self, key, default=None):
             raise AssertionError(f"a runner reads params.{key} with a default")
 
-    for kind, runner in cli._RUNNERS.items():
-        monkeypatch.setitem(cli._RUNNERS, kind,
-                            lambda params, cfg, runner=runner: runner(Recording(params), cfg))
+    for kind, record in cli._KINDS.items():
+        monkeypatch.setitem(cli._KINDS, kind, record._replace(
+            run=lambda params, cfg, run=record.run: run(Recording(params), cfg)))
 
     small = {"exact-km": "{n: 2}", "exact-reflect": "{n: 2, l: 2}",
              "exact-v": "{n: 2}", "estimate-v": "{schedule: [2, 4], paths: 100}",
@@ -672,16 +706,16 @@ def test_validate_accepts_every_param_each_runner_reads(tmp_path, monkeypatch):
              "hermite": "{n: 4, paths: 20}",
              "dyson-compare": "{t: 1.0, horizons: [4, 16], paths: 20, "
                               "x_unit: [0, 1], tv_threshold: 1}"}
-    assert set(small) == set(_KIND_PARAMS)
+    assert set(small) == set(cli._KINDS)
     for kind, params in small.items():
         dist = "lazy_lattice" if kind == "lclt" else "rademacher"
         spec = validate_spec(f"kind: {kind}\nwalk: {{k: 2, start: [0, 1], dist: {dist}}}\n"
                              f"params: {params}\n")
-        assert set(spec.params) == set(_KIND_PARAMS[kind])
+        assert set(spec.params) == set(cli._KINDS[kind].params)
         read = set()
         manifest, _ = run_experiment(spec, out_dir=str(tmp_path / kind))
         assert manifest.error is None, (kind, manifest.error)
-        assert read == set(_KIND_PARAMS[kind]), kind
+        assert read == set(cli._KINDS[kind].params), kind
 
 
 # each kind's Monte Carlo sample size, cut to keep a run short
@@ -690,14 +724,14 @@ _FEW_PATHS = {"estimate-v": {"paths": 2000}, "tail": {"paths": 2000},
               "hermite": {"paths": 200}, "dyson-compare": {"paths": 200}}
 
 
-@pytest.mark.parametrize("kind", _KIND_PARAMS)
+@pytest.mark.parametrize("kind", cli._KINDS)
 def test_spelled_out_defaults_write_the_same_files(tmp_path, kind):
     # a spec that writes out every default the table gives must validate and
     # run as the spec that leaves them out: a default that breaks the
     # validator's own rules (a repeated horizon, a float where an integer is
     # read) shows here
     small = _FEW_PATHS.get(kind, {})
-    spelled = {**{key: val for key, val in _KIND_PARAMS[kind].items() if val is not None},
+    spelled = {**{key: val for key, val in cli._KINDS[kind].params.items() if val is not None},
                **small}
     assert spelled != small
     dist = "lazy_lattice" if kind == "lclt" else "rademacher"
@@ -726,6 +760,66 @@ def test_the_transformed_chain_runs_on_k2_rademacher_only(tmp_path, kind, k, dis
                               params={"paths": 100})
     manifest, code = run_experiment(spec, out_dir=str(tmp_path))
     assert code == 2 and "FeasibilityError: kind" in manifest.error
+
+
+def _walk(kind, k, dist, params=None):
+    return {"kind": kind, "seed": 1, "params": params or {},
+            "walk": {"k": k, "start": list(range(k)), "dist": dist}}
+
+
+def _wide(half):
+    return {"kind": "custom_lattice", "masses": {str(-half): 0.5, str(half): 0.5}}
+
+
+_GAUSS2 = {"kind": "gaussian", "variance": 2}
+_THIRDS = {"kind": "custom_lattice", "masses": {"-3": "1/4", "1": "3/4"}}
+_FAR_LCLT = {"kind": "custom_lattice",
+             "masses": {"-4503599627370496": 0.25, "0": 0.5, "4503599627370496": 0.25}}
+
+
+# specs that `run` refuses before its runner starts, with the exit code of a
+# spec built in code and the rule or bound the message names
+@pytest.mark.parametrize("doc, code, message", [
+    # a law the kind cannot run: exact-* and lclt exited 1 from their modules
+    (_walk("exact-km", 2, "gaussian"), 2, "kind exact-km needs a lattice law, got gaussian"),
+    (_walk("exact-reflect", 2, "uniform"), 2, "kind exact-reflect needs a lattice law"),
+    (_walk("exact-v", 2, "laplace"), 2, "kind exact-v needs a lattice law"),
+    (_walk("lclt", 2, _GAUSS2), 2, "kind lclt needs a lattice law"),
+    (_walk("lclt", 2, "rademacher"), 2, r"rademacher lives on 1 \+ 2Z"),
+    (_walk("lclt", 2, _THIRDS), 2, r"lives on 1 \+ 4Z"),
+    (_walk("hermite", 3, "rademacher"), 2, "kind hermite needs k=2 rademacher walkers, got k=3"),
+    (_walk("hermite", 2, "lazy_lattice"), 2, "needs k=2 rademacher walkers, got k=2 lazy"),
+    (_walk("dyson-compare", 3, "rademacher"), 2, "kind dyson-compare needs k=2 rademacher"),
+    (_walk("dyson-compare", 2, "lazy_lattice"), 2, "kind dyson-compare needs k=2 rademacher"),
+    # endpoint simulated every path, then exited 1 in the limit-law layer
+    (_walk("endpoint", 4, "rademacher", {"n": 4, "survivors": 200}), 2,
+     "kind endpoint needs k <= 3 walkers"),
+    # walks whose int64 positions may pass 2**63 exited 1 with OverflowError,
+    # or (transform) ran to a wrapped row
+    (_far_transform(), 1, r"may reach 2\*\*63 within 64 steps"),
+    (_walk("exact-km", 2, _wide(2 ** 61), {"n": 6}), 1, r"2\*\*63 within 6 steps"),
+    (_walk("exact-v", 2, _wide(2 ** 61), {"n": 6}), 1, r"2\*\*63 within 7 steps"),
+    (_walk("exact-reflect", 2, _wide(2 ** 61), {"n": 6}), 1, r"2\*\*63 within 6 steps"),
+    (_walk("lclt", 2, _FAR_LCLT), 1, r"2\*\*63 within 4096 steps"),
+    # a law spread over 2**63 or more, whose span no int64 holds
+    (_walk("endpoint", 2, _wide(2 ** 62 + 1), {"n": 1, "survivors": 10}), 1,
+     r"with a spread below 2\*\*63"),
+    (_walk("exact-km", 2, _wide(2 ** 62 + 1)), 1, r"with a spread below 2\*\*63"),
+    (_walk("exact-v", 2, _wide(2 ** 62 + 1)), 1, r"with a spread below 2\*\*63"),
+])
+def test_validate_refuses_what_run_refuses_before_any_work(tmp_path, monkeypatch, doc, code,
+                                                          message):
+    with pytest.raises(SpecError, match=message) as exc:
+        validate_spec(json.dumps(doc))
+    assert len(exc.value.errors) == 1
+    # built in code, the spec is refused with the same message, and no runner starts
+    for kind, record in cli._KINDS.items():
+        monkeypatch.setitem(cli._KINDS, kind, record._replace(run=None))
+    manifest, got = run_experiment(_built_in_code(doc), out_dir=str(tmp_path))
+    assert got == code
+    refusal = "FeasibilityError" if code == 2 else "ValueError"
+    assert manifest.error == f"{refusal}: {exc.value.errors[0].removeprefix('bad distribution: ')}"
+    assert manifest.files == {"summary.txt": manifest.files["summary.txt"]}
 
 
 @pytest.mark.parametrize("kind, horizons, message", [

@@ -177,6 +177,17 @@ def test_every_gap_dp_caller_goes_through_the_one_module_attribute():
     assert bound == set()
 
 
+def test_cli_keeps_one_table_of_run_kinds():
+    # every kind's runner, params, law and horizon are one record of _KINDS;
+    # run_experiment checks the law before dispatch, so no runner does
+    tree = TREES[PACKAGE / "cli.py"]
+    assert _private_definitions(tree) & {"_RUNNERS", "_KIND_LAWS", "_KIND_PARAMS"} == set()
+    runners = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    assert len(runners) == 10
+    assert not [node.name for node in runners if "_law_error" in _reads(node)]
+
+
 def test_only_v_module_asks_for_stopped_positions():
     # the stopped path gathers every exit row and takes Delta per block; only
     # V by Monte Carlo reads them, so every other consumer of engine._blocks

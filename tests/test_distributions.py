@@ -339,6 +339,14 @@ def test_lattice_draws_take_the_asked_dtype_and_refuse_sites_past_int64():
     with pytest.raises(ValueError, match="int64"):
         make_distribution("custom_lattice",
                           masses={-2 ** 70: Fraction(1, 2), 2 ** 70: Fraction(1, 2)})
+    # sites in int64 whose spread, and span, are not: int64 slots times the span
+    # overflowed in every layer
+    with pytest.raises(ValueError, match=r"spread below 2\*\*63"):
+        make_distribution("custom_lattice",
+                          masses={-2 ** 62 - 1: Fraction(1, 2), 2 ** 62 + 1: Fraction(1, 2)})
+    widest = make_distribution("custom_lattice", masses={
+        -2 ** 62: Fraction(2 ** 62 - 1, 2 ** 63 - 1), 2 ** 62 - 1: Fraction(2 ** 62, 2 ** 63 - 1)})
+    assert widest.lattice.span == 2 ** 63 - 1
     gauss = make_distribution("gaussian").sample_array(RandomStream(5, 0).generator(), 8)
     assert gauss.dtype == np.float64
 

@@ -432,17 +432,22 @@ def test_lattice_walks_that_could_pass_int64_are_refused():
     law = make_distribution("custom_lattice", masses={-1024: half, 1024: half})
     cfg = WalkConfig(k=2, start=(2 ** 63 - 1 - 4 * 1024 - 3000, 2 ** 63 - 1 - 4 * 1024),
                      dist=law, master_seed=3)
-    assert engine._chunk_dtype(cfg, 4) is np.int16
+    assert engine._chunk_dtype(cfg, 4) is np.int16 and engine.int64_error(cfg, 4) is None
     got = _simulate_block(cfg, 4, 1, 300, 2)
     want = _site_frame_block(cfg, 4, 1, 300, 2)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    with pytest.raises(ValueError, match=r"2\*\*63"):
+    with pytest.raises(ValueError, match=r"2\*\*63") as exc:
         _simulate_block(cfg, 5, 1, 300)
+    assert str(exc.value) == engine.int64_error(cfg, 5)
     # positions far from 2**63, slot counts past it
     far = WalkConfig(k=2, start=(-5 * 10 ** 18, 5 * 10 ** 18),
                      dist=make_distribution("lazy_lattice"))
     with pytest.raises(ValueError, match=r"2\*\*63"):
         engine._chunk_dtype(far, 1)
+    assert "2**63" in engine.int64_error(far, 1)
+    # a continuous walk has no int64 bound
+    gauss = WalkConfig(k=2, start=(-5e18, 5e18), dist=make_distribution("gaussian"))
+    assert engine.int64_error(gauss, 10 ** 6) is None
 
 
 @pytest.mark.parametrize("start", [(2 ** 53 + 1, 2 ** 53 + 2),

@@ -1,5 +1,6 @@
 """Exact rational kernels and identity checks on small lattice walks."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -317,6 +318,18 @@ def test_gap_chain_wrappers_raise_on_truncation(monkeypatch, call):
 OFF_GRID = [1, 7, 16, 26, 27, 53, 100, 1000, 1 << 14]
 
 
+def test_gap_dp_of_a_wide_law_is_the_scaled_rademacher_one():
+    # steps of +-2**32 are Rademacher steps times 2**32, a power of two, so
+    # every moment scales exactly; the square of an exit gap passes int64,
+    # which wrapped E[gap(tau)^2; tau <= n] to 0
+    s = 2 ** 32
+    wide = make_distribution("custom_lattice", masses={-s: Fraction(1, 2), s: Fraction(1, 2)})
+    rad = lattice_exact._gap_chain_dp(RAD, 1, [16, 64])
+    for h, p in lattice_exact._gap_chain_dp(wide, s, [16, 64]).items():
+        assert (p.alive, p.stopped, p.stopped_sq) == (
+            rad[h].alive, rad[h].stopped * s, rad[h].stopped_sq * s * s)
+
+
 def test_blocked_gap_chain_matches_reflection_at_horizons_off_the_block_grid():
     for start_gap in (1, 3, 5, 9):
         table = lattice_exact._gap_chain_dp(RAD, start_gap, OFF_GRID)
@@ -348,6 +361,25 @@ def test_gap_blocks_are_built_once_per_law_residue_and_length():
         for table in block:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
+
+
+@pytest.mark.parametrize("law, gap, digest", [
+    ("RAD", 1, "b34b5fd335e6b5c0c410cdc20bff6b39104ed7affbc0eb032367e20aaa8ec364"),
+    ("RAD", 2, "378029282cd74c353ebb51a90d79c3edba5c86f4f3c2ed35c08799248d6b32f3"),
+    ("LAZY", 1, "92563895c04ea59ac164f42cac6d70ac374dff3ed1eb524295a0dbd5dfc53ff3"),
+    ("JUMPS", 1, "a74e50d96860bc5cba11645de175eac7b55da68abfde1324999757f30863045b"),
+])
+def test_gap_block_tables_are_frozen(law, gap, digest):
+    # the block tables share the exact DP's one-axis convolution; every shape
+    # and float64 of every block is what the gap DP's own loop gave
+    dist = {"RAD": RAD, "LAZY": LAZY, "JUMPS": JUMPS}[law]
+    lattice_exact._gap_block_tables.cache_clear()
+    *_, blocks = lattice_exact._gap_blocks(dist, gap, 1 << 14)
+    h = hashlib.sha256()
+    for table in itertools.chain.from_iterable(blocks):
+        h.update(repr(table.shape).encode())
+        h.update(table.tobytes())
+    assert h.hexdigest() == digest
 
 
 def _exact_gap_chain(dist, start_gap, horizons):
