@@ -237,9 +237,8 @@ def validate_spec(raw: str) -> ExperimentSpec:
     if not isinstance(out, str) or not out:
         errors.append(f"out must be a non-empty string, got {out!r}")
 
-    # the walk's int64 bound reads horizons from params that passed every check
-    if not errors and record.horizon and (error := int64_error(
-            WalkConfig(k=k, start=start, dist=d), record.horizon(merged))):
+    # the walk's int64 bound reads params that passed every check
+    if not errors and (error := record.int64(WalkConfig(k=k, start=start, dist=d), merged)):
         errors.append(error)
     if errors:
         raise SpecError(errors)
@@ -331,21 +330,15 @@ def _write_csv(path, header, rows):
 def emit_report(out_dir: str, name: str, result: dict, tables: dict | None = None):
     """Write <name>.json plus optional CSV tables; returns emitted file names."""
     os.makedirs(out_dir, exist_ok=True)
-    files = []
-    json_path = os.path.join(out_dir, f"{name}.json")
-    try:
-        _write_json(json_path, result)
-    except OSError as exc:
-        raise OSError(f"failed writing {json_path}: {exc}") from exc
-    files.append(f"{name}.json")
-    for tname, (header, rows) in (tables or {}).items():
-        path = os.path.join(out_dir, f"{tname}.csv")
+    writes = [(f"{name}.json", _write_json, (result,))] + [
+        (f"{tname}.csv", _write_csv, table) for tname, table in (tables or {}).items()]
+    for fname, write, args in writes:
+        path = os.path.join(out_dir, fname)
         try:
-            _write_csv(path, header, rows)
+            write(path, *args)
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
-        files.append(f"{tname}.csv")
-    return files
+    return [fname for fname, _, _ in writes]
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +378,46 @@ def _run_exact_v(params, cfg):
     )
 
 
+_Oracle = namedtuple("_Oracle", "survival vn alive rejection transformed")
+
+
+def _oracle(cfg):
+    """The exact values a Monte Carlo run of `cfg` can gate on: each field a
+    function that computes them when a runner asks, or None where none exists.
+    Every DP is looked up on its module at call time, where wrappers go."""
+    dist, x = cfg.dist, cfg.start
+    packed = dist.kind == "rademacher" and all(b - a == 1 for a, b in zip(x, x[1:]))
+    # [(n, P(tau > n))] by the star formula, before any DP
+    star = (lambda ns: lattice_exact.star_survival(cfg.k, ns)) if packed else None
+    if cfg.k != 2 or not dist.is_lattice:
+        return _Oracle(star, None, None, None, None)
+    gap = int(x[1] - x[0])  # Delta(x); every other value is the k=2 gap DP's
+    return _Oracle(
+        survival=star or (lambda ns: lattice_exact.gap_chain_survival(dist, gap, ns)),
+        # [(n, V_n, the sd of Delta(X(tau)) 1{tau <= n})]
+        vn=lambda ns: [(n, gap - p.stopped,
+                        math.sqrt(max(p.stopped_sq - p.stopped * p.stopped, 0.0)))
+                       for n, p in lattice_exact._gap_chain_dp(dist, gap, ns).items()],
+        alive=lambda n: lattice_exact._gap_chain_dp(dist, gap, [n])[n],  # its pass at n
+        # the law of the gap at t given tau > m
+        rejection=lambda t, m: transform._rejection_gap_law(dist, gap, t, m),
+        # the h-transformed gap's law and the extent of its DP
+        transformed=(lambda n: transform._transformed_gap_law(gap, n))
+        if dist.kind == "rademacher" else None)
+
+
+def _gate(estimate, target, se=0.0, z=0, allowance=0.0):
+    """The one gate form: |estimate - target| <= z se + allowance."""
+    return bool(abs(estimate - target) <= z * se + allowance)
+
+
 def _run_estimate_v(params, cfg):
     paths = params["paths"]
     work = engine.WorkCounts()
     est = v_module.estimate_v(cfg, params["schedule"], paths, work=work)
-    rows = []
-    prev = None
-    for n, ci in est.per_horizon:
-        diag = abs(ci.mean - prev) if prev is not None else math.nan
-        rows.append((n, ci.mean, ci.stderr, diag))
-        prev = ci.mean
+    # the diagnostic column: each estimate's move from the previous horizon's
+    prev = [math.nan] + [ci.mean for _, ci in est.per_horizon]
+    rows = [(n, ci.mean, ci.stderr, abs(ci.mean - p)) for (n, ci), p in zip(est.per_horizon, prev)]
     result = {
         "x": list(cfg.start),
         "n_used": est.n_used,
@@ -406,23 +429,17 @@ def _run_estimate_v(params, cfg):
         "work": asdict(work),
     }
     checks = {"positivity_4sigma": result["positive_at_4_stderr"]}
-    if cfg.k == 2 and cfg.dist.is_lattice:
-        # the exact V_n = Delta(x) - E[Delta(X(tau)); tau <= n] at every
-        # horizon, from one gap-chain DP; Delta(x) is the start gap. Each
-        # estimate must fall within 4 exact standard errors of it, the sd of
-        # Delta(X(tau)) 1{tau <= n} from the DP's two moments, plus one
-        # path's exit, |Delta(X(tau))| / paths < width / paths: when exits
-        # are rare a single one is many standard errors
-        gap = int(cfg.start[1] - cfg.start[0])
+    if vn := _oracle(cfg).vn:
+        # each estimate must fall within 4 exact standard errors of the exact
+        # V_n, plus one path's exit, |Delta(X(tau))| / paths < width / paths:
+        # when exits are rare a single one is many standard errors
         lat = cfg.dist.lattice
         width = lat.span * (len(lat.weights) - 1)
-        dp = lattice_exact._gap_chain_dp(cfg.dist, gap, [n for n, _ in est.per_horizon])
-        result["exact_v"] = [[n, gap - p.stopped] for n, p in dp.items()]
+        exact = vn([n for n, _ in est.per_horizon])
+        result["exact_v"] = [[n, v] for n, v, _ in exact]
         checks["exact_vn_4se"] = all(
-            abs(ci.mean - (gap - p.stopped))
-            <= 4 * math.sqrt(max(p.stopped_sq - p.stopped * p.stopped, 0.0) / paths)
-            + width / paths
-            for (_, ci), p in zip(est.per_horizon, dp.values()))
+            _gate(ci.mean, v, sd / math.sqrt(paths), 4, width / paths)
+            for (_, ci), (_, v, sd) in zip(est.per_horizon, exact))
     return (result,
             {"v_estimates": (("n", "estimate", "stderr", "diagnostic"), rows)},
             checks)
@@ -434,35 +451,18 @@ def _run_tail(params, cfg):
     surv = engine.batch_survival(cfg, params["horizons"], paths, work=work)
     fit = asymptotics.tail_fit(surv, sigma=math.sqrt(cfg.dist.variance))
     theory = -cfg.k * (cfg.k - 1) / 4.0
-    result = {
-        "exponent": fit.exponent,
-        "prefactor": fit.prefactor,
-        "r_squared": fit.r_squared,
-        "n_range": list(fit.n_range),
-        "cut_sensitivity": fit.cut_sensitivity,
-        "dropped": fit.dropped,
-        "theory_exponent": theory,
-        "work": asdict(work),
-    }
+    result = {**asdict(fit), "theory_exponent": theory, "work": asdict(work)}
     rows = [(n, ci.mean, ci.stderr) for n, ci in surv]
-    checks = {"exponent_within_tol": abs(fit.exponent - theory) <= params["exponent_tol"]}
-    ns = [n for n, _ in surv]
-    if cfg.dist.kind == "rademacher" and all(b - a == 1 for a, b in zip(cfg.start, cfg.start[1:])):
-        # from a packed start every horizon has the exact star survival
-        exact = lattice_exact.star_survival(cfg.k, ns)
-    elif cfg.k == 2 and cfg.dist.is_lattice:
-        # any other k=2 lattice walk has it from the gap-chain DP
-        exact = lattice_exact.gap_chain_survival(
-            cfg.dist, int(cfg.start[1] - cfg.start[0]), ns)
-    else:
-        exact = None
-    if exact is not None:
+    checks = {"exponent_within_tol": _gate(fit.exponent, theory,
+                                           allowance=params["exponent_tol"])}
+    if survival := _oracle(cfg).survival:
         # each estimate must fall within 4 binomial sd of the exact value,
         # plus one path: from a far start exits are rare, and a single one
         # is many sd
+        exact = survival([n for n, _ in surv])
         result["exact_survival"] = [[n, p] for n, p in exact]
         checks["exact_within_4sd"] = all(
-            abs(ci.mean - p) <= 4.0 * math.sqrt(p * (1.0 - p) / paths) + 1.0 / paths
+            _gate(ci.mean, p, math.sqrt(p * (1.0 - p) / paths), 4, 1.0 / paths)
             for (_, ci), (_, p) in zip(surv, exact))
     return (result, {"survival": (("n", "p_survive", "stderr"), rows)}, checks)
 
@@ -474,21 +474,18 @@ def _run_endpoint(params, cfg):
     endpoints, rate = engine.conditioned_endpoints(cfg, n, target, max_attempts, work=work)
     sigma = math.sqrt(cfg.dist.variance)
     rep = asymptotics.endpoint_density_distance(endpoints, cfg.k, sigma=sigma)
-    rep["acceptance_rate"] = rate
-    rep["n"] = n
-    rep["work"] = asdict(work)
+    rep.update(acceptance_rate=rate, n=n, work=asdict(work))
     header = tuple(f"y{i + 1}" for i in range(cfg.k))
-    mean_ok = True
-    if cfg.k == 2:
-        target_mean = math.sqrt(math.pi)
-        if cfg.dist.is_lattice:
-            # the exact finite-n mean of the conditioned gap, not its limit
-            p = lattice_exact._gap_chain_dp(cfg.dist, int(cfg.start[1] - cfg.start[0]), [n])[n]
-            gaps, probs = p.law()
-            rep["gap_dp"] = p.extent()
-            target_mean = float(gaps @ probs) / (math.sqrt(n) * sigma)
-        mean_ok = abs(rep["gap_mean"][0] - target_mean) <= 3 * rep["gap_mean_stderr"][0]
-    return (rep, {"endpoints": (header, endpoints)}, {"gap_mean_3sigma": mean_ok})
+    # a k=2 gap's mean: the limit law's sqrt(pi) off the lattice, else the
+    # exact finite-n mean of the conditioned gap; k=3 has neither
+    mean = math.sqrt(math.pi) if cfg.k == 2 else None
+    if alive := _oracle(cfg).alive:
+        p = alive(n)
+        (gaps, probs), rep["gap_dp"] = p.law(), p.extent()
+        mean = float(gaps @ probs) / (math.sqrt(n) * sigma)
+    checks = {} if mean is None else {"gap_mean_3sigma": _gate(
+        rep["gap_mean"][0], mean, rep["gap_mean_stderr"][0], 3)}
+    return (rep, {"endpoints": (header, endpoints)}, checks)
 
 
 def _run_lclt(params, cfg):
@@ -508,23 +505,21 @@ def _run_lclt(params, cfg):
 def _run_transform(params, cfg):
     t_steps = params["t_steps"]
     work = engine.WorkCounts()
-    res = transform.transform_paths_rejection(
+    result = transform.transform_paths_rejection(
         cfg, t_steps, params["paths"], guard_m=params["guard_m"], work=work)
-    samples = res["samples"]
+    samples = result.pop("samples")
     header = tuple(f"x{i + 1}" for i in range(cfg.k))
-    result = {a: b for a, b in res.items() if a != "samples"}
     result["work"] = asdict(work)
-    checks = {"collected": True}
-    if cfg.k == 2 and cfg.dist.is_lattice:
+    checks = {}
+    if rejection := _oracle(cfg).rejection:
         # the exact mean of the gap at t_steps given survival to guard_m
-        gaps, probs = transform._rejection_gap_law(
-            cfg.dist, int(cfg.start[1] - cfg.start[0]), t_steps, res["guard_m"])
+        gaps, probs = rejection(t_steps, result["guard_m"])
         mean = float(gaps @ probs)
         sd = math.sqrt(max(float(gaps ** 2 @ probs) - mean ** 2, 0.0))
         se = sd / math.sqrt(len(samples))
         gap_mean = float(np.diff(samples, axis=1).mean())
         result.update(gap_mean=gap_mean, exact_gap_mean=mean, gap_mean_stderr=se)
-        checks = {"gap_mean_4se": abs(gap_mean - mean) <= 4 * se}
+        checks["gap_mean_4se"] = _gate(gap_mean, mean, se, 4)
     return (result, {"transform_samples": (header, samples)}, checks)
 
 
@@ -534,13 +529,11 @@ def _run_hermite(params, cfg):
                                          master_seed=cfg.master_seed)
     rep = transform.hermite_distance(y / math.sqrt(n), 2)
     rep["n"] = n
-    gaps, probs, rep["gap_dp"] = transform._transformed_gap_law(
-        int(cfg.start[1] - cfg.start[0]), n)
+    gaps, probs, rep["gap_dp"] = _oracle(cfg).transformed(n)
     x = gaps / math.sqrt(n)
     rep["exact_gap_tv"] = transform.gap_law_tv(x, probs)
     # the exact finite-n E[g^2]/n of the transformed chain, not its limit 6
-    target_m2 = float(x ** 2 @ probs)
-    m2_ok = abs(rep["gap_sq_mean"][0] - target_m2) <= 3 * rep["gap_sq_stderr"][0]
+    m2_ok = _gate(rep["gap_sq_mean"][0], float(x ** 2 @ probs), rep["gap_sq_stderr"][0], 3)
     return (rep, {}, {"gap_sq_mean_3sigma": m2_ok})
 
 
@@ -560,28 +553,31 @@ def _run_dyson(params, cfg):
 # every run kind, in the order `validate` lists them: its runner; the params it
 # reads, with their defaults (None is worked out by the runner: l, every exit
 # time 1..n; max_attempts, 200 per survivor; guard_m, `transform._guard_horizon`);
-# the law it needs (`_law_error`); and the steps it walks from the start
-_Kind = namedtuple("_Kind", "run params law horizon")
+# the law it needs (`_law_error`); and why its walk cannot be held in int64, or
+# None: from the steps it walks from the start or, for hermite, its pairs' sums
+_Kind = namedtuple("_Kind", "run params law int64")
 _KINDS = {
-    "exact-km": _Kind(_run_exact_km, {"n": 6}, "lattice", lambda p: p["n"]),
+    "exact-km": _Kind(_run_exact_km, {"n": 6}, "lattice", lambda c, p: int64_error(c, p["n"])),
     "exact-reflect": _Kind(_run_exact_reflect, {"n": 4, "l": None}, "lattice",
-                           lambda p: p["n"]),
-    "exact-v": _Kind(_run_exact_v, {"n": 6}, "lattice", lambda p: p["n"] + 1),
+                           lambda c, p: int64_error(c, p["n"])),
+    "exact-v": _Kind(_run_exact_v, {"n": 6}, "lattice", lambda c, p: int64_error(c, p["n"] + 1)),
     "estimate-v": _Kind(_run_estimate_v, {"schedule": [16, 32, 64, 128], "paths": 100000},
-                        None, lambda p: max(p["schedule"])),
+                        None, lambda c, p: int64_error(c, max(p["schedule"]))),
     "tail": _Kind(_run_tail, {"horizons": [64, 128, 256, 512, 1024, 2048, 4096],
                               "paths": 1000000, "exponent_tol": 0.15},
-                  None, lambda p: max(p["horizons"])),
+                  None, lambda c, p: int64_error(c, max(p["horizons"]))),
     "endpoint": _Kind(_run_endpoint, {"n": 1024, "survivors": 20000, "max_attempts": None},
-                      "k <= 3", lambda p: p["n"]),
+                      "k <= 3", lambda c, p: int64_error(c, p["n"])),
     "lclt": _Kind(_run_lclt, {"horizons": [256, 4096], "threshold": 0.01}, "lattice on span Z",
-                  lambda p: max(p["horizons"])),
+                  lambda c, p: int64_error(c, max(p["horizons"]))),
     "transform": _Kind(_run_transform, {"t_steps": 16, "paths": 2000, "guard_m": None}, None,
-                       lambda p: 2 * transform._guard_horizon(p["t_steps"], p["guard_m"])),
-    "hermite": _Kind(_run_hermite, {"n": 4096, "paths": 20000}, "k=2 rademacher", None),
+                       lambda c, p: int64_error(
+                           c, 2 * transform._guard_horizon(p["t_steps"], p["guard_m"]))),
+    "hermite": _Kind(_run_hermite, {"n": 4096, "paths": 20000}, "k=2 rademacher",
+                     lambda c, p: transform._pair_int64_error(c.start, p["n"])),
     "dyson-compare": _Kind(_run_dyson, {"t": 1.0, "horizons": [256, 1024], "paths": 50000,
                                         "x_unit": [0, 1], "tv_threshold": 0.05},
-                           "k=2 rademacher", None),
+                           "k=2 rademacher", lambda c, p: None),  # reads no start
 }
 
 
@@ -604,11 +600,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     os.makedirs(out, exist_ok=True)
     name = spec.kind.replace("-", "_")
     t0 = time.monotonic()
-    checks = {}
-    files = []
-    error = None
-    code = 0
-    work = None
+    checks, files, error, code, work = {}, [], None, 0, None
     try:
         cfg = spec.walk_config()
         record = _KINDS[spec.kind]
@@ -616,7 +608,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
         # what `validate` refuses, refused before any work for a spec built in code
         if refusal := _law_error(spec.kind, cfg.k, cfg.dist):
             raise FeasibilityError(refusal)
-        if record.horizon and (refusal := int64_error(cfg, record.horizon(params))):
+        if refusal := record.int64(cfg, params):
             raise ValueError(refusal)
         result, tables, checks = record.run(params, cfg)
         work = result.get("work")
@@ -637,23 +629,17 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     if code == 0 and not passed:
         code = 1
 
-    summary_lines = [f"{spec.kind}: {'PASS' if passed else 'FAIL'}"]
-    for cname, ok in sorted(checks.items()):
-        summary_lines.append(f"  {cname}: {'pass' if ok else 'FAIL'}")
+    summary_lines = [f"{spec.kind}: {'PASS' if passed else 'FAIL'}"] + [
+        f"  {cname}: {'pass' if ok else 'FAIL'}" for cname, ok in sorted(checks.items())]
     if error:
         summary_lines.append(f"  error: {error}")
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary_lines) + "\n")
     files.append("summary.txt")
 
-    manifest = RunManifest(
-        spec=_spec_doc(spec),
-        version=__version__,
-        checks=checks,
-        files={f: _sha256(os.path.join(out, f)) for f in files},
-        passed=passed,
-        error=error,
-    )
+    manifest = RunManifest(spec=_spec_doc(spec), version=__version__, checks=checks,
+                           files={f: _sha256(os.path.join(out, f)) for f in files},
+                           passed=passed, error=error)
     _write_json(os.path.join(out, "manifest.json"), asdict(manifest))
     # wall-clock isolated from the deterministic outputs; a Monte Carlo run
     # adds its path-steps per second of the run's wall time

@@ -163,7 +163,7 @@ def _slot_origin(cfg: WalkConfig):
     return [0, *itertools.accumulate(-(-(b - a) // span) for a, b in zip(x, x[1:]))]
 
 
-def int64_error(cfg: WalkConfig, horizon: int):
+def int64_error(cfg: WalkConfig, horizon: int, origin=None):
     """Why a walk cannot run `horizon` steps in int64, or None: a lattice walk
     whose slot counts, up to a_{k-1} + horizon * (S - 1), or positions, up to
     max |x_i| + horizon * max(|lo|, |hi|), may reach 2**63."""
@@ -173,30 +173,30 @@ def int64_error(cfg: WalkConfig, horizon: int):
     top = len(lattice.weights) - 1
     far = (max(abs(int(c)) for c in cfg.start)
            + horizon * max(-lattice.lo, lattice.lo + lattice.span * top))
-    if max(_slot_origin(cfg)[-1] + horizon * top, far) >= 2 ** 63:
+    if max((origin or _slot_origin(cfg))[-1] + horizon * top, far) >= 2 ** 63:
         return (f"a lattice walk from {cfg.start} may reach 2**63 within "
                 f"{horizon} steps, past its int64 positions and slot counts")
     return None
 
 
-def _chunk_dtype(cfg: WalkConfig, horizon: int):
+def _chunk_dtype(cfg: WalkConfig, horizon: int, origin=None):
     """Smallest of int16, int32 and int64 that holds a lattice chunk's slot
     counts up to the horizon, else float64; raises what `int64_error` finds."""
     lattice = cfg.dist.lattice
     if lattice is None:
         return np.float64
-    if error := int64_error(cfg, horizon):
+    if error := int64_error(cfg, horizon, origin):
         raise ValueError(error)
-    reach = _slot_origin(cfg)[-1] + horizon * (len(lattice.weights) - 1)
+    reach = (origin or _slot_origin(cfg))[-1] + horizon * (len(lattice.weights) - 1)
     return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
 
 
-def _slot_positions(cfg: WalkConfig, rows, steps):
+def _slot_positions(cfg: WalkConfig, origin, rows, steps):
     """Turn int64 rows of slot counts Y, each after `steps` steps (one count
     or one per row), into positions x + lo * steps + span * (Y - a), in place."""
     lattice = cfg.dist.lattice
     rows *= lattice.span
-    rows += np.asarray(cfg.start, dtype=np.int64) - lattice.span * np.array(_slot_origin(cfg))
+    rows += np.asarray(cfg.start, dtype=np.int64) - lattice.span * np.array(origin)
     rows += lattice.lo * np.reshape(steps, (-1, 1))
     return rows
 
@@ -269,11 +269,12 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     gap_frame = cfg.dist.kind == "gaussian"
     lattice = cfg.dist.is_lattice
     out_dtype = np.int64 if lattice else np.float64
-    dtype, width = _chunk_dtype(cfg, horizon), k - gap_frame
+    slots = _slot_origin(cfg) if lattice else None  # worked out once per block
+    dtype, width = _chunk_dtype(cfg, horizon, slots), k - gap_frame
     if gap_frame:
         origin = np.diff(np.asarray(cfg.start, dtype=np.float64))
     else:
-        origin = np.asarray(_slot_origin(cfg) if lattice else cfg.start, dtype=dtype)
+        origin = np.asarray(slots if lattice else cfg.start, dtype=dtype)
     pos = np.repeat(origin[:, None], block_size, axis=1)  # (width, alive paths)
     tau = np.full(block_size, horizon + 1, dtype=np.int64)
     if stopped:
@@ -331,11 +332,11 @@ def _simulate_block(cfg: WalkConfig, horizon: int, block_index: int, block_size:
     if lattice:
         # snapshot rows that exit by the snapshot step kept the slot origin
         if snap is not None:
-            _slot_positions(cfg, snap, snap_step * (tau > snap_step))
+            _slot_positions(cfg, slots, snap, snap_step * (tau > snap_step))
         if stopped:
-            _slot_positions(cfg, terminal, np.minimum(tau, horizon))
+            _slot_positions(cfg, slots, terminal, np.minimum(tau, horizon))
         else:
-            pos = _slot_positions(cfg, pos.astype(out_dtype, order="C"), horizon)
+            pos = _slot_positions(cfg, slots, pos.astype(out_dtype, order="C"), horizon)
     elif gap_frame:
         # a row's centre is drawn at its first reported time: the snapshot
         # step if the row is alive then, else min(tau, horizon); with a

@@ -198,6 +198,16 @@ def transformed_gap_paths(start_gap: int, n: int, paths: int,
     return _transformed_gaps(start_gap, rng.binomial(n, 0.5, paths), rng)
 
 
+def _pair_int64_error(start, n: int):
+    """Why `transformed_pair_paths` cannot hold its pairs from `start` after n
+    steps in int64, or None: the sum s and the gap g each move by at most 2n,
+    so |s -+ g| <= |s0| + g0 + 4n = 2 max |x_i| + 4n must stay below 2**63."""
+    if 2 * max(abs(int(c)) for c in start) + 4 * n >= 2 ** 63:
+        return (f"a transformed pair from {start} may reach 2**63 within {n} steps, "
+                f"past its int64 sums")
+    return None
+
+
 def transformed_pair_paths(start, n: int, paths: int,
                            master_seed: int = 0) -> np.ndarray:
     """Sample full k=2 transformed configurations at time n, shape (paths, 2).
@@ -209,6 +219,8 @@ def transformed_pair_paths(start, n: int, paths: int,
     """
     if not in_weyl(start):
         raise ValueError("start must be strictly ordered")
+    if error := _pair_int64_error(start, n):
+        raise ValueError(error)
     rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
     moves = rng.binomial(n, 0.5, paths)
     g = _transformed_gaps(int(start[1] - start[0]), moves, rng)

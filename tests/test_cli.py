@@ -269,6 +269,24 @@ _RAD2 = {"k": 2, "start": [0, 1], "dist": "rademacher"}
         "transform.json": "14b3d3eb884ed1253ef3d397cefe4ef27966c2cd56b531b148de1e0b06177e4b",
         "transform_samples.csv": "566e1f5252106915911264f28238dbb049a320aca9388e871ba1e9ae077a519d",
     }, id="transform"),
+    # the exact gates of k=2 lattice walks: V_n of a lazy walk, the gap-chain
+    # survival off the packed start, the transformed chain's E[g^2]
+    pytest.param("estimate-v", {"k": 2, "start": [0, 1], "dist": "lazy_lattice"}, 3,
+                 {"schedule": [16, 32], "paths": 20000}, {
+        "estimate_v.json": "0d6b3e49266e1c6aff211945e1c95b8ef06659dbad3bd58d3705e48ae95847bf",
+        "summary.txt": "847c29b4679228507ecdc982e34d7931f731951ed9c396b8f72553d054b06fc0",
+        "v_estimates.csv": "a8166c45f659cfd0d2bfc857e82ad769ce70f7044cdb157a909fbd33e4508193",
+    }, id="estimate-v-lazy"),
+    pytest.param("tail", {"k": 2, "start": [-2, 1], "dist": "rademacher"}, 3,
+                 {"horizons": [16, 64], "paths": 20000}, {
+        "summary.txt": "73e9593403a765f1355b29db3ee166106e83f86ff033ecc574dee59634c61a20",
+        "survival.csv": "c342f0922c5cbe3719e0f03dda3aece2eaa2a3069e6d7dac118946f59bfb8980",
+        "tail.json": "45b5e87314da1a4c92a16e0811cb5a74abac3060fe1591f7489367a1706d9112",
+    }, id="tail-gap-chain"),
+    pytest.param("hermite", _RAD2, 3, {"n": 64, "paths": 2000}, {
+        "hermite.json": "35a5eac6b5af8a48d2e1390e8b63cfb545b5c9bdaaf8ef411729b8e2df1240e8",
+        "summary.txt": "047eee89062865b79e7425dd41c8edbf20e16907fca5defa0b9ff575266801b0",
+    }, id="hermite"),
     pytest.param("endpoint", {"k": 3, "start": [0, 1, 2], "dist": "rademacher"}, 5,
                  {"n": 64, "survivors": 10000, "max_attempts": 2000}, {
         "partial_endpoint.csv": "6565f172a8a4b00d65998a0ffd42c79cdcef09c98c4368224d2c461e08fac017",
@@ -284,8 +302,9 @@ def test_run_digests_are_frozen(tmp_path, kind, walk, seed, params, files):
     manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
     assert manifest.files == files
     timing = json.loads((tmp_path / "timing.json").read_text())
-    monte_carlo = manifest.error is None
-    assert ("path_steps_per_s" in timing) == monte_carlo
+    # the transformed chain draws its endpoints directly, with no engine path
+    engine_paths = manifest.error is None and kind != "hermite"
+    assert ("path_steps_per_s" in timing) == engine_paths
 
 
 def test_run_failed_check_exits_one(tmp_path):
@@ -406,6 +425,24 @@ def test_run_refuses_a_lattice_walk_whose_positions_could_pass_int64(tmp_path, c
     manifest, code = run_experiment(validate_spec(json.dumps(short)), out_dir=str(tmp_path / "s"))
     assert code == 0 and manifest.error is None
     assert (tmp_path / "s" / "transform_samples.csv").exists()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hermite_bound_is_the_transformed_pairs_int64_sums(sign):
+    # after n steps the pair's sum moves by at most 2n and its gap by at most
+    # 2n, so |s -+ g| <= 2 max|x_i| + 4n, which must stay below 2**63
+    n = 4
+    top = 2 ** 62 - 2 * n - 1  # the largest max|x_i| with 2 max|x_i| + 4n < 2**63
+    ok = sorted(sign * c for c in (top - 1, top))
+    doc = {"kind": "hermite", "params": {"n": n, "paths": 20},
+           "walk": {"k": 2, "start": ok, "dist": "rademacher"}}
+    validate_spec(json.dumps(doc))
+    assert transform.transformed_pair_paths(ok, n, 20).shape == (20, 2)
+    past = sorted(sign * c for c in (top, top + 1))
+    with pytest.raises(SpecError, match=r"may reach 2\*\*63 within 4 steps"):
+        validate_spec(json.dumps({**doc, "walk": {**doc["walk"], "start": past}}))
+    with pytest.raises(ValueError, match=r"may reach 2\*\*63 within 4 steps"):
+        transform.transformed_pair_paths(past, n, 20)
 
 
 def test_validate_and_run_agree_on_integer_starts_past_2_53(tmp_path, capsys):
@@ -541,14 +578,64 @@ params: {{t_steps: 4, paths: 2000}}
     assert manifest.checks == {"gap_mean_4se": passed}
 
 
+_K2_ENTRIES = {"survival", "vn", "alive", "rejection"}
+
+
+@pytest.mark.parametrize("k, start, dist, entries", [
+    (3, (5, 6, 7), "rademacher", {"survival"}),  # the star formula, at any k
+    (3, (0, 1, 3), "rademacher", set()),
+    (3, (0, 1, 2), "lazy_lattice", set()),
+    (2, (0.0, 1.0), "gaussian", set()),
+    (2, (0, 3), "lazy_lattice", _K2_ENTRIES),
+    (2, (0, 3), "rademacher", _K2_ENTRIES | {"transformed"}),
+])
+def test_oracle_lists_the_exact_values_of_each_walk(monkeypatch, k, start, dist, entries):
+    # resolving the oracle computes nothing; an entry runs its DP, looked up on
+    # the module at call time, only when a runner asks for it
+    calls = []
+    monkeypatch.setattr(lattice_exact, "_gap_chain_dp",
+                        lambda *args: calls.append(args[:2]) or {4: "pass at 4"})
+    cfg = engine.WalkConfig(k=k, start=start, dist=make_distribution(dist))
+    oracle = cli._oracle(cfg)
+    assert {name for name, entry in oracle._asdict().items() if entry} == entries
+    assert calls == []
+    if oracle.alive:
+        assert oracle.alive(4) == "pass at 4" and calls == [(cfg.dist, 3)]
+
+
+def test_gate_passes_at_its_bound_and_fails_just_beyond():
+    # |estimate - target| <= z se + allowance, with every float exact here:
+    # 3 * 0.25 + 0.5 = 1.25
+    for at in (1.25, -1.25, 2.25):
+        target = at - math.copysign(1.25, at)
+        assert cli._gate(at, target, 0.25, 3, 0.5)
+        beyond = math.nextafter(at, math.copysign(math.inf, at))
+        assert abs(beyond - target) > 1.25 and not cli._gate(beyond, target, 0.25, 3, 0.5)
+    assert cli._gate(2.0, 1.5, allowance=0.5) and not cli._gate(2.0, 1.5, allowance=0.25)
+    assert cli._gate(1.0, 1.0) and not cli._gate(1.0, math.nextafter(1.0, 2.0))
+
+
 def test_transform_k3_has_no_exact_gate(tmp_path):
     doc = """
 kind: transform
 walk: {k: 3, start: [0, 1, 2], dist: rademacher}
 params: {t_steps: 2, paths: 50}
 """
-    manifest, _ = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
-    assert manifest.checks == {"collected": True}
+    # no exact law of the conditioned gap exists here, and a check that is
+    # true by construction would claim one
+    manifest, code = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert code == 0 and manifest.checks == {}
+
+
+def test_endpoint_k3_has_no_exact_gate(tmp_path):
+    doc = """
+kind: endpoint
+walk: {k: 3, start: [0, 1, 2], dist: rademacher}
+params: {n: 16, survivors: 200}
+"""
+    manifest, code = run_experiment(validate_spec(doc), out_dir=str(tmp_path))
+    assert code == 0 and manifest.checks == {}
+    assert (tmp_path / "summary.txt").read_text() == "endpoint: PASS\n"
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -806,6 +893,11 @@ _FAR_LCLT = {"kind": "custom_lattice",
      r"with a spread below 2\*\*63"),
     (_walk("exact-km", 2, _wide(2 ** 62 + 1)), 1, r"with a spread below 2\*\*63"),
     (_walk("exact-v", 2, _wide(2 ** 62 + 1)), 1, r"with a spread below 2\*\*63"),
+    # the transformed pairs' int64 sums s -+ g exited 1 with a bare OverflowError
+    ({**_walk("hermite", 2, "rademacher", {"n": 4, "paths": 20}),
+      "walk": {"k": 2, "start": [2 ** 62, 2 ** 62 + 1], "dist": "rademacher"}}, 1,
+     r"a transformed pair from \(4611686018427387904, 4611686018427387905\) may reach "
+     r"2\*\*63 within 4 steps, past its int64 sums"),
 ])
 def test_validate_refuses_what_run_refuses_before_any_work(tmp_path, monkeypatch, doc, code,
                                                           message):

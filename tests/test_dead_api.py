@@ -188,6 +188,32 @@ def test_cli_keeps_one_table_of_run_kinds():
     assert not [node.name for node in runners if "_law_error" in _reads(node)]
 
 
+def _abs_comparisons(tree):
+    """Names of the functions of `tree` that compare an abs(...) with a bound."""
+    return sorted({node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+                   for side in (cmp.left, *cmp.comparators)
+                   if isinstance(side, ast.Call) and getattr(side.func, "id", None) == "abs"})
+
+
+def test_cli_runners_gate_in_one_form():
+    # every |estimate - target| <= z se + allowance of a run is cli._gate's,
+    # and every exact target comes from the one oracle of the walk
+    tree = TREES[PACKAGE / "cli.py"]
+    runners = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    assert [name for node in runners for name in _abs_comparisons(node)] == []
+    assert {node.name for node in runners if "_oracle" in _reads(node)} == {
+        "_run_estimate_v", "_run_tail", "_run_endpoint", "_run_transform", "_run_hermite"}
+
+
+def test_abs_comparison_check_flags_a_hand_written_gate():
+    tree = ast.parse("def f(a, b):\n    return abs(a - b) <= 3\n"
+                     "def g(a, b):\n    return 3 > abs(a - b)\n"
+                     "def h(a, b):\n    return abs(a - b)\n")
+    assert _abs_comparisons(tree) == ["f", "g"]
+
+
 def test_only_v_module_asks_for_stopped_positions():
     # the stopped path gathers every exit row and takes Delta per block; only
     # V by Monte Carlo reads them, so every other consumer of engine._blocks
