@@ -78,6 +78,9 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment. Building it checks every field and raises one SpecError
+    listing every problem, so a spec that exists is valid, however it was built."""
+
     kind: str
     k: int
     start: tuple
@@ -86,6 +89,82 @@ class ExperimentSpec:
     seed: int = 0
     params: dict = field(default_factory=dict)
     out: str = "results"
+
+    def __post_init__(self):
+        errors = []
+        kind, k, start, params = self.kind, self.k, self.start, self.params
+        record = _KINDS.get(kind) if isinstance(kind, str) else None
+        if record is None:
+            errors.append(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
+        if not _is_int(k) or k < 2:
+            errors.append(f"k must be an integer >= 2, got {k!r}")
+            k = 2
+        if not isinstance(start, (list, tuple)) or len(start) != k:
+            errors.append(f"start must list k={k} coordinates, got {start!r}")
+            start = tuple(range(k))
+        else:
+            start = tuple(start)
+            if not all(map(_is_number, start)):
+                errors.append(f"start coordinates not numeric: {start!r}")
+                start = tuple(range(k))
+            elif not all(map(math.isfinite, start)):
+                errors.append(f"start coordinates must be finite, got {start!r}")
+                start = tuple(range(k))
+            elif not in_weyl(start):
+                errors.append("start not strictly ordered")
+        object.__setattr__(self, "start", start)
+        try:
+            dist = make_distribution(self.dist_kind, **self.dist_params)
+        except (ValueError, TypeError) as exc:
+            errors.append(f"bad distribution: {exc}")
+        else:
+            if dist.is_lattice and not all(map(is_integral, start)):
+                errors.append("lattice walks need integer start coordinates")
+            if record and (error := _law_error(kind, k, dist)):
+                errors.append(error)
+
+        if error := seed_error(self.seed):
+            errors.append(error)
+        if not isinstance(params, dict):
+            errors.append("params must be a mapping")
+            params = {}
+        for key, val in params.items():
+            if key in _INT_PARAMS and not _is_int(val):
+                errors.append(f"params.{key} must be an integer, got {val!r}")
+            elif key in _HORIZON_PARAMS:
+                if (not isinstance(val, list) or not val
+                        or not all(_is_int(h) and h > 0 for h in val)):
+                    errors.append(
+                        f"params.{key} must list positive integers, got {val!r}")
+                elif len(set(val)) != len(val):
+                    errors.append(f"params.{key} has repeated horizons: {val!r}")
+                elif key == "horizons" and len(val) < 2:
+                    # tail fits a slope; lclt and dyson-compare check a trend
+                    errors.append(f"params.horizons must list at least 2 horizons, "
+                                  f"got {val!r}")
+            elif key == "x_unit":
+                if (not isinstance(val, list) or len(val) != k
+                        or not all(_is_number(v) and math.isfinite(v) for v in val)
+                        or not in_weyl(val)):
+                    errors.append(f"params.x_unit must list k={k} strictly increasing "
+                                  f"finite numbers, got {val!r}")
+            elif key in _FLOAT_PARAMS and not (_is_number(val) and math.isfinite(val)):
+                errors.append(f"params.{key} must be a finite number, got {val!r}")
+            elif _is_number(val) and val <= 0:
+                errors.append(f"params.{key} must be positive, got {val}")
+            if record and key not in record.params:
+                errors.append(f"params.{key} is not read by kind {kind}, which reads "
+                              f"{', '.join(record.params)}")
+        if not isinstance(self.out, str) or not self.out:
+            errors.append(f"out must be a non-empty string, got {self.out!r}")
+
+        # the kind's rule reads the walk and every param, given or at its
+        # default, once each passed its own check
+        if not errors and (error := record.rule(WalkConfig(k=k, start=start, dist=dist),
+                                                {**record.params, **params})):
+            errors.append(error)
+        if errors:
+            raise SpecError(errors)
 
     def walk_config(self) -> WalkConfig:
         dist = make_distribution(self.dist_kind, **self.dist_params)
@@ -126,125 +205,32 @@ def _parse_spec(raw: str):
 
 
 def validate_spec(raw: str) -> ExperimentSpec:
-    """Parse and validate a spec document, collecting every error at once."""
-    errors = []
+    """The spec of a document. A walk or dist of the wrong shape is listed first,
+    then read by a fallback, so one SpecError lists every problem."""
     doc = _parse_spec(raw)
     if not isinstance(doc, dict):
         raise SpecError(["config must be a mapping"])
-
-    kind = doc.get("kind")
-    record = _KINDS.get(kind) if isinstance(kind, str) else None
-    if record is None:
-        errors.append(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
-
+    errors = []
     walk = doc.get("walk") or {}
     if not isinstance(walk, dict):
         errors.append(f"walk must be a mapping of k, start and dist, got {walk!r}")
         walk = {}
-    k = walk.get("k")
-    if not _is_int(k) or k < 2:
-        errors.append(f"k must be an integer >= 2, got {k!r}")
-        k = 2
-    start = walk.get("start")
-    if not isinstance(start, (list, tuple)) or len(start) != k:
-        errors.append(f"start must list k={k} coordinates, got {start!r}")
-        start = tuple(range(k))
-    else:
-        start = tuple(start)
-        if not all(map(_is_number, start)):
-            errors.append(f"start coordinates not numeric: {start!r}")
-            start = tuple(range(k))
-        elif not all(map(math.isfinite, start)):
-            errors.append(f"start coordinates must be finite, got {start!r}")
-            start = tuple(range(k))
-        elif not in_weyl(start):
-            errors.append("start not strictly ordered")
-
     dist = walk.get("dist", "rademacher")
-    if isinstance(dist, str):
-        dist_kind, dist_params = dist, {}
-    elif isinstance(dist, dict) and "kind" in dist:
-        dist_kind = dist["kind"]
-        dist_params = {a: b for a, b in dist.items() if a != "kind"}
-    else:
+    dist = {"kind": dist} if isinstance(dist, str) else dist
+    if not isinstance(dist, dict) or "kind" not in dist:
         errors.append(f"dist must be a kind name or mapping with 'kind': {dist!r}")
-        dist_kind, dist_params = "rademacher", {}
+        dist = {"kind": "rademacher"}
     try:
-        d = make_distribution(dist_kind, **dist_params)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"bad distribution: {exc}")
-    else:
-        if d.is_lattice and not all(map(is_integral, start)):
-            errors.append("lattice walks need integer start coordinates")
-        if record and (error := _law_error(kind, k, d)):
-            errors.append(error)
-
-    seed = doc.get("seed", 0)
-    if error := seed_error(seed):
-        errors.append(error)
-        seed = 0
-    params = doc.get("params") or {}
-    if not isinstance(params, dict):
-        errors.append("params must be a mapping")
-        params = {}
-    for key, val in params.items():
-        if key in _INT_PARAMS and not _is_int(val):
-            errors.append(f"params.{key} must be an integer, got {val!r}")
-        elif key in _HORIZON_PARAMS:
-            if (not isinstance(val, list) or not val
-                    or not all(_is_int(h) and h > 0 for h in val)):
-                errors.append(
-                    f"params.{key} must list positive integers, got {val!r}")
-            elif len(set(val)) != len(val):
-                errors.append(f"params.{key} has repeated horizons: {val!r}")
-            elif key == "horizons" and len(val) < 2:
-                # tail fits a slope; lclt and dyson-compare check a trend
-                errors.append(f"params.horizons must list at least 2 horizons, "
-                              f"got {val!r}")
-            elif kind == "lclt" and min(val) < 2:
-                errors.append(f"params.horizons must list horizons >= 2 for kind "
-                              f"lclt, got {val!r}")
-        elif key == "x_unit":
-            if (not isinstance(val, list) or len(val) != k
-                    or not all(_is_number(v) and math.isfinite(v) for v in val)
-                    or not in_weyl(val)):
-                errors.append(f"params.x_unit must list k={k} strictly increasing "
-                              f"finite numbers, got {val!r}")
-        elif key in _FLOAT_PARAMS and not (_is_number(val) and math.isfinite(val)):
-            errors.append(f"params.{key} must be a finite number, got {val!r}")
-        elif _is_number(val) and val <= 0:
-            errors.append(f"params.{key} must be positive, got {val}")
-        if record and key not in record.params:
-            errors.append(f"params.{key} is not read by kind {kind}, which reads "
-                          f"{', '.join(record.params)}")
-    # the cross-field checks read a param as the run will: given, or its default
-    merged = {**(record.params if record else {}), **params}
-    if kind == "exact-reflect" and _is_int(merged["l"]) and _is_int(merged["n"]):
-        if not 1 <= merged["l"] <= merged["n"]:
-            errors.append(f"params.l must lie in 1..n = 1..{merged['n']}, "
-                          f"got {merged['l']}")
-    if kind == "transform" and _is_int(merged["guard_m"]) and _is_int(merged["t_steps"]):
-        if merged["guard_m"] < merged["t_steps"]:
-            errors.append(f"params.guard_m must be >= t_steps = {merged['t_steps']}, "
-                          f"got {merged['guard_m']}")
-    if kind == "dyson-compare" and _is_number(t := merged["t"]) and 0 < t < math.inf:
-        # the transformed chain runs floor(t n) steps at horizon n
-        horizons = merged["horizons"] if isinstance(merged["horizons"], list) else []
-        if still := [n for n in horizons if _is_int(n) and 0 < n and int(t * n) < 1]:
-            errors.append(f"params.t = {t} runs no step (floor(t n) = 0) "
-                          f"at horizons {still}")
-    out = doc.get("out", "results")
-    if not isinstance(out, str) or not out:
-        errors.append(f"out must be a non-empty string, got {out!r}")
-
-    # the walk's int64 bound reads params that passed every check
-    if not errors and (error := record.int64(WalkConfig(k=k, start=start, dist=d), merged)):
-        errors.append(error)
+        spec = ExperimentSpec(kind=doc.get("kind"), k=walk.get("k"), start=walk.get("start"),
+                              dist_kind=dist["kind"],
+                              dist_params={a: b for a, b in dist.items() if a != "kind"},
+                              seed=doc.get("seed", 0), params=doc.get("params") or {},
+                              out=doc.get("out", "results"))
+    except SpecError as exc:
+        errors += exc.errors
     if errors:
         raise SpecError(errors)
-    return ExperimentSpec(kind=kind, k=k, start=start, dist_kind=dist_kind,
-                          dist_params=dist_params, seed=seed, params=params,
-                          out=out)
+    return spec
 
 
 def _spec_doc(spec: ExperimentSpec) -> dict:
@@ -411,6 +397,13 @@ def _gate(estimate, target, se=0.0, z=0, allowance=0.0):
     return bool(abs(estimate - target) <= z * se + allowance)
 
 
+def _trend(reports, key, threshold):
+    """The one trend form over reports in horizon order: whether `key` falls at
+    every horizon, and whether its last value is below `threshold`."""
+    return (all(a[key] > b[key] for a, b in zip(reports, reports[1:])),
+            reports[-1][key] < threshold)
+
+
 def _run_estimate_v(params, cfg):
     paths = params["paths"]
     work = engine.WorkCounts()
@@ -490,10 +483,8 @@ def _run_endpoint(params, cfg):
 
 def _run_lclt(params, cfg):
     reports = [asymptotics.local_clt_deviation(cfg.dist, n) for n in params["horizons"]]
-    decreasing = all(a["sup_deviation"] > b["sup_deviation"]
-                     for a, b in zip(reports, reports[1:]))
     threshold = params["threshold"]
-    final_ok = reports[-1]["sup_deviation"] < threshold
+    decreasing, final_ok = _trend(reports, "sup_deviation", threshold)
     rows = [(r["n"], r["sup_deviation"], r["argmax_site"], r["total_mass"])
             for r in reports]
     return ({"reports": reports, "decreasing": decreasing,
@@ -541,8 +532,7 @@ def _run_dyson(params, cfg):
     reports = [transform.dyson_compare(tuple(params["x_unit"]), params["t"], n,
                                        params["paths"], master_seed=cfg.master_seed)
                for n in params["horizons"]]
-    decreasing = all(a["tv"] > b["tv"] for a, b in zip(reports, reports[1:]))
-    final_ok = reports[-1]["tv"] < params["tv_threshold"]
+    decreasing, final_ok = _trend(reports, "tv", params["tv_threshold"])
     rows = [(r["n"], r["tv"], r["ks"], r["gap_mean"]) for r in reports]
     return ({"reports": reports, "decreasing": decreasing,
              "final_below_threshold": final_ok},
@@ -553,13 +543,15 @@ def _run_dyson(params, cfg):
 # every run kind, in the order `validate` lists them: its runner; the params it
 # reads, with their defaults (None is worked out by the runner: l, every exit
 # time 1..n; max_attempts, 200 per survivor; guard_m, `transform._guard_horizon`);
-# the law it needs (`_law_error`); and why its walk cannot be held in int64, or
-# None: from the steps it walks from the start or, for hermite, its pairs' sums
-_Kind = namedtuple("_Kind", "run params law int64")
+# the law it needs (`_law_error`); and its rule, run on the walk and the params
+# once each passed its own check: why the params disagree, or why the walk may
+# pass int64 within the steps it walks (hermite: its float64 pairs), or None
+_Kind = namedtuple("_Kind", "run params law rule")
 _KINDS = {
     "exact-km": _Kind(_run_exact_km, {"n": 6}, "lattice", lambda c, p: int64_error(c, p["n"])),
-    "exact-reflect": _Kind(_run_exact_reflect, {"n": 4, "l": None}, "lattice",
-                           lambda c, p: int64_error(c, p["n"])),
+    "exact-reflect": _Kind(_run_exact_reflect, {"n": 4, "l": None}, "lattice", lambda c, p: (
+        f"params.l must lie in 1..n = 1..{p['n']}, got {p['l']}"
+        if p["l"] is not None and not 1 <= p["l"] <= p["n"] else int64_error(c, p["n"]))),
     "exact-v": _Kind(_run_exact_v, {"n": 6}, "lattice", lambda c, p: int64_error(c, p["n"] + 1)),
     "estimate-v": _Kind(_run_estimate_v, {"schedule": [16, 32, 64, 128], "paths": 100000},
                         None, lambda c, p: int64_error(c, max(p["schedule"]))),
@@ -569,15 +561,23 @@ _KINDS = {
     "endpoint": _Kind(_run_endpoint, {"n": 1024, "survivors": 20000, "max_attempts": None},
                       "k <= 3", lambda c, p: int64_error(c, p["n"])),
     "lclt": _Kind(_run_lclt, {"horizons": [256, 4096], "threshold": 0.01}, "lattice on span Z",
-                  lambda c, p: int64_error(c, max(p["horizons"]))),
+                  lambda c, p: (
+        f"params.horizons must list horizons >= 2 for kind lclt, got {p['horizons']!r}"
+        if min(p["horizons"]) < 2 else int64_error(c, max(p["horizons"])))),
     "transform": _Kind(_run_transform, {"t_steps": 16, "paths": 2000, "guard_m": None}, None,
-                       lambda c, p: int64_error(
-                           c, 2 * transform._guard_horizon(p["t_steps"], p["guard_m"]))),
+                       lambda c, p: (
+        f"params.guard_m must be >= t_steps = {p['t_steps']}, got {p['guard_m']}"
+        if p["guard_m"] is not None and p["guard_m"] < p["t_steps"]
+        else int64_error(c, 2 * transform._guard_horizon(p["t_steps"], p["guard_m"])))),
     "hermite": _Kind(_run_hermite, {"n": 4096, "paths": 20000}, "k=2 rademacher",
-                     lambda c, p: transform._pair_int64_error(c.start, p["n"])),
+                     lambda c, p: transform._pair_bound_error(c.start, p["n"])),
+    # the transformed chain runs floor(t n) steps at horizon n; it reads no start
     "dyson-compare": _Kind(_run_dyson, {"t": 1.0, "horizons": [256, 1024], "paths": 50000,
                                         "x_unit": [0, 1], "tv_threshold": 0.05},
-                           "k=2 rademacher", lambda c, p: None),  # reads no start
+                           "k=2 rademacher", lambda c, p: (
+        f"params.t = {p['t']} runs no step (floor(t n) = 0) at horizons "
+        f"{[n for n in p['horizons'] if int(p['t'] * n) < 1]}"
+        if int(p["t"] * min(p["horizons"])) < 1 else None)),
 }
 
 
@@ -592,9 +592,10 @@ def _sha256(path):
 def run_experiment(spec: ExperimentSpec, out_dir=None):
     """Run one experiment; returns (manifest, exit_code).
 
-    Exit code 0: every asserted check passed. 1: a check failed or a module
-    raised. 2: refusal (a law the kind cannot run, an infeasible budget) or
-    partial results, whose samples are written to partial_<kind>.csv.
+    The spec checked itself when it was built, so nothing here refuses its
+    contents. Exit code 0: every asserted check passed. 1: a check failed or
+    a module raised. 2: an infeasible rejection budget, or partial results,
+    whose samples are written to partial_<kind>.csv.
     """
     out = out_dir or spec.out
     os.makedirs(out, exist_ok=True)
@@ -604,13 +605,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
     try:
         cfg = spec.walk_config()
         record = _KINDS[spec.kind]
-        params = {**record.params, **spec.params}
-        # what `validate` refuses, refused before any work for a spec built in code
-        if refusal := _law_error(spec.kind, cfg.k, cfg.dist):
-            raise FeasibilityError(refusal)
-        if refusal := record.int64(cfg, params):
-            raise ValueError(refusal)
-        result, tables, checks = record.run(params, cfg)
+        result, tables, checks = record.run({**record.params, **spec.params}, cfg)
         work = result.get("work")
         files = emit_report(out, name, result, tables)
     except (FeasibilityError, PartialResultError) as exc:
@@ -656,10 +651,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None):
 def _load_spec_file(path, seed=None, out=None):
     with open(path) as fh:
         spec = validate_spec(fh.read())
-    if seed is not None and (error := seed_error(seed)):
-        raise SpecError([error])
-    overrides = {"seed": seed, "out": out}
-    return replace(spec, **{key: val for key, val in overrides.items() if val is not None})
+    # a changed spec checks itself again as it is built
+    overrides = {key: val for key, val in {"seed": seed, "out": out}.items() if val is not None}
+    return replace(spec, **overrides) if overrides else spec
 
 
 def main(argv=None) -> int:

@@ -198,13 +198,17 @@ def transformed_gap_paths(start_gap: int, n: int, paths: int,
     return _transformed_gaps(start_gap, rng.binomial(n, 0.5, paths), rng)
 
 
-def _pair_int64_error(start, n: int):
-    """Why `transformed_pair_paths` cannot hold its pairs from `start` after n
-    steps in int64, or None: the sum s and the gap g each move by at most 2n,
-    so |s -+ g| <= |s0| + g0 + 4n = 2 max |x_i| + 4n must stay below 2**63."""
-    if 2 * max(abs(int(c)) for c in start) + 4 * n >= 2 ** 63:
-        return (f"a transformed pair from {start} may reach 2**63 within {n} steps, "
-                f"past its int64 sums")
+def _pair_bound_error(start, n: int):
+    """Why `transformed_pair_paths` cannot keep its pairs from `start` apart
+    after n steps, or None. The sum s and the gap g each move by at most 2n,
+    so each position (s -+ g)/2 moves by at most 2n. If every |x_i| + 2n is
+    below 2**52, the int64 sums s -+ g stay below 2**53 and their halves are
+    exact in float64; and y/c for any c > 0 keeps two of them a gap of at
+    least 1 apart, since they differ by at least 1/c, which exceeds the float64
+    spacing 2**-52 |y|/c around them."""
+    if max(abs(int(c)) for c in start) + 2 * n >= 2 ** 52:
+        return (f"a transformed pair from {start} may reach 2**52 within {n} steps, "
+                f"past the float64 positions that keep a gap of 1")
     return None
 
 
@@ -219,7 +223,7 @@ def transformed_pair_paths(start, n: int, paths: int,
     """
     if not in_weyl(start):
         raise ValueError("start must be strictly ordered")
-    if error := _pair_int64_error(start, n):
+    if error := _pair_bound_error(start, n):
         raise ValueError(error)
     rng = RandomStream(master_seed, TRANSFORMED_CHAIN_SALT).generator()
     moves = rng.binomial(n, 0.5, paths)

@@ -412,10 +412,9 @@ def test_run_refuses_a_lattice_walk_whose_positions_could_pass_int64(tmp_path, c
     assert main(["validate", str(spec_path)]) == 1
     err = capsys.readouterr().err
     assert "reach 2**63 within 64 steps" in err and "int64" in err
-    # a spec built in code is refused before its first block
-    manifest, code = run_experiment(_built_in_code(_far_transform()), out_dir=str(tmp_path / "r"))
-    assert code == 1 and "reach 2**63" in manifest.error
-    assert not (tmp_path / "r" / "transform_samples.csv").exists()
+    # a spec built in code is refused as it is built, before its first block
+    with pytest.raises(SpecError, match=r"reach 2\*\*63 within 64 steps"):
+        _built_in_code(_far_transform())
     # one step short of the bound, the walk validates and runs: its top walker
     # may reach 2**63 - 1
     short = _far_transform(-63 * 1024 - 1)
@@ -428,21 +427,37 @@ def test_run_refuses_a_lattice_walk_whose_positions_could_pass_int64(tmp_path, c
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_hermite_bound_is_the_transformed_pairs_int64_sums(sign):
-    # after n steps the pair's sum moves by at most 2n and its gap by at most
-    # 2n, so |s -+ g| <= 2 max|x_i| + 4n, which must stay below 2**63
+def test_hermite_bound_keeps_the_float64_pairs_apart(sign):
+    # after n steps the pair's sum and its gap each move by at most 2n, so each
+    # position (s -+ g)/2 by at most 2n; below 2**52 the float64 positions and
+    # their rescaling by sqrt(n) keep a gap of 1
     n = 4
-    top = 2 ** 62 - 2 * n - 1  # the largest max|x_i| with 2 max|x_i| + 4n < 2**63
+    top = 2 ** 52 - 2 * n - 1  # the largest max|x_i| with max|x_i| + 2n < 2**52
     ok = sorted(sign * c for c in (top - 1, top))
     doc = {"kind": "hermite", "params": {"n": n, "paths": 20},
            "walk": {"k": 2, "start": ok, "dist": "rademacher"}}
     validate_spec(json.dumps(doc))
-    assert transform.transformed_pair_paths(ok, n, 20).shape == (20, 2)
+    y = transform.transformed_pair_paths(ok, n, 20)
+    assert y.shape == (20, 2) and (np.diff(y / math.sqrt(n), axis=1) > 0).all()
     past = sorted(sign * c for c in (top, top + 1))
-    with pytest.raises(SpecError, match=r"may reach 2\*\*63 within 4 steps"):
+    with pytest.raises(SpecError, match=r"may reach 2\*\*52 within 4 steps"):
         validate_spec(json.dumps({**doc, "walk": {**doc["walk"], "start": past}}))
-    with pytest.raises(ValueError, match=r"may reach 2\*\*63 within 4 steps"):
+    with pytest.raises(ValueError, match=r"may reach 2\*\*52 within 4 steps"):
         transform.transformed_pair_paths(past, n, 20)
+
+
+def test_hermite_runs_just_under_its_bound_and_is_refused_just_over(tmp_path):
+    def doc(start):
+        return json.dumps({"kind": "hermite", "seed": 2, "params": {"n": 4, "paths": 200},
+                           "walk": {"k": 2, "start": start, "dist": "rademacher"}})
+
+    manifest, _ = run_experiment(validate_spec(doc([2 ** 52 - 10, 2 ** 52 - 9])),
+                                 out_dir=str(tmp_path))
+    assert manifest.error is None and "hermite.json" in manifest.files
+    # validate used to accept this start, and the run exited 1: its float64
+    # positions rounded the gap away, out of the Weyl chamber
+    with pytest.raises(SpecError, match=r"may reach 2\*\*52 within 4 steps"):
+        validate_spec(doc([2 ** 53, 2 ** 53 + 1]))
 
 
 def test_validate_and_run_agree_on_integer_starts_past_2_53(tmp_path, capsys):
@@ -834,7 +849,7 @@ def test_spelled_out_defaults_write_the_same_files(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["hermite", "dyson-compare"])
 @pytest.mark.parametrize("k, dist", [(3, "rademacher"), (2, "lazy_lattice")])
-def test_the_transformed_chain_runs_on_k2_rademacher_only(tmp_path, kind, k, dist):
+def test_the_transformed_chain_runs_on_k2_rademacher_only(kind, k, dist):
     # validate used to accept these specs, which the run then refused (exit 2)
     doc = json.dumps({"kind": kind, "params": {"paths": 100},
                       "walk": {"k": k, "start": list(range(k)), "dist": dist}})
@@ -842,11 +857,11 @@ def test_the_transformed_chain_runs_on_k2_rademacher_only(tmp_path, kind, k, dis
                                         f"got k={k} {dist}") as exc:
         validate_spec(doc)
     assert len(exc.value.errors) == 1
-    # a spec built in code, past the validator, is still refused
-    spec = cli.ExperimentSpec(kind=kind, k=k, start=tuple(range(k)), dist_kind=dist,
-                              params={"paths": 100})
-    manifest, code = run_experiment(spec, out_dir=str(tmp_path))
-    assert code == 2 and "FeasibilityError: kind" in manifest.error
+    # a spec built in code, past the validator, is refused as it is built
+    with pytest.raises(SpecError) as built:
+        cli.ExperimentSpec(kind=kind, k=k, start=tuple(range(k)), dist_kind=dist,
+                           params={"paths": 100})
+    assert built.value.errors == exc.value.errors
 
 
 def _walk(kind, k, dist, params=None):
@@ -864,9 +879,10 @@ _FAR_LCLT = {"kind": "custom_lattice",
              "masses": {"-4503599627370496": 0.25, "0": 0.5, "4503599627370496": 0.25}}
 
 
-# specs that `run` refuses before its runner starts, with the exit code of a
-# spec built in code and the rule or bound the message names
-@pytest.mark.parametrize("doc, code, message", [
+# specs refused as they are built, each with the exit code `run` gave it when
+# built in code before construction checked it (0: a run that passed), and the
+# rule or bound the message names
+@pytest.mark.parametrize("doc, old_exit, message", [
     # a law the kind cannot run: exact-* and lclt exited 1 from their modules
     (_walk("exact-km", 2, "gaussian"), 2, "kind exact-km needs a lattice law, got gaussian"),
     (_walk("exact-reflect", 2, "uniform"), 2, "kind exact-reflect needs a lattice law"),
@@ -897,9 +913,23 @@ _FAR_LCLT = {"kind": "custom_lattice",
     ({**_walk("hermite", 2, "rademacher", {"n": 4, "paths": 20}),
       "walk": {"k": 2, "start": [2 ** 62, 2 ** 62 + 1], "dist": "rademacher"}}, 1,
      r"a transformed pair from \(4611686018427387904, 4611686018427387905\) may reach "
-     r"2\*\*63 within 4 steps, past its int64 sums"),
+     r"2\*\*52 within 4 steps, past the float64 positions that keep a gap of 1"),
+    # a param no runner reads ran as if it were absent
+    (_walk("tail", 2, "rademacher", {"horizons": [16, 64], "bogus": 1}), 0,
+     "params.bogus is not read by kind tail"),
+    # tail simulated every path, then exited 1 in its fit
+    (_walk("tail", 2, "rademacher", {"horizons": [64]}), 1,
+     r"params.horizons must list at least 2 horizons, got \[64\]"),
+    # lclt passed its trend check over no pair of horizons
+    (_walk("lclt", 2, "lazy_lattice", {"horizons": [256]}), 0,
+     r"params.horizons must list at least 2 horizons, got \[256\]"),
+    # exact-reflect and transform exited 1 with their modules' messages
+    (_walk("exact-reflect", 2, "rademacher", {"n": 3, "l": 5}), 1,
+     r"params.l must lie in 1\.\.n = 1\.\.3, got 5"),
+    (_walk("transform", 2, "rademacher", {"t_steps": 16, "guard_m": 4}), 1,
+     "params.guard_m must be >= t_steps = 16, got 4"),
 ])
-def test_validate_refuses_what_run_refuses_before_any_work(tmp_path, monkeypatch, doc, code,
+def test_validate_refuses_what_run_refuses_before_any_work(monkeypatch, doc, old_exit,
                                                           message):
     with pytest.raises(SpecError, match=message) as exc:
         validate_spec(json.dumps(doc))
@@ -907,11 +937,9 @@ def test_validate_refuses_what_run_refuses_before_any_work(tmp_path, monkeypatch
     # built in code, the spec is refused with the same message, and no runner starts
     for kind, record in cli._KINDS.items():
         monkeypatch.setitem(cli._KINDS, kind, record._replace(run=None))
-    manifest, got = run_experiment(_built_in_code(doc), out_dir=str(tmp_path))
-    assert got == code
-    refusal = "FeasibilityError" if code == 2 else "ValueError"
-    assert manifest.error == f"{refusal}: {exc.value.errors[0].removeprefix('bad distribution: ')}"
-    assert manifest.files == {"summary.txt": manifest.files["summary.txt"]}
+    with pytest.raises(SpecError) as built:
+        _built_in_code(doc)
+    assert built.value.errors == exc.value.errors
 
 
 @pytest.mark.parametrize("kind, horizons, message", [

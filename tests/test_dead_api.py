@@ -178,14 +178,63 @@ def test_every_gap_dp_caller_goes_through_the_one_module_attribute():
 
 
 def test_cli_keeps_one_table_of_run_kinds():
-    # every kind's runner, params, law and horizon are one record of _KINDS;
-    # run_experiment checks the law before dispatch, so no runner does
+    # every kind's runner, params, law and rule are one record of _KINDS; a
+    # spec checks its law as it is built, so no runner does
     tree = TREES[PACKAGE / "cli.py"]
     assert _private_definitions(tree) & {"_RUNNERS", "_KIND_LAWS", "_KIND_PARAMS"} == set()
     runners = [node for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
     assert len(runners) == 10
     assert not [node.name for node in runners if "_law_error" in _reads(node)]
+
+
+def _functions(tree):
+    """The functions and methods at the top of `tree`, by "f" or "Class.f"."""
+    found = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            found[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            found.update({f"{top.name}.{node.name}": node for node in top.body
+                          if isinstance(node, ast.FunctionDef)})
+    return found
+
+
+def _kind_literal_comparisons(node):
+    """Lines where `node` compares a `kind` (a name or an attribute) with a
+    string literal, alone or in a tuple, list or set."""
+    def is_kind(side):
+        return getattr(side, "id", getattr(side, "attr", None)) == "kind"
+
+    return sorted(cmp.lineno for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+                  and any(map(is_kind, (cmp.left, *cmp.comparators)))
+                  and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                          for side in (cmp.left, *cmp.comparators) for c in ast.walk(side)))
+
+
+def test_spec_checks_branch_on_no_kind_name():
+    # what differs by kind lives in its _KINDS record (law, params, rule), so
+    # neither the document parser nor the spec's own check names a kind
+    functions = _functions(TREES[PACKAGE / "cli.py"])
+    for qualname in ("validate_spec", "ExperimentSpec.__post_init__"):
+        assert _kind_literal_comparisons(functions[qualname]) == [], qualname
+
+
+def test_kind_literal_check_flags_a_per_kind_branch():
+    tree = ast.parse("def f(kind, spec):\n    if kind == 'lclt':\n        pass\n"
+                     "    if spec.kind in ('tail', 'lclt'):\n        pass\n"
+                     "    if kind == other or dist.kind == 1:\n        pass\n")
+    assert _kind_literal_comparisons(tree) == [2, 4]
+
+
+def test_a_spec_is_checked_in_one_place():
+    # the law and each kind's rule are read only as a spec is built: a spec
+    # that exists is valid, so run_experiment keeps no second set of refusals
+    functions = _functions(TREES[PACKAGE / "cli.py"])
+    assert _reads(functions["run_experiment"]) & {"_law_error", "rule"} == set()
+    readers = {name for name, node in functions.items()
+               if {"_law_error", "rule"} & _reads(node)}
+    assert readers == {"ExperimentSpec.__post_init__"}
 
 
 def _abs_comparisons(tree):
